@@ -8,6 +8,7 @@ bound states below the continuum, and time evolution.
 
 from .boundary import (
     BoundaryPair,
+    ValidationError,
     ValidationReport,
     is_local,
     preset_delta,
@@ -15,6 +16,7 @@ from .boundary import (
     preset_free,
     preset_offdiag,
     random_valid_pair,
+    require_valid,
     validate,
 )
 from .dynamics import EvolveResult, evolve_spectral, free_evolve, spectral_defaults

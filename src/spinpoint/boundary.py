@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spins import ModelSpec, index_dimension
+from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension
 
 __all__ = [
     "BoundaryPair",
     "ValidationReport",
+    "ValidationError",
     "validate",
+    "require_valid",
     "is_local",
     "preset_free",
     "preset_delta",
@@ -113,15 +115,27 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     )
 
 
-def _entry_indices(dimension: int, n_spins: int):
-    """Per flat index: (parity, site 1-based, spin code)."""
-    n = n_spins
-    m = index_dimension(dimension, n)
-    flat = np.arange(m)
-    code = flat % 2**n
-    j = (flat % (n * 2**n)) // 2**n + 1
-    p = flat // (n * 2**n) if dimension == 1 else np.zeros(m, dtype=int)
-    return p, j, code
+class ValidationError(ValueError):
+    """A boundary pair that does not fit its model or fails validate()."""
+
+
+def require_valid(model: ModelSpec, pair: BoundaryPair, unchecked: bool = False) -> None:
+    """The admissibility gate in front of every solver entry point.
+
+    The pair must have the model's dimension and spin count. Unless
+    unchecked is set, it must also pass validate(); the error message is
+    then the validation report.
+    """
+    if (pair.dimension, pair.n_spins) != (model.dimension, model.n_spins):
+        raise ValidationError(
+            f"boundary pair (d={pair.dimension}, N={pair.n_spins}) does not match the model "
+            f"(d={model.dimension}, N={model.n_spins})"
+        )
+    if unchecked:
+        return
+    report = pair.validation()
+    if not report.is_valid:
+        raise ValidationError(str(report))
 
 
 def is_local(pair: BoundaryPair) -> bool:
@@ -131,8 +145,7 @@ def is_local(pair: BoundaryPair) -> bool:
     on spins other than the one at the shared site, and (iii) surviving
     entries identical across the spectator spins' configurations.
     """
-    n = pair.n_spins
-    p, j, code = _entry_indices(pair.dimension, n)
+    p, j, code = channel_tables(pair)
     for M in (pair.A, pair.B):
         m = M.shape[0]
         site_mask = j[:, None] != j[None, :]
@@ -160,12 +173,6 @@ def is_local(pair: BoundaryPair) -> bool:
             else:
                 seen[key] = val
     return True
-
-
-def _local_tables(dimension: int, n_spins: int):
-    """Index arrays for filling site-local entries of A or B."""
-    p, j, code = _entry_indices(dimension, n_spins)
-    return p, j, code
 
 
 def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
@@ -196,7 +203,7 @@ def preset_delta(model: ModelSpec, beta, paper_literal: bool = False) -> Boundar
     n = model.n_spins
     m = model.defect_dim
     table = _beta_table(beta, n, "beta")
-    p, j, code = _local_tables(model.dimension, n)
+    p, j, code = channel_tables(model)
     spin_col = (code >> (j - 1)) & 1  # 0 for sigma_j = +1
     if model.dimension == 3:
         A = np.diag(table[j - 1, spin_col]).astype(complex)
@@ -221,11 +228,15 @@ def preset_offdiag(model: ModelSpec, betahat) -> BoundaryPair:
     n = model.n_spins
     m = model.defect_dim
     table = _beta_table(betahat, n, "betahat")
-    p, j, code = _local_tables(model.dimension, n)
+    p, j, code = channel_tables(model)
     spin_col = (code >> (j - 1)) & 1
     sigma_j = 1 - 2 * spin_col
-    # column partner: same flat index with sigma_j flipped
-    partner = np.arange(m) ^ (1 << (j - 1))
+    # column partner: the same (p, j) slot in the block of the code with
+    # sigma_j flipped
+    blocks = channel_blocks(model)
+    flipped = np.arange(model.n_configs)[:, None] ^ (1 << (j[blocks[0]] - 1))
+    partner = np.empty(m, dtype=int)
+    partner[blocks] = blocks[flipped, np.arange(blocks.shape[1])]
     if model.dimension == 3:
         A = np.zeros((m, m), dtype=complex)
         A[np.arange(m), partner] = sigma_j * 1j * table[j - 1, spin_col]
@@ -249,7 +260,7 @@ def preset_delta_prime(model: ModelSpec, gamma) -> BoundaryPair:
         gamma = np.full(n, float(gamma))
     if gamma.shape != (n,):
         raise ValueError(f"gamma must be a scalar or shape ({n},)")
-    p, j, _ = _local_tables(1, n)
+    p, j, _ = channel_tables(model)
     A = np.eye(m, dtype=complex)
     B = np.zeros((m, m), dtype=complex)
     idx = np.flatnonzero(p == 1)

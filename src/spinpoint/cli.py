@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .boundary import (BoundaryPair, preset_delta, preset_delta_prime, preset_free,
-                       preset_offdiag)
+from .boundary import (BoundaryPair, ValidationError, preset_delta, preset_delta_prime,
+                       preset_free, preset_offdiag, require_valid)
 from .dynamics import evolve_spectral
 from .krein import NearPoleError, gamma_dressed, gamma_free, resolvent_kernel
 from .spectral import essential_spectrum_bottom, find_bound_states
@@ -209,15 +209,6 @@ def _validation_note(pair: BoundaryPair, unchecked: bool) -> str:
     return str(pair.validation())
 
 
-def _require_valid(pair: BoundaryPair, unchecked: bool) -> int:
-    if unchecked:
-        return EXIT_OK
-    if not pair.validation().is_valid:
-        print(f"validation failed: {pair.validation()}", file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
-
-
 def cmd_validate(args) -> int:
     model, pair, _ = load_model(args.model, args.paper_literal)
     report = pair.validation(tol=args.tol) if args.tol is not None else pair.validation()
@@ -278,9 +269,7 @@ def _kernel_points(args, model: ModelSpec):
 
 def cmd_kernel(args) -> int:
     model, pair, digest = load_model(args.model, args.paper_literal)
-    code = _require_valid(pair, args.unchecked)
-    if code != EXIT_OK:
-        return code
+    require_valid(model, pair, args.unchecked)
     z = _parse_z(args.z)
     points = _kernel_points(args, model)
     writer = ResultWriter(_echo(args), digest, "none",
@@ -312,9 +301,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_boundstates(args) -> int:
     model, pair, digest = load_model(args.model, args.paper_literal)
-    code = _require_valid(pair, args.unchecked)
-    if code != EXIT_OK:
-        return code
+    require_valid(model, pair, args.unchecked)
     tol = 1e-10 if args.tol is None else args.tol
     states = find_bound_states(model, pair, e_min=args.emin, tol=tol,
                                unchecked=args.unchecked)
@@ -335,9 +322,7 @@ def cmd_boundstates(args) -> int:
 
 def cmd_gamma(args) -> int:
     model, pair, digest = load_model(args.model, args.paper_literal)
-    code = _require_valid(pair, args.unchecked)
-    if code != EXIT_OK:
-        return code
+    require_valid(model, pair, args.unchecked)
     z = _parse_z(args.z)
     try:
         gam = gamma_free(model, z if z.imag != 0.0 else complex(z.real))
@@ -359,9 +344,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_evolve(args) -> int:
     model, pair, digest = load_model(args.model, args.paper_literal)
-    code = _require_valid(pair, args.unchecked)
-    if code != EXIT_OK:
-        return code
+    require_valid(model, pair, args.unchecked)
     packet, grid = load_packet(args.state, model)
     times = [float(tok) for tok in args.t.split(",") if tok.strip()]
     if not times:
@@ -550,6 +533,9 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         code = args.func(args)
+    except ValidationError as exc:
+        print(f"validation failed: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

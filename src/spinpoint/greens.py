@@ -19,6 +19,8 @@ __all__ = [
     "green_overlap",
 ]
 
+_TINY_IMAG = 1j * np.finfo(float).smallest_subnormal
+
 
 def sqrt_upper(w):
     """Square root with Im(sqrt) > 0 off [0, inf), upper-edge limit on it.
@@ -29,8 +31,13 @@ def sqrt_upper(w):
     """
     w = np.asarray(w, dtype=complex)
     s = np.sqrt(w)
-    # principal sqrt has Re >= 0; flip the lower-half-plane results
-    s = np.where(s.imag < 0.0, -s, s)
+    # principal sqrt has Re >= 0; flip the lower-half-plane results. Read
+    # the half plane off w as well as s: Im(s) underflows to 0 for tiny Im(w),
+    # and off the cut Im(s) is kept > 0 even below the float range
+    s = np.where((w.imag < 0.0) | (s.imag < 0.0), -s, s)
+    if not s.imag.all():
+        under = (s.imag == 0.0) & ((w.imag != 0.0) | (w.real < 0.0))
+        s = np.where(under, s.real + _TINY_IMAG, s)
     if s.ndim == 0:
         return complex(s)
     return s

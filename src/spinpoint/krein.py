@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, signal
 
-from .boundary import BoundaryPair
-from .greens import green, green_derivative_1d, sqrt_upper
-from .spins import ModelSpec
+from .boundary import BoundaryPair, require_valid
+from .greens import _check_energy, green, green_derivative_1d, sqrt_upper
+from .spins import ModelSpec, channel_blocks, channel_sum, channel_tables, spin_code
 from .states import GaussianPacket, GridState, UniformGrid
 
 __all__ = [
@@ -60,24 +60,7 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def _channel_tables(model: ModelSpec):
-    """Arrays (p, j, code) describing each flat defect index."""
-    n = model.n_spins
-    ncfg = model.n_configs
-    m = model.defect_dim
-    flat = np.arange(m)
-    code = flat % ncfg
-    j = (flat % (n * ncfg)) // ncfg + 1
-    p = flat // (n * ncfg) if model.dimension == 1 else np.zeros(m, dtype=int)
-    return p, j, code
-
-
-def _check_off_cut(w: complex, allow_cut: bool):
-    if not allow_cut and w.imag == 0.0 and w.real >= 0.0:
-        raise ValueError(f"shifted energy {w} lies on [0, inf)")
-
-
-def gamma_free(model: ModelSpec, z, allow_cut: bool = False) -> np.ndarray:
+def gamma_free(model: ModelSpec, z) -> np.ndarray:
     """Boundary-value matrix Gamma(z) of the free defect functions.
 
     Block diagonal across spin configurations. d=3 per configuration:
@@ -87,44 +70,34 @@ def gamma_free(model: ModelSpec, z, allow_cut: bool = False) -> np.ndarray:
         (0j, 0j') -> -G,  (1j, 1j') -> -(z - a.s) G  (including j = j'),
         (1j, 0j') -> +G', (0j, 1j') -> -G'           (zero at j = j').
     """
-    z = complex(z)
-    n = model.n_spins
-    ncfg = model.n_configs
-    m = model.defect_dim
-    shifts = model.shifts()
-    out = np.zeros((m, m), dtype=complex)
+    w = complex(z) - model.shifts()
+    # the shifts are real: one w lies on the cut iff the largest does
+    _check_energy(w[np.argmax(w.real)], False)
+    s = sqrt_upper(w)[:, None, None]
     pos = model.positions
     if model.dimension == 3:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        offdiag = ~np.eye(n, dtype=bool)
-        for code in range(ncfg):
-            w = z - shifts[code]
-            _check_off_cut(w, allow_cut)
-            s = sqrt_upper(w)
-            blk = np.zeros((n, n), dtype=complex)
-            if n > 1:
-                blk[offdiag] = -np.exp(1j * s * dist[offdiag]) / (4.0 * np.pi * dist[offdiag])
-            np.fill_diagonal(blk, -1j * s / (4.0 * np.pi))
-            idx = np.arange(n) * ncfg + code
-            out[np.ix_(idx, idx)] = blk
-        return out
-    diff = pos[:, None] - pos[None, :]
-    absd = np.abs(diff)
-    for code in range(ncfg):
-        w = z - shifts[code]
-        _check_off_cut(w, allow_cut)
-        s = sqrt_upper(w)
-        if s == 0.0:
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        off = dist > 0.0  # the sites are distinct: only the diagonal is zero
+        site = np.where(off, -np.exp(1j * s * dist) / (4.0 * np.pi * np.where(off, dist, 1.0)),
+                        -1j * s / (4.0 * np.pi))
+        layers = site[:, None, None]
+    else:
+        if np.any(s == 0.0):
             raise ValueError("d=1 boundary matrix diverges when z - a.s = 0")
-        g = 1j * np.exp(1j * s * absd) / (2.0 * s)
-        gp = -np.sign(diff) * np.exp(1j * s * absd) / 2.0  # zero on the diagonal
-        idx0 = np.arange(n) * ncfg + code
-        idx1 = n * ncfg + idx0
-        out[np.ix_(idx0, idx0)] = -g
-        out[np.ix_(idx0, idx1)] = -gp
-        out[np.ix_(idx1, idx0)] = gp
-        out[np.ix_(idx1, idx1)] = -w * g
+        diff = pos[:, None] - pos[None, :]
+        e = np.exp(1j * s * np.abs(diff))
+        g = 1j * e / (2.0 * s)
+        gp = -np.sign(diff) * e / 2.0  # zero on the diagonal
+        layers = np.stack([np.stack([-g, -gp], axis=1),
+                           np.stack([gp, -w[:, None, None] * g], axis=1)], axis=1)
+    # layers[code, p, p', j, j'] fills the equal-code block of each code
+    p, j, _ = channel_tables(model)
+    blocks = channel_blocks(model)
+    pb, jb = p[blocks], j[blocks] - 1
+    codes = np.arange(blocks.shape[0])[:, None, None]
+    out = np.zeros((model.defect_dim,) * 2, dtype=complex)
+    out[blocks[:, :, None], blocks[:, None, :]] = layers[
+        codes, pb[:, :, None], pb[:, None, :], jb[:, :, None], jb[:, None, :]]
     return out
 
 
@@ -159,26 +132,16 @@ class _Dressing:
     code: np.ndarray
 
 
-def _require_valid(pair: BoundaryPair, unchecked: bool):
-    if unchecked:
-        return
-    report = pair.validation()
-    if not report.is_valid:
-        raise ValueError(f"boundary pair failed validation ({report}); pass unchecked=True to force")
-
-
-def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False, allow_cut: bool = False) -> _Dressing:
-    if pair.dimension != model.dimension or pair.n_spins != model.n_spins:
-        raise ValueError("boundary pair does not match the model")
-    _require_valid(pair, unchecked)
+def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
+    require_valid(model, pair, unchecked)
     z = complex(z)
-    gamma = gamma_free(model, z, allow_cut=allow_cut)
+    gamma = gamma_free(model, z)
     dressed = gamma_dressed(pair, gamma)
     try:
         inv, cond = invert_dressed(dressed)
     except NearPoleError as err:
         raise NearPoleError(z, err.smallest_singular_value, err.condition) from None
-    p, j, code = _channel_tables(model)
+    p, j, code = channel_tables(model)
     return _Dressing(model, pair, z, inv @ pair.B, cond, model.shifts(), p, j, code)
 
 
@@ -188,34 +151,18 @@ def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
     The channel selector delta_{code(state), code(mu)} is not applied
     here. In d=1 the dipole layer takes its mean value 0 at the site.
     """
-    z = complex(z)
-    p, j, code = _channel_tables(model)
-    shifts = model.shifts()
+    p, j, code = channel_tables(model)
+    s = sqrt_upper(complex(z) - model.shifts())[code][:, None]
     pts = np.asarray(points, dtype=float)
-    if model.dimension == 1:
-        pts = np.atleast_1d(pts)
-        disp = pts[None, :] - model.positions[j - 1][:, None]
-    else:
+    if model.dimension == 3:
         pts = np.atleast_2d(pts)
-        disp = np.linalg.norm(pts[None, :, :] - model.positions[j - 1][:, None, :], axis=-1)
-    out = np.empty((p.size, pts.shape[0]), dtype=complex)
-    for mu in range(p.size):
-        w = z - shifts[code[mu]]
-        s = sqrt_upper(w)
-        r = disp[mu]
-        if model.dimension == 3:
-            if np.any(r == 0.0):
-                raise ValueError("defect function evaluated at its own site")
-            out[mu] = np.exp(1j * s * r) / (4.0 * np.pi * r)
-        elif p[mu] == 0:
-            out[mu] = 1j * np.exp(1j * s * np.abs(r)) / (2.0 * s)
-        else:
-            out[mu] = -np.sign(r) * np.exp(1j * s * np.abs(r)) / 2.0
-    return out
-
-
-def _defect_columns(dress: _Dressing, points) -> np.ndarray:
-    return defect_matrix(dress.model, dress.z, points)
+        r = np.linalg.norm(pts[None, :, :] - model.positions[:, None, :], axis=-1)[j - 1]
+        if np.any(r == 0.0):
+            raise ValueError("defect function evaluated at its own site")
+        return np.exp(1j * s * r) / (4.0 * np.pi * r)
+    r = (np.atleast_1d(pts)[None, :] - model.positions[:, None])[j - 1]
+    e = np.exp(1j * s * np.abs(r))
+    return np.where(p[:, None] == 0, 1j * e / (2.0 * s), -np.sign(r) * e / 2.0)
 
 
 def _site_distance(model: ModelSpec, x) -> float:
@@ -235,34 +182,23 @@ def resolvent_kernel(model: ModelSpec, pair: BoundaryPair, z, x, sigma, xp, sigm
     return evaluate(x, sigma)
 
 
-def _as_code(model: ModelSpec, sigma) -> int:
-    if isinstance(sigma, (int, np.integer)):
-        code = int(sigma)
-        if not 0 <= code < model.n_configs:
-            raise ValueError(f"spin code {code} out of range")
-        return code
-    from .spins import config_code
-
-    return config_code(sigma)
-
-
 def kernel_evaluator(model: ModelSpec, pair: BoundaryPair, z, xp, sigmap,
-                     unchecked: bool = False, _dressing: _Dressing | None = None):
+                     unchecked: bool = False):
     """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
 
     Precomputes the dressed inverse and the source-side defect values,
     so ladders of evaluations near the sites stay cheap.
     """
-    dress = _dressing if _dressing is not None else _dress(model, pair, z, unchecked)
-    code_p = _as_code(model, sigmap)
+    dress = _dress(model, pair, z, unchecked)
+    code_p = spin_code(sigmap, model.n_spins)
     if _site_distance(model, xp) == 0.0:
         raise ValueError("source point coincides with a spin site")
-    phi_src = _defect_columns(dress, [xp] if model.dimension == 1 else [np.asarray(xp)])[:, 0]
+    phi_src = defect_matrix(model, dress.z, [xp] if model.dimension == 1 else [np.asarray(xp)])[:, 0]
     phi_src = np.where(dress.code == code_p, phi_src, 0.0)
     weights = dress.correction @ phi_src  # c_mu for the x side
 
     def evaluate(x, sigma) -> complex:
-        code = _as_code(model, sigma)
+        code = spin_code(sigma, model.n_spins)
         if _site_distance(model, x) == 0.0:
             raise ValueError("evaluation point coincides with a spin site")
         val = 0.0 + 0.0j
@@ -270,10 +206,8 @@ def kernel_evaluator(model: ModelSpec, pair: BoundaryPair, z, xp, sigmap,
             w = dress.z - dress.shifts[code]
             disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
             val += green(model.dimension, w, disp, allow_cut=True)
-        phi_out = _defect_columns(dress, [x] if model.dimension == 1 else [np.asarray(x)])[:, 0]
-        sel = dress.code == code
-        val += complex(np.sum(phi_out[sel] * weights[sel]))
-        return val
+        phi_out = defect_matrix(model, dress.z, [x] if model.dimension == 1 else [np.asarray(x)])
+        return val + complex(channel_sum(model, weights, phi_out)[code, 0])
 
     return evaluate
 
@@ -392,7 +326,7 @@ def _defect_overlaps_grid(dress: _Dressing, state: GridState) -> np.ndarray:
     """Grid-trapezoid defect overlaps, with d=1 kink corrections at on-node sites."""
     model = dress.model
     grid = state.grid
-    phi = _defect_columns(dress, grid.points)
+    phi = defect_matrix(model, dress.z, grid.points)
     out = np.zeros(dress.p.size, dtype=complex)
     for mu in range(dress.p.size):
         code = int(dress.code[mu])
@@ -486,7 +420,7 @@ def _free_apply_gaussian(model: ModelSpec, z: complex, packet: GaussianPacket, g
 
 
 def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: UniformGrid | None = None,
-                    unchecked: bool = False, _dressing: _Dressing | None = None) -> GridState:
+                    unchecked: bool = False) -> GridState:
     """Resolvent applied to a state, sampled on a grid.
 
     Gaussian input: defect overlaps and the free convolution are done by
@@ -494,7 +428,7 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
     grid must be supplied). Grid input: the state's own trapezoid rule
     is the quadrature and the output reuses the same grid.
     """
-    dress = _dressing if _dressing is not None else _dress(model, pair, z, unchecked)
+    dress = _dress(model, pair, z, unchecked)
     z = dress.z
     coupled = bool(np.any(dress.correction != 0.0))
     if isinstance(state, GridState):
@@ -520,9 +454,7 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
     values = free
     if coupled:
         charges = dress.correction @ overlaps
-        phi = _defect_columns(dress, grid.points)
-        for mu in range(dress.p.size):
-            values[dress.code[mu]] += charges[mu] * phi[mu]
+        values += channel_sum(model, charges, defect_matrix(model, z, grid.points))
     return GridState(model.dimension, values, grid)
 
 
@@ -541,15 +473,14 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
     shifts = model.shifts()
 
     def evaluate(x, sigma) -> complex:
-        code = _as_code(model, sigma)
+        code = spin_code(sigma, model.n_spins)
         w = dress.z - shifts[code]
         if model.dimension == 1:
             val = _gaussian_green_integral_1d(state, code, w, float(x))
         else:
             val = _gaussian_green_integral_3d(state, code, w, np.asarray(x, dtype=float))
-        phi = _defect_columns(dress, [x] if model.dimension == 1 else [np.asarray(x)])[:, 0]
-        sel = dress.code == code
-        return complex(val + np.sum(phi[sel] * charges[sel]))
+        phi = defect_matrix(model, dress.z, [x] if model.dimension == 1 else [np.asarray(x)])
+        return complex(val + channel_sum(model, charges, phi)[code, 0])
 
     return evaluate
 
@@ -604,7 +535,7 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float |
     channel itself contributes all powers of r, so the odd columns are
     not optional.
     """
-    code = _as_code(model, sigma)
+    code = spin_code(sigma, model.n_spins)
     site = model.site(j)
     if h0 is None:
         if model.n_spins > 1:
@@ -662,20 +593,13 @@ def boundary_data_from_evaluator(model: ModelSpec, evaluate, h0: float | None = 
     m = model.defect_dim
     q = np.zeros(m, dtype=complex)
     f = np.zeros(m, dtype=complex)
-    p, j, code = _channel_tables(model)
-    ncfg = model.n_configs
+    p, j, code = channel_tables(model)
     for site in range(1, model.n_spins + 1):
-        for c in range(ncfg):
+        for c in range(model.n_configs):
             qd, fd = extract_boundary_data(model, evaluate, site, c, h0=h0, avoid=avoid)
-            if model.dimension == 1:
-                for parity in (0, 1):
-                    flat = parity * model.n_spins * ncfg + (site - 1) * ncfg + c
-                    q[flat] = qd[parity]
-                    f[flat] = fd[parity]
-            else:
-                flat = (site - 1) * ncfg + c
-                q[flat] = qd
-                f[flat] = fd
+            sel = (j == site) & (code == c)  # one channel per layer p
+            q[sel] = np.atleast_1d(qd)[p[sel]]
+            f[sel] = np.atleast_1d(fd)[p[sel]]
     return q, f
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryPair
-from .krein import _channel_tables, defect_matrix, gamma_dressed, gamma_free
-from .spins import ModelSpec
+from .boundary import BoundaryPair, require_valid
+from .krein import defect_matrix, gamma_dressed, gamma_free
+from .spins import ModelSpec, channel_sum
 
 __all__ = [
     "essential_spectrum_bottom",
@@ -117,10 +117,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     value (largest entry made real positive); the multiplicity counts
     singular values below 1e3 * the acceptance threshold.
     """
-    if not unchecked:
-        report = pair.validation()
-        if not report.is_valid:
-            raise ValueError(f"boundary pair failed validation ({report})")
+    require_valid(model, pair, unchecked)
     mu = essential_spectrum_bottom(model)
     if e_min is None:
         e_min = default_search_floor(model, pair)
@@ -173,9 +170,4 @@ def eigenfunction_eval(model: ModelSpec, energy: float, charges: np.ndarray, poi
     mu = essential_spectrum_bottom(model)
     if energy >= mu:
         raise ValueError("eigenfunction evaluation needs an energy below the continuum threshold")
-    phi = defect_matrix(model, complex(energy), points)
-    _, _, code = _channel_tables(model)
-    out = np.zeros((model.n_configs, phi.shape[1]), dtype=complex)
-    for m_idx in range(phi.shape[0]):
-        out[code[m_idx]] += charges[m_idx] * phi[m_idx]
-    return out
+    return channel_sum(model, charges, defect_matrix(model, complex(energy), points))

@@ -10,10 +10,13 @@ couplings alpha_1..alpha_N. A spin configuration sigma is a tuple of
 so sigma_j = +1 maps to bit 0 at position j-1. Defect channels carry a
 multi-index (p, j, sigma) for d=1 (p=0 charge layer, p=1 dipole layer)
 and (j, sigma) for d=3, flattened p-major, then site, then spin code.
+Other modules read that order only through channel_tables,
+channel_blocks and channel_sum.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -26,10 +29,14 @@ __all__ = [
     "enumerate_configs",
     "config_code",
     "config_from_code",
+    "spin_code",
     "zeeman_shift",
     "index_dimension",
     "encode_multiindex",
     "decode_multiindex",
+    "channel_tables",
+    "channel_blocks",
+    "channel_sum",
 ]
 
 DEFAULT_MAX_SPINS = 6
@@ -62,6 +69,19 @@ def config_code(sigma) -> int:
         raise ValueError("configuration must be a 1d array of +-1")
     bits = (1 - sigma) // 2
     return int(np.sum(bits << np.arange(sigma.size)))
+
+
+def spin_code(sigma, n_spins: int) -> int:
+    """Bit code of sigma, given either as a bit code or as N entries of +-1."""
+    if isinstance(sigma, (int, np.integer)):
+        code = int(sigma)
+        if not 0 <= code < 2**n_spins:
+            raise ValueError(f"spin code {code} out of range for {n_spins} spins")
+        return code
+    if np.shape(sigma) != (n_spins,):
+        raise ValueError(f"configuration of {n_spins} spins must have shape ({n_spins},), "
+                         f"got shape {np.shape(sigma)}")
+    return config_code(sigma)
 
 
 def config_from_code(code: int, n_spins: int) -> np.ndarray:
@@ -171,9 +191,7 @@ def encode_multiindex(model: ModelSpec, j: int, sigma, p: int | None = None) -> 
     n = model.n_spins
     if not 1 <= j <= n:
         raise ValueError(f"site index must be in 1..{n}")
-    code = config_code(sigma) if not isinstance(sigma, (int, np.integer)) else int(sigma)
-    if not 0 <= code < 2**n:
-        raise ValueError(f"spin code {code} out of range")
+    code = spin_code(sigma, n)
     if model.dimension == 1:
         if p not in (0, 1):
             raise ValueError("d=1 multi-index needs parity p in {0, 1}")
@@ -192,9 +210,46 @@ def decode_multiindex(model: ModelSpec, flat: int):
     m = model.defect_dim
     if not 0 <= flat < m:
         raise ValueError(f"flat index {flat} out of range 0..{m - 1}")
-    n = model.n_spins
-    block = n * 2**n
-    code = flat % 2**n
-    sigma = config_from_code(code, n)
-    j = (flat % block) // 2**n + 1
-    return flat // block, j, sigma
+    p, j, code = channel_tables(model)
+    return int(p[flat]), int(j[flat]), config_from_code(int(code[flat]), model.n_spins)
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(dimension: int, n_spins: int):
+    ncfg = 2**n_spins
+    flat = np.arange(index_dimension(dimension, n_spins))
+    tables = (flat // (n_spins * ncfg), flat // ncfg % n_spins + 1, flat % ncfg)
+    blocks = np.argsort(tables[2], kind="stable").reshape(ncfg, -1)
+    for arr in (*tables, blocks):
+        arr.setflags(write=False)  # shared by every caller
+    return tables, blocks
+
+
+def channel_tables(space):
+    """Layer p, 1-based site j and spin code of every flat defect index.
+
+    space is a ModelSpec or a BoundaryPair (anything with dimension and
+    n_spins). Returns three read-only int arrays of the defect
+    dimension; p is 0 throughout for d=3.
+    """
+    return _layout(space.dimension, space.n_spins)[0]
+
+
+def channel_blocks(space) -> np.ndarray:
+    """Flat indices grouped by spin code, shape (2**N, channels per code).
+
+    Row c lists the channels of code c in flat order, so column a has
+    the same (p, j) in every row. Gamma(z) is block diagonal on these
+    rows.
+    """
+    return _layout(space.dimension, space.n_spins)[1]
+
+
+def channel_sum(space, weights, rows) -> np.ndarray:
+    """Per spin code c, the sum of weights[mu] * rows[mu] over channels mu of code c.
+
+    rows carries the flat defect index on its first axis; the result
+    carries the spin code there instead.
+    """
+    blocks = channel_blocks(space)
+    return np.einsum("ck,ck...->c...", np.asarray(weights)[blocks], np.asarray(rows)[blocks])

@@ -138,10 +138,11 @@ def test_criterion_4_channel_matrix_difference_identity():
                         assert abs(target[mu, nu] - (w - z) * ov) \
                             <= 1e-12 * max(1.0, abs(ov))
         # quadrature side of the same identity on 1d mixed-layer entries
-        from spinpoint.krein import _channel_tables, defect_matrix
+        from spinpoint.krein import defect_matrix
+        from spinpoint.spins import channel_tables
 
         for model in (models[0], models[2], models[4]):
-            p, j, code = _channel_tables(model)
+            p, j, code = channel_tables(model)
             m = model.defect_dim
             cross = [(mu, nu) for mu in range(m) for nu in range(m)
                      if code[mu] == code[nu] and p[mu] != p[nu]]

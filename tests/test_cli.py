@@ -5,8 +5,10 @@ through the interpreter to cover the module entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,44 @@ def test_validate_rejects_asymmetric_offdiag(tmp_path, capsys):
     defect = float(next(line for line in out.splitlines()
                         if line.startswith("hermiticity defect")).split(":")[1])
     assert defect > 0.1
+
+
+def test_commands_share_the_validation_gate(tmp_path, capsys):
+    path = write_model(tmp_path, name="offdiag", betahat="[[1.0, 0.25]]")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "schema": "spinpoint-state v1",
+        "components": [{"channel": 0, "center": -2.0, "momentum": 1.0}],
+        "grid": {"lo": -6.0, "hi": 6.0, "n": 48},
+    }))
+    commands = {
+        "kernel": ["--z", "-1.0,0.5", "--n-points", "2"],
+        "boundstates": ["--emin", "-5.0"],
+        "gamma": ["--z", "-1.0,0.5"],
+        "evolve": ["--state", str(state), "--t", "0.1", "--n-nodes", "16",
+                   "--out", str(tmp_path / "run")],
+    }
+    for name, flags in commands.items():
+        assert run(name, str(path), *flags) == 2, name
+        assert "validation failed: INVALID" in capsys.readouterr().err
+        assert run(name, str(path), *flags, "--unchecked") != 2, name
+        assert "validation failed" not in capsys.readouterr().err
+
+
+def test_readme_file_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    docs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    models, states = [], []
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"example_{i}.json"
+        path.write_text(json.dumps(doc))
+        (models if doc["schema"] == cli.MODEL_SCHEMA else states).append(path)
+    assert len(models) == 2 and len(states) == 1
+    loaded = [cli.load_model(str(path)) for path in models]
+    for _, pair, _ in loaded:
+        assert pair.validation().is_valid
+    packet, grid = cli.load_packet(str(states[0]), loaded[0][0])
+    assert grid.n_points == 200 and packet.n_channels == 2
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

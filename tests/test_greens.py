@@ -29,6 +29,17 @@ def test_sqrt_upper_frozen_values():
     assert sqrt_upper(-2j) == pytest.approx(-1.0 + 1.0j)
 
 
+def test_sqrt_upper_tiny_imaginary_part():
+    # Im(sqrt) underflows to 0 here; the branch must follow the sign of Im(w)
+    tiny = np.finfo(float).smallest_subnormal
+    up = sqrt_upper(complex(1.0, tiny))
+    down = sqrt_upper(complex(1.0, -tiny))
+    assert up.real == 1.0 and up.imag > 0.0
+    assert down.real == -1.0 and down.imag > 0.0
+    arr = sqrt_upper(np.array([complex(1.0, tiny), complex(1.0, -tiny)]))
+    assert arr[0] == up and arr[1] == down
+
+
 def test_sqrt_upper_array_matches_scalar():
     ws = np.array([2j, -1.0 + 0.5j, 3.0 - 4.0j, -9.0 + 0j])
     out = sqrt_upper(ws)

@@ -29,7 +29,7 @@ from spinpoint.krein import (
     resolvent_state_evaluator,
     verify_boundary_conditions,
 )
-from spinpoint.spins import ModelSpec
+from spinpoint.spins import ModelSpec, channel_tables
 from spinpoint.states import GaussianPacket, UniformGrid
 
 
@@ -95,19 +95,22 @@ def test_gamma_block_structure_d1():
 
 def test_gamma_adjoint_identity():
     rng = np.random.default_rng(5)
-    for model in (model_d1(2), model_d3(2)):
+    for model in (model_d1(2), model_d3(2), model_d1(6), model_d3(6)):
+        _, _, code = channel_tables(model)
+        other_code = code[:, None] != code[None, :]
         for _ in range(5):
             z = complex(rng.uniform(-3, 2), rng.uniform(0.1, 3))
             g = gamma_free(model, z)
             gbar = gamma_free(model, np.conj(z))
             assert np.max(np.abs(gbar - g.conj().T)) < 1e-13
+            assert not np.any(g[other_code])
 
 
 def overlap_closed_form(model, w, z, mu, nu):
     """(w integral side, z side) defect-overlap via resolvent-difference forms."""
-    from spinpoint.krein import _channel_tables
+    from spinpoint.spins import channel_tables
 
-    p, j, code = _channel_tables(model)
+    p, j, code = channel_tables(model)
     if code[mu] != code[nu]:
         return 0.0j
     shift = model.shifts()[code[mu]]
@@ -151,9 +154,9 @@ def test_gamma_difference_cross_parity_quadrature():
     model = model_d1(2, alpha=[0.3, 0.7])
     rng = np.random.default_rng(23)
     sites = list(model.positions)
-    from spinpoint.krein import _channel_tables
+    from spinpoint.spins import channel_tables
 
-    p, j, code = _channel_tables(model)
+    p, j, code = channel_tables(model)
     for _ in range(3):
         z = complex(rng.uniform(-2, 0), rng.uniform(0.4, 2))
         w = complex(rng.uniform(-2, 0), rng.uniform(0.4, 2)) - 0.1j
@@ -319,6 +322,20 @@ def test_kernel_input_errors():
         resolvent_kernel(model, bad, -1 + 1j, np.ones(3), 0, -np.ones(3), 0)
     # and the escape hatch
     resolvent_kernel(model, bad, -1 + 1j, np.ones(3), 0, -np.ones(3), 0, unchecked=True)
+
+
+def test_kernel_rejects_configuration_of_wrong_length():
+    # one spin: [-1, 1] once read as code 1 and [1, -1] as the
+    # out-of-range code 2
+    model = ModelSpec(3, [np.zeros(3)], [0.0])
+    pair = preset_delta(model, -1.0)
+    for sigma in (np.array([-1, 1]), np.array([1, -1])):
+        with pytest.raises(ValueError, match="shape"):
+            resolvent_kernel(model, pair, -1 + 1j, np.ones(3), sigma, -np.ones(3), 0)
+        with pytest.raises(ValueError, match="shape"):
+            resolvent_kernel(model, pair, -1 + 1j, np.ones(3), 0, -np.ones(3), sigma)
+    assert resolvent_kernel(model, pair, -1 + 1j, np.ones(3), np.array([-1]), -np.ones(3), 1) \
+        == resolvent_kernel(model, pair, -1 + 1j, np.ones(3), 1, -np.ones(3), 1)
 
 
 # ---------------------------------------------------------------------------

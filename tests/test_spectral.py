@@ -5,6 +5,7 @@ import pytest
 
 import reference_kernels as ref
 from spinpoint.boundary import (
+    ValidationError,
     preset_delta,
     preset_delta_prime,
     preset_free,
@@ -144,6 +145,14 @@ def test_invalid_pair_requires_unchecked():
     with pytest.raises(ValueError):
         find_bound_states(model, bad, e_min=-50.0)
     find_bound_states(model, bad, e_min=-50.0, unchecked=True)
+
+
+def test_mismatched_pair_is_rejected_even_unchecked():
+    model = ModelSpec(3, [np.zeros(3)], [0.0])
+    pair = preset_delta(ModelSpec(3, [np.zeros(3), np.ones(3)], [0.0, 0.0]), -1.0)
+    for unchecked in (False, True):
+        with pytest.raises(ValidationError, match="does not match the model"):
+            find_bound_states(model, pair, e_min=-50.0, unchecked=unchecked)
 
 
 def test_two_site_delta_well_count_1d():

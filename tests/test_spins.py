@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 
 from spinpoint.spins import (
     ModelSpec,
+    channel_blocks,
+    channel_sum,
+    channel_tables,
     config_code,
     config_from_code,
     enumerate_configs,
@@ -119,3 +122,30 @@ def test_flat_index_roundtrip_d1(flat):
     m = ModelSpec(1, [0.0, 2.0], [0.1, 0.2])
     p, j, sigma = decode_multiindex(m, flat)
     assert encode_multiindex(m, j, sigma, p) == flat
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_channel_tables_match_multiindex(d):
+    from spinpoint.spins import decode_multiindex, encode_multiindex
+
+    for n in range(1, 7):
+        positions = [float(k) for k in range(n)] if d == 1 else [[float(k), 0.0, 0.0] for k in range(n)]
+        model = ModelSpec(d, positions, [0.0] * n)
+        p, j, code = channel_tables(model)
+        assert p.shape == j.shape == code.shape == (model.defect_dim,)
+        for flat in range(model.defect_dim):
+            dp, dj, sigma = decode_multiindex(model, flat)
+            assert (p[flat], j[flat], code[flat]) == (dp, dj, config_code(sigma))
+            assert encode_multiindex(model, j[flat], sigma, p[flat] if d == 1 else None) == flat
+        blocks = channel_blocks(model)
+        assert (code[blocks] == np.arange(model.n_configs)[:, None]).all()
+        assert (p[blocks] == p[blocks[0]]).all() and (j[blocks] == j[blocks[0]]).all()
+        assert np.array_equal(np.sort(blocks, axis=None), np.arange(model.defect_dim))
+        # the channel sum against a plain loop over the flat index
+        rng = np.random.default_rng(n)
+        weights = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+        rows = rng.normal(size=(p.size, 3))
+        expect = np.zeros((model.n_configs, 3), dtype=complex)
+        for mu in range(p.size):
+            expect[code[mu]] += weights[mu] * rows[mu]
+        assert np.allclose(channel_sum(model, weights, rows), expect, rtol=1e-13, atol=1e-13)
