@@ -10,13 +10,17 @@ conjugate transpose) and the m x 2m block (A | B) has maximal rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension
 
 __all__ = [
     "BoundaryPair",
+    "BlockGroup",
     "ValidationReport",
     "ValidationError",
     "validate",
@@ -33,12 +37,25 @@ RANK_RTOL = 1e-10
 HERMITICITY_TOL_FLOOR = 1e-10
 
 
+class BlockGroup(NamedTuple):
+    """Equal-size diagonal blocks of a pair, stacked.
+
+    index[b] lists the flat defect indices of block b in ascending
+    order; A[b] and B[b] are the pair's matrices restricted to them.
+    """
+
+    index: np.ndarray  # (g, k)
+    A: np.ndarray  # (g, k, k)
+    B: np.ndarray  # (g, k, k)
+
+
 @dataclass
 class BoundaryPair:
     """Interface matrices for a given dimension and spin count.
 
-    Arrays are stored read-only; the validation report is cached after
-    the first call to validate().
+    Arrays are stored read-only; the validation report and the block
+    structure are cached after the first call to validation() and
+    blocks().
     """
 
     dimension: int
@@ -46,6 +63,7 @@ class BoundaryPair:
     A: np.ndarray
     B: np.ndarray
     _report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
+    _blocks: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = index_dimension(self.dimension, self.n_spins)
@@ -69,6 +87,35 @@ class BoundaryPair:
                 return report
             self._report = report
         return self._report
+
+    def blocks(self) -> "tuple[BlockGroup, ...]":
+        """Connected components of the dressing's sparsity pattern, grouped by size.
+
+        The pattern is the union of the nonzero entries of A and B and of
+        the equal-spin-code blocks of Gamma(z) (spins.channel_blocks), so
+        B Gamma(z) + A is block diagonal on these components for every z,
+        and so are A and B. Groups come in ascending block size; the
+        blocks of a group share one size k and are stacked.
+        """
+        if self._blocks is None:
+            m = self.defect_dim
+            rows, cols = np.nonzero((self.A != 0.0) | (self.B != 0.0))
+            code_blocks = channel_blocks(self)
+            # chaining the channels of each spin code connects its whole block
+            rows = np.concatenate([rows, code_blocks[:, :-1].ravel()])
+            cols = np.concatenate([cols, code_blocks[:, 1:].ravel()])
+            graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(m, m))
+            _, labels = csgraph.connected_components(graph, directed=False)
+            size = np.bincount(labels)[labels]
+            order = np.lexsort((np.arange(m), labels, size))
+            groups = []
+            for k in np.unique(size):
+                index = order[size[order] == k].reshape(-1, k)
+                index.setflags(write=False)
+                sub = (index[:, :, None], index[:, None, :])
+                groups.append(BlockGroup(index, self.A[sub], self.B[sub]))
+            self._blocks = tuple(groups)
+        return self._blocks
 
 
 @dataclass(frozen=True)
@@ -95,16 +142,26 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     tolerance is 1e-10 * max(1, ||A|| ||B||) in the max-abs norms. The
     rank of (A | B) is counted from singular values above a relative
     threshold of 1e-10.
+
+    Both are computed on the pair's blocks (BoundaryPair.blocks): after
+    the block permutation A and B are block diagonal, so A B* - B A*
+    vanishes off the blocks and the singular values of (A | B) are the
+    union of those of the blocks (A_k | B_k).
     """
     A, B = pair.A, pair.B
-    m = pair.defect_dim
-    defect = float(np.max(np.abs(A @ B.conj().T - B @ A.conj().T))) if m else 0.0
+    defect = 0.0
+    sv = []
+    for group in pair.blocks():
+        a, b = group.A, group.B
+        ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
+        defect = max(defect, float(np.max(np.abs(a @ bh - b @ ah))))
+        sv.append(np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False).ravel())
+    sv = np.sort(np.concatenate(sv))[::-1]
     if tol is None:
         scale = float(np.max(np.abs(A)) * np.max(np.abs(B)))
         tol = HERMITICITY_TOL_FLOOR * max(1.0, scale)
-    sv = np.linalg.svd(np.hstack([A, B]), compute_uv=False)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-    ok = defect <= tol and rank == m
+    ok = defect <= tol and rank == pair.defect_dim
     return ValidationReport(
         is_valid=ok,
         hermiticity_defect=defect,
@@ -146,32 +203,22 @@ def is_local(pair: BoundaryPair) -> bool:
     entries identical across the spectator spins' configurations.
     """
     p, j, code = channel_tables(pair)
+    bit = (code >> (j - 1)) & 1  # sigma_j of each channel at its own site
+    # same site and equal spectator spins: the only entries allowed to be nonzero
+    allowed = (j[:, None] == j[None, :]) & (
+        ((code[:, None] ^ code[None, :]) & ~(1 << (j - 1))[:, None]) == 0)
+    rows, cols = np.nonzero(allowed)
+    # surviving entries may depend only on (p, p', j, sigma_j, sigma'_j)
+    key = (((p[rows] * 2 + p[cols]) * pair.n_spins + j[rows] - 1) * 2 + bit[rows]) * 2 + bit[cols]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     for M in (pair.A, pair.B):
-        m = M.shape[0]
-        site_mask = j[:, None] != j[None, :]
-        if np.any(M[site_mask] != 0.0):
+        if np.any(M[~allowed] != 0.0):
             return False
-        # spectator spins must match between row and column
-        spect = (code[:, None] ^ code[None, :]) & ~(1 << (j - 1))[:, None]
-        if np.any(M[(~site_mask) & (spect != 0)] != 0.0):
+        vals = M[rows, cols]
+        same = vals == vals[first][inverse]
+        same[first] = True
+        if not np.all(same):
             return False
-        # surviving entries may depend only on (p, p', sigma_j, sigma'_j)
-        seen: dict[tuple, complex] = {}
-        rows, cols = np.nonzero(~site_mask & (spect == 0))
-        for r, c in zip(rows, cols):
-            key = (
-                p[r],
-                p[c],
-                j[r],
-                (code[r] >> (j[r] - 1)) & 1,
-                (code[c] >> (j[c] - 1)) & 1,
-            )
-            val = M[r, c]
-            if key in seen:
-                if seen[key] != val:
-                    return False
-            else:
-                seen[key] = val
     return True
 
 

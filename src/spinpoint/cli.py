@@ -23,7 +23,7 @@ import numpy as np
 from .boundary import (BoundaryPair, ValidationError, preset_delta, preset_delta_prime,
                        preset_free, preset_offdiag, require_valid)
 from .dynamics import evolve_spectral
-from .krein import NearPoleError, gamma_dressed, gamma_free, resolvent_kernel
+from .krein import NearPoleError, _dress, gamma_dressed, gamma_free
 from .spectral import essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianPacket, UniformGrid
@@ -281,22 +281,27 @@ def cmd_kernel(args) -> int:
     else:
         writer.header("x1", "x2", "x3", "sigma", "xp1", "xp2", "xp3", "sigmap",
                       "re", "im", "flag")
-    hit_pole = False
+    # one dressing serves every row; near a pole every row is flagged
+    try:
+        dress = _dress(model, pair, z, args.unchecked)
+    except NearPoleError:
+        dress = None
+    except ValueError as exc:
+        raise InputError(str(exc))
     for x, sigma, xp, sigmap in points:
-        try:
-            val = resolvent_kernel(model, pair, z, x, sigma, xp, sigmap,
-                                   unchecked=args.unchecked)
-            cells = (val.real, val.imag, "ok")
-        except NearPoleError:
-            hit_pole = True
+        if dress is None:
             cells = ("nan", "nan", "near-pole")
-        except ValueError as exc:
-            raise InputError(str(exc))
+        else:
+            try:
+                val = dress.column(xp, sigmap)(x, sigma)
+            except ValueError as exc:
+                raise InputError(str(exc))
+            cells = (val.real, val.imag, "ok")
         xs = [float(x)] if d == 1 else [float(v) for v in x]
         xps = [float(xp)] if d == 1 else [float(v) for v in xp]
         writer.row(*xs, str(sigma), *xps, str(sigmap), *cells)
     writer.dump(args.out)
-    return EXIT_NUMERIC if hit_pole else EXIT_OK
+    return EXIT_NUMERIC if dress is None else EXIT_OK
 
 
 def cmd_boundstates(args) -> int:

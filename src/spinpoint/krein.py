@@ -101,20 +101,32 @@ def gamma_free(model: ModelSpec, z) -> np.ndarray:
     return out
 
 
-def gamma_dressed(pair: BoundaryPair, gamma: np.ndarray) -> np.ndarray:
-    """Dressed channel matrix B Gamma(z) + A."""
+def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
+    """Dressed channel matrix B Gamma(z) + A.
+
+    pair is a BoundaryPair with gamma the m x m Gamma(z), or one of its
+    BlockGroups with gamma restricted to the same (g, k, k) blocks.
+    """
     return pair.B @ gamma + pair.A
 
 
-def invert_dressed(dressed: np.ndarray):
-    """Inverse and condition number; raises NearPoleError past 1e12."""
-    sv = np.linalg.svd(dressed, compute_uv=False)
-    smallest = float(sv[-1])
-    cond = float(np.inf) if smallest == 0.0 else float(sv[0] / sv[-1])
+def invert_dressed(dressed, rhs):
+    """Solve dressed X = rhs block by block; raises NearPoleError past 1e12.
+
+    dressed and rhs are sequences of (g, k, k) stacks, the diagonal
+    blocks of a block-diagonal matrix. Each stack takes one batched
+    values-only SVD and one batched solve. The singular values of the
+    whole matrix are the union of the blocks' ones, so the smallest
+    singular value and the 2-norm condition number are those of the
+    whole matrix. Returns the solution stacks and the condition number.
+    """
+    sv = [np.linalg.svd(d, compute_uv=False) for d in dressed]
+    smallest = min(float(np.min(s[..., -1])) for s in sv)
+    largest = max(float(np.max(s[..., 0])) for s in sv)
+    cond = float(np.inf) if smallest == 0.0 else largest / smallest
     if cond > CONDITION_LIMIT:
         raise NearPoleError(None, smallest, cond)
-    inv = np.linalg.solve(dressed, np.eye(dressed.shape[0], dtype=complex))
-    return inv, cond
+    return [np.linalg.solve(d, b) for d, b in zip(dressed, rhs)], cond
 
 
 @dataclass
@@ -131,18 +143,52 @@ class _Dressing:
     j: np.ndarray
     code: np.ndarray
 
+    def column(self, xp, sigmap):
+        """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
+
+        The source-side defect values are computed once per column, and
+        every column of one dressing shares its factorization.
+        """
+        model = self.model
+        code_p = spin_code(sigmap, model.n_spins)
+        if _site_distance(model, xp) == 0.0:
+            raise ValueError("source point coincides with a spin site")
+        phi_src = defect_matrix(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)])[:, 0]
+        phi_src = np.where(self.code == code_p, phi_src, 0.0)
+        weights = self.correction @ phi_src  # c_mu for the x side
+
+        def evaluate(x, sigma) -> complex:
+            code = spin_code(sigma, model.n_spins)
+            if _site_distance(model, x) == 0.0:
+                raise ValueError("evaluation point coincides with a spin site")
+            val = 0.0 + 0.0j
+            if code == code_p:
+                w = self.z - self.shifts[code]
+                disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
+                val += green(model.dimension, w, disp, allow_cut=True)
+            phi_out = defect_matrix(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)])
+            return val + complex(channel_sum(model, weights, phi_out)[code, 0])
+
+        return evaluate
+
 
 def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
+    """Gamma(z), its dressing and the correction, on the pair's blocks."""
     require_valid(model, pair, unchecked)
     z = complex(z)
     gamma = gamma_free(model, z)
-    dressed = gamma_dressed(pair, gamma)
+    groups = pair.blocks()
+    subs = [(g.index[:, :, None], g.index[:, None, :]) for g in groups]
+    dressed = [gamma_dressed(g, gamma[sub]) for g, sub in zip(groups, subs)]
     try:
-        inv, cond = invert_dressed(dressed)
+        solved, cond = invert_dressed(dressed, [g.B for g in groups])
     except NearPoleError as err:
         raise NearPoleError(z, err.smallest_singular_value, err.condition) from None
+    correction = np.zeros_like(gamma)
+    for sub, x in zip(subs, solved):
+        correction[sub] = x
     p, j, code = channel_tables(model)
-    return _Dressing(model, pair, z, inv @ pair.B, cond, model.shifts(), p, j, code)
+    return _Dressing(model, pair, z, correction, cond, model.shifts(), p, j, code)
 
 
 def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
@@ -178,38 +224,17 @@ def resolvent_kernel(model: ModelSpec, pair: BoundaryPair, z, x, sigma, xp, sigm
     sigma and sigmap are spin configurations (arrays of +-1) or their
     bit codes. Evaluation exactly at a spin site is an error.
     """
-    evaluate = kernel_evaluator(model, pair, z, xp, sigmap, unchecked=unchecked)
-    return evaluate(x, sigma)
+    return _dress(model, pair, z, unchecked).column(xp, sigmap)(x, sigma)
 
 
 def kernel_evaluator(model: ModelSpec, pair: BoundaryPair, z, xp, sigmap,
                      unchecked: bool = False):
     """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
 
-    Precomputes the dressed inverse and the source-side defect values,
-    so ladders of evaluations near the sites stay cheap.
+    Dresses once at z and precomputes the source-side defect values, so
+    ladders of evaluations near the sites stay cheap.
     """
-    dress = _dress(model, pair, z, unchecked)
-    code_p = spin_code(sigmap, model.n_spins)
-    if _site_distance(model, xp) == 0.0:
-        raise ValueError("source point coincides with a spin site")
-    phi_src = defect_matrix(model, dress.z, [xp] if model.dimension == 1 else [np.asarray(xp)])[:, 0]
-    phi_src = np.where(dress.code == code_p, phi_src, 0.0)
-    weights = dress.correction @ phi_src  # c_mu for the x side
-
-    def evaluate(x, sigma) -> complex:
-        code = spin_code(sigma, model.n_spins)
-        if _site_distance(model, x) == 0.0:
-            raise ValueError("evaluation point coincides with a spin site")
-        val = 0.0 + 0.0j
-        if code == code_p:
-            w = dress.z - dress.shifts[code]
-            disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
-            val += green(model.dimension, w, disp, allow_cut=True)
-        phi_out = defect_matrix(model, dress.z, [x] if model.dimension == 1 else [np.asarray(x)])
-        return val + complex(channel_sum(model, weights, phi_out)[code, 0])
-
-    return evaluate
+    return _dress(model, pair, z, unchecked).column(xp, sigmap)
 
 
 # ---------------------------------------------------------------------------

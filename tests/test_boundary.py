@@ -5,6 +5,7 @@ import pytest
 
 from spinpoint.boundary import (
     BoundaryPair,
+    ValidationReport,
     is_local,
     preset_delta,
     preset_delta_prime,
@@ -12,7 +13,7 @@ from spinpoint.boundary import (
     preset_offdiag,
     random_valid_pair,
 )
-from spinpoint.spins import ModelSpec
+from spinpoint.spins import ModelSpec, channel_tables
 
 
 def model_for(dimension, n):
@@ -179,3 +180,115 @@ def test_validation_report_is_cached():
     # explicit tolerance bypasses the cache
     rep = pair.validation(tol=1e-3)
     assert rep.tol == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# block structure: validate and is_local against dense references
+
+
+def _is_local_loop(pair):
+    """The per-entry loop is_local replaced; kept as the reference."""
+    p, j, code = channel_tables(pair)
+    for M in (pair.A, pair.B):
+        site_mask = j[:, None] != j[None, :]
+        if np.any(M[site_mask] != 0.0):
+            return False
+        spect = (code[:, None] ^ code[None, :]) & ~(1 << (j - 1))[:, None]
+        if np.any(M[(~site_mask) & (spect != 0)] != 0.0):
+            return False
+        seen = {}
+        rows, cols = np.nonzero(~site_mask & (spect == 0))
+        for r, c in zip(rows, cols):
+            key = (p[r], p[c], j[r], (code[r] >> (j[r] - 1)) & 1, (code[c] >> (j[c] - 1)) & 1)
+            if key in seen:
+                if seen[key] != M[r, c]:
+                    return False
+            else:
+                seen[key] = M[r, c]
+    return True
+
+
+def _dense_report(pair):
+    """validate() on the whole m x m matrices, without the block structure."""
+    A, B = pair.A, pair.B
+    defect = float(np.max(np.abs(A @ B.conj().T - B @ A.conj().T)))
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(A)) * np.max(np.abs(B))))
+    sv = np.linalg.svd(np.hstack([A, B]), compute_uv=False)
+    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0.0 else 0
+    return ValidationReport(defect <= tol and rank == pair.defect_dim, defect, rank,
+                            _is_local_loop(pair), sv, tol)
+
+
+def _structured_pairs():
+    """Presets at N = 1..4 in both dimensions, delta at N = 6, random pairs."""
+    rng = np.random.default_rng(5)
+    pairs = []
+    for d in (1, 3):
+        for n in (1, 2, 3, 4):
+            model = model_for(d, n)
+            pairs += [preset_free(model), preset_delta(model, rng.normal(size=(n, 2))),
+                      preset_offdiag(model, rng.normal(size=n)),
+                      preset_offdiag(model, rng.normal(size=(n, 2))),  # asymmetric: invalid
+                      random_valid_pair(model, rng)]
+            if d == 1:
+                pairs.append(preset_delta_prime(model, rng.normal(size=n)))
+        pairs.append(preset_delta(model_for(d, 6), rng.normal(size=(6, 2))))
+    return pairs
+
+
+def test_blocks_partition_the_defect_space():
+    for pair in _structured_pairs():
+        index = np.concatenate([g.index.ravel() for g in pair.blocks()])
+        assert np.array_equal(np.sort(index), np.arange(pair.defect_dim))
+        # A and B vanish between different blocks
+        block_of = np.empty(pair.defect_dim, dtype=int)
+        start = 0
+        for g in pair.blocks():
+            block_of[g.index] = start + np.arange(g.index.shape[0])[:, None]
+            start += g.index.shape[0]
+        cross = block_of[:, None] != block_of[None, :]
+        assert np.all(pair.A[cross] == 0.0) and np.all(pair.B[cross] == 0.0)
+        assert pair.blocks() is pair.blocks()
+
+
+def test_block_validate_matches_dense_report():
+    for pair in _structured_pairs():
+        rep, ref = pair.validation(), _dense_report(pair)
+        assert np.all(np.abs(rep.singular_values - ref.singular_values)
+                      <= 1e-13 * ref.singular_values[0])
+        assert rep.rank == ref.rank
+        assert rep.hermiticity_defect == pytest.approx(ref.hermiticity_defect, rel=1e-13,
+                                                       abs=1e-15 * ref.tol)
+        assert (rep.is_local, rep.is_valid, rep.tol) == (ref.is_local, ref.is_valid, ref.tol)
+        assert str(rep) == str(ref)
+
+
+def test_asymmetric_offdiag_report_unchanged():
+    pair = preset_offdiag(model_for(3, 1), [[1.0, 0.25]])
+    rep = pair.validation()
+    assert not rep.is_valid
+    assert str(rep) == str(_dense_report(pair))
+    assert str(rep) == ("INVALID: hermiticity defect 7.500e-01 (tol 1.000e-10), "
+                        "rank 2/2, local=True")
+
+
+def test_is_local_matches_reference_loop():
+    pairs = _structured_pairs()
+    rng = np.random.default_rng(8)
+    for d, n in [(1, 2), (3, 2), (3, 3)]:
+        base = preset_delta(model_for(d, n), -1.0)
+        p, j, code = channel_tables(base)
+        # one spectator entry perturbed: same site, same (p, p', sigma_j, sigma'_j)
+        # as its neighbours, different spectator configuration
+        r = int(np.flatnonzero((j == 1) & (code == 2))[0])
+        A, B = np.array(base.A), np.array(base.B)
+        A[r, r] += 1e-3
+        B[r, r] += 1e-3
+        pairs += [BoundaryPair(d, n, A, base.B), BoundaryPair(d, n, base.A, B)]
+        A = np.array(base.A)
+        A[0, int(np.flatnonzero(j == 2)[0])] = 0.5  # cross-site entry
+        pairs.append(BoundaryPair(d, n, A, base.B))
+        pairs.append(random_valid_pair(model_for(d, n), rng))
+    verdicts = [is_local(pair) for pair in pairs]
+    assert verdicts == [_is_local_loop(pair) for pair in pairs]
+    assert True in verdicts and False in verdicts

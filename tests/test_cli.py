@@ -15,7 +15,7 @@ import pytest
 
 from spinpoint import cli
 from spinpoint.greens import green
-from spinpoint.krein import gamma_dressed, gamma_free
+from spinpoint.krein import gamma_dressed, gamma_free, resolvent_kernel
 from spinpoint.spins import ModelSpec
 
 
@@ -159,6 +159,63 @@ def test_kernel_at_bound_state_flags_rows(tmp_path):
     _, _, rows = read_table(out)
     assert all(r["flag"] == "near-pole" for r in rows)
     assert all(r["re"] == "nan" for r in rows)
+
+
+def _count_dressings(monkeypatch):
+    from spinpoint import krein
+
+    calls = []
+    inner = krein.invert_dressed
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(krein, "invert_dressed", counted)
+    return calls
+
+
+def test_kernel_dresses_once_per_command(tmp_path, monkeypatch):
+    path = write_model(tmp_path, dimension=3, positions="0.0,0.0,0.0;1.5,0.0,0.0",
+                       beta="[[-1.0, 0.3], [0.5, -0.2]]", alpha="0.2,-0.1")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3,sigma,xp1,xp2,xp3,sigmap\n"
+                   "0.3,0.2,0.1,0,-0.4,0.1,0.0,0\n"
+                   "1.2,-0.3,0.2,3,0.8,0.5,-0.1,3\n"
+                   "0.5,0.5,0.5,1,0.6,-0.2,0.3,2\n"
+                   "-1.0,0.0,0.4,2,2.0,0.1,0.1,2\n"
+                   "0.9,0.1,-0.6,1,0.2,0.3,0.4,1\n")
+    out = tmp_path / "kernel.csv"
+    calls = _count_dressings(monkeypatch)
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(pts),
+               "--out", str(out)) == 0
+    assert len(calls) == 1
+    model, pair, _ = cli.load_model(str(path))
+    _, _, rows = read_table(out)
+    assert len(rows) == 5
+    for r in rows:
+        x = np.array([float(r[f"x{i}"]) for i in (1, 2, 3)])
+        xp = np.array([float(r[f"xp{i}"]) for i in (1, 2, 3)])
+        want = resolvent_kernel(model, pair, complex(-1.0, 0.5), x, int(r["sigma"]),
+                                xp, int(r["sigmap"]))
+        got = complex(float(r["re"]), float(r["im"]))
+        assert r["flag"] == "ok"
+        assert abs(got - want) <= 1e-14 * abs(want)
+    assert len(calls) == 1 + len(rows)
+
+
+def test_kernel_near_pole_flags_every_row_once(tmp_path, monkeypatch):
+    path = write_model(tmp_path, beta="-2.0")  # bound state at E = -1
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join(f"{0.3 * k + 0.1},0,{-0.2 * k - 0.5},{k % 2}\n" for k in range(5)))
+    out = tmp_path / "pole.csv"
+    calls = _count_dressings(monkeypatch)
+    assert run("kernel", str(path), "--z", "-1.0,0.0", "--points", str(pts),
+               "--out", str(out)) == 3
+    assert len(calls) == 1
+    _, _, rows = read_table(out)
+    assert len(rows) == 5
+    assert all(r["flag"] == "near-pole" and r["re"] == r["im"] == "nan" for r in rows)
 
 
 def test_boundstates_free_empty(tmp_path):

@@ -529,3 +529,57 @@ def test_defect_matrix_site_rejection_d3():
     model = ModelSpec(3, [np.zeros(3)], [0.0])
     with pytest.raises(ValueError):
         defect_matrix(model, -1.0 + 0.5j, [np.zeros(3)])
+
+
+# ---------------------------------------------------------------------------
+# block-structured dressing
+
+
+def _dressing_cases():
+    rng = np.random.default_rng(21)
+    for d, make in ((1, model_d1), (3, model_d3)):
+        for n in (1, 2, 3, 4):
+            model = make(n)
+            diagonal = [preset_free(model), preset_delta(model, rng.normal(size=(n, 2)))]
+            if d == 1:
+                diagonal.append(preset_delta_prime(model, rng.normal(size=n)))
+            for pair in diagonal:
+                yield model, pair, model.n_configs
+            yield model, preset_offdiag(model, rng.normal(size=n)), 1
+            yield model, random_valid_pair(model, rng), 1
+        model = make(6)
+        yield model, preset_delta(model, rng.normal(size=(6, 2))), 64
+
+
+def test_dress_matches_dense_reference():
+    from spinpoint.krein import _dress
+
+    z = -1.3 + 0.7j
+    for model, pair, n_blocks in _dressing_cases():
+        dress = _dress(model, pair, z)
+        assert sum(g.index.shape[0] for g in pair.blocks()) == n_blocks
+        dressed = pair.B @ gamma_free(model, z) + pair.A
+        ref = np.linalg.solve(dressed, pair.B)
+        err = np.max(np.abs(dress.correction - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), (model.dimension, model.n_spins)
+        sv = np.linalg.svd(dressed, compute_uv=False)
+        assert dress.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+
+def test_near_pole_in_one_block_of_several():
+    # 3D one-site delta: the sigma = +1 channel (code 0) is singular where
+    # kappa / (4 pi) + beta_plus = 0, kappa = sqrt(alpha - E); sigma = -1 is not
+    alpha, beta_plus, beta_minus = 0.3, -0.5, -0.2
+    model = ModelSpec(3, [np.zeros(3)], [alpha])
+    pair = preset_delta(model, [[beta_plus, beta_minus]])
+    assert len(pair.blocks()) == 1 and pair.blocks()[0].index.shape == (2, 1)
+    energy = alpha + ref.delta_bound_energy_3d(beta_plus)
+    x, xp = np.array([0.4, 0.1, -0.2]), np.array([-0.3, 0.5, 0.2])
+    with pytest.raises(NearPoleError) as info:
+        resolvent_kernel(model, pair, energy, x, 1, xp, 1)
+    assert info.value.smallest_singular_value < 1e-10
+    near = resolvent_kernel(model, pair, energy + 1e-6, x, 1, xp, 1)
+    assert np.isfinite(near)
+    # the code-1 channel has no pole here: its kernel is the one-channel closed form
+    want = ref.delta_kernel_3d(energy + 1e-6, alpha, beta_plus, beta_minus, x, 1, xp, 1, np.zeros(3))
+    assert near == pytest.approx(want, rel=1e-10)
