@@ -307,7 +307,7 @@ def cmd_kernel(args) -> int:
 def cmd_boundstates(args) -> int:
     model, pair, digest = load_model(args.model, args.paper_literal)
     require_valid(model, pair, args.unchecked)
-    tol = 1e-10 if args.tol is None else args.tol
+    tol = 1e-13 if args.tol is None else args.tol  # relative bracket width
     states = find_bound_states(model, pair, e_min=args.emin, tol=tol,
                                unchecked=args.unchecked)
     writer = ResultWriter(_echo(args), digest, f"tol={_fmt(tol)}",
@@ -483,7 +483,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("boundstates", help="search point spectrum below the continuum")
     _add_common(sub)
-    sub.add_argument("--emin", type=float, default=None, help="scan floor")
+    sub.add_argument("--emin", type=float, default=None, help="search floor (default: certified)")
     sub.set_defaults(func=cmd_boundstates)
 
     sub = subs.add_parser("gamma", help="dump the channel matrix and its dressing")

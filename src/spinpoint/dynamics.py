@@ -135,8 +135,7 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     norm0 = initial.norm()
 
     # discrete part
-    bound = [] if float(np.max(np.abs(pair.B))) == 0.0 else find_bound_states(
-        model, pair, e_min=e_min, unchecked=unchecked)
+    bound = find_bound_states(model, pair, e_min=e_min, unchecked=unchecked)
     bound_kept = []
     bound_fields = []
     bound_coef = []

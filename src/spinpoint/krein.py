@@ -60,7 +60,7 @@ class QuadratureError(RuntimeError):
     pass
 
 
-def gamma_free(model: ModelSpec, z) -> np.ndarray:
+def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
     """Boundary-value matrix Gamma(z) of the free defect functions.
 
     Block diagonal across spin configurations. d=3 per configuration:
@@ -69,6 +69,9 @@ def gamma_free(model: ModelSpec, z) -> np.ndarray:
 
         (0j, 0j') -> -G,  (1j, 1j') -> -(z - a.s) G  (including j = j'),
         (1j, 0j') -> +G', (0j, 1j') -> -G'           (zero at j = j').
+
+    With index, a (g, k) stack of flat defect indices, only the blocks
+    Gamma[index[b], index[b]] are formed, as a (g, k, k) stack.
     """
     w = complex(z) - model.shifts()
     # the shifts are real: one w lies on the cut iff the largest does
@@ -91,13 +94,14 @@ def gamma_free(model: ModelSpec, z) -> np.ndarray:
         layers = np.stack([np.stack([-g, -gp], axis=1),
                            np.stack([gp, -w[:, None, None] * g], axis=1)], axis=1)
     # layers[code, p, p', j, j'] fills the equal-code block of each code
-    p, j, _ = channel_tables(model)
-    blocks = channel_blocks(model)
-    pb, jb = p[blocks], j[blocks] - 1
-    codes = np.arange(blocks.shape[0])[:, None, None]
+    p, j, code = channel_tables(model)
+    rows = (channel_blocks(model) if index is None else np.asarray(index))[:, :, None]
+    cols = rows.swapaxes(1, 2)
+    vals = layers[code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
+    if index is not None:
+        return np.where(code[rows] == code[cols], vals, 0.0)
     out = np.zeros((model.defect_dim,) * 2, dtype=complex)
-    out[blocks[:, :, None], blocks[:, None, :]] = layers[
-        codes, pb[:, :, None], pb[:, None, :], jb[:, :, None], jb[:, None, :]]
+    out[rows, cols] = vals
     return out
 
 

@@ -1,9 +1,19 @@
 """Discrete spectrum below the continuum threshold.
 
-The essential spectrum starts at mu = min_sigma alpha . sigma. Below
-it, eigenvalues are exactly the energies where the dressed channel
-matrix B Gamma(E) + A becomes singular; they are located by scanning
-its smallest singular value and polishing each local minimum.
+The essential spectrum starts at mu = min_sigma alpha . sigma; below it
+the eigenvalues are the energies E where B Gamma(E) + A is singular. On
+each block of the pair (BoundaryPair.blocks), with B_k = W S V* cut to
+the nonzero singular values, every (q, f) with A q = B f has q = V y and
+V* f = Lambda y, Lambda = V* A* W S^-1 (Hermitian for an admissible
+pair). With f = -Gamma(E) q, a bound state at E is a null vector y of
+
+    H_k(E) = V* Gamma_k(E) V + Lambda,
+
+which is Hermitian and strictly decreasing in E below mu. The number
+N(E) of its negative eigenvalues, summed over the blocks, thus counts
+the bound states below E up to its E -> -inf limit: bisection on N finds
+every level, the jump in N is its multiplicity, and the null vectors of
+H_k, mapped back through V, are its charges.
 """
 
 from __future__ import annotations
@@ -11,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
-from .boundary import BoundaryPair, require_valid
+from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, require_valid
 from .krein import defect_matrix, gamma_dressed, gamma_free
-from .spins import ModelSpec, channel_sum
+from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
     "essential_spectrum_bottom",
@@ -32,10 +43,6 @@ def essential_spectrum_bottom(model: ModelSpec) -> float:
     return float(np.min(model.shifts()))
 
 
-def _dressed_at(model: ModelSpec, pair: BoundaryPair, energy: float) -> np.ndarray:
-    return gamma_dressed(pair, gamma_free(model, complex(energy)))
-
-
 def detgamma_profile(model: ModelSpec, pair: BoundaryPair, energies) -> np.ndarray:
     """Smallest singular value and log|det| of the dressed matrix per energy.
 
@@ -48,7 +55,7 @@ def detgamma_profile(model: ModelSpec, pair: BoundaryPair, energies) -> np.ndarr
         raise ValueError(f"profile energies must lie below the continuum threshold {mu}")
     out = np.empty((energies.size, 2))
     for i, e in enumerate(energies):
-        dressed = _dressed_at(model, pair, e)
+        dressed = gamma_dressed(pair, gamma_free(model, complex(e)))
         sv = np.linalg.svd(dressed, compute_uv=False)
         _, logdet = np.linalg.slogdet(dressed)
         out[i] = (sv[-1], logdet)
@@ -58,106 +65,153 @@ def detgamma_profile(model: ModelSpec, pair: BoundaryPair, energies) -> np.ndarr
 @dataclass(frozen=True)
 class BoundState:
     energy: float
-    charges: np.ndarray  # primary null vector, phase-fixed
+    charges: np.ndarray  # first row of charge_basis
     smallest_singular_value: float
     multiplicity: int
-    charge_basis: np.ndarray = None  # (multiplicity, m) null-space rows
-
-    def __post_init__(self):
-        if self.charge_basis is None:
-            object.__setattr__(self, "charge_basis", self.charges[None, :])
+    charge_basis: np.ndarray  # (multiplicity, m) null vectors, phase-fixed
 
 
-def _sigma_min(model: ModelSpec, pair: BoundaryPair, energy: float) -> float:
-    return float(np.linalg.svd(_dressed_at(model, pair, energy), compute_uv=False)[-1])
+def _reduce(pair: BoundaryPair) -> list:
+    """(group, V, Lambda) per block group of the pair.
+
+    V keeps as many directions as the largest rank of B_k in the group;
+    it is zero and Lambda the identity in those of zero singular values,
+    which thus add no negative eigenvalue or null vector to H_k. Lambda
+    is made Hermitian: no change for an admissible pair.
+    """
+    out = []
+    for g in pair.blocks():
+        w, s, vh = np.linalg.svd(g.B)
+        keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
+        r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
+        w, s, vh, keep = w[..., :r], s[:, :r], vh[:, :r], keep[:, :r]
+        inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        lam = vh @ g.A.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
+        lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
+        out.append((g, vh.conj().swapaxes(-1, -2) * keep[:, None, :],
+                    lam + np.eye(r) * ~keep[:, None, :]))
+    return out
 
 
-def _golden_minimize(fn, a: float, b: float, xtol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (a + b) / 2.0
+def _hermitian(model: ModelSpec, red: list, energy: float, active=None):
+    """(group, positions, V, Gamma_k, H_k(energy)) per group, for all or the active blocks.
+
+    Blocks are numbered in group order; active is a mask over them.
+    """
+    start = 0
+    for g, v, lam in red:
+        sel = np.arange(len(v)) if active is None else np.flatnonzero(active[start:start + len(v)])
+        start += len(v)
+        if sel.size:
+            gamma, vs = gamma_free(model, complex(energy), g.index[sel]), v[sel]
+            yield g, sel, vs, gamma, vs.conj().swapaxes(-1, -2) @ gamma @ vs + lam[sel]
+
+
+def _count(model: ModelSpec, red: list, energy: float, active=None) -> np.ndarray:
+    """Negative eigenvalues of H_k(energy) per block (per active block)."""
+    return np.concatenate([np.sum(np.linalg.eigvalsh(h) < 0.0, axis=-1)
+                           for *_, h in _hermitian(model, red, energy, active)])
+
+
+def _limit(model: ModelSpec, red: list) -> int:
+    """lim N(E) for E -> -inf.
+
+    In d=3 Gamma(E) grows like sqrt(|E|)/(4 pi) times the identity: 0.
+    In d=1 its dipole block grows like sqrt(|E|)/2 while its charge block
+    tends to 0 from below: the eigenvalues <= 0 of Lambda compressed to
+    the directions of V without a dipole-layer component.
+    """
+    if model.dimension == 3:
+        return 0
+    p = channel_tables(model)[0]
+    total = 0
+    for g, v, lam in red:
+        for index, vb, lb in zip(g.index, v, lam):
+            keep = np.any(vb != 0.0, axis=0)
+            if keep.any():
+                basis = null_space(vb[p[index] == 1][:, keep])
+                lr = lb[np.ix_(keep, keep)]
+                ev = np.linalg.eigvalsh(basis.conj().T @ lr @ basis)
+                total += int(np.sum(ev <= RANK_RTOL * np.max(np.abs(lr))))
+    return total
 
 
 def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
-    """Heuristic lower end of the bound-state scan window.
+    """Certified lower end of the bound-state search.
 
-    mu - 10 * (1 + (4 pi * coupling scale)^2), with the coupling scale
-    read off as max|A| / max|B| when B is nonzero.
+    Starts at mu - 10 (1 + (4 pi max|A| / max|B|)^2) and moves to
+    mu - 4 (mu - floor) until N(floor) equals its E -> -inf limit; as N
+    is nondecreasing in E, no bound state lies below the result.
     """
     mu = essential_spectrum_bottom(model)
     bmax = float(np.max(np.abs(pair.B)))
     if bmax == 0.0:
-        return mu - 10.0
-    scale = float(np.max(np.abs(pair.A))) / bmax
-    return mu - 10.0 * (1.0 + (4.0 * np.pi * scale) ** 2)
+        return mu - 10.0  # no bound states
+    red = _reduce(pair)
+    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(pair.A))) / bmax) ** 2)
+    limit = _limit(model, red)
+    for _ in range(30):
+        if _count(model, red, floor).sum() <= limit:
+            return floor
+        floor = mu - 4.0 * (mu - floor)
+    raise ValueError(f"no certified search floor above {floor:.3e}: the bound-state count "
+                     f"did not fall to its limit {limit}")
+
+
+def _level(model: ModelSpec, red: list, energy: float, n_below, n_above) -> BoundState:
+    """Bound state at a root bracketed by per-block counts n_below < n_above."""
+    jump = n_above > n_below
+    lo, up = n_below[jump], n_above[jump]
+    basis, sigma, i = [], np.inf, 0
+    for g, sel, v, gamma, h in _hermitian(model, red, energy, jump):
+        dressed = gamma_dressed(BlockGroup(g.index[sel], g.A[sel], g.B[sel]), gamma)
+        sigma = min(sigma, float(np.min(np.linalg.svd(dressed, compute_uv=False))))
+        for index, vb, vec in zip(g.index[sel], v, np.linalg.eigh(h)[1]):
+            # eigenvalue i is nonincreasing in E: those with lo <= i < up cross zero
+            for y in (vb @ vec[:, lo[i]:up[i]]).T:
+                q = np.zeros(model.defect_dim, dtype=complex)
+                q[index] = y
+                lead = q[np.argmax(np.abs(q))]
+                basis.append(q * (abs(lead) / lead))
+            i += 1
+    return BoundState(float(energy), basis[0], sigma, len(basis), np.array(basis))
 
 
 def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None = None,
-                      n_grid: int = 2000, tol: float = 1e-10,
-                      unchecked: bool = False) -> list[BoundState]:
+                      tol: float = 1e-13, unchecked: bool = False) -> list[BoundState]:
     """Eigenvalues below the essential spectrum, sorted ascending.
 
-    Scans sigma_min of the dressed matrix on [e_min, mu - gap], refines
-    each local minimum by golden-section search, and keeps minima with
-    sigma_min <= tol * scale, where the scale is the largest singular
-    value seen anywhere on the scan grid (the value at the minimum
-    itself would collapse when the matrix vanishes identically there).
-    The charge vector is the singular vector of the smallest singular
-    value (largest entry made real positive); the multiplicity counts
-    singular values below 1e3 * the acceptance threshold.
+    Bisects [e_min, mu - gap] on N until every jump is bracketed to
+    tol * (1 + |E|); the energy is the bracket midpoint. e_min defaults
+    to default_search_floor. smallest_singular_value is that of
+    B Gamma(E) + A, whose null space charge_basis spans (largest entry
+    of each row real positive). Under unchecked, a pair that is not
+    admissible is counted with the Hermitian part of Lambda, and its
+    levels are not certified.
     """
     require_valid(model, pair, unchecked)
+    if not np.any(pair.B):
+        return []  # A q = 0 forces q = 0
+    red = _reduce(pair)
     mu = essential_spectrum_bottom(model)
-    if e_min is None:
-        e_min = default_search_floor(model, pair)
+    lo = default_search_floor(model, pair) if e_min is None else float(e_min)
     hi = mu - GAP * (1.0 + abs(mu))
-    if e_min >= hi:
+    if lo >= hi:
         return []
-    grid = np.linspace(e_min, hi, n_grid)
-    sv_grid = np.array([np.linalg.svd(_dressed_at(model, pair, e), compute_uv=False)
-                        for e in grid])
-    sig = sv_grid[:, -1]
-    norm_scale = float(np.max(sv_grid[:, 0]))
-    candidates = []
-    for i in range(n_grid):
-        left = sig[i - 1] if i > 0 else np.inf
-        right = sig[i + 1] if i < n_grid - 1 else np.inf
-        if sig[i] <= left and sig[i] <= right:
-            if i > 0 and sig[i] == sig[i - 1]:
-                continue  # plateau: keep the first point only
-            lo = grid[i - 1] if i > 0 else grid[i]
-            up = grid[i + 1] if i < n_grid - 1 else grid[i]
-            candidates.append((lo, up))
-    states: list[BoundState] = []
-    fn = lambda e: _sigma_min(model, pair, e)
-    for lo, up in candidates:
-        e_star = _golden_minimize(fn, lo, up, xtol=1e-13 * (1.0 + abs(lo)))
-        dressed = _dressed_at(model, pair, e_star)
-        u, sv, vh = np.linalg.svd(dressed)
-        accept = tol * max(norm_scale, 1e-300)
-        if sv[-1] > accept:
+    states = []
+    stack = [(lo, _count(model, red, lo), hi, _count(model, red, hi))]
+    while stack:
+        a, na, b, nb = stack.pop()
+        active = nb > na  # blocks with a root in [a, b]
+        mid = 0.5 * (a + b)
+        if not active.any():
             continue
-        if states and abs(states[-1].energy - e_star) <= 1e-9 * (1.0 + abs(e_star)):
+        if b - a <= tol * (1.0 + abs(a)) or not a < mid < b:
+            states.append(_level(model, red, mid, na, nb))
             continue
-        multiplicity = int(np.sum(sv <= 1e3 * accept))
-        basis = vh[-multiplicity:].conj()
-        for row in range(multiplicity):
-            lead = np.argmax(np.abs(basis[row]))
-            basis[row] = basis[row] / (basis[row][lead] / abs(basis[row][lead]))
-        charges = basis[-1]
-        states.append(BoundState(float(e_star), charges, float(sv[-1]), multiplicity, basis))
-    states.sort(key=lambda s: s.energy)
+        nm = na.copy()
+        nm[active] = _count(model, red, mid, active)
+        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
     return states
 
 

@@ -15,7 +15,7 @@ main package.
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from spinpoint.greens import green, green_derivative_1d, sqrt_upper
 
@@ -135,6 +135,46 @@ def delta_prime_bound_energy_1d(gamma: float) -> float:
     if gamma >= 0:
         raise ValueError("no bound state for gamma >= 0")
     return -4.0 / (gamma * gamma)
+
+
+# ---------------------------------------------------------------------------
+# two equal contact sites at distance r, one spin channel: even/odd levels
+# ---------------------------------------------------------------------------
+
+def two_site_bound_energies_3d(beta: float, r: float) -> list[float]:
+    """Levels of two d=3 contact sites of strength beta, ascending.
+
+    With the even/odd charge combinations the 2 x 2 condition splits
+    into kappa/4pi -+ e^{-kappa r}/(4 pi r) + beta = 0, E = -kappa^2.
+    The even root exists for beta < 1/(4 pi r), the odd one for
+    beta < -1/(4 pi r).
+    """
+    energies = []
+    for sign in (1.0, -1.0):
+        def cond(k):
+            return k / (4.0 * np.pi) - sign * np.exp(-k * r) / (4.0 * np.pi * r) + beta
+        hi = 4.0 * np.pi * abs(beta) + 1.0 / r + 1.0
+        if cond(0.0) < 0.0:
+            energies.append(-optimize.brentq(cond, 0.0, hi, xtol=1e-15, rtol=1e-15) ** 2)
+    return sorted(energies)
+
+
+def two_site_bound_energies_1d(beta: float, r: float) -> list[float]:
+    """Levels of two d=1 delta wells of strength beta < 0, ascending.
+
+    kappa = -(beta/2)(1 +- e^{-kappa r}); the odd root (minus sign)
+    exists only for |beta| r / 2 > 1 and lies right of the minimum of
+    kappa + (beta/2)(1 - e^{-kappa r}), at kappa = log(|beta| r / 2) / r.
+    """
+    energies = []
+    for sign in (1.0, -1.0):
+        def cond(k):
+            return k + 0.5 * beta * (1.0 + sign * np.exp(-k * r))
+        if sign < 0.0 and abs(beta) * r / 2.0 <= 1.0:
+            continue
+        lo = 0.0 if sign > 0.0 else np.log(abs(beta) * r / 2.0) / r
+        energies.append(-optimize.brentq(cond, lo, abs(beta) + 1.0, xtol=1e-15, rtol=1e-15) ** 2)
+    return sorted(energies)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,19 @@ def test_gamma_adjoint_identity():
             assert not np.any(g[other_code])
 
 
+def test_gamma_blocks_match_full_matrix():
+    # index stacks mixing spin codes, in any order, read the full matrix
+    rng = np.random.default_rng(8)
+    for model in (model_d1(1), model_d3(2), model_d1(3), model_d3(4)):
+        m = model.defect_dim
+        for z in (complex(rng.uniform(-3, 2), rng.uniform(0.1, 2)), np.min(model.shifts()) - 1.5):
+            full = gamma_free(model, z)
+            for k in (1, 2, m // 2):
+                index = np.stack([rng.permutation(m)[:k] for _ in range(3)])
+                assert np.array_equal(gamma_free(model, z, index),
+                                      full[index[:, :, None], index[:, None, :]])
+
+
 def overlap_closed_form(model, w, z, mu, nu):
     """(w integral side, z side) defect-overlap via resolvent-difference forms."""
     from spinpoint.spins import channel_tables

@@ -1,5 +1,7 @@
 """Bound-state search against analytically known energies."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spinpoint.boundary import (
     preset_delta_prime,
     preset_free,
     preset_offdiag,
+    random_valid_pair,
 )
 from spinpoint.krein import gamma_dressed, gamma_free
 from spinpoint.spectral import (
@@ -169,3 +172,83 @@ def test_two_site_delta_well_count_1d():
     # tunneling splitting for kappa = 1, L = 4 is about 2 e^{-4}
     gap = energies[1] - energies[0]
     assert gap == pytest.approx(4.0 * np.exp(-4.0), rel=0.15)
+
+
+def _two_site_model(dimension, r):
+    # a generic direction and offset, so no coordinate is special
+    if dimension == 1:
+        return ModelSpec(1, [0.3, 0.3 + r], [0.0, 0.0])
+    u = np.array([0.48, -0.6, 0.64])
+    o = np.array([0.2, -0.7, 0.1])
+    return ModelSpec(3, [o, o + r * u / np.linalg.norm(u)], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("r", [0.5, 0.7, 1.0, 1.5])
+def test_two_site_even_odd_levels_3d(r):
+    # each level binds in all 4 spin configurations; at r = 1.5 the even
+    # and odd levels are about 2e-7 apart and must stay two levels
+    model = _two_site_model(3, r)
+    pair = preset_delta(model, -1.0)
+    states = find_bound_states(model, pair)
+    expect = ref.two_site_bound_energies_3d(-1.0, r)
+    assert len(expect) == 2
+    assert [st.multiplicity for st in states] == [4, 4]
+    for st, e in zip(states, expect):
+        assert st.energy == pytest.approx(e, rel=1e-12)
+        # the odd level's charges are the second eigenvector of each block
+        gamma = gamma_free(model, complex(st.energy))
+        residual = np.linalg.norm(gamma_dressed(pair, gamma) @ st.charge_basis.T, axis=0)
+        scale = np.linalg.norm(pair.B @ gamma, 2) + np.linalg.norm(pair.A, 2)
+        assert np.all(residual <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_two_site_even_odd_levels_1d(r):
+    model = _two_site_model(1, r)
+    states = find_bound_states(model, preset_delta(model, -2.0))
+    expect = ref.two_site_bound_energies_1d(-2.0, r)
+    assert [st.multiplicity for st in states] == [4] * len(expect)
+    for st, e in zip(states, expect):
+        assert st.energy == pytest.approx(e, rel=1e-12)
+
+
+def test_zeeman_chain_levels_3d():
+    # sites 3 apart bind alone to 1e-16: 16 Zeeman levels 0.2 apart,
+    # each bound at all 4 sites
+    alpha = [0.1, 0.2, 0.4, 0.8]
+    u = np.array([0.36, 0.48, 0.8])
+    model = ModelSpec(3, [3.0 * j * u for j in range(4)], alpha)
+    states = find_bound_states(model, preset_delta(model, -1.0))
+    shifts = sorted(np.dot(alpha, s) for s in itertools.product([1, -1], repeat=4))
+    expect = [sh + ref.delta_bound_energy_3d(-1.0) for sh in shifts]
+    assert [st.multiplicity for st in states] == [4] * 16
+    for st, e in zip(states, expect):
+        assert st.energy == pytest.approx(e, rel=1e-12)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_certified_floor_finds_every_state(dimension):
+    # random admissible pairs often bind below the heuristic floor; the
+    # certified floor must give the states that a floor 100 times
+    # deeper gives. Deep states of such pairs can have charges almost
+    # entirely in the charge layer, where Gamma(E) varies like |E|^-3/2:
+    # rounding then moves their roots by ~1e-11 relative, whatever the
+    # bracket
+    rng = np.random.default_rng(31 + dimension)
+    moved = 0
+    for n in (1, 2, 3, 1, 2, 3):
+        pos = rng.normal(size=n) * 2 if dimension == 1 else rng.normal(size=(n, 3)) * 2
+        model = ModelSpec(dimension, pos, rng.uniform(-0.5, 0.5, n))
+        pair = random_valid_pair(model, rng)
+        mu = essential_spectrum_bottom(model)
+        floor = default_search_floor(model, pair)
+        scale = np.max(np.abs(pair.A)) / np.max(np.abs(pair.B))
+        guess = mu - 10.0 * (1.0 + (4.0 * np.pi * scale) ** 2)
+        moved += mu - floor > 2.0 * (mu - guess)  # each move multiplies mu - floor by 4
+        states = find_bound_states(model, pair)
+        deep = find_bound_states(model, pair, e_min=mu - 100.0 * (mu - floor))
+        assert [st.multiplicity for st in states] == [st.multiplicity for st in deep]
+        for st, dp in zip(states, deep):
+            assert st.energy == pytest.approx(dp.energy, rel=1e-9)
+            assert st.energy > floor
+    assert moved > 0
