@@ -23,7 +23,6 @@ from .dynamics import EvolveResult, evolve_spectral, free_evolve, spectral_defau
 from .greens import green, green_derivative_1d, green_overlap, sqrt_upper
 from .krein import (
     NearPoleError,
-    QuadratureError,
     apply_resolvent,
     boundary_data_from_evaluator,
     defect_matrix,

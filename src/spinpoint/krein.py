@@ -18,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import signal, special
 
 from .boundary import BoundaryPair, require_valid
-from .greens import _check_energy, green, green_derivative_1d, sqrt_upper
+from .greens import _check_energy, green, sqrt_upper
 from .spins import ModelSpec, channel_blocks, channel_sum, channel_tables, spin_code
 from .states import GaussianPacket, GridState, UniformGrid
 
 __all__ = [
     "NearPoleError",
-    "QuadratureError",
     "gamma_free",
     "gamma_dressed",
     "invert_dressed",
@@ -54,10 +53,6 @@ class NearPoleError(ArithmeticError):
             f"channel matrix near-singular at z={z}: smallest singular value "
             f"{smallest_singular_value:.3e}, condition {condition:.3e}"
         )
-
-
-class QuadratureError(RuntimeError):
-    pass
 
 
 def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
@@ -242,103 +237,82 @@ def kernel_evaluator(model: ModelSpec, pair: BoundaryPair, z, xp, sigmap,
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# Gaussian-Green integrals in closed form
 
 
-def _quad_complex(f, a, b, points=None, tol=1e-10):
-    kw = {"limit": 200, "epsabs": tol, "epsrel": tol}
-    if points:
-        pts = sorted(pt for pt in points if a < pt < b)
-        if pts:
-            kw["points"] = pts
-    re, re_err = integrate.quad(lambda t: f(t).real, a, b, **kw)
-    im, im_err = integrate.quad(lambda t: f(t).imag, a, b, **kw)
-    err = re_err + im_err
-    val = complex(re, im)
-    if err > 1e-6 * (1.0 + abs(val)):
-        raise QuadratureError(f"integral did not converge: estimate {err:.2e} for value {val:.3e}")
-    return val
+def _half_line(a, b, c):
+    """Integral over y > 0 of exp(-a y^2 + b y + c), for Re a > 0.
 
-
-def _sinhc(w):
-    """sinh(w)/w, stable near w = 0."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-6
-    safe = np.where(small, 1.0, w)
-    out = np.where(small, 1.0 + w * w / 6.0, np.sinh(safe) / safe)
-    return out
-
-
-def _shell_average(packet: GaussianPacket, code: int, center: np.ndarray, r):
-    """Integral of the channel wavefunction over the sphere |u - center| = r.
-
-    Returns S(r) with S(r) = integral over the full solid angle (so the
-    smooth-function limit at r=0 is 4 pi psi(center)). Exact per
-    Gaussian component via the bilinear shell identity.
+    With zeta = -b / (2 sqrt a) it is sqrt(pi/a)/2 exp(c + zeta^2) erfc(zeta)
+    (A&S 7.4.2). exp(zeta^2) erfc(zeta) is the Faddeeva function w(i zeta)
+    for Re zeta >= 0 and 2 exp(zeta^2) - w(-i zeta) otherwise; w is
+    bounded on the upper half plane, so neither branch overflows.
     """
-    r = np.asarray(r, dtype=float)
-    total = np.zeros(r.shape, dtype=complex)
-    for g in packet.components[code]:
-        d = center - g.center
-        v = -d / (2.0 * g.variance) + 1j * g.momentum
-        xi = np.sqrt(np.sum(v * v))  # complex bilinear length
-        pref = g.weight * np.exp(-(np.dot(d, d) + r * r) / (4.0 * g.variance) + 1j * np.dot(g.momentum, d))
-        total = total + 4.0 * np.pi * pref * _sinhc(r * xi)
-    return total
+    zeta = -b / (2.0 * np.sqrt(a))
+    right = zeta.real >= 0.0
+    tail = special.wofz(np.where(right, 1j * zeta, -1j * zeta)) * np.exp(c)
+    full = 2.0 * np.exp(np.where(right, -np.inf, c + zeta * zeta))
+    return np.sqrt(np.pi / a) / 2.0 * (np.where(right, tail, -tail) + full)
 
 
-def _gaussian_green_integral_3d(packet: GaussianPacket, code: int, w: complex, center: np.ndarray) -> complex:
-    """Integral of G^w(|u - center|) psi_code(u) over R^3 by radial reduction."""
+def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np.ndarray:
+    """Integral of G^w(u - x) psi_code(u) du at every point x, in closed form.
+
+    Returns a (layers, n_points) array: d=3 has one layer; d=1 has the
+    charge layer and the dipole layer, the integral with G' in place of G.
+    Per Gaussian component (weight W, centre c, momentum k, variance v,
+    a = 1/(4v), s = sqrt_upper(w)) the integral is a sum of the half-line
+    integrals H = _half_line:
+
+    d=1, dc = c - x: H+- = W H(a, +-dc/(2v) + i(s +- k), -a dc^2 - i k dc),
+        charge (i/2s)(H+ + H-), dipole -(H+ - H-)/2.
+    d=3, dx = x - c: the shell average of the component over |u - x| = r
+        is 4 pi W exp(c0 - a r^2) sinh(r xi)/(r xi), with
+        xi^2 = (-dx/(2v) + ik).(-dx/(2v) + ik) and c0 = -a dx.dx + i k.dx,
+        so the integral is W [H(a, is + xi, c0) - H(a, is - xi, c0)]/(2 xi).
+        That difference quotient is even in xi; for |v xi^2| < 1e-6 its
+        Taylor series M1 + xi^2 M3/6 in the moments M_n of
+        exp(-a y^2 + is y + c0) over y > 0 replaces it.
+    """
     s = sqrt_upper(w)
-    radius = 0.0
+    x = np.asarray(points, dtype=float)
+    out = np.zeros((2 if packet.dimension == 1 else 1, x.shape[0]), dtype=complex)
     for g in packet.components[code]:
-        radius = max(radius, float(np.linalg.norm(center - g.center)) + g.support_radius(1e-16))
-    if radius == 0.0:
-        return 0.0 + 0.0j
-
-    def integrand(r):
-        return (r / (4.0 * np.pi)) * np.exp(1j * s * r) * _shell_average(packet, code, center, r)
-
-    return _quad_complex(integrand, 0.0, radius)
-
-
-def _gaussian_green_integral_1d(packet: GaussianPacket, code: int, w: complex, center: float,
-                                derivative: bool = False) -> complex:
-    """Integral of G^w(u - center) (or its derivative) times psi_code(u)."""
-    comps = packet.components[code]
-    if not comps:
-        return 0.0 + 0.0j
-    lo = min(float(g.center[0]) - g.support_radius(1e-16) for g in comps)
-    hi = max(float(g.center[0]) + g.support_radius(1e-16) for g in comps)
-    lo = min(lo, center - 1.0)
-    hi = max(hi, center + 1.0)
-
-    def integrand(u):
-        kernel = (
-            green_derivative_1d(w, u - center, allow_cut=True)
-            if derivative
-            else green(1, w, u - center, allow_cut=True)
-        )
-        return kernel * packet.evaluate(code, np.atleast_1d(u))[0]
-
-    return _quad_complex(integrand, lo, hi, points=[center])
+        v = g.variance
+        a = 1.0 / (4.0 * v)
+        if packet.dimension == 1:
+            k = g.momentum[0]
+            dc = g.center[0] - x
+            c = -a * dc * dc - 1j * k * dc
+            hp = g.weight * _half_line(a, dc / (2.0 * v) + 1j * (s + k), c)
+            hm = g.weight * _half_line(a, -dc / (2.0 * v) + 1j * (s - k), c)
+            out[0] += 1j / (2.0 * s) * (hp + hm)
+            out[1] -= (hp - hm) / 2.0
+            continue
+        dx = x - g.center
+        q = -dx / (2.0 * v) + 1j * g.momentum
+        xi2 = np.sum(q * q, axis=-1)  # complex bilinear length squared
+        c0 = -a * np.sum(dx * dx, axis=-1) + 1j * (dx @ g.momentum)
+        small = np.abs(v * xi2) < 1e-6
+        xi = np.sqrt(np.where(small, 1.0, xi2))
+        quotient = (_half_line(a, 1j * s + xi, c0) - _half_line(a, 1j * s - xi, c0)) / (2.0 * xi)
+        # integration by parts: M_{n+1} = 2v (n M_{n-1} + is M_n), with e^c0 for n M_{n-1} at n = 0
+        m0 = _half_line(a, 1j * s, c0)
+        m1 = 2.0 * v * (np.exp(c0) + 1j * s * m0)
+        m2 = 2.0 * v * (m0 + 1j * s * m1)
+        m3 = 2.0 * v * (2.0 * m1 + 1j * s * m2)
+        out[0] += g.weight * np.where(small, m1 + xi2 * m3 / 6.0, quotient)
+    return out
 
 
 def _defect_overlaps_gaussian(dress: _Dressing, packet: GaussianPacket) -> np.ndarray:
     """s_mu = <Phi^{conj z}_mu, psi> using conj(Phi^{conj z}) = Phi^z."""
-    model = dress.model
-    m = dress.p.size
-    out = np.zeros(m, dtype=complex)
-    for mu in range(m):
-        code = int(dress.code[mu])
-        if not packet.components[code]:
-            continue
-        w = dress.z - dress.shifts[code]
-        site = model.positions[dress.j[mu] - 1]
-        if model.dimension == 3:
-            out[mu] = _gaussian_green_integral_3d(packet, code, w, site)
-        else:
-            out[mu] = _gaussian_green_integral_1d(packet, code, w, float(site), derivative=bool(dress.p[mu]))
+    out = np.zeros(dress.p.size, dtype=complex)
+    for code in range(packet.n_channels):
+        if packet.components[code]:
+            sel = dress.code == code
+            layers = _gaussian_green(packet, code, dress.z - dress.shifts[code], dress.model.positions)
+            out[sel] = layers[dress.p[sel], dress.j[sel] - 1]
     return out
 
 
@@ -355,22 +329,19 @@ def _defect_overlaps_grid(dress: _Dressing, state: GridState) -> np.ndarray:
     """Grid-trapezoid defect overlaps, with d=1 kink corrections at on-node sites."""
     model = dress.model
     grid = state.grid
-    phi = defect_matrix(model, dress.z, grid.points)
-    out = np.zeros(dress.p.size, dtype=complex)
-    for mu in range(dress.p.size):
-        code = int(dress.code[mu])
-        psi = state.values[code]
-        val = np.sum(phi[mu] * psi * grid.weights)
-        if model.dimension == 1:
-            node = _node_at(grid, float(model.positions[dress.j[mu] - 1]))
-            if node is not None:
-                h = grid.spacing
-                if dress.p[mu] == 0:
-                    val -= h * h / 12.0 * psi[node]
-                elif 0 < node < grid.n_points - 1:
-                    dpsi = (psi[node + 1] - psi[node - 1]) / (2.0 * h)
-                    val -= h * h / 12.0 * dpsi
-        out[mu] = complex(val)
+    psi = state.values[dress.code]
+    out = np.sum(defect_matrix(model, dress.z, grid.points) * psi * grid.weights, axis=1)
+    if model.dimension == 1:
+        h = grid.spacing
+        for j, site in enumerate(model.positions, start=1):
+            node = _node_at(grid, float(site))
+            if node is None:
+                continue
+            charge = (dress.j == j) & (dress.p == 0)
+            out[charge] -= h * h / 12.0 * psi[charge, node]
+            if 0 < node < grid.n_points - 1:
+                dipole = (dress.j == j) & (dress.p == 1)
+                out[dipole] -= h * h / 12.0 * (psi[dipole, node + 1] - psi[dipole, node - 1]) / (2.0 * h)
     return out
 
 
@@ -437,14 +408,8 @@ def _free_apply_gaussian(model: ModelSpec, z: complex, packet: GaussianPacket, g
     out = np.zeros((packet.n_channels, grid.n_points), dtype=complex)
     shifts = model.shifts()
     for code in range(packet.n_channels):
-        if not packet.components[code]:
-            continue
-        w = z - shifts[code]
-        for i in range(grid.n_points):
-            if model.dimension == 1:
-                out[code, i] = _gaussian_green_integral_1d(packet, code, w, float(grid.points[i]))
-            else:
-                out[code, i] = _gaussian_green_integral_3d(packet, code, w, np.asarray(grid.points[i]))
+        if packet.components[code]:
+            out[code] = _gaussian_green(packet, code, z - shifts[code], grid.points)[0]
     return out
 
 
@@ -452,10 +417,9 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
                     unchecked: bool = False) -> GridState:
     """Resolvent applied to a state, sampled on a grid.
 
-    Gaussian input: defect overlaps and the free convolution are done by
-    adaptive quadrature on the packet's numerical support (an output
-    grid must be supplied). Grid input: the state's own trapezoid rule
-    is the quadrature and the output reuses the same grid.
+    Gaussian input: defect overlaps and the free convolution are closed
+    forms (an output grid must be supplied). Grid input: the state's own
+    trapezoid rule is the quadrature and the output reuses the same grid.
     """
     dress = _dress(model, pair, z, unchecked)
     z = dress.z
@@ -491,8 +455,8 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
                               unchecked: bool = False):
     """Pointwise evaluator of (R(z) state)(x, code) for Gaussian input.
 
-    Slower than apply_resolvent but usable at arbitrary points, e.g. for
-    boundary-data extraction near the sites.
+    The same closed forms as apply_resolvent, at arbitrary points, e.g.
+    for boundary-data extraction near the sites.
     """
     if not isinstance(state, GaussianPacket):
         raise TypeError("pointwise evaluation needs Gaussian input")
@@ -503,12 +467,9 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
 
     def evaluate(x, sigma) -> complex:
         code = spin_code(sigma, model.n_spins)
-        w = dress.z - shifts[code]
-        if model.dimension == 1:
-            val = _gaussian_green_integral_1d(state, code, w, float(x))
-        else:
-            val = _gaussian_green_integral_3d(state, code, w, np.asarray(x, dtype=float))
-        phi = defect_matrix(model, dress.z, [x] if model.dimension == 1 else [np.asarray(x)])
+        pts = [x] if model.dimension == 1 else [np.asarray(x, dtype=float)]
+        val = _gaussian_green(state, code, dress.z - shifts[code], pts)[0, 0]
+        phi = defect_matrix(model, dress.z, pts)
         return complex(val + channel_sum(model, charges, phi)[code, 0])
 
     return evaluate
@@ -528,18 +489,11 @@ def _neville(xs: np.ndarray, ys: np.ndarray) -> complex:
     return complex(ys[0])
 
 
-_DIRECTIONS_3D = None
-
-
-def _directions_3d() -> np.ndarray:
-    global _DIRECTIONS_3D
-    if _DIRECTIONS_3D is None:
-        offs = np.array(
-            [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1) if (i, j, k) != (0, 0, 0)],
-            dtype=float,
-        )
-        _DIRECTIONS_3D = offs / np.linalg.norm(offs, axis=1)[:, None]
-    return _DIRECTIONS_3D
+# unit vectors from the centre of a cube to its 26 neighbours
+_DIRECTIONS_3D = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
+                           if (i, j, k) != (0, 0, 0)], dtype=float)
+_DIRECTIONS_3D /= np.linalg.norm(_DIRECTIONS_3D, axis=1)[:, None]
+_DIRECTIONS_3D.setflags(write=False)
 
 
 def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float | None = None,
@@ -603,7 +557,7 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float |
         q = np.array([dm - dp, vm - vp])
         f = np.array([(vp + vm) / 2.0, -(dp + dm) / 2.0])
         return q, f
-    dirs = _directions_3d()
+    dirs = _DIRECTIONS_3D
     radii = steps
     averages = np.empty(radii.size, dtype=complex)
     for i, r in enumerate(radii):

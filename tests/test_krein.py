@@ -15,6 +15,7 @@ from spinpoint.boundary import (
     preset_offdiag,
     random_valid_pair,
 )
+from spinpoint.dynamics import free_evolve
 from spinpoint.greens import green, green_derivative_1d, green_overlap
 from spinpoint.krein import (
     NearPoleError,
@@ -30,7 +31,7 @@ from spinpoint.krein import (
     verify_boundary_conditions,
 )
 from spinpoint.spins import ModelSpec, channel_tables
-from spinpoint.states import GaussianPacket, UniformGrid
+from spinpoint.states import GaussianComponent, GaussianPacket, GridState, UniformGrid
 
 
 def model_d1(n=1, alpha=None):
@@ -462,12 +463,18 @@ def test_apply_resolvent_gaussian_matches_pointwise():
     z = -1.0 + 0.7j
     packet = GaussianPacket.single(1, 2, 0, center=0.8, momentum=1.0, variance=0.5)
     grid = UniformGrid.linear(-3.0, 3.0, 7)
-    out = apply_resolvent(model, pair, z, packet, grid=grid)
-    point_eval = resolvent_state_evaluator(model, pair, z, packet)
-    for i in (0, 3, 6):
-        for code in (0, 1):
-            assert out.values[code, i] == pytest.approx(
-                point_eval(grid.points[i], code), rel=1e-9)
+    model3 = ModelSpec(3, [np.zeros(3)], [0.3])
+    packet3 = GaussianPacket.single(3, 2, 0, center=np.array([0.5, -0.2, 0.1]),
+                                    momentum=np.array([0.8, 0.0, -0.4]), variance=0.5)
+    grid3 = UniformGrid.cube(-1.4, 1.6, 3)  # keeps the nodes off the site
+    for model, pair, packet, grid in ((model, pair, packet, grid),
+                                      (model3, preset_offdiag(model3, 0.8), packet3, grid3)):
+        out = apply_resolvent(model, pair, z, packet, grid=grid)
+        point_eval = resolvent_state_evaluator(model, pair, z, packet)
+        for i in (0, grid.n_points // 2, grid.n_points - 1):
+            for code in (0, 1):
+                assert out.values[code, i] == pytest.approx(
+                    point_eval(grid.points[i], code), rel=1e-9)
 
 
 def test_apply_resolvent_free_matches_quadrature_1d():
@@ -496,6 +503,38 @@ def test_apply_resolvent_grid_matches_gaussian_path_1d():
     via_grid = apply_resolvent(model, pair, z, packet.sample(grid))
     err = np.max(np.abs(via_gaussian.values - via_grid.values))
     assert err <= 1e-6
+
+
+def test_defect_overlaps_grid_matches_channel_loop():
+    """The array form of the grid overlaps against a loop over the channels.
+
+    Sites on nodes (one at each end of the grid, where the dipole kink
+    correction is skipped) and one site between nodes, in d=1; one model
+    in d=3, where no correction applies.
+    """
+    from spinpoint.krein import _defect_overlaps_grid, _dress, _node_at
+
+    rng = np.random.default_rng(31)
+    cases = ((ModelSpec(1, [-5.0, 0.0, 1.03, 5.0], [0.3, 0.6, 0.2, 0.1]), UniformGrid.linear(-5.0, 5.0, 201)),
+             (ModelSpec(3, [np.zeros(3), np.array([1.0, 0.3, -0.2])], [0.3, 0.6]), UniformGrid.cube(-3.0, 3.2, 8)))
+    for model, grid in cases:
+        dress = _dress(model, random_valid_pair(model, rng), -1.0 + 0.5j)
+        values = rng.normal(size=(model.n_configs, grid.n_points, 2)) @ np.array([1.0, 1j])
+        state = GridState(model.dimension, values, grid)
+        phi = defect_matrix(model, dress.z, grid.points)
+        h = grid.spacing
+        loop = np.zeros(model.defect_dim, dtype=complex)
+        for mu in range(model.defect_dim):
+            psi = values[dress.code[mu]]
+            loop[mu] = np.sum(phi[mu] * psi * grid.weights)
+            node = _node_at(grid, model.positions[dress.j[mu] - 1]) if model.dimension == 1 else None
+            if node is None:
+                continue
+            if dress.p[mu] == 0:
+                loop[mu] -= h * h / 12.0 * psi[node]
+            elif 0 < node < grid.n_points - 1:
+                loop[mu] -= h * h / 12.0 * (psi[node + 1] - psi[node - 1]) / (2.0 * h)
+        assert np.max(np.abs(_defect_overlaps_grid(dress, state) - loop)) <= 1e-13 * np.max(np.abs(loop))
 
 
 def test_apply_resolvent_gaussian_matches_quadrature_3d():
@@ -536,6 +575,70 @@ def test_apply_resolvent_grid_3d_coarse():
     x = grid.points[grid.n_points // 2 + 3]
     assert out.values[0, grid.n_points // 2 + 3] == pytest.approx(
         point_eval(x, 0), rel=0.05)
+
+
+def _gaussian_green_cases():
+    """(packet, w, points) in the regimes of the closed form's branches."""
+    def packet(d, comps):
+        return GaussianPacket(d, 1, {0: [GaussianComponent(*c) for c in comps]})
+
+    def evolved(d, comp, t):  # complex variance after free motion
+        model = ModelSpec(d, [np.zeros(d) if d == 3 else 0.0], [0.0])
+        return free_evolve(model, GaussianPacket(d, 2, {0: [GaussianComponent(*comp)]}), t)
+
+    c = np.array([0.3, -0.2, 0.5])
+    near = [[0.0, 0.0, 0.0], [1.0, 0.4, -0.3], [-0.7, 0.2, 0.9]]
+    cases = {
+        "1d-complex-variance": (evolved(1, (0.4, -1.2, 0.5, 1.0), 0.7), -1.0 + 0.8j, [-2.0, -0.3, 0.4, 1.9]),
+        "1d-high-momentum": (packet(1, [(0.2, 7.5, 0.6, 1.0 - 0.5j)]), -0.7 + 0.9j, [-1.5, 0.1, 0.9, 2.6]),
+        "1d-far": (packet(1, [(0.0, 1.0, 0.5, 1.0)]), -1.3 + 1.1j,
+                   np.sqrt(0.5) * np.array([-15.0, -12.0, 10.0, 13.5])),
+        "1d-two-components": (packet(1, [(-0.6, 1.5, 0.4, 0.8), (0.9, -2.0, 0.7, -0.3 + 0.6j)]),
+                              -0.5 + 0.6j, [-1.7, -0.6, 0.3, 1.4]),
+        "1d-lower-half-plane": (packet(1, [(0.3, -0.8, 0.6, 1.0)]), -0.9 - 0.7j, [-1.1, 0.3, 1.2, 2.2]),
+        "3d-complex-variance": (evolved(3, (c, [0.8, 0.0, -0.5], 0.5, 1.0), 0.6), -1.0 + 0.8j, near),
+        "3d-high-momentum": (packet(3, [(c, [4.0, -3.0, 1.5], 0.6, 1.0)]), -0.7 + 0.9j, near),
+        "3d-far": (packet(3, [(c, [0.5, 0.0, 0.0], 0.5, 1.0)]), -1.3 + 1.1j,
+                   c + np.sqrt(0.5) * np.array([[0.0, 0.0, 10.0], [0.0, 0.0, -15.0], [12.0, 0.0, 0.0]])),
+        "3d-two-components": (packet(3, [(c, [0.5, 0.2, 0.0], 0.4, 0.8),
+                                         (-c, [-1.0, 0.0, 0.7], 0.7, -0.3 + 0.6j)]), -0.5 + 0.6j, near),
+        "3d-lower-half-plane": (packet(3, [(c, [-0.6, 0.4, 0.2], 0.6, 1.0)]), -0.9 - 0.7j, near),
+        # zero momentum and v = 1/2 make xi = |x - c|: xi = 0 at the centre,
+        # |xi| = 1e-7 next to it, and the switch from the series to the
+        # difference quotient (|v xi^2| = 1e-6) between offsets 1.4e-3 and 1.42e-3
+        "3d-small-xi": (packet(3, [(c, [0.0, 0.0, 0.0], 0.5, 1.0)]), -0.8 + 0.9j,
+                        c + np.array([[0.0, 0.0, 0.0], [1e-7, 0.0, 0.0], [1.4e-3, 0.0, 0.0],
+                                      [0.0, 1.42e-3, 0.0], [0.0, 0.4, 0.3]])),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("packet, w, points", _gaussian_green_cases())
+def test_gaussian_green_closed_form_matches_oracles(packet, w, points):
+    """The closed form against the quadrature oracles, to 1e-10 of the largest value."""
+    from spinpoint.krein import _gaussian_green
+
+    points = np.asarray(points, dtype=float)
+    comps = packet.components[0]
+    values = _gaussian_green(packet, 0, w, points)
+    if packet.dimension == 1:
+        def state(t):
+            return packet.evaluate(0, np.array([t]))[0]
+
+        lo = min(g.center[0] - g.support_radius(1e-17) for g in comps)
+        hi = max(g.center[0] + g.support_radius(1e-17) for g in comps)
+        # the reference differentiates G(site - t) in the site, i.e. -G'(t - site)
+        oracle = np.array([[sign * ref.overlap_green_1d(w, state, x, min(lo, x - 1.0), max(hi, x + 1.0),
+                                                        derivative=derivative) for x in points]
+                           for sign, derivative in ((1.0, False), (-1.0, True))])
+    else:
+        oracle = np.array([[ref.overlap_green_3d(
+            w, lambda pts: packet.evaluate(0, pts), x, n_theta=48,
+            rmax=max(np.linalg.norm(x - g.center) + g.support_radius(1e-17) for g in comps))
+            for x in points]])
+    assert values.shape == oracle.shape
+    scale = np.max(np.abs(oracle), axis=1)
+    assert np.all(np.max(np.abs(values - oracle), axis=1) <= 1e-10 * scale)
 
 
 def test_defect_matrix_site_rejection_d3():
