@@ -356,15 +356,13 @@ def cmd_evolve(args) -> int:
         raise InputError("--t needs at least one time")
     drift_tol = 1e-2 if args.tol is None else args.tol
     try:
-        res = evolve_spectral(model, pair, packet, times, grid, eps=args.eps,
-                              n_nodes=args.n_nodes, drift_tol=drift_tol,
-                              unchecked=args.unchecked)
+        res = evolve_spectral(model, pair, packet, times, grid, n_nodes=args.n_nodes,
+                              drift_tol=drift_tol, unchecked=args.unchecked)
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     os.makedirs(args.out, exist_ok=True)
-    tolstr = (f"drift_tol={_fmt(drift_tol)};eps={_fmt(res.params['eps'])};"
-              f"n_nodes={res.params['n_nodes']}")
+    tolstr = f"drift_tol={_fmt(drift_tol)};n_nodes={res.params['n_nodes']}"
     note = _validation_note(pair, args.unchecked)
 
     summary = ResultWriter(_echo(args), digest, tolstr, note)
@@ -495,7 +493,6 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.add_argument("--state", required=True, help="state JSON file")
     sub.add_argument("--t", default="1.0", help="comma-separated times")
-    sub.add_argument("--eps", type=float, default=None)
     sub.add_argument("--n-nodes", type=int, default=None)
     sub.set_defaults(func=cmd_evolve)
 

@@ -5,15 +5,17 @@ Conventions: hbar = 1, 2m = 1, so the free propagator kernel is
 travels at group velocity 2k. Each spin channel additionally acquires
 the Zeeman phase exp(-i (alpha . sigma) t).
 
-The interacting evolution is reconstructed from boundary values of the
-resolvent (a limiting-absorption form of the spectral theorem):
+The resolvent of an admissible pair is R(z) = R0(z) + Phi(z) C(z) s(z)
+on a state, with C = (B Gamma + A)^{-1} B and s the defect overlaps, so
+Stone's formula splits the interacting evolution into three parts:
 
-    Psi(t) ~= sum_b e^{-i E_b t} <phi_b, Psi> phi_b
-        + (1/pi) Integral e^{-i lam t} Im[R(lam + i eps)] Psi dlam
+    Psi(t) = e^{-i H0 t} Psi + sum_b e^{-i E_b t} <phi_b, Psi> phi_b
+        + (1/pi) Integral_mu^lam_max e^{-i lam t} Im[Phi C s](lam + i0) dlam.
 
-over a window [mu - margin, lam_max]. Smearing the spectral measure
-with a width-eps Lorentzian damps every component by exactly
-e^{-eps |t|}, so the continuum integral is compensated by e^{+eps |t|}.
+The free motion is the closed form below; the bound states lie below
+the continuum threshold mu, where the defect functions are real and
+their overlaps and Gram matrix are closed forms; only the rank-m
+correction is integrated, on the cut. A grid only samples the result.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryPair
-from .krein import apply_resolvent
+from .krein import _defect_overlaps_gaussian, _dress, _gaussian_charges, defect_matrix, gamma_gram
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
-from .spins import ModelSpec
+from .spins import ModelSpec, channel_sum
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
 
 __all__ = [
@@ -35,20 +37,23 @@ __all__ = [
     "spectral_defaults",
 ]
 
+ETA = 1e-12  # distance from the cut at which the correction is evaluated
+MIN_PANEL_NODES = 8
 
-def _evolve_component(g: GaussianComponent, t: float) -> GaussianComponent:
+
+def _evolve_component(g: GaussianComponent, t: float, phase: complex) -> GaussianComponent:
     """Free evolution of one Gaussian; exact within the complex-variance family.
 
     variance -> variance + i t, center -> center + 2 k t, and the weight
-    picks up sqrt(v/(v + i t))^d and the phase e^{+i k.k t} carried by
-    the moving-center parametrization.
+    picks up sqrt(v/(v + i t))^d, the phase e^{+i k.k t} carried by the
+    moving-center parametrization and the channel's Zeeman phase.
     """
     v = g.variance
     vt = v + 1j * t
     root = np.sqrt(v / vt)  # both in the right half plane, principal branch
     d = g.dimension
     k2 = float(np.dot(g.momentum, g.momentum))
-    weight = g.weight * root**d * np.exp(1j * k2 * t)
+    weight = g.weight * root**d * np.exp(1j * k2 * t) * phase
     return GaussianComponent(g.center + 2.0 * t * g.momentum, g.momentum, vt, weight)
 
 
@@ -60,15 +65,9 @@ def free_evolve(model: ModelSpec, packet: GaussianPacket, t: float) -> GaussianP
     """
     if packet.dimension != model.dimension or packet.n_channels != model.n_configs:
         raise ValueError("packet does not match the model")
-    shifts = model.shifts()
-    evolved = {}
-    for code, comps in enumerate(packet.components):
-        phase = np.exp(-1j * shifts[code] * t)
-        out = []
-        for g in comps:
-            ge = _evolve_component(g, t)
-            out.append(GaussianComponent(ge.center, ge.momentum, ge.variance, ge.weight * phase))
-        evolved[code] = out
+    phases = np.exp(-1j * model.shifts() * t)
+    evolved = {code: [_evolve_component(g, t, phases[code]) for g in comps]
+               for code, comps in enumerate(packet.components)}
     return GaussianPacket(model.dimension, packet.n_channels, evolved)
 
 
@@ -89,12 +88,38 @@ def _kinetic_scale(packet: GaussianPacket) -> float:
 def spectral_defaults(model: ModelSpec, packet: GaussianPacket) -> dict:
     """Documented default parameters of the spectral evolution."""
     mu = essential_spectrum_bottom(model)
-    return {
-        "eps": 1e-3 * (1.0 + abs(mu)),
-        "n_nodes": 2048,
-        "lam_max": mu + 40.0 * _kinetic_scale(packet),
-        "margin": 1.0 + abs(mu) * 0.1,
-    }
+    return {"n_nodes": 2048, "lam_max": mu + 40.0 * _kinetic_scale(packet)}
+
+
+def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
+    """Gauss-Legendre nodes and weights on the continuum [mu, lam_max].
+
+    The window is split at every distinct channel threshold below
+    lam_max; each has a square-root behaviour on both sides. The last
+    panel [a, lam_max] is mapped by lam = a + u^2, an interior panel
+    [a, b] by lam = a + (b - a) sin^2(theta), whose Jacobian vanishes at
+    both ends. Panel k gets round(n_nodes sqrt(w_k) / sum_i sqrt(w_i))
+    nodes for the widths w, at least MIN_PANEL_NODES.
+    """
+    edges = np.unique(model.shifts())
+    if lam_max <= edges[0]:
+        raise ValueError(f"lam_max {lam_max} must lie above the continuum threshold {edges[0]}")
+    edges = np.append(edges[edges < lam_max], lam_max)
+    root = np.sqrt(np.diff(edges))
+    counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
+    lam, wts = [], []
+    for k, n in enumerate(counts):
+        x, w = np.polynomial.legendre.leggauss(n)
+        a, b = edges[k], edges[k + 1]
+        if k == counts.size - 1:
+            u = root[k] * (x + 1.0) / 2.0
+            lam.append(a + u * u)
+            wts.append(root[k] * u * w)  # 2u du, du = root w / 2
+        else:
+            theta = np.pi * (x + 1.0) / 4.0
+            lam.append(a + (b - a) * np.sin(theta) ** 2)
+            wts.append((b - a) * np.sin(2.0 * theta) * np.pi * w / 4.0)
+    return np.concatenate(lam), np.concatenate(wts)
 
 
 @dataclass
@@ -110,91 +135,49 @@ class EvolveResult:
 
 
 def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket, times,
-                    grid: UniformGrid, eps: float | None = None, n_nodes: int | None = None,
-                    lam_max: float | None = None, margin: float | None = None,
+                    grid: UniformGrid, n_nodes: int | None = None, lam_max: float | None = None,
                     e_min: float | None = None, drift_tol: float = 1e-2,
                     unchecked: bool = False) -> EvolveResult:
     """Evolve a packet under the dressed Hamiltonian at the given times.
 
-    The packet is sampled on the grid; bound states found below the
-    continuum are propagated by explicit phases, the continuum by a
-    trapezoidal window integral of the smeared spectral density built
-    from resolvent boundary values at lam +- i eps. The norm drift at
+    The free motion is free_evolve sampled on the grid. Each bound level
+    adds its projection with phase e^{-i E t}: the level's charge basis
+    q is orthonormalised against the exact Gram matrix -Gamma'(E) of the
+    real defect functions (Cholesky factor of q* G q), and <phi, psi> is
+    the conjugate charges against the closed-form overlaps s(E). The
+    continuum adds (1/pi) int e^{-i lam t} Im[correction] dlam on the
+    nodes of _cut_nodes, the correction at lam +- i ETA being Phi(z) on
+    the grid times the closed-form charges of the packet. The grid only
+    samples: no state is applied or projected on it. The norm drift at
     the largest |t| serves as the reported error estimate; drift beyond
-    drift_tol raises.
+    drift_tol raises. params records the node count used and lam_max.
     """
     defaults = spectral_defaults(model, packet)
-    eps = defaults["eps"] if eps is None else float(eps)
     n_nodes = defaults["n_nodes"] if n_nodes is None else int(n_nodes)
     lam_max = defaults["lam_max"] if lam_max is None else float(lam_max)
-    margin = defaults["margin"] if margin is None else float(margin)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    mu = essential_spectrum_bottom(model)
+    norm0 = packet.sample(grid).norm()
+    values = np.stack([free_evolve(model, packet, float(t)).sample(grid).values for t in times])
 
-    initial = packet.sample(grid)
-    norm0 = initial.norm()
-
-    # discrete part
     bound = find_bound_states(model, pair, e_min=e_min, unchecked=unchecked)
-    bound_kept = []
-    bound_fields = []
-    bound_coef = []
     for bs in bound:
-        group: list[np.ndarray] = []
-        for charges in bs.charge_basis:
-            field = eigenfunction_eval(model, bs.energy, charges, grid.points)
-            phi = GridState(model.dimension, field, grid)
-            raw = phi.norm()
-            if raw == 0.0:
-                continue
-            # orthogonalize within the degenerate group so the spectral
-            # projection does not double count overlapping directions
-            for prev in group:
-                ov = GridState(model.dimension, prev, grid).inner(phi)
-                phi = GridState(model.dimension, phi.values - ov * prev, grid)
-            nrm = phi.norm()
-            if nrm <= 1e-8 * raw:
-                continue
-            phi = GridState(model.dimension, phi.values / nrm, grid)
-            group.append(phi.values)
-            bound_kept.append(bs)
-            bound_fields.append(phi)
-            bound_coef.append(phi.inner(initial))
+        q = bs.charge_basis
+        chol = np.linalg.cholesky(q.conj() @ gamma_gram(model, bs.energy) @ q.T)
+        charges = np.linalg.solve(chol.conj(), q)
+        coef = charges.conj() @ _defect_overlaps_gaussian(model, complex(bs.energy), packet)
+        proj = eigenfunction_eval(model, bs.energy, coef @ charges, grid.points)
+        values += np.exp(-1j * bs.energy * times)[:, None, None] * proj
 
-    # continuum part: trapezoid of e^{-i lam t} Im R(lam + i eps) Psi.
-    # The quadratic node map lam = mu + sign(kap) kap^2 clusters nodes at
-    # the band edge, where the 1d density behaves like 1/sqrt(lam - mu),
-    # and its Jacobian 2|kap| cancels exactly that blowup. Bound-state
-    # poles sit inside the window as width-eps Lorentzians; a coarse
-    # grid aliases them, so their known residues are subtracted from
-    # every sample (the discrete sum restores them exactly).
-    kap = np.linspace(-np.sqrt(margin), np.sqrt(max(lam_max - mu, 1e-12)), n_nodes)
-    lam = mu + np.sign(kap) * kap**2
-    wts = np.full(n_nodes, kap[1] - kap[0])
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    wts = wts * 2.0 * np.abs(kap)
-    im_fields = np.zeros((n_nodes, model.n_configs, grid.n_points), dtype=complex)
-    for i, lam_i in enumerate(lam):
-        up = apply_resolvent(model, pair, lam_i + 1j * eps, initial, unchecked=unchecked)
-        dn = apply_resolvent(model, pair, lam_i - 1j * eps, initial, unchecked=unchecked)
-        im_fields[i] = (up.values - dn.values) / 2j
-        for coef, phi, bs in zip(bound_coef, bound_fields, bound_kept):
-            spike = eps / ((lam_i - bs.energy) ** 2 + eps**2)
-            im_fields[i] -= spike * coef * phi.values
+    lam, wts = _cut_nodes(model, n_nodes, lam_max)
+    phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
+    for k in range(lam.size if np.any(pair.B) else 0):  # a pair with B = 0 has no correction
+        for sign in (1.0, -1.0):
+            dress = _dress(model, pair, lam[k] + sign * 1j * ETA, unchecked)
+            field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
+            values += (sign / 2j) * phases[:, k, None, None] * field
 
-    states: list[GridState] = []
-    norms = np.empty(times.size)
-    for ti, t in enumerate(times):
-        phases = np.exp(-1j * lam * t) * wts
-        cont = np.tensordot(phases, im_fields, axes=(0, 0)) / np.pi
-        total = cont * np.exp(eps * abs(t))
-        for coef, phi, bs in zip(bound_coef, bound_fields, bound_kept):
-            total = total + coef * np.exp(-1j * bs.energy * t) * phi.values
-        st = GridState(model.dimension, total, grid)
-        states.append(st)
-        norms[ti] = st.norm()
-
+    states = [GridState(model.dimension, v, grid) for v in values]
+    norms = np.array([st.norm() for st in states])
     worst = int(np.argmax(np.abs(times)))
     drift = float(abs(norms[worst] - norm0))
     if drift > drift_tol * max(norm0, 1e-30):
@@ -207,5 +190,5 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
         norms=norms,
         error_estimate=max(drift, 1e-15),
         bound_energies=np.array([bs.energy for bs in bound]),
-        params={"eps": eps, "n_nodes": n_nodes, "lam_max": lam_max, "margin": margin},
+        params={"n_nodes": int(lam.size), "lam_max": lam_max},
     )

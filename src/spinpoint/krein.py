@@ -28,6 +28,7 @@ from .states import GaussianPacket, GridState, UniformGrid
 __all__ = [
     "NearPoleError",
     "gamma_free",
+    "gamma_gram",
     "gamma_dressed",
     "invert_dressed",
     "resolvent_kernel",
@@ -55,6 +56,53 @@ class NearPoleError(ArithmeticError):
         )
 
 
+def _gamma(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
+    """Gamma(z), or -dGamma/dz under gram, on the full matrix or the index blocks.
+
+    -dGamma/dz applies d/dz = (1/2s) d/ds to every layer. It is the w -> z
+    limit of Gamma(z) - Gamma(w) = (w - z) int Phi^w Phi^z, the bilinear
+    Gram matrix int Phi^z_mu Phi^z_nu of the defect functions.
+    """
+    w = complex(z) - model.shifts()
+    # the shifts are real: one w lies on the cut iff the largest does
+    _check_energy(w[np.argmax(w.real)], False)
+    s = sqrt_upper(w)[:, None, None]
+    pos = model.positions
+    if model.dimension == 3:
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        if gram:  # the diagonal is the r = 0 case of i e^{isr}/(8 pi s)
+            site = 1j * np.exp(1j * s * dist) / (8.0 * np.pi * s)
+        else:
+            off = dist > 0.0  # the sites are distinct: only the diagonal is zero
+            site = np.where(off, -np.exp(1j * s * dist) / (4.0 * np.pi * np.where(off, dist, 1.0)),
+                            -1j * s / (4.0 * np.pi))
+        layers = site[:, None, None]
+    else:
+        if np.any(s == 0.0):
+            raise ValueError("d=1 boundary matrix diverges when z - a.s = 0")
+        diff = pos[:, None] - pos[None, :]
+        r = np.abs(diff)
+        e = np.exp(1j * s * r)
+        if gram:  # minus d/dz of the layers in the else branch
+            dgp = -np.sign(diff) * 1j * r * e / (4.0 * s)
+            lay = [[-e * (r * s + 1j) / (4.0 * s**3), dgp], [-dgp, e * (1j - r * s) / (4.0 * s)]]
+        else:
+            g = 1j * e / (2.0 * s)
+            gp = -np.sign(diff) * e / 2.0  # zero on the diagonal
+            lay = [[-g, -gp], [gp, -w[:, None, None] * g]]
+        layers = np.stack([np.stack(row, axis=1) for row in lay], axis=1)
+    # layers[code, p, p', j, j'] fills the equal-code block of each code
+    p, j, code = channel_tables(model)
+    rows = (channel_blocks(model) if index is None else np.asarray(index))[:, :, None]
+    cols = rows.swapaxes(1, 2)
+    vals = layers[code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
+    if index is not None:
+        return np.where(code[rows] == code[cols], vals, 0.0)
+    out = np.zeros((model.defect_dim,) * 2, dtype=complex)
+    out[rows, cols] = vals
+    return out
+
+
 def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
     """Boundary-value matrix Gamma(z) of the free defect functions.
 
@@ -68,36 +116,16 @@ def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
     With index, a (g, k) stack of flat defect indices, only the blocks
     Gamma[index[b], index[b]] are formed, as a (g, k, k) stack.
     """
-    w = complex(z) - model.shifts()
-    # the shifts are real: one w lies on the cut iff the largest does
-    _check_energy(w[np.argmax(w.real)], False)
-    s = sqrt_upper(w)[:, None, None]
-    pos = model.positions
-    if model.dimension == 3:
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        off = dist > 0.0  # the sites are distinct: only the diagonal is zero
-        site = np.where(off, -np.exp(1j * s * dist) / (4.0 * np.pi * np.where(off, dist, 1.0)),
-                        -1j * s / (4.0 * np.pi))
-        layers = site[:, None, None]
-    else:
-        if np.any(s == 0.0):
-            raise ValueError("d=1 boundary matrix diverges when z - a.s = 0")
-        diff = pos[:, None] - pos[None, :]
-        e = np.exp(1j * s * np.abs(diff))
-        g = 1j * e / (2.0 * s)
-        gp = -np.sign(diff) * e / 2.0  # zero on the diagonal
-        layers = np.stack([np.stack([-g, -gp], axis=1),
-                           np.stack([gp, -w[:, None, None] * g], axis=1)], axis=1)
-    # layers[code, p, p', j, j'] fills the equal-code block of each code
-    p, j, code = channel_tables(model)
-    rows = (channel_blocks(model) if index is None else np.asarray(index))[:, :, None]
-    cols = rows.swapaxes(1, 2)
-    vals = layers[code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
-    if index is not None:
-        return np.where(code[rows] == code[cols], vals, 0.0)
-    out = np.zeros((model.defect_dim,) * 2, dtype=complex)
-    out[rows, cols] = vals
-    return out
+    return _gamma(model, z, index, gram=False)
+
+
+def gamma_gram(model: ModelSpec, z) -> np.ndarray:
+    """-dGamma/dz, the bilinear Gram matrix int Phi^z_mu Phi^z_nu of the defect functions.
+
+    Below the continuum threshold the defect functions are real, so at
+    such a real z this is their Gram matrix <Phi_mu, Phi_nu>.
+    """
+    return _gamma(model, z, None, gram=True)
 
 
 def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
@@ -305,15 +333,21 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
     return out
 
 
-def _defect_overlaps_gaussian(dress: _Dressing, packet: GaussianPacket) -> np.ndarray:
-    """s_mu = <Phi^{conj z}_mu, psi> using conj(Phi^{conj z}) = Phi^z."""
-    out = np.zeros(dress.p.size, dtype=complex)
-    for code in range(packet.n_channels):
-        if packet.components[code]:
-            sel = dress.code == code
-            layers = _gaussian_green(packet, code, dress.z - dress.shifts[code], dress.model.positions)
-            out[sel] = layers[dress.p[sel], dress.j[sel] - 1]
+def _defect_overlaps_gaussian(model: ModelSpec, z: complex, packet: GaussianPacket) -> np.ndarray:
+    """s_mu = <Phi^{conj z}_mu, psi> using conj(Phi^{conj z}) = Phi^z; z may be real below mu."""
+    p, j, code = channel_tables(model)
+    shifts = model.shifts()
+    out = np.zeros(p.size, dtype=complex)
+    for c in range(packet.n_channels):
+        if packet.components[c]:
+            sel = code == c
+            out[sel] = _gaussian_green(packet, c, z - shifts[c], model.positions)[p[sel], j[sel] - 1]
     return out
+
+
+def _gaussian_charges(dress: _Dressing, packet: GaussianPacket) -> np.ndarray:
+    """Charges (B Gamma + A)^{-1} B s of the rank-m correction applied to a Gaussian packet."""
+    return dress.correction @ _defect_overlaps_gaussian(dress.model, dress.z, packet)
 
 
 def _node_at(grid: UniformGrid, x: float) -> int | None:
@@ -345,17 +379,26 @@ def _defect_overlaps_grid(dress: _Dressing, state: GridState) -> np.ndarray:
     return out
 
 
-def _free_apply_grid_1d(model: ModelSpec, z: complex, state: GridState) -> np.ndarray:
-    """Trapezoid convolution with the d=1 Green kernel on the state's own grid.
+def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarray:
+    """Trapezoid convolution with the free Green kernel on the state's own grid.
 
-    Uniform spacing makes the kernel Toeplitz, so each channel is one
-    FFT convolution; the second-order kink correction at u = x is added
-    explicitly.
+    Uniform spacing makes the kernel Toeplitz on the lag grid (per-axis
+    steps), so each channel is one FFT convolution in d = 1 and d = 3.
+    The lag u = x gets a local term: the d=1 second-order kink correction
+    -h^2/12 psi, or in d=3, in place of the singular kernel value, the
+    average of 1/(4 pi r) over the volume-equivalent ball of the cell,
+    a^2/2 psi with a = (3 V/(4 pi))^(1/3) for the cell volume V.
     """
     grid = state.grid
-    n = grid.n_points
-    h = grid.spacing
-    lags = np.arange(-(n - 1), n) * h
+    shape = tuple(ax.size for ax in grid.axes)
+    steps = [ax[1] - ax[0] for ax in grid.axes]
+    lags = np.meshgrid(*[np.arange(1 - n, n) * h for n, h in zip(shape, steps)], indexing="ij")
+    r = np.sqrt(sum(lag * lag for lag in lags))
+    if model.dimension == 1:
+        local = -steps[0] ** 2 / 12.0
+    else:
+        local = (3.0 * np.prod(steps) / (4.0 * np.pi)) ** (2.0 / 3.0) / 2.0
+        inv_r = 1.0 / np.where(r > 0.0, r, np.inf)  # the singular lag is the local term
     out = np.empty_like(state.values)
     shifts = model.shifts()
     kernels: dict[complex, np.ndarray] = {}
@@ -363,44 +406,11 @@ def _free_apply_grid_1d(model: ModelSpec, z: complex, state: GridState) -> np.nd
         w = z - shifts[code]
         if w not in kernels:
             s = sqrt_upper(w)
-            kernels[w] = 1j * np.exp(1j * s * np.abs(lags)) / (2.0 * s)
-        weighted = state.values[code] * grid.weights
-        conv = signal.fftconvolve(kernels[w], weighted)[n - 1 : 2 * n - 1]
-        out[code] = conv - h * h / 12.0 * state.values[code]
-    return out
-
-
-def _free_apply_grid_3d(model: ModelSpec, z: complex, state: GridState) -> np.ndarray:
-    """Dense kernel application on a 3d grid; the singular node is patched.
-
-    The diagonal cell is replaced by the analytic cell average of
-    1/(4 pi r) over the volume-equivalent ball, a^2/2 with
-    a = h (3/(4 pi))^(1/3).
-    """
-    grid = state.grid
-    pts = grid.points
-    n = grid.n_points
-    h = grid.spacing
-    ball = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
-    out = np.empty_like(state.values)
-    shifts = model.shifts()
-    block = max(1, int(2**22 // max(n, 1)))
-    for code in range(state.n_channels):
-        w = z - shifts[code]
-        s = sqrt_upper(w)
-        weighted = state.values[code] * grid.weights
-        acc = np.empty(n, dtype=complex)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dist = np.linalg.norm(pts[start:stop, None, :] - pts[None, :, :], axis=-1)
-            kern = np.empty_like(dist, dtype=complex)
-            mask = dist > 0.0
-            kern[mask] = np.exp(1j * s * dist[mask]) / (4.0 * np.pi * dist[mask])
-            kern[~mask] = 0.0
-            acc[start:stop] = kern @ weighted
-            rows, cols = np.nonzero(~mask)
-            acc[start + rows] += ball * ball / 2.0 * state.values[code][cols]
-        out[code] = acc
+            e = np.exp(1j * s * r)
+            kernels[w] = 1j * e / (2.0 * s) if model.dimension == 1 else e * inv_r / (4.0 * np.pi)
+        weighted = (state.values[code] * grid.weights).reshape(shape)
+        conv = signal.fftconvolve(kernels[w], weighted, mode="valid").ravel()
+        out[code] = conv + local * state.values[code]
     return out
 
 
@@ -428,25 +438,18 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
         if grid is not None and grid is not state.grid:
             raise ValueError("grid input is applied on its own grid")
         grid = state.grid
-        if model.dimension == 1:
-            free = _free_apply_grid_1d(model, z, state)
-        else:
-            free = _free_apply_grid_3d(model, z, state)
-        overlaps = _defect_overlaps_grid(dress, state) if coupled else None
-        n_channels = state.n_channels
+        values = _free_apply_grid(model, z, state)
+        charges = dress.correction @ _defect_overlaps_grid(dress, state) if coupled else None
     elif isinstance(state, GaussianPacket):
         if grid is None:
             raise ValueError("Gaussian input needs an output grid")
-        free = _free_apply_gaussian(model, z, state, grid)
-        overlaps = _defect_overlaps_gaussian(dress, state) if coupled else None
-        n_channels = state.n_channels
+        values = _free_apply_gaussian(model, z, state, grid)
+        charges = _gaussian_charges(dress, state) if coupled else None
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    if n_channels != model.n_configs:
+    if state.n_channels != model.n_configs:
         raise ValueError("state channel count does not match the model")
-    values = free
     if coupled:
-        charges = dress.correction @ overlaps
         values += channel_sum(model, charges, defect_matrix(model, z, grid.points))
     return GridState(model.dimension, values, grid)
 
@@ -461,8 +464,7 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
     if not isinstance(state, GaussianPacket):
         raise TypeError("pointwise evaluation needs Gaussian input")
     dress = _dress(model, pair, z, unchecked)
-    overlaps = _defect_overlaps_gaussian(dress, state)
-    charges = dress.correction @ overlaps
+    charges = _gaussian_charges(dress, state)
     shifts = model.shifts()
 
     def evaluate(x, sigma) -> complex:

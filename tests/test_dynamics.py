@@ -115,8 +115,8 @@ def test_spectral_default_parameters_recorded():
     res = evolve_spectral(model, preset_free(model), packet, [0.1], grid, n_nodes=256)
     want = spectral_defaults(model, packet)
     assert res.params["n_nodes"] == 256
-    assert res.params["eps"] == want["eps"]
     assert res.params["lam_max"] == want["lam_max"]
+    assert "eps" not in res.params and "margin" not in res.params
     assert res.norms.shape == (1,)
 
 
@@ -163,9 +163,23 @@ def test_spectral_offdiag_pair_flips_channels():
 
 
 def test_spectral_norm_drift_raises():
+    # the free motion is exact, so an under-resolved coupled pair drifts
     model = model_d1()
-    packet = packet_d1()
-    grid = UniformGrid.linear(-10.0, 16.0, 120)
+    packet = packet_d1(center=-4.0, momentum=2.5, variance=1.0)
+    grid = UniformGrid.linear(-14.0, 12.0, 220)
     with pytest.raises(RuntimeError, match="drift"):
-        evolve_spectral(model, preset_free(model), packet, [1.0], grid,
-                        n_nodes=24, lam_max=2.0)
+        evolve_spectral(model, preset_delta(model, -2.0), packet, [1.0], grid, n_nodes=8)
+
+
+def test_spectral_3d_reconstructs_and_flips():
+    # the site sits at a cell centre of the 14^3 cube, which only samples the result
+    model = ModelSpec(3, [np.zeros(3)], [0.0])
+    packet = GaussianPacket.single(3, 2, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0)
+    grid = UniformGrid.cube(-6.0, 6.0, 14)
+    init = packet.sample(grid)
+    scale = float(np.max(np.abs(init.values)))
+    for pair in (preset_offdiag(model, 0.3), preset_delta(model, -0.05), preset_delta(model, -1.0)):
+        res = evolve_spectral(model, pair, packet, [0.0], grid, n_nodes=128)
+        assert float(np.max(np.abs(res.state.values - init.values))) <= 2e-3 * scale
+    res = evolve_spectral(model, preset_offdiag(model, 0.3), packet, [1.0], grid, n_nodes=128)
+    assert res.state.channel_weights()[1] > 10.0 * res.error_estimate

@@ -16,7 +16,7 @@ from spinpoint.boundary import (
     random_valid_pair,
 )
 from spinpoint.dynamics import free_evolve
-from spinpoint.greens import green, green_derivative_1d, green_overlap
+from spinpoint.greens import green, green_derivative_1d, green_overlap, sqrt_upper
 from spinpoint.krein import (
     NearPoleError,
     apply_resolvent,
@@ -25,6 +25,7 @@ from spinpoint.krein import (
     extract_boundary_data,
     gamma_dressed,
     gamma_free,
+    gamma_gram,
     kernel_evaluator,
     resolvent_kernel,
     resolvent_state_evaluator,
@@ -185,6 +186,44 @@ def test_gamma_difference_cross_parity_quadrature():
 
             ov = ref.quad_complex(integrand, -45.0, 45.0, points=sites, limit=400)
             assert abs((gz - gw)[mu, nu] - (w - z) * ov) <= 1e-6
+
+
+def test_gamma_gram_matches_product_integrals():
+    """-Gamma'(E) below the threshold against integrals of defect-function products.
+
+    d=3: the one- and two-centre product integrals of reference_kernels
+    and the single-site closed form 1/(8 pi kappa); d=1: quadrature of
+    defect_matrix products for all four layer pairs. Every model has
+    channels at different Zeeman shifts.
+    """
+    one_site = model_d3(1, alpha=[0.35])
+    kappa = np.sqrt(one_site.shifts() - (-1.2))
+    assert np.allclose(np.diag(gamma_gram(one_site, -1.2)), 1.0 / (8.0 * np.pi * kappa), rtol=1e-14, atol=0.0)
+    for model in (model_d3(1, alpha=[0.35]), model_d3(2, alpha=[0.3, 0.7]),
+                  model_d1(1, alpha=[0.35]), model_d1(2, alpha=[0.3, 0.7])):
+        energy = float(np.min(model.shifts())) - 0.8
+        gram = gamma_gram(model, energy)
+        p, j, code = channel_tables(model)
+        shifts = model.shifts()
+        oracle = np.zeros_like(gram)
+        for mu in range(model.defect_dim):
+            for nu in range(model.defect_dim):
+                if code[mu] != code[nu]:
+                    continue
+                w = energy - shifts[code[mu]]
+                if model.dimension == 3:
+                    ya, yb = model.positions[j[mu] - 1], model.positions[j[nu] - 1]
+                    oracle[mu, nu] = (ref.one_center_product_integral_3d(w, w, n=400) if j[mu] == j[nu]
+                                      else ref.two_center_product_integral_3d(w, w, ya, yb))
+                    continue
+
+                def integrand(t, mu=mu, nu=nu):
+                    phi = defect_matrix(model, energy, [t])[:, 0]
+                    return phi[mu] * phi[nu]
+
+                oracle[mu, nu] = ref.quad_complex(integrand, -40.0, 40.0, points=list(model.positions),
+                                                  limit=400, epsabs=1e-13, epsrel=1e-12)
+        assert np.max(np.abs(gram - oracle)) <= 1e-9 * np.max(np.abs(oracle)), (model.dimension, model.n_spins)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +542,40 @@ def test_apply_resolvent_grid_matches_gaussian_path_1d():
     via_grid = apply_resolvent(model, pair, z, packet.sample(grid))
     err = np.max(np.abs(via_gaussian.values - via_grid.values))
     assert err <= 1e-6
+
+
+def test_free_apply_grid_matches_direct_sum():
+    """The FFT convolution against the direct trapezoid sum over every node pair.
+
+    Two channels at different shifts; the 3D grid has a different step
+    on each axis. The node u = x carries the local term: the d=1 kink
+    correction -h^2/12 psi, the d=3 ball average a^2/2 psi.
+    """
+    from spinpoint.krein import _free_apply_grid
+
+    rng = np.random.default_rng(43)
+    z = -1.0 + 0.6j
+    grids = (UniformGrid.linear(-5.0, 6.0, 57),
+             UniformGrid(np.linspace(-3.0, 3.0, 7), np.linspace(-2.0, 2.5, 6), np.linspace(-1.0, 4.0, 8)))
+    for grid in grids:
+        d = grid.dimension
+        model = ModelSpec(d, [0.0] if d == 1 else [np.zeros(3)], [0.35])
+        values = rng.normal(size=(2, grid.n_points, 2)) @ np.array([1.0, 1j])
+        pts = grid.points.reshape(grid.n_points, -1)
+        r = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        steps = [ax[1] - ax[0] for ax in grid.axes]
+        want = np.empty_like(values)
+        for code, shift in enumerate(model.shifts()):
+            s = sqrt_upper(z - shift)
+            if d == 1:
+                kern = 1j * np.exp(1j * s * r) / (2.0 * s)
+                local = -steps[0] ** 2 / 12.0
+            else:
+                kern = np.where(r > 0.0, np.exp(1j * s * r) / (4.0 * np.pi * np.where(r > 0.0, r, 1.0)), 0.0)
+                local = (3.0 * np.prod(steps) / (4.0 * np.pi)) ** (2.0 / 3.0) / 2.0
+            want[code] = kern @ (values[code] * grid.weights) + local * values[code]
+        got = _free_apply_grid(model, z, GridState(d, values, grid))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), d
 
 
 def test_defect_overlaps_grid_matches_channel_loop():
