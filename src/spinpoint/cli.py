@@ -84,20 +84,24 @@ def _matrix(entries, m: int, name: str) -> np.ndarray:
     return arr
 
 
-def _build_preset(model: ModelSpec, name: str, params: dict, paper_literal: bool) -> BoundaryPair:
-    if name == "free":
-        return preset_free(model)
-    if name == "delta":
-        literal = bool(params.get("paper_literal", False)) or paper_literal
-        return preset_delta(model, params["beta"], paper_literal=literal)
-    if name == "delta-prime":
-        return preset_delta_prime(model, params["gamma"])
-    if name == "offdiag":
-        return preset_offdiag(model, params["betahat"])
-    raise InputError(f"unknown preset {name!r}")
+# name -> (pair builder from the file's parameters, required parameter);
+# `spinpoint preset` takes the required parameter as the flag of that name
+PRESETS = {
+    "free": (lambda model, params: preset_free(model), None),
+    "delta": (lambda model, params: preset_delta(
+        model, params["beta"], paper_literal=bool(params.get("paper_literal", False))), "beta"),
+    "delta-prime": (lambda model, params: preset_delta_prime(model, params["gamma"]), "gamma"),
+    "offdiag": (lambda model, params: preset_offdiag(model, params["betahat"]), "betahat"),
+}
 
 
-def load_model(path: str, paper_literal: bool = False):
+def _build_preset(model: ModelSpec, name: str, params: dict) -> BoundaryPair:
+    if name not in PRESETS:
+        raise InputError(f"unknown preset {name!r}")
+    return PRESETS[name][0](model, params)
+
+
+def load_model(path: str):
     """Parse a model file into (ModelSpec, BoundaryPair, digest)."""
     try:
         raw = open(path, "rb").read()
@@ -120,8 +124,7 @@ def load_model(path: str, paper_literal: bool = False):
     try:
         if "preset" in doc:
             spec = doc["preset"]
-            pair = _build_preset(model, spec.get("name", ""), spec.get("parameters", {}),
-                                 paper_literal)
+            pair = _build_preset(model, spec.get("name", ""), spec.get("parameters", {}))
         elif "A" in doc and "B" in doc:
             m = model.defect_dim
             pair = BoundaryPair(model.dimension, model.n_spins,
@@ -203,15 +206,17 @@ def _echo(args) -> str:
     return " ".join(args.argv)
 
 
-def _validation_note(pair: BoundaryPair, unchecked: bool) -> str:
-    if unchecked:
-        return "skipped (unchecked)"
-    return str(pair.validation())
+def _load_gated(args):
+    """Model, pair, digest and validation note; the pair is gated unless --unchecked."""
+    model, pair, digest = load_model(args.model)
+    require_valid(model, pair, args.unchecked)
+    note = "skipped (unchecked)" if args.unchecked else str(pair.validation())
+    return model, pair, digest, note
 
 
 def cmd_validate(args) -> int:
-    model, pair, _ = load_model(args.model, args.paper_literal)
-    report = pair.validation(tol=args.tol) if args.tol is not None else pair.validation()
+    model, pair, _ = load_model(args.model)
+    report = pair.validation(tol=args.tol)
     out = [
         f"model: dimension {model.dimension}, {model.n_spins} site(s)",
         f"hermiticity defect: {_fmt(report.hermiticity_defect)}",
@@ -268,12 +273,10 @@ def _kernel_points(args, model: ModelSpec):
 
 
 def cmd_kernel(args) -> int:
-    model, pair, digest = load_model(args.model, args.paper_literal)
-    require_valid(model, pair, args.unchecked)
+    model, pair, digest, note = _load_gated(args)
     z = _parse_z(args.z)
     points = _kernel_points(args, model)
-    writer = ResultWriter(_echo(args), digest, "none",
-                          _validation_note(pair, args.unchecked))
+    writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
     d = model.dimension
     if d == 1:
@@ -305,13 +308,11 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_boundstates(args) -> int:
-    model, pair, digest = load_model(args.model, args.paper_literal)
-    require_valid(model, pair, args.unchecked)
+    model, pair, digest, note = _load_gated(args)
     tol = 1e-13 if args.tol is None else args.tol  # relative bracket width
     states = find_bound_states(model, pair, e_min=args.emin, tol=tol,
                                unchecked=args.unchecked)
-    writer = ResultWriter(_echo(args), digest, f"tol={_fmt(tol)}",
-                          _validation_note(pair, args.unchecked))
+    writer = ResultWriter(_echo(args), digest, f"tol={_fmt(tol)}", note)
     writer.comment(f"continuum-threshold: {_fmt(essential_spectrum_bottom(model))}")
     charge_cols = [f"charge_{i}_{part}" for i in range(pair.defect_dim)
                    for part in ("re", "im")]
@@ -326,16 +327,14 @@ def cmd_boundstates(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    model, pair, digest = load_model(args.model, args.paper_literal)
-    require_valid(model, pair, args.unchecked)
+    model, pair, digest, note = _load_gated(args)
     z = _parse_z(args.z)
     try:
         gam = gamma_free(model, z if z.imag != 0.0 else complex(z.real))
     except ValueError as exc:
         raise InputError(str(exc))
     dressed = gamma_dressed(pair, gam)
-    writer = ResultWriter(_echo(args), digest, "none",
-                          _validation_note(pair, args.unchecked))
+    writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
     writer.header("row", "col", "gamma_re", "gamma_im", "dressed_re", "dressed_im")
     m = pair.defect_dim
@@ -348,8 +347,7 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    model, pair, digest = load_model(args.model, args.paper_literal)
-    require_valid(model, pair, args.unchecked)
+    model, pair, digest, note = _load_gated(args)
     packet, grid = load_packet(args.state, model)
     times = [float(tok) for tok in args.t.split(",") if tok.strip()]
     if not times:
@@ -363,7 +361,6 @@ def cmd_evolve(args) -> int:
         return EXIT_NUMERIC
     os.makedirs(args.out, exist_ok=True)
     tolstr = f"drift_tol={_fmt(drift_tol)};n_nodes={res.params['n_nodes']}"
-    note = _validation_note(pair, args.unchecked)
 
     summary = ResultWriter(_echo(args), digest, tolstr, note)
     summary.comment("bound-energies: " +
@@ -417,20 +414,13 @@ def cmd_preset(args) -> int:
     alpha = ([float(tok) for tok in args.alpha.split(",")] if args.alpha
              else [0.0] * n)
     params: dict = {}
-    if args.name == "delta":
-        if args.beta is None:
-            raise InputError("preset delta needs --beta")
-        params["beta"] = json.loads(args.beta)
-        if args.paper_literal:
-            params["paper_literal"] = True
-    elif args.name == "delta-prime":
-        if args.gamma is None:
-            raise InputError("preset delta-prime needs --gamma")
-        params["gamma"] = json.loads(args.gamma)
-    elif args.name == "offdiag":
-        if args.betahat is None:
-            raise InputError("preset offdiag needs --betahat")
-        params["betahat"] = json.loads(args.betahat)
+    key = PRESETS[args.name][1]
+    if key is not None:
+        if getattr(args, key) is None:
+            raise InputError(f"preset {args.name} needs --{key}")
+        params[key] = json.loads(getattr(args, key))
+    if args.paper_literal and args.name == "delta":
+        params["paper_literal"] = True
     doc = {
         "schema": MODEL_SCHEMA,
         "dimension": args.dimension,
@@ -439,8 +429,7 @@ def cmd_preset(args) -> int:
         "alpha": alpha,
         "preset": {"name": args.name, "parameters": params},
     }
-    model = ModelSpec(args.dimension, positions, alpha)
-    _build_preset(model, args.name, params, False).validation()
+    _build_preset(ModelSpec(args.dimension, positions, alpha), args.name, params)  # rejects bad parameters
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
@@ -450,14 +439,15 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
+def _add_model(sub, tol_help=None, gated=True):
+    """The model argument and --out; --unchecked on gated commands; --tol where it is read."""
     sub.add_argument("model", help="model JSON file")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--unchecked", action="store_true",
-                     help="skip boundary-pair validation")
-    sub.add_argument("--paper-literal", action="store_true",
-                     help="use the doubled-coupling reading of the delta preset")
-    sub.add_argument("--tol", type=float, default=None, help="command tolerance")
+    if gated:
+        sub.add_argument("--unchecked", action="store_true",
+                         help="skip boundary-pair validation")
+    if tol_help is not None:
+        sub.add_argument("--tol", type=float, default=None, help=tol_help)
 
 
 def build_parser() -> _Parser:
@@ -467,11 +457,11 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("validate", help="check a boundary pair")
-    _add_common(sub)
+    _add_model(sub, "validation tolerance", gated=False)
     sub.set_defaults(func=cmd_validate)
 
     sub = subs.add_parser("kernel", help="tabulate resolvent kernel values")
-    _add_common(sub)
+    _add_model(sub)
     sub.add_argument("--z", required=True, metavar="RE,IM")
     sub.add_argument("--points", default=None, help="CSV of evaluation rows")
     sub.add_argument("--n-points", type=int, default=12,
@@ -480,24 +470,24 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_kernel)
 
     sub = subs.add_parser("boundstates", help="search point spectrum below the continuum")
-    _add_common(sub)
+    _add_model(sub, "relative bracket width (default 1e-13)")
     sub.add_argument("--emin", type=float, default=None, help="search floor (default: certified)")
     sub.set_defaults(func=cmd_boundstates)
 
     sub = subs.add_parser("gamma", help="dump the channel matrix and its dressing")
-    _add_common(sub)
+    _add_model(sub)
     sub.add_argument("--z", required=True, metavar="RE,IM")
     sub.set_defaults(func=cmd_gamma)
 
     sub = subs.add_parser("evolve", help="spectral time evolution on a grid")
-    _add_common(sub)
+    _add_model(sub, "relative norm-drift tolerance (default 1e-2)")
     sub.add_argument("--state", required=True, help="state JSON file")
     sub.add_argument("--t", default="1.0", help="comma-separated times")
     sub.add_argument("--n-nodes", type=int, default=None)
     sub.set_defaults(func=cmd_evolve)
 
     sub = subs.add_parser("preset", help="write a model file for a named pair")
-    sub.add_argument("name", choices=["free", "delta", "delta-prime", "offdiag"])
+    sub.add_argument("name", choices=list(PRESETS))
     sub.add_argument("--dimension", type=int, choices=[1, 3], required=True)
     sub.add_argument("--positions", required=True,
                      help="d=1: comma list; d=3: semicolon-separated triples")
@@ -505,7 +495,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--beta", default=None, help="delta strengths (JSON scalar or table)")
     sub.add_argument("--gamma", default=None, help="delta-prime strengths")
     sub.add_argument("--betahat", default=None, help="offdiag strengths")
-    sub.add_argument("--paper-literal", action="store_true")
+    sub.add_argument("--paper-literal", action="store_true", help="delta: doubled-coupling reading")
     sub.add_argument("--out", default=None)
     sub.set_defaults(func=cmd_preset)
     return parser

@@ -102,8 +102,6 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     nodes for the widths w, at least MIN_PANEL_NODES.
     """
     edges = np.unique(model.shifts())
-    if lam_max <= edges[0]:
-        raise ValueError(f"lam_max {lam_max} must lie above the continuum threshold {edges[0]}")
     edges = np.append(edges[edges < lam_max], lam_max)
     root = np.sqrt(np.diff(edges))
     counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
@@ -135,8 +133,7 @@ class EvolveResult:
 
 
 def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket, times,
-                    grid: UniformGrid, n_nodes: int | None = None, lam_max: float | None = None,
-                    e_min: float | None = None, drift_tol: float = 1e-2,
+                    grid: UniformGrid, n_nodes: int | None = None, drift_tol: float = 1e-2,
                     unchecked: bool = False) -> EvolveResult:
     """Evolve a packet under the dressed Hamiltonian at the given times.
 
@@ -150,16 +147,18 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     the grid times the closed-form charges of the packet. The grid only
     samples: no state is applied or projected on it. The norm drift at
     the largest |t| serves as the reported error estimate; drift beyond
-    drift_tol raises. params records the node count used and lam_max.
+    drift_tol raises. lam_max comes from spectral_defaults and the
+    bound-state search starts at its certified floor; params records the
+    node count used and lam_max.
     """
     defaults = spectral_defaults(model, packet)
     n_nodes = defaults["n_nodes"] if n_nodes is None else int(n_nodes)
-    lam_max = defaults["lam_max"] if lam_max is None else float(lam_max)
+    lam_max = defaults["lam_max"]
     times = np.atleast_1d(np.asarray(times, dtype=float))
     norm0 = packet.sample(grid).norm()
     values = np.stack([free_evolve(model, packet, float(t)).sample(grid).values for t in times])
 
-    bound = find_bound_states(model, pair, e_min=e_min, unchecked=unchecked)
+    bound = find_bound_states(model, pair, unchecked=unchecked)
     for bs in bound:
         q = bs.charge_basis
         chol = np.linalg.cholesky(q.conj() @ gamma_gram(model, bs.energy) @ q.T)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from .boundary import BoundaryPair, require_valid
 from .greens import _check_energy, green, sqrt_upper
@@ -384,6 +384,9 @@ def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarr
 
     Uniform spacing makes the kernel Toeplitz on the lag grid (per-axis
     steps), so each channel is one FFT convolution in d = 1 and d = 3.
+    The lags span -(n-1)..n-1 per axis, so a circular convolution of
+    period 2n - 1 wraps no lag onto another and is exact; the first n
+    entries per axis are the result.
     The lag u = x gets a local term: the d=1 second-order kink correction
     -h^2/12 psi, or in d=3, in place of the singular kernel value, the
     average of 1/(4 pi r) over the volume-equivalent ball of the cell,
@@ -392,6 +395,8 @@ def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarr
     grid = state.grid
     shape = tuple(ax.size for ax in grid.axes)
     steps = [ax[1] - ax[0] for ax in grid.axes]
+    period = tuple(2 * n - 1 for n in shape)
+    axes = tuple(range(len(shape)))
     lags = np.meshgrid(*[np.arange(1 - n, n) * h for n, h in zip(shape, steps)], indexing="ij")
     r = np.sqrt(sum(lag * lag for lag in lags))
     if model.dimension == 1:
@@ -401,16 +406,18 @@ def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarr
         inv_r = 1.0 / np.where(r > 0.0, r, np.inf)  # the singular lag is the local term
     out = np.empty_like(state.values)
     shifts = model.shifts()
-    kernels: dict[complex, np.ndarray] = {}
+    head = tuple(slice(n) for n in shape)
+    kernels: dict[complex, np.ndarray] = {}  # transforms, with lag 0 moved to index 0
     for code in range(state.n_channels):
         w = z - shifts[code]
         if w not in kernels:
             s = sqrt_upper(w)
             e = np.exp(1j * s * r)
-            kernels[w] = 1j * e / (2.0 * s) if model.dimension == 1 else e * inv_r / (4.0 * np.pi)
+            kernel = 1j * e / (2.0 * s) if model.dimension == 1 else e * inv_r / (4.0 * np.pi)
+            kernels[w] = np.fft.fftn(np.fft.ifftshift(kernel), axes=axes)
         weighted = (state.values[code] * grid.weights).reshape(shape)
-        conv = signal.fftconvolve(kernels[w], weighted, mode="valid").ravel()
-        out[code] = conv + local * state.values[code]
+        conv = np.fft.ifftn(kernels[w] * np.fft.fftn(weighted, s=period, axes=axes), axes=axes)
+        out[code] = conv[head].ravel() + local * state.values[code]
     return out
 
 
@@ -491,6 +498,8 @@ def _neville(xs: np.ndarray, ys: np.ndarray) -> complex:
     return complex(ys[0])
 
 
+LADDER_LEVELS = 8  # dyadic probe radii per site
+
 # unit vectors from the centre of a cube to its 26 neighbours
 _DIRECTIONS_3D = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
                            if (i, j, k) != (0, 0, 0)], dtype=float)
@@ -498,8 +507,7 @@ _DIRECTIONS_3D /= np.linalg.norm(_DIRECTIONS_3D, axis=1)[:, None]
 _DIRECTIONS_3D.setflags(write=False)
 
 
-def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float | None = None,
-                          levels: int = 8, avoid=None):
+def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None):
     """Boundary data (q, f) of a wavefunction at site j in one spin channel.
 
     evaluate(x, code) -> complex must be defined near (but not at) the
@@ -508,10 +516,11 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float |
     derivative. d=3 returns scalar (q, f) from the expansion
     psi = q/(4 pi |x - y_j|) + f + O(|x - y_j|).
 
-    The probe ladder assumes evaluate is smooth near the site apart
-    from the site singularity itself; avoid lists additional singular
-    points (e.g. the source of a kernel column) the ladder must not
-    reach.
+    The probe ladder halves LADDER_LEVELS times from a fifth of the
+    smallest site separation (0.2 for one site). It assumes evaluate is
+    smooth near the site apart from the site singularity itself; avoid
+    lists additional singular points (e.g. the source of a kernel column)
+    the ladder must not reach.
 
     d=1 uses one-sided dyadic ladders with Richardson (Neville)
     extrapolation; d=3 averages 26 directions per radius (cancelling
@@ -522,27 +531,18 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float |
     """
     code = spin_code(sigma, model.n_spins)
     site = model.site(j)
-    if h0 is None:
-        if model.n_spins > 1:
-            if model.dimension == 1:
-                sep = np.min(np.abs(np.subtract.outer(model.positions, model.positions))[
-                    ~np.eye(model.n_spins, dtype=bool)])
-            else:
-                diffs = model.positions[:, None, :] - model.positions[None, :, :]
-                sep = np.min(np.linalg.norm(diffs, axis=-1)[~np.eye(model.n_spins, dtype=bool)])
-            h0 = 0.2 * float(sep)
-        else:
-            h0 = 0.2
+    h0 = 0.2
+    if model.n_spins > 1:
+        pos = model.positions.reshape(model.n_spins, -1)
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        h0 *= float(np.min(dist[~np.eye(model.n_spins, dtype=bool)]))
     if avoid is not None:
         for pt in avoid:
-            if model.dimension == 1:
-                d = abs(float(pt) - float(site))
-            else:
-                d = float(np.linalg.norm(np.asarray(pt, dtype=float) - site))
+            d = float(np.linalg.norm(np.asarray(pt, dtype=float) - site))
             if d == 0.0:
                 raise ValueError("avoid point coincides with the probed site")
             h0 = min(h0, 0.5 * d)
-    steps = h0 / 2.0 ** np.arange(levels)
+    steps = h0 / 2.0 ** np.arange(LADDER_LEVELS)
     if model.dimension == 1:
         y = float(site)
         sides = {}
@@ -572,8 +572,7 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, h0: float |
     return complex(q), complex(coef[1])
 
 
-def boundary_data_from_evaluator(model: ModelSpec, evaluate, h0: float | None = None,
-                                 avoid=None) -> tuple[np.ndarray, np.ndarray]:
+def boundary_data_from_evaluator(model: ModelSpec, evaluate, avoid=None) -> tuple[np.ndarray, np.ndarray]:
     """Full boundary-data vectors (q, f) in the flat channel order."""
     m = model.defect_dim
     q = np.zeros(m, dtype=complex)
@@ -581,7 +580,7 @@ def boundary_data_from_evaluator(model: ModelSpec, evaluate, h0: float | None = 
     p, j, code = channel_tables(model)
     for site in range(1, model.n_spins + 1):
         for c in range(model.n_configs):
-            qd, fd = extract_boundary_data(model, evaluate, site, c, h0=h0, avoid=avoid)
+            qd, fd = extract_boundary_data(model, evaluate, site, c, avoid=avoid)
             sel = (j == site) & (code == c)  # one channel per layer p
             q[sel] = np.atleast_1d(qd)[p[sel]]
             f[sel] = np.atleast_1d(fd)[p[sel]]

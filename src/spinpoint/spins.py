@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import functools
 import os
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,14 +110,12 @@ class ModelSpec:
 
     positions: shape (N,) for d=1, (N, 3) for d=3. alpha: shape (N,).
     Site count is capped at DEFAULT_MAX_SPINS (override with the
-    SPINPOINT_MAX_N environment variable, or per instance with
-    allow_large=True, which only warns).
+    SPINPOINT_MAX_N environment variable).
     """
 
     dimension: int
     positions: np.ndarray
     alpha: np.ndarray
-    allow_large: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 3):
@@ -142,19 +139,13 @@ class ModelSpec:
             raise ValueError("spin sites must be pairwise distinct")
         cap = _spin_cap()
         if n > cap:
-            if self.allow_large:
-                warnings.warn(
-                    f"N={n} exceeds the cap of {cap}; defect dimension is {index_dimension(self.dimension, n)}",
-                    stacklevel=2,
-                )
-            else:
-                raise ValueError(
-                    f"N={n} exceeds the cap of {cap} (set {_MAX_SPINS_ENV} or allow_large=True)"
-                )
-        pos.setflags(write=False)
-        alpha.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "alpha", alpha)
+            raise ValueError(f"N={n} exceeds the cap of {cap} (set {_MAX_SPINS_ENV})")
+        configs = enumerate_configs(n)
+        shifts = configs @ alpha
+        # built once and shared by every caller
+        for name, arr in (("positions", pos), ("alpha", alpha), ("_configs", configs), ("_shifts", shifts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_spins(self) -> int:
@@ -169,11 +160,11 @@ class ModelSpec:
         return index_dimension(self.dimension, self.n_spins)
 
     def configs(self) -> np.ndarray:
-        return enumerate_configs(self.n_spins)
+        return self._configs
 
     def shifts(self) -> np.ndarray:
-        """Zeeman shifts alpha . sigma for every configuration, in code order."""
-        return self.configs() @ self.alpha
+        """Zeeman shifts alpha . sigma for every configuration, read-only, in code order."""
+        return self._shifts
 
     def site(self, j: int):
         """Position of site j (1-based)."""

@@ -5,6 +5,7 @@ through the interpreter to cover the module entry point.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -118,6 +119,26 @@ def test_unknown_flag_is_input_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("kernel", "whatever.json", "--nope")
     assert err.value.code == 1
+
+
+def test_removed_flags_are_input_errors(tmp_path):
+    # each subcommand takes only the flags it reads
+    path = write_model(tmp_path, beta="-2.0")
+    for argv in (["kernel", "--z", "-1.0,0.5", "--tol", "1e-6"],
+                 ["gamma", "--z", "-1.0,0.5", "--tol", "1e-6"],
+                 ["validate", "--unchecked"],
+                 ["boundstates", "--paper-literal"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv[0], str(path), *argv[1:])
+        assert err.value.code == 1, argv
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, spinpoint.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_model_file_is_input_error(capsys):
@@ -310,8 +331,12 @@ def test_evolve_drift_is_numerical_failure(tmp_path, capsys):
 
 def test_paper_literal_doubles_delta_coupling(tmp_path):
     path = write_model(tmp_path, beta="-1.5")
+    literal = tmp_path / "literal.json"
+    assert run("preset", "delta", "--dimension", "1", "--positions", "0.0", "--beta", "-1.5",
+               "--paper-literal", "--out", str(literal)) == 0
+    assert json.loads(literal.read_text())["preset"]["parameters"]["paper_literal"] is True
     _, pair_default, _ = cli.load_model(str(path))
-    _, pair_literal, _ = cli.load_model(str(path), paper_literal=True)
+    _, pair_literal, _ = cli.load_model(str(literal))
     assert pair_default.B[0, 0] == pytest.approx(1.5)
     assert pair_literal.B[0, 0] == pytest.approx(3.0)
 

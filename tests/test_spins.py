@@ -64,6 +64,15 @@ def test_model_shift_table():
     assert m.shifts().tolist() == pytest.approx([0.75, -0.25, 0.25, -0.75])
 
 
+def test_model_tables_are_built_once_and_read_only():
+    m = ModelSpec(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, 0.25])
+    for table in (m.configs, m.shifts):
+        assert table() is table()
+        assert not table().flags.writeable
+    assert np.array_equal(m.configs(), enumerate_configs(2))
+    assert np.array_equal(m.shifts(), enumerate_configs(2) @ m.alpha)
+
+
 def test_model_rejects_duplicate_sites():
     with pytest.raises(ValueError):
         ModelSpec(1, [0.3, 0.3], [0.0, 0.0])
@@ -85,9 +94,6 @@ def test_spin_cap_and_override(monkeypatch):
     alpha = [0.0] * 7
     with pytest.raises(ValueError):
         ModelSpec(1, positions, alpha)
-    with pytest.warns(UserWarning):
-        m = ModelSpec(1, positions, alpha, allow_large=True)
-    assert m.n_spins == 7
     monkeypatch.setenv("SPINPOINT_MAX_N", "8")
     m = ModelSpec(1, positions, alpha)
     assert m.n_spins == 7
