@@ -289,16 +289,11 @@ def cmd_kernel(args) -> int:
         dress = _dress(model, pair, z, args.unchecked)
     except NearPoleError:
         dress = None
-    except ValueError as exc:
-        raise InputError(str(exc))
     for x, sigma, xp, sigmap in points:
         if dress is None:
             cells = ("nan", "nan", "near-pole")
         else:
-            try:
-                val = dress.column(xp, sigmap)(x, sigma)
-            except ValueError as exc:
-                raise InputError(str(exc))
+            val = dress.column(xp, sigmap)(x, sigma)
             cells = (val.real, val.imag, "ok")
         xs = [float(x)] if d == 1 else [float(v) for v in x]
         xps = [float(xp)] if d == 1 else [float(v) for v in xp]
@@ -329,10 +324,7 @@ def cmd_boundstates(args) -> int:
 def cmd_gamma(args) -> int:
     model, pair, digest, note = _load_gated(args)
     z = _parse_z(args.z)
-    try:
-        gam = gamma_free(model, z if z.imag != 0.0 else complex(z.real))
-    except ValueError as exc:
-        raise InputError(str(exc))
+    gam = gamma_free(model, z if z.imag != 0.0 else complex(z.real))
     dressed = gamma_dressed(pair, gam)
     writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
@@ -419,7 +411,9 @@ def cmd_preset(args) -> int:
         if getattr(args, key) is None:
             raise InputError(f"preset {args.name} needs --{key}")
         params[key] = json.loads(getattr(args, key))
-    if args.paper_literal and args.name == "delta":
+    if args.paper_literal:
+        if args.name != "delta":
+            raise InputError(f"--paper-literal applies only to the delta preset, not {args.name}")
         params["paper_literal"] = True
     doc = {
         "schema": MODEL_SCHEMA,
@@ -439,10 +433,15 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _add_model(sub, tol_help=None, gated=True):
-    """The model argument and --out; --unchecked on gated commands; --tol where it is read."""
+def _add_model(sub, tol_help=None, gated=True, out_dir=False):
+    """The model argument and --out (a required directory under out_dir);
+    --unchecked on gated commands; --tol where it is read."""
     sub.add_argument("model", help="model JSON file")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    if out_dir:
+        sub.add_argument("--out", required=True, metavar="DIR",
+                         help="output directory for summary.csv and state_NNN.csv")
+    else:
+        sub.add_argument("--out", default=None, help="output path (default: stdout)")
     if gated:
         sub.add_argument("--unchecked", action="store_true",
                          help="skip boundary-pair validation")
@@ -480,7 +479,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_gamma)
 
     sub = subs.add_parser("evolve", help="spectral time evolution on a grid")
-    _add_model(sub, "relative norm-drift tolerance (default 1e-2)")
+    _add_model(sub, "relative norm-drift tolerance (default 1e-2)", out_dir=True)
     sub.add_argument("--state", required=True, help="state JSON file")
     sub.add_argument("--t", default="1.0", help="comma-separated times")
     sub.add_argument("--n-nodes", type=int, default=None)
@@ -528,10 +527,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return code

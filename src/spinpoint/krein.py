@@ -397,7 +397,7 @@ def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarr
     steps = [ax[1] - ax[0] for ax in grid.axes]
     period = tuple(2 * n - 1 for n in shape)
     axes = tuple(range(len(shape)))
-    lags = np.meshgrid(*[np.arange(1 - n, n) * h for n, h in zip(shape, steps)], indexing="ij")
+    lags = np.meshgrid(*[np.arange(1 - n, n) * h for n, h in zip(shape, steps)], indexing="ij", sparse=True)
     r = np.sqrt(sum(lag * lag for lag in lags))
     if model.dimension == 1:
         local = -steps[0] ** 2 / 12.0
@@ -488,23 +488,14 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
 # boundary data
 
 
-def _neville(xs: np.ndarray, ys: np.ndarray) -> complex:
-    """Polynomial extrapolation of (xs, ys) to x = 0."""
-    ys = np.array(ys, dtype=complex)
-    n = ys.size
-    for level in range(1, n):
-        for i in range(n - level):
-            ys[i] = ys[i + 1] + (ys[i + 1] - ys[i]) * xs[i + level] / (xs[i] - xs[i + level])
-    return complex(ys[0])
-
-
 LADDER_LEVELS = 8  # dyadic probe radii per site
 
-# unit vectors from the centre of a cube to its 26 neighbours
-_DIRECTIONS_3D = np.array([(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)
-                           if (i, j, k) != (0, 0, 0)], dtype=float)
-_DIRECTIONS_3D /= np.linalg.norm(_DIRECTIONS_3D, axis=1)[:, None]
-_DIRECTIONS_3D.setflags(write=False)
+
+def _ladder_fit(t: np.ndarray, samples: np.ndarray, powers) -> np.ndarray:
+    """Least-squares coefficients of samples (one column per ladder) on the powers t**k."""
+    basis = np.stack([t**k for k in powers], axis=1)
+    coef, *_ = np.linalg.lstsq(basis, samples, rcond=None)
+    return coef
 
 
 def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None):
@@ -516,18 +507,18 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None)
     derivative. d=3 returns scalar (q, f) from the expansion
     psi = q/(4 pi |x - y_j|) + f + O(|x - y_j|).
 
-    The probe ladder halves LADDER_LEVELS times from a fifth of the
-    smallest site separation (0.2 for one site). It assumes evaluate is
+    The LADDER_LEVELS probe radii halve from h0, a fifth of the smallest
+    site separation (0.2 for one site). It assumes evaluate is
     smooth near the site apart from the site singularity itself; avoid
     lists additional singular points (e.g. the source of a kernel column)
     the ladder must not reach.
 
-    d=1 uses one-sided dyadic ladders with Richardson (Neville)
-    extrapolation; d=3 averages 26 directions per radius (cancelling
-    every odd and the l=2 angular term of the regular part) and fits
-    the radial profile on the power basis r^-1 .. r^5. The singular
-    channel itself contributes all powers of r, so the odd columns are
-    not optional.
+    Both dimensions fit the ladder on powers of t = r/h0. d=1 fits each
+    side on t^0 .. t^7 (the interpolating polynomial; its t^0 and t^1
+    coefficients are the value and h0 times the slope), 16 probes. d=3
+    averages the six axis directions per radius and fits the radial
+    profile on t^-1 .. t^5, 48 probes; the singular channel itself
+    contributes all powers of r, so the odd columns are not optional.
     """
     code = spin_code(sigma, model.n_spins)
     site = model.site(j)
@@ -542,34 +533,23 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None)
             if d == 0.0:
                 raise ValueError("avoid point coincides with the probed site")
             h0 = min(h0, 0.5 * d)
-    steps = h0 / 2.0 ** np.arange(LADDER_LEVELS)
+    t = 2.0 ** -np.arange(LADDER_LEVELS)
     if model.dimension == 1:
         y = float(site)
-        sides = {}
-        for sign in (+1.0, -1.0):
-            vals = np.array([evaluate(y + sign * d, code) for d in steps])
-            value = _neville(steps, vals)
-            derivs = np.array(
-                [(evaluate(y + sign * 1.5 * d, code) - evaluate(y + sign * 0.5 * d, code)) / (sign * d) for d in steps]
-            )
-            deriv = _neville(steps, derivs)
-            sides[sign] = (value, deriv)
-        vp, dp = sides[+1.0]
-        vm, dm = sides[-1.0]
+        # one column per side; t^0 and t^1 give the one-sided value and h0 * slope
+        vals = np.array([[evaluate(y + h0 * r, code), evaluate(y - h0 * r, code)] for r in t])
+        (vp, vm), (sp, sm) = _ladder_fit(t, vals, range(LADDER_LEVELS))[:2]
+        dp, dm = sp / h0, -sm / h0
         q = np.array([dm - dp, vm - vp])
         f = np.array([(vp + vm) / 2.0, -(dp + dm) / 2.0])
         return q, f
-    dirs = _DIRECTIONS_3D
-    radii = steps
-    averages = np.empty(radii.size, dtype=complex)
-    for i, r in enumerate(radii):
-        pts = site[None, :] + r * dirs
-        averages[i] = np.mean([evaluate(pt, code) for pt in pts])
-    t = radii / radii[0]  # normalized for conditioning
-    basis = np.stack([1.0 / t] + [t**k for k in range(6)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, averages, rcond=None)
-    q = 4.0 * np.pi * radii[0] * coef[0]
-    return complex(q), complex(coef[1])
+    # +-e_x, +-e_y, +-e_z form a spherical 3-design: their average cancels
+    # the l = 1, 2, 3 angular terms of the regular part
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    shells = site + h0 * t[:, None, None] * axes  # (radius, direction, xyz)
+    averages = np.array([np.mean([evaluate(pt, code) for pt in shell]) for shell in shells])
+    coef = _ladder_fit(t, averages, range(-1, 6))
+    return complex(4.0 * np.pi * h0 * coef[0]), complex(coef[1])
 
 
 def boundary_data_from_evaluator(model: ModelSpec, evaluate, avoid=None) -> tuple[np.ndarray, np.ndarray]:

@@ -329,6 +329,41 @@ def test_evolve_drift_is_numerical_failure(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err
 
 
+def test_evolve_without_out_is_input_error(tmp_path, monkeypatch, capsys):
+    # --out names the output directory; without it nothing is evolved
+    path = write_model(tmp_path, name="free")
+    monkeypatch.setattr(cli, "evolve_spectral", lambda *a, **k: pytest.fail("evolved without --out"))
+    with pytest.raises(SystemExit) as err:
+        run("evolve", str(path), "--state", str(tmp_path / "state.json"))
+    assert err.value.code == 1
+    assert "--out" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        run("evolve", "--help")
+    out = capsys.readouterr().out
+    assert "output directory" in out and "stdout" not in out
+
+
+@pytest.mark.parametrize("name, flags", [("free", []), ("delta-prime", ["--gamma", "0.5"]),
+                                         ("offdiag", ["--betahat", "0.5"])])
+def test_paper_literal_is_input_error_off_delta(tmp_path, capsys, name, flags):
+    out = tmp_path / "model.json"
+    assert run("preset", name, "--dimension", "1", "--positions", "0.0", *flags,
+               "--paper-literal", "--out", str(out)) == 1
+    assert "--paper-literal" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solver_value_errors_are_input_errors(tmp_path, capsys):
+    # a kernel row at a spin site, and gamma on the cut
+    path = write_model(tmp_path, beta="-2.0")
+    points = tmp_path / "points.csv"
+    points.write_text("0.0,0,0.5,0\n")
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points)) == 1
+    assert "input error: evaluation point coincides with a spin site" in capsys.readouterr().err
+    assert run("gamma", str(path), "--z", "1.0,0.0") == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_paper_literal_doubles_delta_coupling(tmp_path):
     path = write_model(tmp_path, beta="-1.5")
     literal = tmp_path / "literal.json"

@@ -436,6 +436,63 @@ def test_boundary_data_of_plain_delta_kernel_1d():
     assert f[0] == pytest.approx(mean_v, rel=1e-6)
 
 
+def test_boundary_data_d3_separates_charge_from_smooth_terms():
+    # q0 G^w(x - y) plus a second site's Green function, a constant,
+    # linear, quadratic-form and quartic terms and an exponential; the
+    # x^4 + y^4 + z^4 term survives the angular average as r^4
+    y2 = np.array([1.0, 0.3, -0.2])
+    model = ModelSpec(3, [np.zeros(3), y2], [0.25, 0.5])
+    w = -1.5 + 0.4j
+    s = sqrt_upper(w)
+    q0 = 0.7 - 0.3j
+    c = 0.4 + 0.2j
+    a = np.array([0.3, -1.1, 0.5])
+    m = np.array([[0.8, 0.2, -0.4], [0.2, -0.5, 0.3], [-0.4, 0.3, 1.1]])
+    k = np.array([2.4, -1.6, 3.6])
+
+    def evaluate(x, code):
+        x = np.asarray(x)
+        return (q0 * green(3, w, x, allow_cut=True) + green(3, w, x - y2, allow_cut=True)
+                + c + a @ x + x @ m @ x + np.sum(x**4) + np.exp(k @ x))
+
+    q, f = extract_boundary_data(model, evaluate, j=1, sigma=0)
+    f_exact = q0 * 1j * s / (4 * np.pi) + green(3, w, -y2, allow_cut=True) + c + 1.0
+    assert abs(q - q0) <= 1e-7 * abs(q0)
+    assert abs(f - f_exact) <= 1e-6 * abs(f_exact)
+
+
+def test_boundary_data_d1_one_sided_values_and_slopes():
+    # smooth on each side of the site, with different one-sided values
+    # (1.2 and -0.3 + 0.5i) and slopes (0.5 + 0.1i and 1.6)
+    model = ModelSpec(1, [0.0, 1.4], [0.2, 0.5])
+
+    def evaluate(x, code):
+        if x > 0:
+            return 0.8 * np.exp(-0.5 * x) + 0.4 * np.cos(2.0 * x) + (0.9 + 0.1j) * np.sin(x)
+        return (-0.3 + 0.5j) * np.exp(1.1 * x) + 0.6 * x**3 + (1.6 - (-0.3 + 0.5j) * 1.1) * np.sin(x)
+
+    vp, dp = 1.2, 0.5 + 0.1j
+    vm, dm = -0.3 + 0.5j, 1.6
+    q, f = extract_boundary_data(model, evaluate, j=1, sigma=0)
+    q_exact = np.array([dm - dp, vm - vp])
+    f_exact = np.array([(vp + vm) / 2.0, -(dp + dm) / 2.0])
+    assert np.max(np.abs(q - q_exact)) <= 1e-10 * np.max(np.abs(q_exact))
+    assert np.max(np.abs(f - f_exact)) <= 1e-10 * np.max(np.abs(f_exact))
+
+
+@pytest.mark.parametrize("d, probes", [(1, 16), (3, 48)])
+def test_boundary_data_probes_per_site_and_code(d, probes):
+    model = model_d1(2) if d == 1 else model_d3(2)
+    codes = []
+
+    def evaluate(x, code):
+        codes.append(code)
+        return 1.0 + 0.0j
+
+    boundary_data_from_evaluator(model, evaluate)
+    assert np.bincount(codes).tolist() == [probes * model.n_spins] * model.n_configs
+
+
 def test_verify_boundary_conditions_on_presets():
     rng = np.random.default_rng(41)
     cases = []
