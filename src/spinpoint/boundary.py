@@ -53,9 +53,10 @@ class BlockGroup(NamedTuple):
 class BoundaryPair:
     """Interface matrices for a given dimension and spin count.
 
-    Arrays are stored read-only; the validation report and the block
-    structure are cached after the first call to validation() and
-    blocks().
+    Arrays are stored read-only. Two partitions of the defect indices are
+    cached as BlockGroups ascending in block size: components(), the finest
+    on which A and B are block diagonal (for validation), and blocks(), on
+    which B Gamma(z) + A is block diagonal for every z (for the solvers).
     """
 
     dimension: int
@@ -63,6 +64,7 @@ class BoundaryPair:
     A: np.ndarray
     B: np.ndarray
     _report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
+    _components: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
     _blocks: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,34 +90,37 @@ class BoundaryPair:
             self._report = report
         return self._report
 
-    def blocks(self) -> "tuple[BlockGroup, ...]":
-        """Connected components of the dressing's sparsity pattern, grouped by size.
+    def components(self) -> "tuple[BlockGroup, ...]":
+        """Connected components of the nonzero pattern of A and B."""
+        if self._components is None:
+            self._components = self._grouped([np.argwhere((self.A != 0.0) | (self.B != 0.0))])
+        return self._components
 
-        The pattern is the union of the nonzero entries of A and B and of
-        the equal-spin-code blocks of Gamma(z) (spins.channel_blocks), so
-        B Gamma(z) + A is block diagonal on these components for every z,
-        and so are A and B. Groups come in ascending block size; the
-        blocks of a group share one size k and are stacked.
-        """
+    def blocks(self) -> "tuple[BlockGroup, ...]":
+        """The components joined through the equal-spin-code blocks of Gamma(z)."""
         if self._blocks is None:
-            m = self.defect_dim
-            rows, cols = np.nonzero((self.A != 0.0) | (self.B != 0.0))
-            code_blocks = channel_blocks(self)
-            # chaining the channels of each spin code connects its whole block
-            rows = np.concatenate([rows, code_blocks[:, :-1].ravel()])
-            cols = np.concatenate([cols, code_blocks[:, 1:].ravel()])
-            graph = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(m, m))
-            _, labels = csgraph.connected_components(graph, directed=False)
-            size = np.bincount(labels)[labels]
-            order = np.lexsort((np.arange(m), labels, size))
-            groups = []
-            for k in np.unique(size):
-                index = order[size[order] == k].reshape(-1, k)
-                index.setflags(write=False)
-                sub = (index[:, :, None], index[:, None, :])
-                groups.append(BlockGroup(index, self.A[sub], self.B[sub]))
-            self._blocks = tuple(groups)
+            chains = [g.index for g in self.components()] + [channel_blocks(self)]
+            self._blocks = self._grouped(chains)
         return self._blocks
+
+    def _grouped(self, chains) -> "tuple[BlockGroup, ...]":
+        """Connected components of the graph linking neighbours along each row of each chain."""
+        m = self.defect_dim
+        head = np.concatenate([c[:, :-1].ravel() for c in chains])
+        tail = np.concatenate([c[:, 1:].ravel() for c in chains])
+        # symmetric links: strong components are connected ones, without scipy's transpose
+        ends = (np.r_[head, tail], np.r_[tail, head])
+        graph = sparse.csr_array((np.ones(ends[0].size), ends), shape=(m, m))
+        _, labels = csgraph.connected_components(graph, connection="strong")
+        size = np.bincount(labels)[labels]
+        order = np.lexsort((np.arange(m), labels, size))
+        groups = []
+        for k in np.unique(size):
+            index = order[size[order] == k].reshape(-1, k)
+            index.setflags(write=False)
+            sub = (index[:, :, None], index[:, None, :])
+            groups.append(BlockGroup(index, self.A[sub], self.B[sub]))
+        return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -143,15 +148,15 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     rank of (A | B) is counted from singular values above a relative
     threshold of 1e-10.
 
-    Both are computed on the pair's blocks (BoundaryPair.blocks): after
-    the block permutation A and B are block diagonal, so A B* - B A*
-    vanishes off the blocks and the singular values of (A | B) are the
-    union of those of the blocks (A_k | B_k).
+    Neither needs Gamma(z): both are computed on the pair's components
+    (BoundaryPair.components), where A and B are block diagonal, so
+    A B* - B A* vanishes off them and the singular values of (A | B),
+    ranked against the largest, are the union of those of the (A_k | B_k).
     """
     A, B = pair.A, pair.B
     defect = 0.0
     sv = []
-    for group in pair.blocks():
+    for group in pair.components():
         a, b = group.A, group.B
         ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
         defect = max(defect, float(np.max(np.abs(a @ bh - b @ ah))))
@@ -201,36 +206,31 @@ def is_local(pair: BoundaryPair) -> bool:
     Requires (i) no coupling across distinct sites, (ii) no dependence
     on spins other than the one at the shared site, and (iii) surviving
     entries identical across the spectator spins' configurations.
+    Reads only the nonzero entries of the components: each key (p, p', j,
+    sigma_j, sigma'_j) of A or B has 2**(N-1) slots allowed by (i) and
+    (ii); (iii) holds when a key present fills them with one value.
     """
     p, j, code = channel_tables(pair)
     bit = (code >> (j - 1)) & 1  # sigma_j of each channel at its own site
-    # same site and equal spectator spins: the only entries allowed to be nonzero
-    allowed = (j[:, None] == j[None, :]) & (
-        ((code[:, None] ^ code[None, :]) & ~(1 << (j - 1))[:, None]) == 0)
-    rows, cols = np.nonzero(allowed)
-    # surviving entries may depend only on (p, p', j, sigma_j, sigma'_j)
+    found = []
+    for g in pair.components():
+        for which, M in enumerate((g.A, g.B)):
+            b, r, c = np.nonzero(M)
+            found.append((g.index[b, r], g.index[b, c], np.full(b.size, which), M[b, r, c]))
+    rows, cols, which, vals = (np.concatenate(x) for x in zip(*found))
+    if np.any(j[rows] != j[cols]) or np.any((code[rows] ^ code[cols]) & ~(1 << (j[rows] - 1))):
+        return False
     key = (((p[rows] * 2 + p[cols]) * pair.n_spins + j[rows] - 1) * 2 + bit[rows]) * 2 + bit[cols]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    for M in (pair.A, pair.B):
-        if np.any(M[~allowed] != 0.0):
-            return False
-        vals = M[rows, cols]
-        same = vals == vals[first][inverse]
-        same[first] = True
-        if not np.all(same):
-            return False
-    return True
+    _, first, inverse, count = np.unique(key * 2 + which, return_index=True, return_inverse=True,
+                                         return_counts=True)
+    return bool(np.all(count == 2 ** (pair.n_spins - 1)) and np.all(vals == vals[first][inverse]))
 
 
 def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
     table = np.asarray(values, dtype=float)
-    if table.shape == ():
-        table = np.full((n_spins, 2), float(table))
-    elif table.shape == (n_spins,):
-        table = np.repeat(table[:, None], 2, axis=1)
-    if table.shape != (n_spins, 2):
+    if table.shape not in ((), (n_spins,), (n_spins, 2)):
         raise ValueError(f"{name} must be a scalar, shape ({n_spins},) or ({n_spins}, 2) table")
-    return table
+    return np.broadcast_to(table if table.ndim == 2 else table[..., None], (n_spins, 2))
 
 
 def preset_free(model: ModelSpec) -> BoundaryPair:

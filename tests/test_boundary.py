@@ -174,6 +174,15 @@ def test_locality_rejects_spectator_dependence():
     assert not is_local(tweaked)
 
 
+def test_locality_rejects_missing_spectator_entry():
+    base = preset_delta(model_for(3, 2), -1.0)
+    A = np.array(base.A)
+    A[0, 0] = 0.0  # one of the two spectator configurations of its key left empty
+    emptied = BoundaryPair(3, 2, A, base.B)
+    assert not is_local(emptied)
+    assert not _is_local_loop(emptied)
+
+
 def test_validation_report_is_cached():
     pair = preset_free(model_for(1, 1))
     assert pair.validation() is pair.validation()
@@ -220,7 +229,7 @@ def _dense_report(pair):
 
 
 def _structured_pairs():
-    """Presets at N = 1..4 in both dimensions, delta at N = 6, random pairs."""
+    """Presets at N = 1..4 in both dimensions, delta and offdiag at N = 6, random pairs."""
     rng = np.random.default_rng(5)
     pairs = []
     for d in (1, 3):
@@ -232,7 +241,9 @@ def _structured_pairs():
                       random_valid_pair(model, rng)]
             if d == 1:
                 pairs.append(preset_delta_prime(model, rng.normal(size=n)))
-        pairs.append(preset_delta(model_for(d, 6), rng.normal(size=(6, 2))))
+        pairs += [preset_delta(model_for(d, 6), rng.normal(size=(6, 2))),
+                  preset_offdiag(model_for(d, 6), rng.normal(size=6))]  # one block
+    pairs.append(preset_offdiag(model_for(3, 6), rng.normal(size=(6, 2))))  # asymmetric: invalid
     return pairs
 
 
@@ -292,3 +303,21 @@ def test_is_local_matches_reference_loop():
     verdicts = [is_local(pair) for pair in pairs]
     assert verdicts == [_is_local_loop(pair) for pair in pairs]
     assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("d, preset, param, widest", [
+    (3, preset_offdiag, 0.8, (2, 4)),  # one dressing block of 384 channels
+    (1, preset_delta, -1.0, (1, 2)),  # 2^6 dressing blocks of 12 channels
+])
+def test_validation_factorizes_only_components(monkeypatch, d, preset, param, widest):
+    pair = preset(model_for(d, 6), param)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert pair.validation().is_valid
+    assert shapes and all(r <= widest[0] and c <= widest[1] for r, c in shapes)
