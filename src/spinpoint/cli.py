@@ -7,7 +7,7 @@ ahead of the header row. Floats are written with repr, so identical
 invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 input error, 2 validation failure,
-3 numerical failure (near-pole kernel, norm drift).
+3 numerical failure (near-pole kernel or evolve node, norm drift).
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def cmd_evolve(args) -> int:
     try:
         res = evolve_spectral(model, pair, packet, times, grid, n_nodes=args.n_nodes,
                               drift_tol=drift_tol, unchecked=args.unchecked)
-    except RuntimeError as exc:
+    except (RuntimeError, NearPoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     os.makedirs(args.out, exist_ok=True)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryPair
-from .krein import _defect_overlaps_gaussian, _dress, _gaussian_charges, defect_matrix, gamma_gram
+from .krein import _defect_factors, _defect_overlaps_gaussian, _dress, _gaussian_charges, gamma_gram
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
-from .spins import ModelSpec, channel_sum
+from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
 
 ETA = 1e-12  # distance from the cut at which the correction is evaluated
 MIN_PANEL_NODES = 8
+_CHUNK_ELEMENTS = 2**15  # complex entries of one chunk's site waves and m x m stacks
 
 
 def _evolve_component(g: GaussianComponent, t: float, phase: complex) -> GaussianComponent:
@@ -120,6 +121,43 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     return np.concatenate(lam), np.concatenate(wts)
 
 
+def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket, times: np.ndarray,
+                    grid: UniformGrid, lam: np.ndarray, wts: np.ndarray, unchecked: bool) -> np.ndarray:
+    """(1/pi) sum_k w_k e^{-i lam_k t} Im[Phi C s](lam_k + i0) on the grid, for every t.
+
+    Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i, so the nodes
+    z run lam_0 + i ETA, lam_0 - i ETA, lam_1 + i ETA, ... and are dressed
+    in chunks: each chunk takes one stacked _dress, the closed-form
+    charges of the packet, and the defect functions in factored form, the
+    site waves exp(i s r) formed once per (node, code, site, grid point).
+    The node weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
+    charges, so the sum over a chunk's nodes is one batched matmul. A
+    chunk holds at most _CHUNK_ELEMENTS entries of site waves and m x m
+    stacks, and at least one node.
+    """
+    n_layers = 2 if model.dimension == 1 else 1
+    n_sites, n_codes = model.n_spins, model.n_configs
+    z = (lam[:, None] + np.array([1j, -1j]) * ETA).ravel()
+    weights = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
+    coef = (weights[:, :, None] * (np.array([1.0, -1.0]) / 2j)).reshape(times.size, z.size)
+    per_z = n_codes * n_sites * grid.n_points + model.defect_dim**2
+    step = 2 * max(1, _CHUNK_ELEMENTS // (2 * per_z))
+    out = np.zeros((times.size, n_codes, grid.n_points), dtype=complex)
+    for lo in range(0, z.size, step):
+        zc = z[lo:lo + step]
+        charges = _gaussian_charges(_dress(model, pair, zc, unchecked), packet)
+        scale, wave, layer = _defect_factors(model, zc, grid.points)
+        # q[t, z, p, j, c]: the flat defect index is (layer p, site j, code c) in C order
+        q = coef[:, lo:lo + step, None, None, None] * charges.reshape(zc.size, n_layers, n_sites, n_codes)
+        q = (q * scale[..., 0]).transpose(3, 4, 0, 2, 1).reshape(n_sites, n_codes, -1, zc.size)
+        # per (site, code): (times x layers, nodes) @ (nodes, grid points)
+        summed = np.matmul(q, wave[:, 0].transpose(1, 2, 0, 3))
+        out += np.einsum("jctpx,pjx->tcx", summed.reshape(n_sites, n_codes, times.size, n_layers, -1),
+                         layer[:, :, 0])
+        del wave  # freed before the next chunk's waves are formed
+    return out
+
+
 @dataclass
 class EvolveResult:
     state: GridState
@@ -168,12 +206,8 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
         values += np.exp(-1j * bs.energy * times)[:, None, None] * proj
 
     lam, wts = _cut_nodes(model, n_nodes, lam_max)
-    phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
-    for k in range(lam.size if np.any(pair.B) else 0):  # a pair with B = 0 has no correction
-        for sign in (1.0, -1.0):
-            dress = _dress(model, pair, lam[k] + sign * 1j * ETA, unchecked)
-            field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
-            values += (sign / 2j) * phases[:, k, None, None] * field
+    if np.any(pair.B):  # a pair with B = 0 has no correction
+        values += _cut_correction(model, pair, packet, times, grid, lam, wts, unchecked)
 
     states = [GridState(model.dimension, v, grid) for v in values]
     norms = np.array([st.norm() for st in states])

@@ -42,6 +42,11 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 
+# _defect_factors: the d=3 scale, and the d=1 layer axis (charge, dipole)
+_UNIT_SCALE = np.ones((1, 1, 1, 1))
+_CHARGE = np.array([True, False]).reshape(2, 1, 1, 1)
+_UNIT_SCALE.setflags(write=False)
+
 
 class NearPoleError(ArithmeticError):
     """The dressed channel matrix is numerically singular at this z."""
@@ -59,14 +64,20 @@ class NearPoleError(ArithmeticError):
 def _gamma(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
     """Gamma(z), or -dGamma/dz under gram, on the full matrix or the index blocks.
 
-    -dGamma/dz applies d/dz = (1/2s) d/ds to every layer. It is the w -> z
-    limit of Gamma(z) - Gamma(w) = (w - z) int Phi^w Phi^z, the bilinear
-    Gram matrix int Phi^z_mu Phi^z_nu of the defect functions.
+    z is a scalar or a 1-D array of nodes; an array adds a leading node
+    axis to the result. -dGamma/dz applies d/dz = (1/2s) d/ds to every
+    layer. It is the w -> z limit of Gamma(z) - Gamma(w) = (w - z) int
+    Phi^w Phi^z, the bilinear Gram matrix int Phi^z_mu Phi^z_nu of the
+    defect functions.
     """
-    w = complex(z) - model.shifts()
-    # the shifts are real: one w lies on the cut iff the largest does
-    _check_energy(w[np.argmax(w.real)], False)
-    s = sqrt_upper(w)[:, None, None]
+    z = np.asarray(z, dtype=complex)
+    w = z[..., None] - model.shifts()
+    s = sqrt_upper(w)
+    if np.count_nonzero(s.imag) < s.size:
+        # Im s = 0 only on [0, inf); the shifts are real, so the node's largest w is there too
+        for wk in w.reshape(-1, w.shape[-1]):
+            _check_energy(wk[np.argmax(wk.real)], False)
+    s = s[..., None, None]
     pos = model.positions
     if model.dimension == 3:
         dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
@@ -76,7 +87,7 @@ def _gamma(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
             off = dist > 0.0  # the sites are distinct: only the diagonal is zero
             site = np.where(off, -np.exp(1j * s * dist) / (4.0 * np.pi * np.where(off, dist, 1.0)),
                             -1j * s / (4.0 * np.pi))
-        layers = site[:, None, None]
+        layers = site[..., None, None, :, :]
     else:
         if np.any(s == 0.0):
             raise ValueError("d=1 boundary matrix diverges when z - a.s = 0")
@@ -89,17 +100,17 @@ def _gamma(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
         else:
             g = 1j * e / (2.0 * s)
             gp = -np.sign(diff) * e / 2.0  # zero on the diagonal
-            lay = [[-g, -gp], [gp, -w[:, None, None] * g]]
-        layers = np.stack([np.stack(row, axis=1) for row in lay], axis=1)
-    # layers[code, p, p', j, j'] fills the equal-code block of each code
+            lay = [[-g, -gp], [gp, -w[..., None, None] * g]]
+        layers = np.stack([np.stack(row, axis=-3) for row in lay], axis=-4)
+    # layers[..., code, p, p', j, j'] fills the equal-code block of each code
     p, j, code = channel_tables(model)
     rows = (channel_blocks(model) if index is None else np.asarray(index))[:, :, None]
     cols = rows.swapaxes(1, 2)
-    vals = layers[code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
+    vals = layers[..., code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
     if index is not None:
         return np.where(code[rows] == code[cols], vals, 0.0)
-    out = np.zeros((model.defect_dim,) * 2, dtype=complex)
-    out[rows, cols] = vals
+    out = np.zeros(z.shape + (model.defect_dim,) * 2, dtype=complex)
+    out[..., rows, cols] = vals
     return out
 
 
@@ -114,7 +125,8 @@ def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
         (1j, 0j') -> +G', (0j, 1j') -> -G'           (zero at j = j').
 
     With index, a (g, k) stack of flat defect indices, only the blocks
-    Gamma[index[b], index[b]] are formed, as a (g, k, k) stack.
+    Gamma[index[b], index[b]] are formed, as a (g, k, k) stack. A 1-D
+    array of z adds a leading node axis: (n_z, m, m) or (n_z, g, k, k).
     """
     return _gamma(model, z, index, gram=False)
 
@@ -132,39 +144,50 @@ def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
     """Dressed channel matrix B Gamma(z) + A.
 
     pair is a BoundaryPair with gamma the m x m Gamma(z), or one of its
-    BlockGroups with gamma restricted to the same (g, k, k) blocks.
+    BlockGroups with gamma restricted to the same (g, k, k) blocks; a
+    leading node axis on gamma carries through.
     """
     return pair.B @ gamma + pair.A
 
 
-def invert_dressed(dressed, rhs):
+def invert_dressed(dressed, rhs, z=None):
     """Solve dressed X = rhs block by block; raises NearPoleError past 1e12.
 
     dressed and rhs are sequences of (g, k, k) stacks, the diagonal
-    blocks of a block-diagonal matrix. Each stack takes one batched
-    values-only SVD and one batched solve. The singular values of the
-    whole matrix are the union of the blocks' ones, so the smallest
-    singular value and the 2-norm condition number are those of the
-    whole matrix. Returns the solution stacks and the condition number.
+    blocks of a block-diagonal matrix, or of (n_z, g, k, k) stacks, one
+    such matrix per node (rhs may stay (g, k, k)). Each stack takes one
+    batched values-only SVD and one batched solve. A matrix's singular
+    values are the union of its blocks' ones, so each node's 2-norm
+    condition number comes from its own blocks alone. Returns the
+    solution stacks and the condition number, one per node. The error
+    names the first node past the limit, by its entry of z when given.
     """
     sv = [np.linalg.svd(d, compute_uv=False) for d in dressed]
-    smallest = min(float(np.min(s[..., -1])) for s in sv)
-    largest = max(float(np.max(s[..., 0])) for s in sv)
-    cond = float(np.inf) if smallest == 0.0 else largest / smallest
-    if cond > CONDITION_LIMIT:
-        raise NearPoleError(None, smallest, cond)
-    return [np.linalg.solve(d, b) for d, b in zip(dressed, rhs)], cond
+    smallest = np.min(np.concatenate([s[..., -1] for s in sv], axis=-1), axis=-1)
+    largest = np.max(np.concatenate([s[..., 0] for s in sv], axis=-1), axis=-1)
+    cond = np.divide(largest, smallest, out=np.full_like(largest, np.inf), where=smallest > 0.0)
+    bad = np.flatnonzero(cond > CONDITION_LIMIT)
+    if bad.size:
+        node = bad[0]
+        at = None if z is None else complex(np.ravel(z)[node])
+        raise NearPoleError(at, float(np.ravel(smallest)[node]), float(np.ravel(cond)[node]))
+    solved = [np.linalg.solve(d, b) for d, b in zip(dressed, rhs)]
+    return solved, (float(cond) if cond.ndim == 0 else cond)
 
 
 @dataclass
 class _Dressing:
-    """Per-(model, pair, z) factorized data for kernel evaluations."""
+    """Per-(model, pair, z) factorized data for kernel evaluations.
+
+    For a 1-D array of z, z, correction and condition carry a leading
+    node axis; column needs the one-node case.
+    """
 
     model: ModelSpec
     pair: BoundaryPair
-    z: complex
+    z: complex | np.ndarray
     correction: np.ndarray  # (Gamma^AB)^{-1} B
-    condition: float
+    condition: float | np.ndarray
     shifts: np.ndarray
     p: np.ndarray
     j: np.ndarray
@@ -200,17 +223,21 @@ class _Dressing:
 
 
 def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
-    """Gamma(z), its dressing and the correction, on the pair's blocks."""
+    """Gamma(z), its dressing and the correction, on the pair's blocks.
+
+    z is one energy or a 1-D array of nodes. A node array is dressed as
+    (n_z, g, k, k) stacks, one values-only SVD and one solve per block
+    group for all nodes; the condition number is per node, and a
+    NearPoleError names the first node past the limit in array order.
+    """
     require_valid(model, pair, unchecked)
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
+    z = complex(z) if z.ndim == 0 else z
     gamma = gamma_free(model, z)
     groups = pair.blocks()
-    subs = [(g.index[:, :, None], g.index[:, None, :]) for g in groups]
+    subs = [(..., g.index[:, :, None], g.index[:, None, :]) for g in groups]
     dressed = [gamma_dressed(g, gamma[sub]) for g, sub in zip(groups, subs)]
-    try:
-        solved, cond = invert_dressed(dressed, [g.B for g in groups])
-    except NearPoleError as err:
-        raise NearPoleError(z, err.smallest_singular_value, err.condition) from None
+    solved, cond = invert_dressed(dressed, [g.B for g in groups], z)
     correction = np.zeros_like(gamma)
     for sub, x in zip(subs, solved):
         correction[sub] = x
@@ -218,24 +245,43 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
     return _Dressing(model, pair, z, correction, cond, model.shifts(), p, j, code)
 
 
+def _defect_factors(model: ModelSpec, z, points):
+    """The defect functions in factored form, (scale, wave, layer).
+
+    scale * wave * layer broadcasts to phi on (layer p, site j, spin code
+    c, point), the flat defect order. wave = exp(i s_c r_j(x)) is formed
+    once per (node, site, code, point), with s_c = sqrt_upper(z - a.s_c)
+    and r_j the distance to site j. d=1 shares it between its two
+    layers: the charge layer has scale i/(2 s_c) and layer 1, the dipole
+    layer scale 1 and layer -sgn(x - y_j)/2. d=3 has one layer, scale 1
+    and layer 1/(4 pi r_j). Shapes: scale (..., P, 1, C, 1), wave
+    (..., 1, N, C, n_points), layer (P, N, 1, n_points); a 1-D array of
+    z is the leading axis of scale and wave.
+    """
+    s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - model.shifts())[..., None, None, :, None]
+    pts = np.asarray(points, dtype=float)
+    if model.dimension == 3:
+        r = np.linalg.norm(np.atleast_2d(pts)[None, :, :] - model.positions[:, None, :], axis=-1)[:, None, :]
+        if not r.all():
+            raise ValueError("defect function evaluated at its own site")
+        wave = s * (1j * r)
+        return _UNIT_SCALE, np.exp(wave, out=wave), 1.0 / (4.0 * np.pi * r[None])
+    disp = (np.atleast_1d(pts)[None, :] - model.positions[:, None])[:, None, :]
+    wave = s * (1j * np.abs(disp))
+    np.exp(wave, out=wave)
+    return np.where(_CHARGE, 1j / (2.0 * s), 1.0), wave, np.where(_CHARGE, 1.0, -0.5 * np.sign(disp))
+
+
 def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
     """phi_mu(points) for every flat mu; shape (m, n_points).
 
-    The channel selector delta_{code(state), code(mu)} is not applied
-    here. In d=1 the dipole layer takes its mean value 0 at the site.
+    A 1-D array of z adds a leading node axis. The channel selector
+    delta_{code(state), code(mu)} is not applied here. In d=1 the
+    dipole layer takes its mean value 0 at the site.
     """
-    p, j, code = channel_tables(model)
-    s = sqrt_upper(complex(z) - model.shifts())[code][:, None]
-    pts = np.asarray(points, dtype=float)
-    if model.dimension == 3:
-        pts = np.atleast_2d(pts)
-        r = np.linalg.norm(pts[None, :, :] - model.positions[:, None, :], axis=-1)[j - 1]
-        if np.any(r == 0.0):
-            raise ValueError("defect function evaluated at its own site")
-        return np.exp(1j * s * r) / (4.0 * np.pi * r)
-    r = (np.atleast_1d(pts)[None, :] - model.positions[:, None])[j - 1]
-    e = np.exp(1j * s * np.abs(r))
-    return np.where(p[:, None] == 0, 1j * e / (2.0 * s), -np.sign(r) * e / 2.0)
+    scale, wave, layer = _defect_factors(model, z, points)
+    phi = scale * wave * layer
+    return phi.reshape(phi.shape[:-4] + (-1, phi.shape[-1]))
 
 
 def _site_distance(model: ModelSpec, x) -> float:
@@ -288,6 +334,7 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
 
     Returns a (layers, n_points) array: d=3 has one layer; d=1 has the
     charge layer and the dipole layer, the integral with G' in place of G.
+    A 1-D array of w adds a leading node axis.
     Per Gaussian component (weight W, centre c, momentum k, variance v,
     a = 1/(4v), s = sqrt_upper(w)) the integral is a sum of the half-line
     integrals H = _half_line:
@@ -303,8 +350,11 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
         exp(-a y^2 + is y + c0) over y > 0 replaces it.
     """
     s = sqrt_upper(w)
+    nodes = ()
+    if isinstance(s, np.ndarray):
+        nodes, s = s.shape, s[:, None]  # the nodes ahead of the points
     x = np.asarray(points, dtype=float)
-    out = np.zeros((2 if packet.dimension == 1 else 1, x.shape[0]), dtype=complex)
+    out = np.zeros(nodes + (2 if packet.dimension == 1 else 1, x.shape[0]), dtype=complex)
     for g in packet.components[code]:
         v = g.variance
         a = 1.0 / (4.0 * v)
@@ -314,8 +364,8 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
             c = -a * dc * dc - 1j * k * dc
             hp = g.weight * _half_line(a, dc / (2.0 * v) + 1j * (s + k), c)
             hm = g.weight * _half_line(a, -dc / (2.0 * v) + 1j * (s - k), c)
-            out[0] += 1j / (2.0 * s) * (hp + hm)
-            out[1] -= (hp - hm) / 2.0
+            out[..., 0, :] += 1j / (2.0 * s) * (hp + hm)
+            out[..., 1, :] -= (hp - hm) / 2.0
             continue
         dx = x - g.center
         q = -dx / (2.0 * v) + 1j * g.momentum
@@ -329,25 +379,29 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
         m1 = 2.0 * v * (np.exp(c0) + 1j * s * m0)
         m2 = 2.0 * v * (m0 + 1j * s * m1)
         m3 = 2.0 * v * (2.0 * m1 + 1j * s * m2)
-        out[0] += g.weight * np.where(small, m1 + xi2 * m3 / 6.0, quotient)
+        out[..., 0, :] += g.weight * np.where(small, m1 + xi2 * m3 / 6.0, quotient)
     return out
 
 
-def _defect_overlaps_gaussian(model: ModelSpec, z: complex, packet: GaussianPacket) -> np.ndarray:
-    """s_mu = <Phi^{conj z}_mu, psi> using conj(Phi^{conj z}) = Phi^z; z may be real below mu."""
+def _defect_overlaps_gaussian(model: ModelSpec, z, packet: GaussianPacket) -> np.ndarray:
+    """s_mu = <Phi^{conj z}_mu, psi> using conj(Phi^{conj z}) = Phi^z; z may be real below mu.
+
+    A 1-D array of z adds a leading node axis: (n_z, m).
+    """
     p, j, code = channel_tables(model)
     shifts = model.shifts()
-    out = np.zeros(p.size, dtype=complex)
+    out = np.zeros(np.shape(z) + (p.size,), dtype=complex)
     for c in range(packet.n_channels):
         if packet.components[c]:
             sel = code == c
-            out[sel] = _gaussian_green(packet, c, z - shifts[c], model.positions)[p[sel], j[sel] - 1]
+            out[..., sel] = _gaussian_green(packet, c, z - shifts[c], model.positions)[..., p[sel], j[sel] - 1]
     return out
 
 
 def _gaussian_charges(dress: _Dressing, packet: GaussianPacket) -> np.ndarray:
-    """Charges (B Gamma + A)^{-1} B s of the rank-m correction applied to a Gaussian packet."""
-    return dress.correction @ _defect_overlaps_gaussian(dress.model, dress.z, packet)
+    """Charges (B Gamma + A)^{-1} B s of the rank-m correction applied to a Gaussian packet, per node."""
+    overlaps = _defect_overlaps_gaussian(dress.model, dress.z, packet)
+    return np.matmul(dress.correction, overlaps[..., None])[..., 0]
 
 
 def _node_at(grid: UniformGrid, x: float) -> int | None:

@@ -329,6 +329,29 @@ def test_evolve_drift_is_numerical_failure(tmp_path, capsys):
     assert "drift" in capsys.readouterr().err
 
 
+def test_evolve_near_pole_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a near-singular dressing at a quadrature node exits 3 and writes nothing
+    from spinpoint.krein import NearPoleError
+
+    def near_pole(*args, **kwargs):
+        raise NearPoleError(0.75 + 1e-12j, 3e-15, 4e13)
+
+    path = write_model(tmp_path, name="free")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "schema": "spinpoint-state v1",
+        "components": [{"channel": 0, "center": [0.0], "momentum": [1.0],
+                        "variance": 1.0, "weight": 1.0}],
+        "grid": {"lo": -8.0, "hi": 8.0, "n": 40},
+    }))
+    monkeypatch.setattr(cli, "evolve_spectral", near_pole)
+    outdir = tmp_path / "run"
+    assert run("evolve", str(path), "--state", str(state), "--out", str(outdir)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "near-singular at z=(0.75+1e-12j)" in err
+    assert not outdir.exists()
+
+
 def test_evolve_without_out_is_input_error(tmp_path, monkeypatch, capsys):
     # --out names the output directory; without it nothing is evolved
     path = write_model(tmp_path, name="free")

@@ -183,3 +183,55 @@ def test_spectral_3d_reconstructs_and_flips():
         assert float(np.max(np.abs(res.state.values - init.values))) <= 2e-3 * scale
     res = evolve_spectral(model, preset_offdiag(model, 0.3), packet, [1.0], grid, n_nodes=128)
     assert res.state.channel_weights()[1] > 10.0 * res.error_estimate
+
+
+def _per_node_correction(model, pair, packet, times, grid, lam, wts, unchecked):
+    """The cut integral node by node: two one-node dressings per node, z = lam +- i ETA."""
+    from spinpoint.dynamics import ETA
+    from spinpoint.krein import _dress, _gaussian_charges, defect_matrix
+    from spinpoint.spins import channel_sum
+
+    out = np.zeros((times.size, model.n_configs, grid.n_points), dtype=complex)
+    phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
+    for k in range(lam.size):
+        for sign in (1.0, -1.0):
+            dress = _dress(model, pair, lam[k] + sign * 1j * ETA, unchecked)
+            field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
+            out += (sign / 2j) * phases[:, k, None, None] * field
+    return out
+
+
+def _evolve_cases():
+    zeeman = ModelSpec(1, [0.0, 1.5], [0.3, 0.58])
+    yield (zeeman, preset_offdiag(zeeman, 0.8),
+           GaussianPacket.single(1, 4, 0, [-4.0], [2.5], 1.0), UniformGrid.linear(-14.0, 12.0, 220))
+    model3 = ModelSpec(3, [np.zeros(3)], [0.0])
+    yield (model3, preset_offdiag(model3, 0.3),
+           GaussianPacket.single(3, 2, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
+
+
+@pytest.mark.parametrize("model, pair, packet, grid", _evolve_cases(), ids=["d1-zeeman-N2", "d3-N1"])
+def test_stacked_nodes_match_per_node_loop(monkeypatch, model, pair, packet, grid):
+    from spinpoint import dynamics
+
+    res = evolve_spectral(model, pair, packet, [0.0, 0.7], grid, n_nodes=256)
+    monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)
+    ref = evolve_spectral(model, pair, packet, [0.0, 0.7], grid, n_nodes=256)
+    scale = max(float(np.max(np.abs(st.values))) for st in ref.states)
+    for got, want in zip(res.states, ref.states):
+        assert float(np.max(np.abs(got.values - want.values))) <= 1e-12 * scale
+    assert res.norms == pytest.approx(ref.norms, rel=1e-12)
+
+
+def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
+    from spinpoint import dynamics
+
+    model, pair, packet, grid = next(_evolve_cases())
+    per_z = model.n_configs * model.n_spins * grid.n_points + model.defect_dim**2
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 2 * 7 * per_z)  # 7 nodes per chunk
+    res = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
+    assert res.params["n_nodes"] % 7 != 0
+    monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)
+    ref = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
+    scale = float(np.max(np.abs(ref.state.values)))
+    assert float(np.max(np.abs(res.state.values - ref.state.values))) <= 1e-12 * scale

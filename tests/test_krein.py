@@ -829,3 +829,74 @@ def test_near_pole_in_one_block_of_several():
     # the code-1 channel has no pole here: its kernel is the one-channel closed form
     want = ref.delta_kernel_3d(energy + 1e-6, alpha, beta_plus, beta_minus, x, 1, xp, 1, np.zeros(3))
     assert near == pytest.approx(want, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# node axis: a 1-D array of z is the stack of the one-node results
+
+
+NODES = np.array([-1.3 + 0.7j, 0.4 + 1e-12j, 0.4 - 1e-12j, 2.1 + 1e-12j, -0.5 - 0.3j])
+
+
+def _node_axis_cases():
+    rng = np.random.default_rng(5)
+    for make in (model_d1, model_d3):
+        model = make(2)
+        offdiag = preset_offdiag(model, [0.8, -0.6])
+        delta = preset_delta(model, rng.normal(size=(2, 2)))
+        assert len(offdiag.blocks()) == 1 and offdiag.blocks()[0].index.shape[0] == 1
+        assert sum(g.index.shape[0] for g in delta.blocks()) == model.n_configs
+        d = model.dimension
+        points = np.array([-0.7, 0.35, 2.4]) if d == 1 else np.array([[0.3, -0.4, 0.2], [1.5, 0.9, -0.6]])
+        packet = GaussianPacket.single(d, model.n_configs, 1, [0.4] * d, [1.2] * d, 0.6 + 0.2j)
+        for pair in (offdiag, delta):
+            yield pytest.param(model, pair, points, packet, id=f"d{d}-{'offdiag' if pair is offdiag else 'delta'}")
+
+
+def _assert_stacked(stacked, single):
+    assert stacked.shape == (NODES.size,) + single[0].shape
+    for got, want in zip(stacked, single):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model, pair, points, packet", _node_axis_cases())
+def test_node_axis_matches_one_node_calls(model, pair, points, packet):
+    from spinpoint.krein import _defect_overlaps_gaussian, _dress
+
+    _assert_stacked(gamma_free(model, NODES), [gamma_free(model, z) for z in NODES])
+    index = pair.blocks()[0].index
+    _assert_stacked(gamma_free(model, NODES, index), [gamma_free(model, z, index) for z in NODES])
+    _assert_stacked(defect_matrix(model, NODES, points), [defect_matrix(model, z, points) for z in NODES])
+    _assert_stacked(_defect_overlaps_gaussian(model, NODES, packet),
+                    [_defect_overlaps_gaussian(model, z, packet) for z in NODES])
+    dress = _dress(model, pair, NODES)
+    _assert_stacked(dress.correction, [_dress(model, pair, z).correction for z in NODES])
+    # the condition number is that node's own, not the stack's
+    assert dress.condition.shape == NODES.shape
+    for z, cond in zip(NODES, dress.condition):
+        sv = np.linalg.svd(pair.B @ gamma_free(model, z) + pair.A, compute_uv=False)
+        assert cond == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+    assert np.ptp(dress.condition) > 0.0
+
+
+def test_near_pole_node_named_in_stack():
+    # the poles of test_near_pole_in_one_block_of_several: code 0 at
+    # alpha + E(beta_plus), code 1 at -alpha + E(beta_minus)
+    from spinpoint.krein import _dress
+
+    alpha, beta_plus, beta_minus = 0.3, -0.5, -0.2
+    model = ModelSpec(3, [np.zeros(3)], [alpha])
+    pair = preset_delta(model, [[beta_plus, beta_minus]])
+    pole_plus = alpha + ref.delta_bound_energy_3d(beta_plus)
+    pole_minus = -alpha + ref.delta_bound_energy_3d(beta_minus)
+    fine = [-1.0 + 0.5j, pole_plus + 0.3j, pole_minus - 1e-6]
+    dress = _dress(model, pair, fine)
+    assert np.all(dress.condition < 1e12)
+    for stack, first in (([fine[0], pole_plus, fine[1]], pole_plus),
+                         ([fine[0], pole_minus, fine[2], pole_plus], pole_minus),
+                         ([pole_plus, pole_minus], pole_plus)):
+        with pytest.raises(NearPoleError) as info:
+            _dress(model, pair, np.array(stack))
+        assert info.value.z == first
+        assert info.value.smallest_singular_value < 1e-10
+        assert info.value.condition > 1e12
