@@ -16,11 +16,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension
+from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, site_slots
 
 __all__ = [
     "BoundaryPair",
     "BlockGroup",
+    "SpinFrame",
     "ValidationReport",
     "ValidationError",
     "validate",
@@ -35,6 +36,7 @@ __all__ = [
 
 RANK_RTOL = 1e-10
 HERMITICITY_TOL_FLOOR = 1e-10
+FRAME_RTOL = 1e-12  # largest off-diagonal part of a rotated site's matrices, relative to their largest entry
 
 
 class BlockGroup(NamedTuple):
@@ -49,6 +51,56 @@ class BlockGroup(NamedTuple):
     B: np.ndarray  # (g, k, k)
 
 
+class SpinFrame(NamedTuple):
+    """A unitary U = I (x) (U_N (x) ... (x) U_1) on the spin code, and a pair's blocks in it.
+
+    sites lists the rotated sites (1-based) and bases their 2 x 2 U_j;
+    every other U_j is the identity. blocks are the dressing blocks of
+    (U* A U, U* B U), as BoundaryPair.blocks gives them; with no site
+    rotated they are the pair's own blocks.
+    """
+
+    n_spins: int
+    sites: tuple
+    bases: tuple
+    blocks: tuple
+
+    def rotate(self, v, axis: int = -1, adjoint: bool = False):
+        """U v, or U* v under adjoint, along the flat defect axis of v; v itself when U = I.
+
+        Each U_j acts on its own bit of the spin code as a 2 x 2 factor; no
+        m x m matrix is formed.
+        """
+        if not self.sites:
+            return v
+        v = np.moveaxis(np.asarray(v), axis, -1)
+        shape = v.shape
+        for j, u in zip(self.sites, self.bases):
+            u = u.conj().T if adjoint else u
+            # the code is the fastest part of the flat index: split off its bit j - 1
+            v = v.reshape(-1, 2, 2 ** (j - 1))
+            lo, hi = v[:, 0], v[:, 1]
+            v = np.stack([u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi], axis=1)
+        return np.moveaxis(v.reshape(shape), -1, axis)
+
+
+def _joint_basis(mats: np.ndarray):
+    """Unitary U with U* M U diagonal for every M of a (k, 2, 2) stack, or None.
+
+    U is the eigenbasis of one fixed generic Hermitian combination of
+    the Hermitian and skew-Hermitian parts of the M (the random-element
+    method of Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
+    Math. 27, 2010). It diagonalizes them all when they commute and are
+    normal, which is checked on the result.
+    """
+    adj = mats.conj().swapaxes(-1, -2)
+    parts = np.concatenate([mats + adj, 1j * (mats - adj)])
+    u = np.linalg.eigh(np.tensordot(np.sqrt(np.arange(2, 2 + len(parts))), parts, axes=1))[1]
+    rot = u.conj().T @ mats @ u
+    off = np.maximum(np.abs(rot[:, 0, 1]), np.abs(rot[:, 1, 0]))
+    return u if np.max(off) <= FRAME_RTOL * np.max(np.abs(mats)) else None
+
+
 @dataclass
 class BoundaryPair:
     """Interface matrices for a given dimension and spin count.
@@ -56,7 +108,8 @@ class BoundaryPair:
     Arrays are stored read-only. Two partitions of the defect indices are
     cached as BlockGroups ascending in block size: components(), the finest
     on which A and B are block diagonal (for validation), and blocks(), on
-    which B Gamma(z) + A is block diagonal for every z (for the solvers).
+    which B Gamma(z) + A is block diagonal for every z. The solvers run on
+    frame(model).blocks, the blocks of the pair in its spin frame.
     """
 
     dimension: int
@@ -66,6 +119,8 @@ class BoundaryPair:
     _report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
     _components: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
     _blocks: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
+    _sites: "tuple | None" = field(default=None, repr=False, compare=False)
+    _frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m = index_dimension(self.dimension, self.n_spins)
@@ -103,8 +158,81 @@ class BoundaryPair:
             self._blocks = self._grouped(chains)
         return self._blocks
 
-    def _grouped(self, chains) -> "tuple[BlockGroup, ...]":
-        """Connected components of the graph linking neighbours along each row of each chain."""
+    def frame(self, model: ModelSpec) -> SpinFrame:
+        """The spin frame of the solvers in this model, cached per set of rotated sites.
+
+        Site j rotates when alpha_j = 0, the pair is local, and the 2 x 2
+        spin matrices of A and B at site j (one per layer pair (p, p'))
+        are not all diagonal but commute and are normal; U_j is their
+        joint eigenbasis. Gamma(z) depends on sigma_j only through
+        alpha_j sigma_j, so U commutes with it, and (U* A U, U* B U)
+        splits into up to 2**N times more blocks; they are read off the
+        diagonals of the rotated 2 x 2s without forming U or any m x m
+        matrix. No rotated site: U = I and the pair's own blocks.
+        Validation stays on the pair itself: a unitary similarity keeps
+        admissibility.
+        """
+        mats, bases = self._site_bases()
+        sites = tuple(j for j in bases if model.alpha[j - 1] == 0.0)
+        if sites not in self._frames:
+            if not sites:
+                blocks = self.blocks()
+            else:
+                rot = mats.copy()
+                for j in sites:
+                    u = bases[j]
+                    diag = np.einsum("ab,...ac,cb->...b", u.conj(), rot[:, :, :, j - 1], u)
+                    rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
+                rows, cols = site_slots(self)
+                filled = np.broadcast_to(np.any(rot != 0.0, axis=0)[..., None], rows.shape)
+                edges = np.stack([rows[filled], cols[filled]], axis=1)
+                blocks = self._grouped([edges, channel_blocks(self)],
+                                       lambda index: self._local_entries(rot, index))
+            self._frames[sites] = SpinFrame(self.n_spins, sites, tuple(bases[j] for j in sites), blocks)
+        return self._frames[sites]
+
+    def _site_bases(self):
+        """(mats, bases): the spin matrices of a local pair and U_j per site that can rotate.
+
+        mats[w, p, p', j - 1] is the 2 x 2 of A (w = 0) or B (w = 1) at
+        site j, read off the slots of spectator configuration 0 (None for
+        a pair that is not local); bases maps j to U_j. A site whose
+        matrices are all diagonal is skipped without arithmetic.
+        """
+        if self._sites is None:
+            mats, bases = None, {}
+            if self.validation().is_local:
+                rows, cols = (x[..., 0] for x in site_slots(self))
+                mats = np.stack([self.A[rows, cols], self.B[rows, cols]])
+                per_site = np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
+                for j, m in enumerate(per_site, start=1):
+                    if m[:, 0, 1].any() or m[:, 1, 0].any():
+                        u = _joint_basis(m)
+                        if u is not None:
+                            bases[j] = u
+            self._sites = (mats, bases)
+        return self._sites
+
+    def _local_entries(self, mats: np.ndarray, index: np.ndarray):
+        """(A, B) on the (g, k, k) blocks of index of the local pair with site matrices mats.
+
+        mats is laid out as in _site_bases. An entry is that of its site's
+        2 x 2 when row and column share the site and the spectator spins,
+        and 0 otherwise: index arithmetic, no m x m matrix.
+        """
+        p, j, code = channel_tables(self)
+        bit = (code >> (j - 1)) & 1
+        r, c = index[:, :, None], index[:, None, :]
+        local = (j[r] == j[c]) & (((code[r] ^ code[c]) & ~(1 << (j[r] - 1))) == 0)
+        vals = np.where(local, mats[:, p[r], p[c], j[r] - 1, bit[r], bit[c]], 0.0)
+        return vals[0], vals[1]
+
+    def _grouped(self, chains, entries=None) -> "tuple[BlockGroup, ...]":
+        """Connected components of the graph linking neighbours along each row of each chain.
+
+        entries(index) gives the (A, B) blocks of a (g, k) index stack;
+        by default they are read off the pair's own A and B.
+        """
         m = self.defect_dim
         head = np.concatenate([c[:, :-1].ravel() for c in chains])
         tail = np.concatenate([c[:, 1:].ravel() for c in chains])
@@ -119,8 +247,9 @@ class BoundaryPair:
             index = order[size[order] == k].reshape(-1, k)
             index.setflags(write=False)
             sub = (index[:, :, None], index[:, None, :])
-            groups.append(BlockGroup(index, self.A[sub], self.B[sub]))
+            groups.append(BlockGroup(index, *(entries(index) if entries else (self.A[sub], self.B[sub]))))
         return tuple(groups)
+
 
 
 @dataclass(frozen=True)
@@ -205,25 +334,19 @@ def is_local(pair: BoundaryPair) -> bool:
 
     Requires (i) no coupling across distinct sites, (ii) no dependence
     on spins other than the one at the shared site, and (iii) surviving
-    entries identical across the spectator spins' configurations.
-    Reads only the nonzero entries of the components: each key (p, p', j,
-    sigma_j, sigma'_j) of A or B has 2**(N-1) slots allowed by (i) and
-    (ii); (iii) holds when a key present fills them with one value.
+    entries identical across the spectator spins' configurations. (i)
+    and (ii) allow only the entries of spins.site_slots, so every nonzero
+    entry (counted on the pair's components) must lie in a slot; (iii)
+    holds when the values in those slots do not change along the
+    spectator axis.
     """
-    p, j, code = channel_tables(pair)
-    bit = (code >> (j - 1)) & 1  # sigma_j of each channel at its own site
-    found = []
-    for g in pair.components():
-        for which, M in enumerate((g.A, g.B)):
-            b, r, c = np.nonzero(M)
-            found.append((g.index[b, r], g.index[b, c], np.full(b.size, which), M[b, r, c]))
-    rows, cols, which, vals = (np.concatenate(x) for x in zip(*found))
-    if np.any(j[rows] != j[cols]) or np.any((code[rows] ^ code[cols]) & ~(1 << (j[rows] - 1))):
-        return False
-    key = (((p[rows] * 2 + p[cols]) * pair.n_spins + j[rows] - 1) * 2 + bit[rows]) * 2 + bit[cols]
-    _, first, inverse, count = np.unique(key * 2 + which, return_index=True, return_inverse=True,
-                                         return_counts=True)
-    return bool(np.all(count == 2 ** (pair.n_spins - 1)) and np.all(vals == vals[first][inverse]))
+    rows, cols = site_slots(pair)
+    groups = pair.components()
+    for M, blocks in ((pair.A, [g.A for g in groups]), (pair.B, [g.B for g in groups])):
+        slots = M[rows, cols]
+        if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(slots) or np.any(slots != slots[..., :1]):
+            return False
+    return True
 
 
 def _beta_table(values, n_spins: int, name: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .boundary import BoundaryPair
 from .krein import _defect_factors, _defect_overlaps_gaussian, _dress, _gaussian_charges, gamma_gram
@@ -100,7 +101,8 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     panel [a, lam_max] is mapped by lam = a + u^2, an interior panel
     [a, b] by lam = a + (b - a) sin^2(theta), whose Jacobian vanishes at
     both ends. Panel k gets round(n_nodes sqrt(w_k) / sum_i sqrt(w_i))
-    nodes for the widths w, at least MIN_PANEL_NODES.
+    nodes for the widths w, at least MIN_PANEL_NODES. The Gauss-Legendre
+    rule is scipy's roots_legendre, O(n^2) per panel.
     """
     edges = np.unique(model.shifts())
     edges = np.append(edges[edges < lam_max], lam_max)
@@ -108,7 +110,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
     lam, wts = [], []
     for k, n in enumerate(counts):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = special.roots_legendre(n)
         a, b = edges[k], edges[k + 1]
         if k == counts.size - 1:
             u = root[k] * (x + 1.0) / 2.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .boundary import BoundaryPair, require_valid
+from .boundary import BoundaryPair, SpinFrame, require_valid
 from .greens import _check_energy, green, sqrt_upper
 from .spins import ModelSpec, channel_blocks, channel_sum, channel_tables, spin_code
 from .states import GaussianPacket, GridState, UniformGrid
@@ -179,33 +179,51 @@ def invert_dressed(dressed, rhs, z=None):
 class _Dressing:
     """Per-(model, pair, z) factorized data for kernel evaluations.
 
-    For a 1-D array of z, z, correction and condition carry a leading
-    node axis; column needs the one-node case.
+    The dressing runs in the pair's spin frame U (BoundaryPair.frame):
+    rotated is U* C U for the correction C = (B Gamma + A)^{-1} B, block
+    diagonal on the frame's blocks, and charges maps vectors through U.
+    For a 1-D array of z, z, rotated and condition carry a leading node
+    axis; column needs the one-node case.
     """
 
     model: ModelSpec
     pair: BoundaryPair
     z: complex | np.ndarray
-    correction: np.ndarray  # (Gamma^AB)^{-1} B
+    frame: SpinFrame
+    rotated: np.ndarray  # U* (Gamma^AB)^{-1} B U
     condition: float | np.ndarray
     shifts: np.ndarray
     p: np.ndarray
     j: np.ndarray
     code: np.ndarray
 
+    @property
+    def correction(self) -> np.ndarray:
+        """(B Gamma + A)^{-1} B in the pair's own frame, U rotated U*."""
+        left = self.frame.rotate(self.rotated, axis=-2)
+        return self.frame.rotate(left.conj(), axis=-1).conj()
+
+    def charges(self, overlaps) -> np.ndarray:
+        """C s for overlap vectors s on the last axis of overlaps, one per node."""
+        frame = self.frame
+        inner = frame.rotate(overlaps, adjoint=True)
+        return frame.rotate(np.matmul(self.rotated, inner[..., None])[..., 0])
+
     def column(self, xp, sigmap):
         """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
 
-        The source-side defect values are computed once per column, and
-        every column of one dressing shares its factorization.
+        The source-side defect values and sqrt_upper(z - a.s) are computed
+        once per column, and every column of one dressing shares its
+        factorization.
         """
         model = self.model
         code_p = spin_code(sigmap, model.n_spins)
         if _site_distance(model, xp) == 0.0:
             raise ValueError("source point coincides with a spin site")
-        phi_src = defect_matrix(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)])[:, 0]
+        s = sqrt_upper(self.z - self.shifts)
+        phi_src = _defect_rows(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)], s)[:, 0]
         phi_src = np.where(self.code == code_p, phi_src, 0.0)
-        weights = self.correction @ phi_src  # c_mu for the x side
+        weights = self.charges(phi_src)  # c_mu for the x side
 
         def evaluate(x, sigma) -> complex:
             code = spin_code(sigma, model.n_spins)
@@ -216,36 +234,40 @@ class _Dressing:
                 w = self.z - self.shifts[code]
                 disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
                 val += green(model.dimension, w, disp, allow_cut=True)
-            phi_out = defect_matrix(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)])
+            phi_out = _defect_rows(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)], s)
             return val + complex(channel_sum(model, weights, phi_out)[code, 0])
 
         return evaluate
 
 
 def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
-    """Gamma(z), its dressing and the correction, on the pair's blocks.
+    """Gamma(z), its dressing and the correction, on the blocks of the pair's spin frame.
 
-    z is one energy or a 1-D array of nodes. A node array is dressed as
-    (n_z, g, k, k) stacks, one values-only SVD and one solve per block
-    group for all nodes; the condition number is per node, and a
-    NearPoleError names the first node past the limit in array order.
+    U commutes with Gamma(z), so U* (B Gamma + A) U = B' Gamma + A' on the
+    frame's blocks, with (A', B') = (U* A U, U* B U); its condition number
+    is that of B Gamma + A. z is one energy or a 1-D array of nodes. A
+    node array is dressed as (n_z, g, k, k) stacks, one values-only SVD
+    and one solve per block group for all nodes; the condition number is
+    per node, and a NearPoleError names the first node past the limit in
+    array order.
     """
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
     z = complex(z) if z.ndim == 0 else z
     gamma = gamma_free(model, z)
-    groups = pair.blocks()
+    frame = pair.frame(model)
+    groups = frame.blocks
     subs = [(..., g.index[:, :, None], g.index[:, None, :]) for g in groups]
     dressed = [gamma_dressed(g, gamma[sub]) for g, sub in zip(groups, subs)]
     solved, cond = invert_dressed(dressed, [g.B for g in groups], z)
-    correction = np.zeros_like(gamma)
+    rotated = np.zeros_like(gamma)
     for sub, x in zip(subs, solved):
-        correction[sub] = x
+        rotated[sub] = x
     p, j, code = channel_tables(model)
-    return _Dressing(model, pair, z, correction, cond, model.shifts(), p, j, code)
+    return _Dressing(model, pair, z, frame, rotated, cond, model.shifts(), p, j, code)
 
 
-def _defect_factors(model: ModelSpec, z, points):
+def _defect_factors(model: ModelSpec, z, points, s=None):
     """The defect functions in factored form, (scale, wave, layer).
 
     scale * wave * layer broadcasts to phi on (layer p, site j, spin code
@@ -256,9 +278,13 @@ def _defect_factors(model: ModelSpec, z, points):
     layer scale 1 and layer -sgn(x - y_j)/2. d=3 has one layer, scale 1
     and layer 1/(4 pi r_j). Shapes: scale (..., P, 1, C, 1), wave
     (..., 1, N, C, n_points), layer (P, N, 1, n_points); a 1-D array of
-    z is the leading axis of scale and wave.
+    z is the leading axis of scale and wave. s, when given, is
+    sqrt_upper(z - a.s_c) per (node and) code, for callers that reuse
+    one z.
     """
-    s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - model.shifts())[..., None, None, :, None]
+    if s is None:
+        s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - model.shifts())
+    s = s[..., None, None, :, None]
     pts = np.asarray(points, dtype=float)
     if model.dimension == 3:
         r = np.linalg.norm(np.atleast_2d(pts)[None, :, :] - model.positions[:, None, :], axis=-1)[:, None, :]
@@ -279,7 +305,12 @@ def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
     delta_{code(state), code(mu)} is not applied here. In d=1 the
     dipole layer takes its mean value 0 at the site.
     """
-    scale, wave, layer = _defect_factors(model, z, points)
+    return _defect_rows(model, z, points)
+
+
+def _defect_rows(model: ModelSpec, z, points, s=None) -> np.ndarray:
+    """defect_matrix, with s as in _defect_factors."""
+    scale, wave, layer = _defect_factors(model, z, points, s)
     phi = scale * wave * layer
     return phi.reshape(phi.shape[:-4] + (-1, phi.shape[-1]))
 
@@ -329,7 +360,7 @@ def _half_line(a, b, c):
     return np.sqrt(np.pi / a) / 2.0 * (np.where(right, tail, -tail) + full)
 
 
-def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np.ndarray:
+def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points, s=None) -> np.ndarray:
     """Integral of G^w(u - x) psi_code(u) du at every point x, in closed form.
 
     Returns a (layers, n_points) array: d=3 has one layer; d=1 has the
@@ -348,8 +379,10 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points) -> np
         That difference quotient is even in xi; for |v xi^2| < 1e-6 its
         Taylor series M1 + xi^2 M3/6 in the moments M_n of
         exp(-a y^2 + is y + c0) over y > 0 replaces it.
+    s, when given, is sqrt_upper(w), for callers that reuse one w.
     """
-    s = sqrt_upper(w)
+    if s is None:
+        s = sqrt_upper(w)
     nodes = ()
     if isinstance(s, np.ndarray):
         nodes, s = s.shape, s[:, None]  # the nodes ahead of the points
@@ -400,8 +433,7 @@ def _defect_overlaps_gaussian(model: ModelSpec, z, packet: GaussianPacket) -> np
 
 def _gaussian_charges(dress: _Dressing, packet: GaussianPacket) -> np.ndarray:
     """Charges (B Gamma + A)^{-1} B s of the rank-m correction applied to a Gaussian packet, per node."""
-    overlaps = _defect_overlaps_gaussian(dress.model, dress.z, packet)
-    return np.matmul(dress.correction, overlaps[..., None])[..., 0]
+    return dress.charges(_defect_overlaps_gaussian(dress.model, dress.z, packet))
 
 
 def _node_at(grid: UniformGrid, x: float) -> int | None:
@@ -494,13 +526,13 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
     """
     dress = _dress(model, pair, z, unchecked)
     z = dress.z
-    coupled = bool(np.any(dress.correction != 0.0))
+    coupled = bool(np.any(dress.rotated != 0.0))
     if isinstance(state, GridState):
         if grid is not None and grid is not state.grid:
             raise ValueError("grid input is applied on its own grid")
         grid = state.grid
         values = _free_apply_grid(model, z, state)
-        charges = dress.correction @ _defect_overlaps_grid(dress, state) if coupled else None
+        charges = dress.charges(_defect_overlaps_grid(dress, state)) if coupled else None
     elif isinstance(state, GaussianPacket):
         if grid is None:
             raise ValueError("Gaussian input needs an output grid")
@@ -527,12 +559,13 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
     dress = _dress(model, pair, z, unchecked)
     charges = _gaussian_charges(dress, state)
     shifts = model.shifts()
+    s = sqrt_upper(dress.z - shifts)  # once for the closure's one z
 
     def evaluate(x, sigma) -> complex:
         code = spin_code(sigma, model.n_spins)
         pts = [x] if model.dimension == 1 else [np.asarray(x, dtype=float)]
-        val = _gaussian_green(state, code, dress.z - shifts[code], pts)[0, 0]
-        phi = defect_matrix(model, dress.z, pts)
+        val = _gaussian_green(state, code, dress.z - shifts[code], pts, complex(s[code]))[0, 0]
+        phi = _defect_rows(model, dress.z, pts, s)
         return complex(val + channel_sum(model, charges, phi)[code, 0])
 
     return evaluate

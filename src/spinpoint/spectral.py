@@ -13,7 +13,10 @@ which is Hermitian and strictly decreasing in E below mu. The number
 N(E) of its negative eigenvalues, summed over the blocks, thus counts
 the bound states below E up to its E -> -inf limit: bisection on N finds
 every level, the jump in N is its multiplicity, and the null vectors of
-H_k, mapped back through V, are its charges.
+H_k, mapped back through V, are its charges. The blocks are those of the
+pair in its spin frame U (BoundaryPair.frame): U commutes with Gamma(E),
+so the rotated pair has the same levels, and its charges q' map back as
+q = U q'.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, require_valid
+from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
 from .krein import defect_matrix, gamma_dressed, gamma_free
 from .spins import ModelSpec, channel_sum, channel_tables
 
@@ -71,8 +74,8 @@ class BoundState:
     charge_basis: np.ndarray  # (multiplicity, m) null vectors, phase-fixed
 
 
-def _reduce(pair: BoundaryPair) -> list:
-    """(group, V, Lambda) per block group of the pair.
+def _reduce(frame: SpinFrame) -> list:
+    """(group, V, Lambda) per block group of the pair in its spin frame.
 
     V keeps as many directions as the largest rank of B_k in the group;
     it is zero and Lambda the identity in those of zero singular values,
@@ -80,7 +83,7 @@ def _reduce(pair: BoundaryPair) -> list:
     is made Hermitian: no change for an admissible pair.
     """
     out = []
-    for g in pair.blocks():
+    for g in frame.blocks:
         w, s, vh = np.linalg.svd(g.B)
         keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
         r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
@@ -147,7 +150,7 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     bmax = float(np.max(np.abs(pair.B)))
     if bmax == 0.0:
         return mu - 10.0  # no bound states
-    red = _reduce(pair)
+    red = _reduce(pair.frame(model))
     floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(pair.A))) / bmax) ** 2)
     limit = _limit(model, red)
     for _ in range(30):
@@ -158,11 +161,11 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
                      f"did not fall to its limit {limit}")
 
 
-def _level(model: ModelSpec, red: list, energy: float, n_below, n_above) -> BoundState:
+def _level(model: ModelSpec, frame: SpinFrame, red: list, energy: float, n_below, n_above) -> BoundState:
     """Bound state at a root bracketed by per-block counts n_below < n_above."""
     jump = n_above > n_below
     lo, up = n_below[jump], n_above[jump]
-    basis, sigma, i = [], np.inf, 0
+    rotated, sigma, i = [], np.inf, 0
     for g, sel, v, gamma, h in _hermitian(model, red, energy, jump):
         dressed = gamma_dressed(BlockGroup(g.index[sel], g.A[sel], g.B[sel]), gamma)
         sigma = min(sigma, float(np.min(np.linalg.svd(dressed, compute_uv=False))))
@@ -171,9 +174,12 @@ def _level(model: ModelSpec, red: list, energy: float, n_below, n_above) -> Boun
             for y in (vb @ vec[:, lo[i]:up[i]]).T:
                 q = np.zeros(model.defect_dim, dtype=complex)
                 q[index] = y
-                lead = q[np.argmax(np.abs(q))]
-                basis.append(q * (abs(lead) / lead))
+                rotated.append(q)
             i += 1
+    basis = []
+    for q in frame.rotate(np.array(rotated)):
+        lead = q[np.argmax(np.abs(q))]
+        basis.append(q * (abs(lead) / lead))
     return BoundState(float(energy), basis[0], sigma, len(basis), np.array(basis))
 
 
@@ -192,7 +198,8 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     require_valid(model, pair, unchecked)
     if not np.any(pair.B):
         return []  # A q = 0 forces q = 0
-    red = _reduce(pair)
+    frame = pair.frame(model)
+    red = _reduce(frame)
     mu = essential_spectrum_bottom(model)
     lo = default_search_floor(model, pair) if e_min is None else float(e_min)
     hi = mu - GAP * (1.0 + abs(mu))
@@ -207,7 +214,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         if not active.any():
             continue
         if b - a <= tol * (1.0 + abs(a)) or not a < mid < b:
-            states.append(_level(model, red, mid, na, nb))
+            states.append(_level(model, frame, red, mid, na, nb))
             continue
         nm = na.copy()
         nm[active] = _count(model, red, mid, active)

@@ -11,7 +11,7 @@ so sigma_j = +1 maps to bit 0 at position j-1. Defect channels carry a
 multi-index (p, j, sigma) for d=1 (p=0 charge layer, p=1 dipole layer)
 and (j, sigma) for d=3, flattened p-major, then site, then spin code.
 Other modules read that order only through channel_tables,
-channel_blocks and channel_sum.
+channel_blocks, channel_sum and site_slots.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "channel_tables",
     "channel_blocks",
     "channel_sum",
+    "site_slots",
 ]
 
 DEFAULT_MAX_SPINS = 6
@@ -244,3 +245,31 @@ def channel_sum(space, weights, rows) -> np.ndarray:
     """
     blocks = channel_blocks(space)
     return np.einsum("ck,ck...->c...", np.asarray(weights)[blocks], np.asarray(rows)[blocks])
+
+
+@functools.lru_cache(maxsize=32)
+def _slots(dimension: int, n_spins: int):
+    layers = 2 if dimension == 1 else 1
+    ncfg = 2**n_spins
+    p, pp, j, b, bp, rest = np.ix_(range(layers), range(layers), range(n_spins), range(2), range(2),
+                                   range(ncfg // 2))
+    spectators = ((rest >> j) << (j + 1)) | (rest & ((1 << j) - 1))  # a 0 bit inserted at j
+    rows = (p * n_spins + j) * ncfg + (spectators | (b << j))
+    cols = (pp * n_spins + j) * ncfg + (spectators | (bp << j))
+    rows, cols = (np.array(a) for a in np.broadcast_arrays(rows, cols))
+    for arr in (rows, cols):
+        arr.setflags(write=False)  # shared by every caller
+    return rows, cols
+
+
+def site_slots(space):
+    """Flat (row, col) of every entry a local pair may fill.
+
+    Two read-only int arrays of shape (P, P, N, 2, 2, 2**(N-1)) over
+    (layer p, layer p', site j, spin bit of the row and of the column at
+    site j, configuration of the other spins); P is 2 for d=1 and 1 for
+    d=3. Row and column share the site and the spectator spins, and
+    slot [..., 0] has every spectator bit 0. Entry (p, j, b, b') of site
+    j's 2 x 2 spin matrices fills the 2**(N-1) slots along the last axis.
+    """
+    return _slots(space.dimension, space.n_spins)

@@ -321,3 +321,89 @@ def test_validation_factorizes_only_components(monkeypatch, d, preset, param, wi
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert pair.validation().is_valid
     assert shapes and all(r <= widest[0] and c <= widest[1] for r, c in shapes)
+
+
+# ---------------------------------------------------------------------------
+# spin frame: rotated sites and the blocks of the rotated pair
+
+
+def _zero_field_model(d, n):
+    positions = [1.3 * k for k in range(n)] if d == 1 else [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(n)]
+    return ModelSpec(d, positions, np.zeros(n))
+
+
+def _dense_frame(frame, m):
+    """U as an m x m matrix, column by column (reference only)."""
+    return frame.rotate(np.eye(m), axis=0)
+
+
+@pytest.mark.parametrize("d, n, shape", [(3, 6, (64, 6)), (1, 5, (32, 10))])
+def test_offdiag_at_zero_field_splits_in_the_spin_frame(d, n, shape):
+    model = _zero_field_model(d, n)
+    pair = preset_offdiag(model, 0.8)
+    assert [g.index.shape for g in pair.blocks()] == [(1, pair.defect_dim)]
+    frame = pair.frame(model)
+    assert frame.sites == tuple(range(1, n + 1))
+    assert [g.index.shape for g in frame.blocks] == [shape]
+    assert pair.frame(model) is frame
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_rotated_blocks_are_the_unitary_similarity(d):
+    model = _zero_field_model(d, 3)
+    pair = preset_offdiag(model, [0.8, -0.5, 1.3])
+    frame = pair.frame(model)
+    u = _dense_frame(frame, pair.defect_dim)
+    assert np.allclose(u.conj().T @ u, np.eye(pair.defect_dim), atol=1e-14)
+    rot_a, rot_b = u.conj().T @ pair.A @ u, u.conj().T @ pair.B @ u
+    covered = np.zeros(pair.defect_dim, dtype=bool)
+    for g in frame.blocks:
+        sub = (g.index[:, :, None], g.index[:, None, :])
+        assert np.max(np.abs(g.A - rot_a[sub])) <= 1e-14 and np.max(np.abs(g.B - rot_b[sub])) <= 1e-14
+        covered[g.index] = True
+        for other in (rot_a, rot_b):  # nothing leaves a block
+            mask = np.zeros(pair.defect_dim, dtype=bool)
+            mask[g.index.ravel()] = True
+            assert np.max(np.abs(other[np.ix_(mask, ~mask)]), initial=0.0) <= 1e-14
+    assert covered.all()
+    # rotate and its adjoint are inverse maps, with leading axes carried through
+    v = np.random.default_rng(2).normal(size=(4, pair.defect_dim)) + 0j
+    assert np.allclose(frame.rotate(frame.rotate(v, adjoint=True)), v, atol=1e-14)
+    assert np.allclose(frame.rotate(v), v @ u.T, atol=1e-14)
+
+
+def test_site_in_a_field_stays_unrotated():
+    model = ModelSpec(3, [[0.0, 0.0, 0.0], [1.1, 0.3, 0.0], [2.2, 0.0, 0.0]], [0.0, 0.4, 0.0])
+    pair = preset_offdiag(model, 0.8)
+    frame = pair.frame(model)
+    assert frame.sites == (1, 3)
+    # site 2 still flips its spin: blocks of 2 channels x 2 codes
+    assert [g.index.shape for g in frame.blocks] == [(4, 6)]
+    # the field decides, not the pair: with every alpha_j != 0 the frame is U = I
+    zeeman = ModelSpec(3, model.positions, [0.3, 0.4, 0.5])
+    assert pair.frame(zeeman).sites == () and pair.frame(zeeman).blocks is pair.blocks()
+
+
+def test_identity_frame_for_diagonal_dense_and_invalid_pairs():
+    rng = np.random.default_rng(11)
+    for d in (1, 3):
+        for n in (2, 4):
+            model, zeeman = _zero_field_model(d, n), model_for(d, n)
+            cases = [(model, preset_delta(model, -1.0)),
+                     (zeeman, preset_delta(zeeman, rng.normal(size=(n, 2)))),
+                     (model, random_valid_pair(model, rng)),
+                     (model, preset_offdiag(model, rng.normal(size=(n, 2))))]  # asymmetric: not normal
+            for m, pair in cases:
+                frame = pair.frame(m)
+                assert frame.sites == () and frame.blocks is pair.blocks()
+                v = rng.normal(size=pair.defect_dim)
+                assert frame.rotate(v) is v
+
+
+def test_frame_is_not_built_by_validation():
+    model = _zero_field_model(3, 2)
+    pair = preset_offdiag(model, 0.8)
+    assert pair.validation().is_valid
+    assert pair._sites is None and not pair._frames
+    pair.frame(model)
+    assert pair._frames

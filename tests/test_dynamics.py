@@ -235,3 +235,19 @@ def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
     ref = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
     scale = float(np.max(np.abs(ref.state.values)))
     assert float(np.max(np.abs(res.state.values - ref.state.values))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_nodes", [64, 2048])
+def test_cut_node_weights_sum_to_each_panel_width(n_nodes):
+    """Each panel's mapped Gauss-Legendre weights integrate 1 to the panel's width."""
+    from spinpoint.dynamics import _cut_nodes
+
+    model = ModelSpec(1, [0.0, 1.5], [0.3, 0.58])
+    lam_max = 6.0
+    lam, wts = _cut_nodes(model, n_nodes, lam_max)
+    edges = np.append(np.unique(model.shifts()), lam_max)
+    assert np.all((lam > edges[0]) & (lam < lam_max)) and np.all(wts > 0.0)
+    for a, b in zip(edges[:-1], edges[1:]):
+        inside = (lam > a) & (lam < b)
+        assert np.count_nonzero(inside) >= 8
+        assert np.sum(wts[inside]) == pytest.approx(b - a, rel=1e-13)

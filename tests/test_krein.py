@@ -900,3 +900,145 @@ def test_near_pole_node_named_in_stack():
         assert info.value.z == first
         assert info.value.smallest_singular_value < 1e-10
         assert info.value.condition > 1e12
+
+
+# ---------------------------------------------------------------------------
+# spin frame: rotated pairs against dense references, unrotated ones unchanged
+
+
+def _zero_field(d, n):
+    positions = [1.3 * k for k in range(n)] if d == 1 else [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(n)]
+    return ModelSpec(d, positions, np.zeros(n))
+
+
+def _point(model, x):
+    return [x] if model.dimension == 1 else [np.asarray(x)]
+
+
+def _dense_kernel(model, pair, z, x, code, xp, codep):
+    """G delta + phi(x) (B Gamma + A)^{-1} B phi(x'), from one dense solve."""
+    correction = np.linalg.solve(pair.B @ gamma_free(model, z) + pair.A, pair.B)
+    chan = channel_tables(model)[2]
+    phi = np.where(chan == code, defect_matrix(model, z, _point(model, x))[:, 0], 0.0)
+    phi_p = np.where(chan == codep, defect_matrix(model, z, _point(model, xp))[:, 0], 0.0)
+    free = 0.0
+    if code == codep:
+        free = green(model.dimension, z - model.shifts()[code], np.asarray(x) - np.asarray(xp))
+    return free + phi @ correction @ phi_p
+
+
+def _rotated_cases():
+    rng = np.random.default_rng(17)
+    for d in (1, 3):
+        for n in (1, 2, 3):
+            model = _zero_field(d, n)
+            yield model, preset_offdiag(model, rng.uniform(0.3, 1.5, size=n))
+        mixed = ModelSpec(d, _zero_field(d, 3).positions, [0.0, 0.45, 0.0])  # site 2 unrotated
+        yield mixed, preset_offdiag(mixed, 0.8)
+
+
+def test_rotated_dressing_matches_dense_reference():
+    from spinpoint.krein import _dress
+
+    z = -1.3 + 0.7j
+    for model, pair in _rotated_cases():
+        assert pair.frame(model).sites
+        dress = _dress(model, pair, z)
+        dressed = pair.B @ gamma_free(model, z) + pair.A
+        ref_corr = np.linalg.solve(dressed, pair.B)
+        assert np.max(np.abs(dress.correction - ref_corr)) <= 1e-12 * np.max(np.abs(ref_corr))
+        sv = np.linalg.svd(dressed, compute_uv=False)
+        assert dress.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        stacked = _dress(model, pair, NODES)
+        _assert_stacked(stacked.correction, [_dress(model, pair, w).correction for w in NODES])
+
+
+def test_rotated_kernel_matches_closed_form_and_dense_solve():
+    rng = np.random.default_rng(23)
+    y = np.zeros(3)
+    one = ModelSpec(3, [y], [0.0])
+    for bhat in (0.8, -1.2):
+        pair = preset_offdiag(one, bhat)
+        assert pair.frame(one).sites == (1,)
+        z = complex(rng.uniform(-3, 2), rng.uniform(0.1, 5))
+        x, xp = rng.normal(size=3), rng.normal(size=3)
+        for c in (0, 1):
+            for cp in (0, 1):
+                val = resolvent_kernel(one, pair, z, x, c, xp, cp)
+                want = ref.offdiag_kernel_3d(z, 0.0, bhat, bhat, x, c, xp, cp, y)
+                assert val == pytest.approx(want, rel=1e-10)
+    for model, pair in _rotated_cases():
+        z = complex(rng.uniform(-3, 2), rng.uniform(0.1, 5))
+        d = model.dimension
+        x, xp = (rng.normal(size=2) * 2.0) if d == 1 else (rng.normal(size=3), rng.normal(size=3))
+        for c in range(model.n_configs):
+            cp = int(rng.integers(model.n_configs))
+            val = kernel_evaluator(model, pair, z, xp, cp)(x, c)
+            assert val == pytest.approx(_dense_kernel(model, pair, z, x, c, xp, cp), rel=1e-10, abs=1e-14)
+
+
+def test_identity_frame_keeps_the_block_path():
+    """Pairs with U = I: the kernel is bit for bit the unrotated block computation."""
+    from spinpoint.krein import _dress
+    from spinpoint.spins import channel_sum
+
+    rng = np.random.default_rng(29)
+    z = -0.9 + 0.6j
+    for d in (1, 3):
+        model, zeeman = _zero_field(d, 3), (model_d1 if d == 1 else model_d3)(3)
+        for m, pair, unchecked in ((model, preset_delta(model, -1.0), False),
+                                   (zeeman, preset_delta(zeeman, rng.normal(size=(3, 2))), False),
+                                   (model, random_valid_pair(model, rng), False),
+                                   (model, preset_offdiag(model, rng.normal(size=(3, 2))), True)):
+            assert pair.frame(m).sites == ()
+            gamma = gamma_free(m, z)
+            block = np.zeros_like(gamma)
+            for g in pair.blocks():
+                sub = (g.index[:, :, None], g.index[:, None, :])
+                block[sub] = np.linalg.solve(g.B @ gamma[sub] + g.A, g.B)
+            dress = _dress(m, pair, z, unchecked)
+            assert np.array_equal(dress.correction, block)
+            x, xp = (0.37, -0.81) if d == 1 else (np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.6, 0.1]))
+            chan = channel_tables(m)[2]
+            src = np.where(chan == 1, defect_matrix(m, z, _point(m, xp))[:, 0], 0.0)
+            for code in (1, 2):
+                want = channel_sum(m, block @ src, defect_matrix(m, z, _point(m, x)))[code, 0]
+                if code == 1:
+                    want = green(d, z - m.shifts()[1], np.asarray(x) - np.asarray(xp), allow_cut=True) + want
+                got = kernel_evaluator(m, pair, z, xp, 1, unchecked=unchecked)(x, code)
+                assert got == complex(want)
+            np.testing.assert_allclose(dress.correction, np.linalg.solve(pair.B @ gamma + pair.A, pair.B),
+                                       rtol=0, atol=1e-12 * np.max(np.abs(block)))
+
+
+def test_evaluators_match_per_call_defect_matrix():
+    """One sqrt_upper(z - a.s) per closure gives the values of a defect_matrix call per point."""
+    from spinpoint.krein import _dress, _gaussian_charges, _gaussian_green
+    from spinpoint.spins import channel_sum
+
+    z = -0.7 + 0.9j
+    for d in (1, 3):
+        model = (model_d1 if d == 1 else model_d3)(2)
+        pair = preset_offdiag(model, 0.8)
+        xp = 0.45 if d == 1 else np.array([0.4, -0.3, 0.2])
+        points = [-0.6, 0.9, 2.1] if d == 1 else [np.array([0.5, 0.5, 0.1]), np.array([1.4, -0.2, 0.3])]
+        packet = GaussianPacket.single(d, model.n_configs, 2, [0.3] * d, [0.9] * d, 0.7)
+        dress = _dress(model, pair, z)
+        chan = channel_tables(model)[2]
+        src = np.where(chan == 3, defect_matrix(model, z, _point(model, xp))[:, 0], 0.0)
+        weights = dress.charges(src)
+        charges = _gaussian_charges(dress, packet)
+        kernel = kernel_evaluator(model, pair, z, xp, 3)
+        state = resolvent_state_evaluator(model, pair, z, packet)
+        for x in points:
+            phi = defect_matrix(model, z, _point(model, x))
+            for code in range(model.n_configs):
+                want = channel_sum(model, weights, phi)[code, 0]
+                if code == 3:
+                    disp = np.asarray(x) - np.asarray(xp)
+                    want = want + green(d, z - model.shifts()[3], disp, allow_cut=True)
+                assert abs(kernel(x, code) - want) <= 1e-15 * abs(want)
+                pts = np.array(_point(model, x), dtype=float)
+                want = (_gaussian_green(packet, code, z - model.shifts()[code], pts)[0, 0]
+                        + channel_sum(model, charges, phi)[code, 0])
+                assert abs(state(x, code) - want) <= 1e-15 * max(abs(want), 1e-300)

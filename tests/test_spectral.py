@@ -252,3 +252,44 @@ def test_certified_floor_finds_every_state(dimension):
             assert st.energy == pytest.approx(dp.energy, rel=1e-9)
             assert st.energy > floor
     assert moved > 0
+
+
+# ---------------------------------------------------------------------------
+# spin frame: offdiag at alpha = 0 against its isospectral delta pair
+
+
+def _zero_field(d, n):
+    positions = [1.3 * k for k in range(n)] if d == 1 else [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(n)]
+    return ModelSpec(d, positions, np.zeros(n))
+
+
+def _expanded(states):
+    """Energies repeated by multiplicity, ascending."""
+    return np.sort(np.concatenate([np.full(st.multiplicity, st.energy) for st in states]))
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d in (1, 3) for n in (4, 5, 6)])
+def test_offdiag_at_zero_field_is_isospectral_to_delta(d, n):
+    """At alpha = 0, offdiag's spin parts are diagonal in the sigma_y basis of each site.
+
+    Its eigenvalues there are +-betahat (d=3, with B = I) or +-2 betahat
+    (d=1, in B), which is the delta pair with that per-site table, so the
+    two pairs have the same levels. Compared as energies repeated by
+    multiplicity: two roots within tol may share one bracket in one run.
+    """
+    betahat = 0.8
+    model = _zero_field(d, n)
+    pair = preset_offdiag(model, betahat)
+    assert pair.frame(model).sites == tuple(range(1, n + 1))
+    states = find_bound_states(model, pair)
+    width = betahat if d == 3 else 2.0 * betahat
+    twin = find_bound_states(model, preset_delta(model, [[width, -width]] * n))
+    got, want = _expanded(states), _expanded(twin)
+    assert got.size == want.size > 0
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # every charge basis is a null space of B Gamma(E) + A in the pair's own frame
+    for st in states:
+        q = st.charge_basis.T
+        residual = pair.B @ (gamma_free(model, complex(st.energy)) @ q) + pair.A @ q
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8
+        assert np.allclose(np.linalg.norm(st.charge_basis, axis=1), 1.0)
