@@ -131,13 +131,14 @@ def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
     return _gamma(model, z, index, gram=False)
 
 
-def gamma_gram(model: ModelSpec, z) -> np.ndarray:
+def gamma_gram(model: ModelSpec, z, index=None) -> np.ndarray:
     """-dGamma/dz, the bilinear Gram matrix int Phi^z_mu Phi^z_nu of the defect functions.
 
     Below the continuum threshold the defect functions are real, so at
-    such a real z this is their Gram matrix <Phi_mu, Phi_nu>.
+    such a real z this is their Gram matrix <Phi_mu, Phi_nu>. index and
+    a 1-D array of z shape the result as in gamma_free.
     """
-    return _gamma(model, z, None, gram=True)
+    return _gamma(model, z, index, gram=True)
 
 
 def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:

@@ -11,11 +11,18 @@ pair). With f = -Gamma(E) q, a bound state at E is a null vector y of
 
 which is Hermitian and strictly decreasing in E below mu. The number
 N(E) of its negative eigenvalues, summed over the blocks, thus counts
-the bound states below E up to its E -> -inf limit: bisection on N finds
-every level, the jump in N is its multiplicity, and the null vectors of
-H_k, mapped back through V, are its charges. The blocks are those of the
-pair in its spin frame U (BoundaryPair.frame): U commutes with Gamma(E),
-so the rotated pair has the same levels, and its charges q' map back as
+the bound states below E up to its E -> -inf limit. Counts at the ends
+of a bracket certify every level in it: the jump in N is its
+multiplicity, and the null vectors of H_k, mapped back through V, are
+its charges. The search finds the levels by Newton steps: each sorted
+eigenvalue lambda_i(E) of H_k is strictly decreasing, so it has at most
+one root, and its slope is -y* V* G(E) V y with y its eigenvector and
+G = -Gamma' the Gram matrix of the defect functions (krein.gamma_gram).
+Newton steps on the next eigenvalue to cross zero in a bracket propose
+its root e, and counts at e -+ tol (1 + |e|)/2 confirm it; bisection on
+N takes over where a step fails. The blocks are those of the pair in
+its spin frame U (BoundaryPair.frame): U commutes with Gamma(E), so the
+rotated pair has the same levels, and its charges q' map back as
 q = U q'.
 """
 
@@ -24,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import eigh, null_space
 
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
-from .krein import defect_matrix, gamma_dressed, gamma_free
+from .krein import defect_matrix, gamma_dressed, gamma_free, gamma_gram
 from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
 ]
 
 GAP = 1e-9  # stand-off from the continuum threshold
+_NEWTON_STEPS = 8  # Newton steps tried per bracket before it is bisected
 
 
 def essential_spectrum_bottom(model: ModelSpec) -> float:
@@ -116,6 +124,65 @@ def _count(model: ModelSpec, red: list, energy: float, active=None) -> np.ndarra
                            for *_, h in _hermitian(model, red, energy, active)])
 
 
+def _between(model: ModelSpec, red: list, energy: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Per-block counts at an energy between the ends of a bracket with counts low <= high.
+
+    Blocks with low < high are counted, and every count is clamped into
+    [low, high]: N is nondecreasing in E, so only rounding can leave that
+    range, and the clamp keeps the brackets nested.
+    """
+    active = high > low
+    n = low.copy()
+    if active.any():
+        n[active] = _count(model, red, energy, active)
+    return np.clip(n, low, high)
+
+
+def _crossing(model: ModelSpec, red: list, energy: float, block: int, i: int) -> tuple[float, float]:
+    """Eigenvalue i (ascending) of H_k(energy) on one block, and its slope in E.
+
+    With y its unit eigenvector the slope is y* V* Gamma_k'(E) V y =
+    -y* V* G_k(E) V y, G = gamma_gram. Large blocks take the one
+    eigenpair, small ones the full eigh, which is faster there.
+    """
+    only = np.zeros(sum(len(v) for _, v, _ in red), dtype=bool)
+    only[block] = True
+    g, sel, v, _, h = next(_hermitian(model, red, energy, only))
+    if h.shape[-1] > 16:
+        lam, y = eigh(h[0], subset_by_index=[i, i])
+        lam, y = lam[0], y[:, 0]
+    else:
+        lam, y = np.linalg.eigh(h[0])
+        lam, y = lam[i], y[:, i]
+    vy = v[0] @ y
+    gram = gamma_gram(model, complex(energy), g.index[sel])[0]
+    return float(lam), -float(np.real(vy.conj() @ gram @ vy))
+
+
+def _newton(model: ModelSpec, red: list, a: float, b: float, start: float, block: int, i: int,
+            tol: float):
+    """Root of eigenvalue i of H_k in (a, b) by Newton steps from start, or None.
+
+    Converged when a step, or the next one that quadratic convergence
+    predicts from the last two, is at most tol * (1 + |E|). None when an
+    iterate leaves (a, b), the slope is not negative, or _NEWTON_STEPS
+    steps do not converge.
+    """
+    e, step = start, 0.0
+    for _ in range(_NEWTON_STEPS):
+        lam, slope = _crossing(model, red, e, block, i)
+        if not slope < 0.0:
+            return None
+        step, prev = lam / slope, step
+        e -= step
+        if not a < e < b:
+            return None
+        ratio = min(1.0, abs(step / prev)) if prev else 1.0
+        if abs(step) * ratio**2 <= tol * (1.0 + abs(e)):
+            return e
+    return None
+
+
 def _limit(model: ModelSpec, red: list) -> int:
     """lim N(E) for E -> -inf.
 
@@ -146,16 +213,21 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     mu - 4 (mu - floor) until N(floor) equals its E -> -inf limit; as N
     is nondecreasing in E, no bound state lies below the result.
     """
+    if not np.any(pair.B):
+        return essential_spectrum_bottom(model) - 10.0  # no bound states
+    return _search_floor(model, pair, _reduce(pair.frame(model)))[0]
+
+
+def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[float, np.ndarray]:
+    """default_search_floor on the pair's reduction, with the per-block counts there."""
     mu = essential_spectrum_bottom(model)
-    bmax = float(np.max(np.abs(pair.B)))
-    if bmax == 0.0:
-        return mu - 10.0  # no bound states
-    red = _reduce(pair.frame(model))
-    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(pair.A))) / bmax) ** 2)
+    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(pair.A)))
+                                / float(np.max(np.abs(pair.B)))) ** 2)
     limit = _limit(model, red)
     for _ in range(30):
-        if _count(model, red, floor).sum() <= limit:
-            return floor
+        counts = _count(model, red, floor)
+        if counts.sum() <= limit:
+            return floor, counts
         floor = mu - 4.0 * (mu - floor)
     raise ValueError(f"no certified search floor above {floor:.3e}: the bound-state count "
                      f"did not fall to its limit {limit}")
@@ -187,9 +259,15 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
                       tol: float = 1e-13, unchecked: bool = False) -> list[BoundState]:
     """Eigenvalues below the essential spectrum, sorted ascending.
 
-    Bisects [e_min, mu - gap] on N until every jump is bracketed to
-    tol * (1 + |E|); the energy is the bracket midpoint. e_min defaults
-    to default_search_floor. smallest_singular_value is that of
+    Splits [e_min, mu - gap] at counts of N until every jump is
+    bracketed to tol * (1 + |E|); the energy is the bracket midpoint. In
+    a bracket with a jump, Newton steps on the next eigenvalue of one
+    block to cross zero propose its root e, from the last root found (or
+    the midpoint), and counts at e -+ delta/2, delta = tol * (1 + |e|),
+    cut out the bracket of that level; where the steps fail, the bracket
+    is bisected. Counts inside a bracket are clamped into those at its
+    ends, so the brackets stay nested and the multiplicities add up to
+    N(mu - gap) - N(e_min). e_min defaults to default_search_floor. smallest_singular_value is that of
     B Gamma(E) + A, whose null space charge_basis spans (largest entry
     of each row real positive). Under unchecked, a pair that is not
     admissible is counted with the Hermitian part of Lambda, and its
@@ -201,12 +279,15 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     frame = pair.frame(model)
     red = _reduce(frame)
     mu = essential_spectrum_bottom(model)
-    lo = default_search_floor(model, pair) if e_min is None else float(e_min)
+    if e_min is None:
+        lo, n_lo = _search_floor(model, pair, red)
+    else:
+        lo, n_lo = float(e_min), None
     hi = mu - GAP * (1.0 + abs(mu))
     if lo >= hi:
         return []
-    states = []
-    stack = [(lo, _count(model, red, lo), hi, _count(model, red, hi))]
+    states, last = [], None
+    stack = [(lo, _count(model, red, lo) if n_lo is None else n_lo, hi, _count(model, red, hi))]
     while stack:
         a, na, b, nb = stack.pop()
         active = nb > na  # blocks with a root in [a, b]
@@ -216,10 +297,23 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         if b - a <= tol * (1.0 + abs(a)) or not a < mid < b:
             states.append(_level(model, frame, red, mid, na, nb))
             continue
-        nm = na.copy()
-        nm[active] = _count(model, red, mid, active)
-        stack += [(mid, nm, b, nb), (a, na, mid, nm)]
-    return states
+
+        # levels cluster: start from the last one found, or the midpoint before the first
+        start = mid if last is None else min(max(last, a), b)
+        block = int(np.argmax(active))
+        e = _newton(model, red, a, b, start, block, int(na[block]), tol)
+        if e is None:
+            nm = _between(model, red, mid, na, nb)
+            stack += [(mid, nm, b, nb), (a, na, mid, nm)]
+            continue
+        last, half = e, 0.5 * tol * (1.0 + abs(e))
+        left, right = max(a, e - half), min(b, e + half)
+        n_left = na if left == a else _between(model, red, left, na, nb)
+        n_right = nb if right == b else _between(model, red, right, n_left, nb)
+        if np.any(n_right > n_left):
+            states.append(_level(model, frame, red, 0.5 * (left + right), n_left, n_right))
+        stack += [(right, n_right, b, nb), (a, na, left, n_left)]
+    return sorted(states, key=lambda st: st.energy)
 
 
 def eigenfunction_eval(model: ModelSpec, energy: float, charges: np.ndarray, points) -> np.ndarray:

@@ -109,16 +109,17 @@ def test_gamma_adjoint_identity():
 
 
 def test_gamma_blocks_match_full_matrix():
-    # index stacks mixing spin codes, in any order, read the full matrix
+    # index stacks mixing spin codes, in any order, read the full matrix, for Gamma and -Gamma'
     rng = np.random.default_rng(8)
     for model in (model_d1(1), model_d3(2), model_d1(3), model_d3(4)):
         m = model.defect_dim
         for z in (complex(rng.uniform(-3, 2), rng.uniform(0.1, 2)), np.min(model.shifts()) - 1.5):
-            full = gamma_free(model, z)
+            full = [gamma_free(model, z), gamma_gram(model, z)]
             for k in (1, 2, m // 2):
                 index = np.stack([rng.permutation(m)[:k] for _ in range(3)])
-                assert np.array_equal(gamma_free(model, z, index),
-                                      full[index[:, :, None], index[:, None, :]])
+                for assemble, whole in zip((gamma_free, gamma_gram), full):
+                    assert np.array_equal(assemble(model, z, index),
+                                          whole[index[:, :, None], index[:, None, :]])
 
 
 def overlap_closed_form(model, w, z, mu, nu):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from spinpoint import krein, spectral
 from spinpoint.boundary import (
     ValidationError,
     preset_delta,
@@ -226,6 +227,15 @@ def test_zeeman_chain_levels_3d():
         assert st.energy == pytest.approx(e, rel=1e-12)
 
 
+def _random_pairs(dimension, seed=None, sizes=(1, 2, 3, 1, 2, 3)):
+    """Random admissible pairs with Zeeman couplings on random sites, one per size."""
+    rng = np.random.default_rng(31 + dimension if seed is None else seed)
+    for n in sizes:
+        pos = rng.normal(size=n) * 2 if dimension == 1 else rng.normal(size=(n, 3)) * 2
+        model = ModelSpec(dimension, pos, rng.uniform(-0.5, 0.5, n))
+        yield model, random_valid_pair(model, rng)
+
+
 @pytest.mark.parametrize("dimension", [1, 3])
 def test_certified_floor_finds_every_state(dimension):
     # random admissible pairs often bind below the heuristic floor; the
@@ -234,12 +244,8 @@ def test_certified_floor_finds_every_state(dimension):
     # entirely in the charge layer, where Gamma(E) varies like |E|^-3/2:
     # rounding then moves their roots by ~1e-11 relative, whatever the
     # bracket
-    rng = np.random.default_rng(31 + dimension)
     moved = 0
-    for n in (1, 2, 3, 1, 2, 3):
-        pos = rng.normal(size=n) * 2 if dimension == 1 else rng.normal(size=(n, 3)) * 2
-        model = ModelSpec(dimension, pos, rng.uniform(-0.5, 0.5, n))
-        pair = random_valid_pair(model, rng)
+    for model, pair in _random_pairs(dimension):
         mu = essential_spectrum_bottom(model)
         floor = default_search_floor(model, pair)
         scale = np.max(np.abs(pair.A)) / np.max(np.abs(pair.B))
@@ -293,3 +299,89 @@ def test_offdiag_at_zero_field_is_isospectral_to_delta(d, n):
         residual = pair.B @ (gamma_free(model, complex(st.energy)) @ q) + pair.A @ q
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8
         assert np.allclose(np.linalg.norm(st.charge_basis, axis=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Newton steps on the crossing eigenvalue, with the count as certificate
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_multiplicities_add_up_to_the_count(dimension):
+    """Every state between the floor and the top is reported once.
+
+    The levels' multiplicities sum to N(top) - N(floor) exactly, also
+    where a deep level's eigenvalue reads noisy counts near its root:
+    the last d=1 pair has a level near -710 whose count at one side of
+    its Newton bracket reads one less than at the bracket's lower end,
+    and it gave a fourteenth row for 13 states without the clamp.
+    """
+    pairs = list(_random_pairs(dimension))
+    if dimension == 1:
+        pairs.append(list(_random_pairs(1, seed=7, sizes=(1, 2, 3)))[-1])
+    for model, pair in pairs:
+        red = spectral._reduce(pair.frame(model))
+        _, n_floor = spectral._search_floor(model, pair, red)
+        mu = essential_spectrum_bottom(model)
+        n_top = spectral._count(model, red, mu - spectral.GAP * (1.0 + abs(mu)))
+        states = find_bound_states(model, pair)
+        assert sum(st.multiplicity for st in states) == n_top.sum() - n_floor.sum()
+        energies = [st.energy for st in states]
+        assert all(np.diff(energies) > 1e-13 * (1.0 + np.abs(energies[1:])))
+
+
+def test_degenerate_level_is_one_row():
+    """A twofold root of the one-block offdiag pair in a field is one row.
+
+    Bisection split it into two rows 7.3e-12 apart, inside one
+    tol * (1 + |E|) bracket.
+    """
+    model = ModelSpec(3, [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(4)], [0.3] * 4)
+    states = find_bound_states(model, preset_offdiag(model, 0.8))
+    assert len(states) == 24
+    assert sum(st.multiplicity for st in states) == 32
+    near = [st for st in states if abs(st.energy + 100.765136542) < 1e-6]
+    assert [st.multiplicity for st in near] == [2]
+    assert near[0].charge_basis.shape == (2, model.defect_dim)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_newton_slope_is_the_derivative_of_the_eigenvalue(dimension):
+    """-y* V* G V y against a central difference of the sorted eigenvalue.
+
+    The one-block offdiag pair in a field (N = 3: 24 or 48 channels)
+    takes the single-eigenpair path of large blocks.
+    """
+    field = ModelSpec(dimension, _zero_field(dimension, 3).positions, [0.3] * 3)
+    for model, pair in list(_random_pairs(dimension))[:3] + [(field, preset_offdiag(field, 0.8))]:
+        red = spectral._reduce(pair.frame(model))
+        energy = essential_spectrum_bottom(model) - 0.7
+        n_blocks = sum(len(v) for _, v, _ in red)
+        for block in range(n_blocks):
+            only = np.arange(n_blocks) == block
+            for i in range(next(spectral._hermitian(model, red, energy, only))[4].shape[-1]):
+                lam, slope = spectral._crossing(model, red, energy, block, i)
+
+                def eigenvalue(e):
+                    return np.linalg.eigvalsh(next(spectral._hermitian(model, red, e, only))[4][0])[i]
+
+                h = 1e-4
+                assert lam == pytest.approx(eigenvalue(energy), abs=1e-12)
+                assert slope < 0.0
+                assert slope == pytest.approx((eigenvalue(energy + h) - eigenvalue(energy - h)) / (2 * h),
+                                              rel=1e-6)
+
+
+def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
+    """Gamma and Gram assemblies (both go through krein._gamma) per level.
+
+    Bisection to tol took 37 per level on this chain.
+    """
+    alpha = [0.1, 0.2, 0.4, 0.8]
+    u = np.array([0.36, 0.48, 0.8])
+    model = ModelSpec(3, [3.0 * j * u for j in range(4)], alpha)
+    calls = []
+    assemble = krein._gamma
+    monkeypatch.setattr(krein, "_gamma", lambda *args, **kw: calls.append(1) or assemble(*args, **kw))
+    states = find_bound_states(model, preset_delta(model, -1.0))
+    assert len(states) == 16
+    assert len(calls) <= 16 * len(states)
