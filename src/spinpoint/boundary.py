@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, site_slots
 
@@ -236,10 +234,16 @@ class BoundaryPair:
         m = self.defect_dim
         head = np.concatenate([c[:, :-1].ravel() for c in chains])
         tail = np.concatenate([c[:, 1:].ravel() for c in chains])
-        # symmetric links: strong components are connected ones, without scipy's transpose
-        ends = (np.r_[head, tail], np.r_[tail, head])
-        graph = sparse.csr_array((np.ones(ends[0].size), ends), shape=(m, m))
-        _, labels = csgraph.connected_components(graph, connection="strong")
+        # min-label hooking and pointer jumping (Shiloach-Vishkin): every root
+        # takes the smallest root across its links, every channel then jumps
+        # to its root; labels end as the smallest channel of each component
+        labels, prev = np.arange(m), None
+        while not np.array_equal(labels, prev):
+            prev, labels = labels, labels.copy()
+            np.minimum.at(labels, prev[head], prev[tail])
+            np.minimum.at(labels, prev[tail], prev[head])
+            while not np.array_equal(labels, labels[labels]):
+                labels = labels[labels]
         size = np.bincount(labels)[labels]
         order = np.lexsort((np.arange(m), labels, size))
         groups = []

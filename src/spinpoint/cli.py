@@ -313,10 +313,8 @@ def cmd_boundstates(args) -> int:
                    for part in ("re", "im")]
     writer.header("energy", "sigma_min", "multiplicity", *charge_cols)
     for bs in states:
-        cells = [bs.energy, bs.smallest_singular_value, str(bs.multiplicity)]
-        for c in bs.charges:
-            cells.extend([c.real, c.imag])
-        writer.row(*cells)
+        charges = np.column_stack((bs.charges.real, bs.charges.imag)).ravel().tolist()
+        writer.row(bs.energy, bs.smallest_singular_value, str(bs.multiplicity), *charges)
     writer.dump(args.out)
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .boundary import BoundaryPair
 from .krein import _defect_factors, _defect_overlaps_gaussian, _dress, _gaussian_charges, gamma_gram
@@ -110,7 +110,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
     lam, wts = [], []
     for k, n in enumerate(counts):
-        x, w = special.roots_legendre(n)
+        x, w = scipy.special.roots_legendre(n)
         a, b = edges[k], edges[k + 1]
         if k == counts.size - 1:
             u = root[k] * (x + 1.0) / 2.0

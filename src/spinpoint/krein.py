@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .boundary import BoundaryPair, SpinFrame, require_valid
 from .greens import _check_energy, green, sqrt_upper
@@ -356,7 +356,7 @@ def _half_line(a, b, c):
     """
     zeta = -b / (2.0 * np.sqrt(a))
     right = zeta.real >= 0.0
-    tail = special.wofz(np.where(right, 1j * zeta, -1j * zeta)) * np.exp(c)
+    tail = scipy.special.wofz(np.where(right, 1j * zeta, -1j * zeta)) * np.exp(c)
     full = 2.0 * np.exp(np.where(right, -np.inf, c + zeta * zeta))
     return np.sqrt(np.pi / a) / 2.0 * (np.where(right, tail, -tail) + full)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+import scipy
 
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
 from .krein import defect_matrix, gamma_dressed, gamma_free, gamma_gram
@@ -149,7 +149,7 @@ def _crossing(model: ModelSpec, red: list, energy: float, block: int, i: int) ->
     only[block] = True
     g, sel, v, _, h = next(_hermitian(model, red, energy, only))
     if h.shape[-1] > 16:
-        lam, y = eigh(h[0], subset_by_index=[i, i])
+        lam, y = scipy.linalg.eigh(h[0], subset_by_index=[i, i])
         lam, y = lam[0], y[:, 0]
     else:
         lam, y = np.linalg.eigh(h[0])
@@ -199,7 +199,7 @@ def _limit(model: ModelSpec, red: list) -> int:
         for index, vb, lb in zip(g.index, v, lam):
             keep = np.any(vb != 0.0, axis=0)
             if keep.any():
-                basis = null_space(vb[p[index] == 1][:, keep])
+                basis = scipy.linalg.null_space(vb[p[index] == 1][:, keep])
                 lr = lb[np.ix_(keep, keep)]
                 ev = np.linalg.eigvalsh(basis.conj().T @ lr @ basis)
                 total += int(np.sum(ev <= RANK_RTOL * np.max(np.abs(lr))))

@@ -1,5 +1,7 @@
 """Admissibility checks and the built-in interface presets."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,76 @@ def test_blocks_partition_the_defect_space():
         cross = block_of[:, None] != block_of[None, :]
         assert np.all(pair.A[cross] == 0.0) and np.all(pair.B[cross] == 0.0)
         assert pair.blocks() is pair.blocks()
+
+
+def _union_find_blocks(m, chains):
+    """Components of the chains' links by union-find, as _grouped orders them."""
+    root = list(range(m))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for chain in chains:
+        for row in np.asarray(chain).tolist():
+            for a, b in zip(row, row[1:]):
+                root[find(a)] = find(b)
+    comps = {}
+    for i in range(m):
+        comps.setdefault(find(i), []).append(i)
+    # comps lists channels ascending: order by size, then smallest channel
+    return sorted(comps.values(), key=lambda c: (len(c), c[0]))
+
+
+def _grouped_blocks(m, chains):
+    groups = BoundaryPair._grouped(SimpleNamespace(defect_dim=m), chains,
+                                   lambda index: (None, None))
+    sizes = [g.index.shape[1] for g in groups]
+    assert sizes == sorted(set(sizes))
+    return [row for g in groups for row in g.index.tolist()]
+
+
+def test_grouping_matches_union_find_on_random_patterns():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        m = int(rng.integers(1, 80))
+        mask = rng.random((m, m)) < rng.choice([0.005, 0.02, 0.08])
+        mask |= mask.T
+        chains = [np.argwhere(mask)]
+        if trial % 2:
+            k = int(rng.integers(1, 4))
+            chains.append(rng.permutation(m)[: m - m % k].reshape(-1, k))
+        assert _grouped_blocks(m, chains) == _union_find_blocks(m, chains)
+
+
+def test_grouping_joins_a_shuffled_path():
+    # one long path in random order: the most rounds of label propagation
+    path = np.random.default_rng(3).permutation(768)
+    for chains in ([path[None, :]], [np.stack([path[:-1], path[1:]], axis=1)]):
+        assert _grouped_blocks(768, chains) == [list(range(768))]
+
+
+def test_grouping_orders_equal_sizes_by_smallest_channel():
+    rng = np.random.default_rng(5)
+    m = 17
+    perm = rng.permutation(m)
+    # components of sizes 4, 4, 4, 3, 1, 1 on shuffled channels
+    comps = np.split(perm, [4, 8, 12, 15, 16])
+    chains = [c[None, :] for c in comps]
+    want = _union_find_blocks(m, chains)
+    assert [len(c) for c in want] == [1, 1, 3, 4, 4, 4]
+    assert [c[0] for c in want[3:]] == sorted(c[0] for c in want[3:])
+    assert _grouped_blocks(m, chains) == want
+
+
+def test_grouping_without_links():
+    assert _grouped_blocks(1, [np.zeros((0, 2), dtype=int)]) == [[0]]
+    assert _grouped_blocks(1, [np.zeros((1, 1), dtype=int)]) == [[0]]
+    pair = preset_delta(model_for(3, 2), -1.0)  # diagonal A and B
+    (group,) = pair.components()
+    assert np.array_equal(group.index, np.arange(pair.defect_dim)[:, None])
 
 
 def test_block_validate_matches_dense_report():

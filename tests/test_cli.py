@@ -17,6 +17,7 @@ import pytest
 from spinpoint import cli
 from spinpoint.greens import green
 from spinpoint.krein import gamma_dressed, gamma_free, resolvent_kernel
+from spinpoint.spectral import find_bound_states
 from spinpoint.spins import ModelSpec
 
 
@@ -133,12 +134,54 @@ def test_removed_flags_are_input_errors(tmp_path):
         assert err.value.code == 1, argv
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    code = "import sys, spinpoint.cli; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+from spinpoint import cli
+
+tmp = Path(sys.argv[1])
+
+def loaded():
+    return [name for name in ("scipy.sparse", "scipy.special", "scipy.linalg")
+            if name in sys.modules]
+
+seen = {"import": loaded()}
+model = str(tmp / "offdiag-d3-n2.json")
+cli.main(["preset", "offdiag", "--dimension", "3", "--positions", "0,0,0;1.1,0.3,0",
+          "--betahat", "0.8", "--out", model])
+assert cli.main(["validate", model]) == 0
+seen["validate"] = loaded()
+assert cli.main(["kernel", model, "--z", "-1.0,0.5", "--n-points", "2",
+                 "--out", str(tmp / "kernel.csv")]) == 0
+seen["kernel"] = loaded()
+line = str(tmp / "offdiag-d1-n1.json")
+cli.main(["preset", "offdiag", "--dimension", "1", "--positions", "0.0", "--betahat", "0.8",
+          "--out", line])
+state = tmp / "state.json"
+state.write_text(json.dumps({
+    "schema": "spinpoint-state v1",
+    "components": [{"channel": 0, "center": [-2.0], "momentum": [1.0], "variance": 1.0}],
+    "grid": {"lo": -6.0, "hi": 6.0, "n": 48},
+}))
+assert cli.main(["evolve", line, "--state", str(state), "--t", "0.1", "--n-nodes", "256",
+                 "--out", str(tmp / "run")]) == 0
+seen["evolve"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_heavy_scipy_submodules_only_at_the_call(tmp_path):
+    # start-up pays for numpy and scipy's top level only: validate and
+    # kernel need no scipy submodule, evolve loads scipy.special for its
+    # Gauss-Legendre rule when it runs
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == seen["validate"] == seen["kernel"] == []
+    assert "scipy.special" in seen["evolve"]
+    assert "scipy.sparse" not in seen["evolve"]
 
 
 def test_missing_model_file_is_input_error(capsys):
@@ -274,6 +317,24 @@ def test_boundstates_respects_emin(tmp_path):
     # floor above the bound level hides it
     assert run("boundstates", str(path), "--emin", "-0.5", "--out", str(out)) == 0
     assert read_table(out)[2] == []
+
+
+def test_boundstates_rows_format_every_charge_cell(tmp_path):
+    path = write_model(tmp_path, name="offdiag", dimension=3,
+                       positions="0,0,0;1.1,0.3,0", betahat="0.8", alpha="0.3,0.1")
+    out = tmp_path / "bs.csv"
+    assert run("boundstates", str(path), "--out", str(out)) == 0
+    model, pair, _ = cli.load_model(str(path))
+    states = find_bound_states(model, pair, tol=1e-13)
+    assert states
+    want = []
+    for bs in states:
+        cells = [cli._fmt(bs.energy), cli._fmt(bs.smallest_singular_value), str(bs.multiplicity)]
+        for c in bs.charges:
+            cells += [cli._fmt(c.real), cli._fmt(c.imag)]
+        want.append(",".join(cells))
+    lines = [ln for ln in out.read_text().split("\n") if ln and not ln.startswith("#")]
+    assert lines[1:] == want
 
 
 def test_gamma_matches_library(tmp_path):
