@@ -190,8 +190,10 @@ class ResultWriter:
     def header(self, *names: str):
         self.lines.append(",".join(names))
 
-    def row(self, *cells):
-        self.lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
+    def columns(self, *cols):
+        """One row per entry of the columns: a list of str as given, a 1-D float array as _fmt prints it."""
+        cells = [c if isinstance(c, list) else map(repr, c.astype(float, copy=False).tolist()) for c in cols]
+        self.lines.extend(map(",".join, zip(*cells)))
 
     def dump(self, out: str | None):
         payload = "\n".join(self.lines) + "\n"
@@ -279,25 +281,19 @@ def cmd_kernel(args) -> int:
     writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
     d = model.dimension
-    if d == 1:
-        writer.header("x", "sigma", "xp", "sigmap", "re", "im", "flag")
-    else:
-        writer.header("x1", "x2", "x3", "sigma", "xp1", "xp2", "xp3", "sigmap",
-                      "re", "im", "flag")
+    axes = [""] if d == 1 else ["1", "2", "3"]
+    writer.header(*[f"x{a}" for a in axes], "sigma", *[f"xp{a}" for a in axes], "sigmap", "re", "im", "flag")
     # one dressing serves every row; near a pole every row is flagged
     try:
         dress = _dress(model, pair, z, args.unchecked)
     except NearPoleError:
         dress = None
-    for x, sigma, xp, sigmap in points:
-        if dress is None:
-            cells = ("nan", "nan", "near-pole")
-        else:
-            val = dress.column(xp, sigmap)(x, sigma)
-            cells = (val.real, val.imag, "ok")
-        xs = [float(x)] if d == 1 else [float(v) for v in x]
-        xps = [float(xp)] if d == 1 else [float(v) for v in xp]
-        writer.row(*xs, str(sigma), *xps, str(sigmap), *cells)
+    n = len(points)
+    values = np.array([complex(np.nan, np.nan) if dress is None else dress.column(xp, sigmap)(x, sigma)
+                       for x, sigma, xp, sigmap in points], dtype=complex)
+    writer.columns(*np.reshape([r[0] for r in points], (n, d)).T, [str(r[1]) for r in points],
+                   *np.reshape([r[2] for r in points], (n, d)).T, [str(r[3]) for r in points],
+                   values.real, values.imag, ["near-pole" if dress is None else "ok"] * n)
     writer.dump(args.out)
     return EXIT_NUMERIC if dress is None else EXIT_OK
 
@@ -312,9 +308,9 @@ def cmd_boundstates(args) -> int:
     charge_cols = [f"charge_{i}_{part}" for i in range(pair.defect_dim)
                    for part in ("re", "im")]
     writer.header("energy", "sigma_min", "multiplicity", *charge_cols)
-    for bs in states:
-        charges = np.column_stack((bs.charges.real, bs.charges.imag)).ravel().tolist()
-        writer.row(bs.energy, bs.smallest_singular_value, str(bs.multiplicity), *charges)
+    charges = np.array([bs.charges for bs in states], dtype=complex).reshape(len(states), pair.defect_dim)
+    writer.columns(np.array([bs.energy for bs in states]), np.array([bs.smallest_singular_value for bs in states]),
+                   [str(bs.multiplicity) for bs in states], *charges.view(float).T)
     writer.dump(args.out)
     return EXIT_OK
 
@@ -327,11 +323,9 @@ def cmd_gamma(args) -> int:
     writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
     writer.header("row", "col", "gamma_re", "gamma_im", "dressed_re", "dressed_im")
-    m = pair.defect_dim
-    for i in range(m):
-        for j in range(m):
-            writer.row(str(i), str(j), gam[i, j].real, gam[i, j].imag,
-                       dressed[i, j].real, dressed[i, j].imag)
+    index = np.arange(pair.defect_dim).astype(str)
+    writer.columns(np.repeat(index, index.size).tolist(), np.tile(index, index.size).tolist(),
+                   gam.real.ravel(), gam.imag.ravel(), dressed.real.ravel(), dressed.imag.ravel())
     writer.dump(args.out)
     return EXIT_OK
 
@@ -358,25 +352,18 @@ def cmd_evolve(args) -> int:
     summary.comment(f"error-estimate: {_fmt(res.error_estimate)}")
     weight_cols = [f"weight_{c}" for c in range(model.n_configs)]
     summary.header("time", "norm", *weight_cols)
-    for i, t in enumerate(res.times):
-        w = res.states[i].channel_weights()
-        summary.row(float(t), res.norms[i], *[float(v) for v in w])
+    summary.columns(res.times, res.norms, *np.array([st.channel_weights() for st in res.states]).T)
     summary.dump(os.path.join(args.out, "summary.csv"))
 
-    d = model.dimension
+    names = ["x"] if model.dimension == 1 else ["x1", "x2", "x3"]
+    coords = np.concatenate([grid.points] * model.n_configs).reshape(model.n_configs * grid.n_points, -1).T
+    codes = np.repeat(np.arange(model.n_configs).astype(str), grid.n_points).tolist()
     for i, t in enumerate(res.times):
         snap = ResultWriter(_echo(args), digest, tolstr, note)
         snap.comment(f"time: {_fmt(float(t))}")
-        if d == 1:
-            snap.header("x", "sigma_code", "re", "im")
-        else:
-            snap.header("x1", "x2", "x3", "sigma_code", "re", "im")
-        values = res.states[i].values
-        for c in range(model.n_configs):
-            for p_idx in range(grid.n_points):
-                pt = grid.points[p_idx]
-                coords = [float(pt)] if d == 1 else [float(v) for v in pt]
-                snap.row(*coords, str(c), values[c, p_idx].real, values[c, p_idx].imag)
+        snap.header(*names, "sigma_code", "re", "im")
+        values = res.states[i].values.ravel()
+        snap.columns(*coords, codes, values.real, values.imag)  # code-major, as values.ravel()
         snap.dump(os.path.join(args.out, f"state_{i:03d}.csv"))
     return EXIT_OK
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .boundary import BoundaryPair
-from .krein import _defect_factors, _defect_overlaps_gaussian, _dress, _gaussian_charges, gamma_gram
+from .boundary import BoundaryPair, require_valid
+from .krein import _defect_factors, _defect_overlaps_gaussian, _dress_gamma, _gaussian_charges, gamma_free, gamma_gram
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
@@ -104,7 +104,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     nodes for the widths w, at least MIN_PANEL_NODES. The Gauss-Legendre
     rule is scipy's roots_legendre, O(n^2) per panel.
     """
-    edges = np.unique(model.shifts())
+    edges = model.distinct_shifts()[0]
     edges = np.append(edges[edges < lam_max], lam_max)
     root = np.sqrt(np.diff(edges))
     counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
@@ -127,35 +127,41 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
                     grid: UniformGrid, lam: np.ndarray, wts: np.ndarray, unchecked: bool) -> np.ndarray:
     """(1/pi) sum_k w_k e^{-i lam_k t} Im[Phi C s](lam_k + i0) on the grid, for every t.
 
-    Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i, so the nodes
-    z run lam_0 + i ETA, lam_0 - i ETA, lam_1 + i ETA, ... and are dressed
-    in chunks: each chunk takes one stacked _dress, the closed-form
-    charges of the packet, and the defect functions in factored form, the
-    site waves exp(i s r) formed once per (node, code, site, grid point).
-    The node weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
-    charges, so the sum over a chunk's nodes is one batched matmul. A
-    chunk holds at most _CHUNK_ELEMENTS entries of site waves and m x m
-    stacks, and at least one node.
+    Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i. Per chunk of
+    nodes lam_k, Gamma and the site waves exp(i s r), one per (lam, site,
+    distinct shift, point), are formed at lam + i ETA and conjugated for
+    lam - i ETA. Every node z = lam_0 + i ETA, lam_0 - i ETA, ... is still
+    dressed, with its own SVD, solve and condition number, in one stacked
+    call, and has its own charges. The weights w_k e^{-i lam_k t}
+    (+-1/2i) / pi fold into the charges, the lower side's conjugated, so
+    per distinct shift a chunk's sum is one batched matmul. A chunk holds
+    at least one lam and at most _CHUNK_ELEMENTS entries: per lam its
+    waves and the m x m stacks of both sides.
     """
-    n_layers = 2 if model.dimension == 1 else 1
+    require_valid(model, pair, unchecked)
     n_sites, n_codes = model.n_spins, model.n_configs
-    z = (lam[:, None] + np.array([1j, -1j]) * ETA).ravel()
+    levels, level = model.distinct_shifts()
     weights = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
-    coef = (weights[:, :, None] * (np.array([1.0, -1.0]) / 2j)).reshape(times.size, z.size)
-    per_z = n_codes * n_sites * grid.n_points + model.defect_dim**2
-    step = 2 * max(1, _CHUNK_ELEMENTS // (2 * per_z))
+    coef = weights[:, :, None, None, None, None] * (np.array([1.0, -1.0]) / 2j)[:, None, None, None]
+    step = max(1, _CHUNK_ELEMENTS // (levels.size * n_sites * grid.n_points + 2 * model.defect_dim**2))
     out = np.zeros((times.size, n_codes, grid.n_points), dtype=complex)
-    for lo in range(0, z.size, step):
-        zc = z[lo:lo + step]
-        charges = _gaussian_charges(_dress(model, pair, zc, unchecked), packet)
-        scale, wave, layer = _defect_factors(model, zc, grid.points)
-        # q[t, z, p, j, c]: the flat defect index is (layer p, site j, code c) in C order
-        q = coef[:, lo:lo + step, None, None, None] * charges.reshape(zc.size, n_layers, n_sites, n_codes)
-        q = (q * scale[..., 0]).transpose(3, 4, 0, 2, 1).reshape(n_sites, n_codes, -1, zc.size)
-        # per (site, code): (times x layers, nodes) @ (nodes, grid points)
-        summed = np.matmul(q, wave[:, 0].transpose(1, 2, 0, 3))
-        out += np.einsum("jctpx,pjx->tcx", summed.reshape(n_sites, n_codes, times.size, n_layers, -1),
-                         layer[:, :, 0])
+    for lo in range(0, lam.size, step):
+        z = lam[lo:lo + step, None] + np.array([1j, -1j]) * ETA
+        gamma = gamma_free(model, z[:, 0])
+        gamma = np.stack([gamma, gamma.conj()], axis=1).reshape(z.size, *gamma.shape[1:])
+        charges = _gaussian_charges(_dress_gamma(model, pair, z.ravel(), gamma), packet)
+        scale, wave, layer, _ = _defect_factors(model, z[:, 0], grid.points)
+        # q[t, k, side, p, j, c]: the flat defect index is (layer p, site j, code c) in C order
+        q = coef[:, lo:lo + step] * charges.reshape(len(z), 2, -1, n_sites, n_codes)
+        np.conj(q[:, :, 1], out=q[:, :, 1])
+        q = (q * (scale[:, None, ..., level, 0] if model.dimension == 1 else scale)).transpose(4, 5, 0, 2, 3, 1)
+        for lv in range(levels.size):
+            codes = np.flatnonzero(level == lv)
+            # per site: (codes x times x sides x layers, nodes) @ (nodes, grid points)
+            summed = np.matmul(q[:, codes].reshape(n_sites, -1, len(z)), wave[:, 0, :, lv].transpose(1, 0, 2))
+            summed = summed.reshape(n_sites, codes.size, times.size, 2, -1, grid.n_points)
+            summed = summed[:, :, :, 0] + summed[:, :, :, 1].conj()
+            out[:, codes] += np.einsum("jctpx,pjx->tcx", summed, layer[:, :, 0])
         del wave  # freed before the next chunk's waves are formed
     return out
 

@@ -42,10 +42,7 @@ __all__ = [
 
 CONDITION_LIMIT = 1e12
 
-# _defect_factors: the d=3 scale, and the d=1 layer axis (charge, dipole)
-_UNIT_SCALE = np.ones((1, 1, 1, 1))
-_CHARGE = np.array([True, False]).reshape(2, 1, 1, 1)
-_UNIT_SCALE.setflags(write=False)
+_CHARGE = np.array([True, False]).reshape(2, 1, 1, 1)  # the d=1 layer axis of _defect_factors
 
 
 class NearPoleError(ArithmeticError):
@@ -193,7 +190,6 @@ class _Dressing:
     frame: SpinFrame
     rotated: np.ndarray  # U* (Gamma^AB)^{-1} B U
     condition: float | np.ndarray
-    shifts: np.ndarray
     p: np.ndarray
     j: np.ndarray
     code: np.ndarray
@@ -221,7 +217,7 @@ class _Dressing:
         code_p = spin_code(sigmap, model.n_spins)
         if _site_distance(model, xp) == 0.0:
             raise ValueError("source point coincides with a spin site")
-        s = sqrt_upper(self.z - self.shifts)
+        s = sqrt_upper(self.z - model.distinct_shifts()[0])
         phi_src = _defect_rows(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)], s)[:, 0]
         phi_src = np.where(self.code == code_p, phi_src, 0.0)
         weights = self.charges(phi_src)  # c_mu for the x side
@@ -232,7 +228,7 @@ class _Dressing:
                 raise ValueError("evaluation point coincides with a spin site")
             val = 0.0 + 0.0j
             if code == code_p:
-                w = self.z - self.shifts[code]
+                w = self.z - model.shifts()[code]
                 disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
                 val += green(model.dimension, w, disp, allow_cut=True)
             phi_out = _defect_rows(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)], s)
@@ -255,7 +251,11 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
     z = complex(z) if z.ndim == 0 else z
-    gamma = gamma_free(model, z)
+    return _dress_gamma(model, pair, z, gamma_free(model, z))
+
+
+def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gamma: np.ndarray) -> _Dressing:
+    """_dress on a given Gamma(z) or stack of them, for a pair its caller has gated."""
     frame = pair.frame(model)
     groups = frame.blocks
     subs = [(..., g.index[:, :, None], g.index[:, None, :]) for g in groups]
@@ -265,26 +265,28 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
     for sub, x in zip(subs, solved):
         rotated[sub] = x
     p, j, code = channel_tables(model)
-    return _Dressing(model, pair, z, frame, rotated, cond, model.shifts(), p, j, code)
+    return _Dressing(model, pair, z, frame, rotated, cond, p, j, code)
 
 
 def _defect_factors(model: ModelSpec, z, points, s=None):
-    """The defect functions in factored form, (scale, wave, layer).
+    """The defect functions in factored form, (scale, wave, layer, level).
 
-    scale * wave * layer broadcasts to phi on (layer p, site j, spin code
-    c, point), the flat defect order. wave = exp(i s_c r_j(x)) is formed
-    once per (node, site, code, point), with s_c = sqrt_upper(z - a.s_c)
-    and r_j the distance to site j. d=1 shares it between its two
-    layers: the charge layer has scale i/(2 s_c) and layer 1, the dipole
-    layer scale 1 and layer -sgn(x - y_j)/2. d=3 has one layer, scale 1
-    and layer 1/(4 pi r_j). Shapes: scale (..., P, 1, C, 1), wave
-    (..., 1, N, C, n_points), layer (P, N, 1, n_points); a 1-D array of
-    z is the leading axis of scale and wave. s, when given, is
-    sqrt_upper(z - a.s_c) per (node and) code, for callers that reuse
-    one z.
+    scale * wave * layer broadcasts to phi on (layer p, site j, distinct
+    shift l, point), and level maps each spin code to its l (as
+    model.distinct_shifts()); taking it on that axis gives the flat
+    defect order. wave = exp(i s_l r_j(x)), s_l = sqrt_upper(z - a_l) and
+    r_j the distance to site j, is formed once per (node, site, l, point)
+    and shared by the codes of one shift and in d=1 by both layers: the
+    charge layer has scale i/(2 s_l) and layer 1, the dipole layer scale
+    1 and layer -sgn(x - y_j)/2. d=3 has one layer, scale 1.0 (a float)
+    and layer 1/(4 pi r_j). Shapes: d=1 scale (..., 2, 1, L, 1), wave
+    (..., 1, N, L, n_points), layer (P, N, 1, n_points), level (C,); a 1-D
+    array of z is the leading axis of scale and wave. s, when given, is
+    s_l per (node and) l, for callers that reuse one z.
     """
+    levels, level = model.distinct_shifts()
     if s is None:
-        s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - model.shifts())
+        s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - levels)
     s = s[..., None, None, :, None]
     pts = np.asarray(points, dtype=float)
     if model.dimension == 3:
@@ -292,11 +294,11 @@ def _defect_factors(model: ModelSpec, z, points, s=None):
         if not r.all():
             raise ValueError("defect function evaluated at its own site")
         wave = s * (1j * r)
-        return _UNIT_SCALE, np.exp(wave, out=wave), 1.0 / (4.0 * np.pi * r[None])
+        return 1.0, np.exp(wave, out=wave), 1.0 / (4.0 * np.pi * r[None]), level
     disp = (np.atleast_1d(pts)[None, :] - model.positions[:, None])[:, None, :]
     wave = s * (1j * np.abs(disp))
     np.exp(wave, out=wave)
-    return np.where(_CHARGE, 1j / (2.0 * s), 1.0), wave, np.where(_CHARGE, 1.0, -0.5 * np.sign(disp))
+    return np.where(_CHARGE, 1j / (2.0 * s), 1.0), wave, np.where(_CHARGE, 1.0, -0.5 * np.sign(disp)), level
 
 
 def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
@@ -311,8 +313,8 @@ def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
 
 def _defect_rows(model: ModelSpec, z, points, s=None) -> np.ndarray:
     """defect_matrix, with s as in _defect_factors."""
-    scale, wave, layer = _defect_factors(model, z, points, s)
-    phi = scale * wave * layer
+    scale, wave, layer, level = _defect_factors(model, z, points, s)
+    phi = (scale * wave * layer).take(level, axis=-2)
     return phi.reshape(phi.shape[:-4] + (-1, phi.shape[-1]))
 
 
@@ -492,18 +494,16 @@ def _free_apply_grid(model: ModelSpec, z: complex, state: GridState) -> np.ndarr
         local = (3.0 * np.prod(steps) / (4.0 * np.pi)) ** (2.0 / 3.0) / 2.0
         inv_r = 1.0 / np.where(r > 0.0, r, np.inf)  # the singular lag is the local term
     out = np.empty_like(state.values)
-    shifts = model.shifts()
+    levels, level = model.distinct_shifts()
     head = tuple(slice(n) for n in shape)
-    kernels: dict[complex, np.ndarray] = {}  # transforms, with lag 0 moved to index 0
+    transforms = []  # one per distinct shift, with lag 0 moved to index 0
+    for s in sqrt_upper(z - levels):
+        e = np.exp(1j * s * r)
+        kernel = 1j * e / (2.0 * s) if model.dimension == 1 else e * inv_r / (4.0 * np.pi)
+        transforms.append(np.fft.fftn(np.fft.ifftshift(kernel), axes=axes))
     for code in range(state.n_channels):
-        w = z - shifts[code]
-        if w not in kernels:
-            s = sqrt_upper(w)
-            e = np.exp(1j * s * r)
-            kernel = 1j * e / (2.0 * s) if model.dimension == 1 else e * inv_r / (4.0 * np.pi)
-            kernels[w] = np.fft.fftn(np.fft.ifftshift(kernel), axes=axes)
         weighted = (state.values[code] * grid.weights).reshape(shape)
-        conv = np.fft.ifftn(kernels[w] * np.fft.fftn(weighted, s=period, axes=axes), axes=axes)
+        conv = np.fft.ifftn(transforms[level[code]] * np.fft.fftn(weighted, s=period, axes=axes), axes=axes)
         out[code] = conv[head].ravel() + local * state.values[code]
     return out
 
@@ -559,13 +559,13 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
         raise TypeError("pointwise evaluation needs Gaussian input")
     dress = _dress(model, pair, z, unchecked)
     charges = _gaussian_charges(dress, state)
-    shifts = model.shifts()
-    s = sqrt_upper(dress.z - shifts)  # once for the closure's one z
+    levels, level = model.distinct_shifts()
+    s = sqrt_upper(dress.z - levels)  # once for the closure's one z
 
     def evaluate(x, sigma) -> complex:
         code = spin_code(sigma, model.n_spins)
         pts = [x] if model.dimension == 1 else [np.asarray(x, dtype=float)]
-        val = _gaussian_green(state, code, dress.z - shifts[code], pts, complex(s[code]))[0, 0]
+        val = _gaussian_green(state, code, dress.z - levels[level[code]], pts, complex(s[level[code]]))[0, 0]
         phi = _defect_rows(model, dress.z, pts, s)
         return complex(val + channel_sum(model, charges, phi)[code, 0])
 

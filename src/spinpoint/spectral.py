@@ -199,9 +199,10 @@ def _limit(model: ModelSpec, red: list) -> int:
         for index, vb, lb in zip(g.index, v, lam):
             keep = np.any(vb != 0.0, axis=0)
             if keep.any():
-                basis = scipy.linalg.null_space(vb[p[index] == 1][:, keep])
+                u, sv, vh = np.linalg.svd(vb[p[index] == 1][:, keep])  # null space: scipy.linalg.null_space's cutoff
+                null = vh[np.count_nonzero(sv > np.finfo(float).eps * max(len(u), len(vh)) * np.max(sv, initial=0.0)):]
                 lr = lb[np.ix_(keep, keep)]
-                ev = np.linalg.eigvalsh(basis.conj().T @ lr @ basis)
+                ev = np.linalg.eigvalsh(null @ lr @ null.conj().T)
                 total += int(np.sum(ev <= RANK_RTOL * np.max(np.abs(lr))))
     return total
 

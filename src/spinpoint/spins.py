@@ -143,8 +143,10 @@ class ModelSpec:
             raise ValueError(f"N={n} exceeds the cap of {cap} (set {_MAX_SPINS_ENV})")
         configs = enumerate_configs(n)
         shifts = configs @ alpha
+        levels, level = np.unique(shifts, return_inverse=True)
         # built once and shared by every caller
-        for name, arr in (("positions", pos), ("alpha", alpha), ("_configs", configs), ("_shifts", shifts)):
+        for name, arr in (("positions", pos), ("alpha", alpha), ("_configs", configs), ("_shifts", shifts),
+                          ("_levels", levels), ("_level", level)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -166,6 +168,10 @@ class ModelSpec:
     def shifts(self) -> np.ndarray:
         """Zeeman shifts alpha . sigma for every configuration, read-only, in code order."""
         return self._shifts
+
+    def distinct_shifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct shifts ascending, and each code's index into them; read-only."""
+        return self._levels, self._level
 
     def site(self, j: int):
         """Position of site j (1-based)."""

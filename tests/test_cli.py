@@ -154,6 +154,11 @@ seen["validate"] = loaded()
 assert cli.main(["kernel", model, "--z", "-1.0,0.5", "--n-points", "2",
                  "--out", str(tmp / "kernel.csv")]) == 0
 seen["kernel"] = loaded()
+pair = str(tmp / "delta-d1-n2.json")
+cli.main(["preset", "delta", "--dimension", "1", "--positions", "0.0,1.5", "--beta", "-1.0",
+          "--out", pair])
+assert cli.main(["boundstates", pair, "--out", str(tmp / "levels.csv")]) == 0
+seen["boundstates"] = loaded()
 line = str(tmp / "offdiag-d1-n1.json")
 cli.main(["preset", "offdiag", "--dimension", "1", "--positions", "0.0", "--betahat", "0.8",
           "--out", line])
@@ -172,14 +177,16 @@ print(json.dumps(seen))
 
 def test_cli_loads_heavy_scipy_submodules_only_at_the_call(tmp_path):
     # start-up pays for numpy and scipy's top level only: validate and
-    # kernel need no scipy submodule, evolve loads scipy.special for its
-    # Gauss-Legendre rule when it runs
+    # kernel need no scipy submodule, a d=1 boundstates with its certified
+    # search floor needs no scipy.linalg, evolve loads scipy.special for
+    # its Gauss-Legendre rule when it runs
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
                           capture_output=True, text=True, cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == seen["validate"] == seen["kernel"] == []
+    assert "scipy.linalg" not in seen["boundstates"]
     assert "scipy.special" in seen["evolve"]
     assert "scipy.sparse" not in seen["evolve"]
 
@@ -335,6 +342,23 @@ def test_boundstates_rows_format_every_charge_cell(tmp_path):
         want.append(",".join(cells))
     lines = [ln for ln in out.read_text().split("\n") if ln and not ln.startswith("#")]
     assert lines[1:] == want
+
+
+def test_column_rows_print_every_cell_as_fmt():
+    # the bulk path formats whole columns through one tolist(); every cell keeps _fmt's text
+    rng = np.random.default_rng(3)
+    tiny = np.finfo(float).smallest_subnormal
+    special = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+               np.finfo(float).tiny / 2, np.finfo(float).tiny, 1e16, -1e16, 1e16 + 2, 1e-5, 0.1]
+    col = np.concatenate([special, rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64)])
+    pairs = np.stack([col[::-1], rng.uniform(-1.0, 1.0, col.size)], axis=1)
+    labels = [str(k) for k in range(col.size)]
+    writer = cli.ResultWriter("cmd", "0" * 64, "none", "ok")
+    head = len(writer.lines)
+    writer.columns(col, labels, *pairs.T, col.astype(complex).imag)
+    want = [",".join([cli._fmt(a), lab, cli._fmt(b), cli._fmt(c), cli._fmt(0.0)])
+            for a, lab, (b, c) in zip(col, labels, pairs)]
+    assert writer.lines[head:] == want
 
 
 def test_gamma_matches_library(tmp_path):

@@ -208,9 +208,18 @@ def _evolve_cases():
     model3 = ModelSpec(3, [np.zeros(3)], [0.0])
     yield (model3, preset_offdiag(model3, 0.3),
            GaussianPacket.single(3, 2, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
+    # codes 1 and 2 share the shift 0, and their site waves
+    shared = ModelSpec(1, [0.0, 1.5], [0.3, 0.3])
+    yield (shared, preset_offdiag(shared, 0.8),
+           GaussianPacket.single(1, 4, 0, [-4.0], [2.5], 1.0), UniformGrid.linear(-14.0, 12.0, 220))
+    # at alpha = 0 all four codes share one set of site waves
+    pair3 = ModelSpec(3, [np.zeros(3), np.array([1.5, 0.0, 0.0])], [0.0, 0.0])
+    yield (pair3, preset_offdiag(pair3, 0.3),
+           GaussianPacket.single(3, 4, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
 
 
-@pytest.mark.parametrize("model, pair, packet, grid", _evolve_cases(), ids=["d1-zeeman-N2", "d3-N1"])
+@pytest.mark.parametrize("model, pair, packet, grid", _evolve_cases(),
+                         ids=["d1-zeeman-N2", "d3-N1", "d1-shared-shift-N2", "d3-zero-field-N2"])
 def test_stacked_nodes_match_per_node_loop(monkeypatch, model, pair, packet, grid):
     from spinpoint import dynamics
 
@@ -227,8 +236,9 @@ def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
     from spinpoint import dynamics
 
     model, pair, packet, grid = next(_evolve_cases())
-    per_z = model.n_configs * model.n_spins * grid.n_points + model.defect_dim**2
-    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 2 * 7 * per_z)  # 7 nodes per chunk
+    # per lam: the site waves of lam + i ETA, one per distinct shift, and the m x m stacks of both sides
+    per_lam = model.distinct_shifts()[0].size * model.n_spins * grid.n_points + 2 * model.defect_dim**2
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 7 * per_lam)  # 7 lam per chunk
     res = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
     assert res.params["n_nodes"] % 7 != 0
     monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)

@@ -108,6 +108,24 @@ def test_gamma_adjoint_identity():
             assert not np.any(g[other_code])
 
 
+@pytest.mark.parametrize("model", [model_d1(2, alpha=[0.0, 0.0]), model_d1(2), model_d3(2, alpha=[0.0, 0.0]),
+                                   model_d3(2)], ids=["d1", "d1-zeeman", "d3", "d3-zeeman"])
+def test_free_parts_mirror_across_the_cut(model):
+    # Gamma(conj z) = conj Gamma(z) and Phi^{conj z} = conj Phi^z hold entry by entry and
+    # exactly, since sqrt_upper(conj w) = -conj sqrt_upper(w): the cut integral forms
+    # Gamma and the site waves of lam - i ETA as conjugates of those of lam + i ETA
+    levels = model.distinct_shifts()[0]
+    real = [levels[0] - 0.7, levels[-1] + 0.9, levels[-1] + 37.0]
+    if levels.size > 1:
+        real.append((levels[0] + levels[1]) / 2.0)  # above one threshold, below another
+    z = np.array([complex(x, sign * y) for x in real for y in (1e-12, 0.5) for sign in (1.0, -1.0)])
+    points = np.array([-0.7, 0.35, 2.4]) if model.dimension == 1 else np.array([[0.3, -0.4, 0.2], [1.5, 0.9, -0.6]])
+    assert np.array_equal(gamma_free(model, z.conj()), gamma_free(model, z).conj())
+    assert np.array_equal(defect_matrix(model, z.conj(), points), defect_matrix(model, z, points).conj())
+    for w in z:
+        assert np.array_equal(gamma_free(model, np.conj(w)), gamma_free(model, w).conj())
+
+
 def test_gamma_blocks_match_full_matrix():
     # index stacks mixing spin codes, in any order, read the full matrix, for Gamma and -Gamma'
     rng = np.random.default_rng(8)
