@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -434,6 +435,7 @@ def _add_model(sub, tol_help=None, gated=True, out_dir=False):
         sub.add_argument("--tol", type=float, default=None, help=tol_help)
 
 
+@functools.cache  # parse_args leaves the parser as it was: main reuses it
 def build_parser() -> _Parser:
     parser = _Parser(prog="spinpoint",
                      description="point-interaction spin-coupling toolbox",

@@ -20,6 +20,7 @@ correction is integrated, on the cut. A grid only samples the result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,13 @@ def spectral_defaults(model: ModelSpec, packet: GaussianPacket) -> dict:
     return {"n_nodes": 2048, "lam_max": mu + 40.0 * _kinetic_scale(packet)}
 
 
+@functools.lru_cache(maxsize=16)  # Gauss-Legendre nodes and weights on [-1, 1], read-only and shared
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = scipy.special.roots_legendre(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     """Gauss-Legendre nodes and weights on the continuum [mu, lam_max].
 
@@ -102,7 +110,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     [a, b] by lam = a + (b - a) sin^2(theta), whose Jacobian vanishes at
     both ends. Panel k gets round(n_nodes sqrt(w_k) / sum_i sqrt(w_i))
     nodes for the widths w, at least MIN_PANEL_NODES. The Gauss-Legendre
-    rule is scipy's roots_legendre, O(n^2) per panel.
+    rule is scipy's roots_legendre, O(n^2), cached per node count (_legendre).
     """
     edges = model.distinct_shifts()[0]
     edges = np.append(edges[edges < lam_max], lam_max)
@@ -110,7 +118,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
     counts = np.maximum(MIN_PANEL_NODES, np.rint(n_nodes * root / np.sum(root)).astype(int))
     lam, wts = [], []
     for k, n in enumerate(counts):
-        x, w = scipy.special.roots_legendre(n)
+        x, w = _legendre(int(n))
         a, b = edges[k], edges[k + 1]
         if k == counts.size - 1:
             u = root[k] * (x + 1.0) / 2.0

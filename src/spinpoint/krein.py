@@ -58,56 +58,63 @@ class NearPoleError(ArithmeticError):
         )
 
 
-def _gamma(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
-    """Gamma(z), or -dGamma/dz under gram, on the full matrix or the index blocks.
+def _gamma_plan(model: ModelSpec, index):
+    """Gamma(z) on a (g, k, k) stack of index blocks, planned once: plan(z, sel=None, gram=False).
 
-    z is a scalar or a 1-D array of nodes; an array adds a leading node
-    axis to the result. -dGamma/dz applies d/dz = (1/2s) d/ds to every
-    layer. It is the w -> z limit of Gamma(z) - Gamma(w) = (w - z) int
-    Phi^w Phi^z, the bilinear Gram matrix int Phi^z_mu Phi^z_nu of the
-    defect functions.
+    The plan holds the site distances and one flat index of each block
+    entry into the (shift level, p, p', j, j') layer table, whose extra
+    zero level fills entries of unequal spin codes. It evaluates the
+    blocks sel, or all, at z (a scalar, or a 1-D array of nodes that leads
+    the result) and stacks Gamma and, under gram, -dGamma/dz from the same
+    s and waves: the bilinear Gram matrix int Phi^z_mu Phi^z_nu.
     """
-    z = np.asarray(z, dtype=complex)
-    w = z[..., None] - model.shifts()
-    s = sqrt_upper(w)
-    if np.count_nonzero(s.imag) < s.size:
-        # Im s = 0 only on [0, inf); the shifts are real, so the node's largest w is there too
-        for wk in w.reshape(-1, w.shape[-1]):
-            _check_energy(wk[np.argmax(wk.real)], False)
-    s = s[..., None, None]
-    pos = model.positions
-    if model.dimension == 3:
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        if gram:  # the diagonal is the r = 0 case of i e^{isr}/(8 pi s)
-            site = 1j * np.exp(1j * s * dist) / (8.0 * np.pi * s)
-        else:
-            off = dist > 0.0  # the sites are distinct: only the diagonal is zero
-            site = np.where(off, -np.exp(1j * s * dist) / (4.0 * np.pi * np.where(off, dist, 1.0)),
-                            -1j * s / (4.0 * np.pi))
-        layers = site[..., None, None, :, :]
-    else:
-        if np.any(s == 0.0):
-            raise ValueError("d=1 boundary matrix diverges when z - a.s = 0")
-        diff = pos[:, None] - pos[None, :]
-        r = np.abs(diff)
-        e = np.exp(1j * s * r)
-        if gram:  # minus d/dz of the layers in the else branch
-            dgp = -np.sign(diff) * 1j * r * e / (4.0 * s)
-            lay = [[-e * (r * s + 1j) / (4.0 * s**3), dgp], [-dgp, e * (1j - r * s) / (4.0 * s)]]
-        else:
-            g = 1j * e / (2.0 * s)
-            gp = -np.sign(diff) * e / 2.0  # zero on the diagonal
-            lay = [[-g, -gp], [gp, -w[..., None, None] * g]]
-        layers = np.stack([np.stack(row, axis=-3) for row in lay], axis=-4)
-    # layers[..., code, p, p', j, j'] fills the equal-code block of each code
+    levels, level = model.distinct_shifts()
     p, j, code = channel_tables(model)
-    rows = (channel_blocks(model) if index is None else np.asarray(index))[:, :, None]
-    cols = rows.swapaxes(1, 2)
-    vals = layers[..., code[rows], p[rows], p[cols], j[rows] - 1, j[cols] - 1]
+    n, layers = model.n_spins, 2 if model.dimension == 1 else 1
+    rows, cols = np.asarray(index)[:, :, None], np.asarray(index)[:, None, :]
+    at = (((level[code[rows]] * layers + p[rows]) * layers + p[cols]) * n + j[rows] - 1) * n + j[cols] - 1
+    at = np.where(code[rows] == code[cols], at, levels.size * layers**2 * n * n)
+    diff = model.positions[:, None] - model.positions[None, :]
+    dist = np.linalg.norm(diff, axis=-1) if model.dimension == 3 else np.abs(diff)
+    off, sign = dist > 0.0, -np.sign(diff)  # the sites are distinct: only the diagonal is zero
+    # complex operands: numpy would cast real ones on every evaluation
+    scale, sign = (4.0 * np.pi * np.where(off, dist, 1.0)).astype(complex), sign.astype(complex)
+    levels_c, dist = levels.astype(complex), dist.astype(complex)
+
+    def evaluate(z, sel=None, gram=False):
+        z = np.asarray(z, dtype=complex)
+        w = z[..., None] - levels_c
+        s = sqrt_upper(w)
+        if np.count_nonzero(s.imag) < s.size:  # Im s = 0 only on [0, inf), where the lowest level's w is too
+            for w0 in w[..., 0].ravel():
+                _check_energy(w0, False)
+        s = s[..., None, None]
+        e = np.exp(1j * s * dist)
+        if model.dimension == 3:  # Gram: the diagonal is the r = 0 case of i e^{isr}/(8 pi s)
+            parts = [np.where(off, -e / scale, -1j * s / (4.0 * np.pi))]
+            if gram:
+                parts.append(1j * e / (8.0 * np.pi * s))
+        else:  # the (p, p') layers in row-major order, then under gram minus their d/dz
+            g, gp = 1j * e / (2.0 * s), sign * e / 2.0
+            parts = [-g, -gp, gp, -w[..., None, None] * g]
+            if gram:
+                dgp = sign * 1j * dist * e / (4.0 * s)
+                parts += [-e * (dist * s + 1j) / (4.0 * s**3), dgp, -dgp, e * (1j - dist * s) / (4.0 * s)]
+        table = np.zeros((1 + gram,) + z.shape + (levels.size + 1, layers**2, n, n), dtype=complex)
+        for k, lay in enumerate(parts):
+            table[k // layers**2, ..., :-1, k % layers**2, :, :] = lay
+        return table.reshape(table.shape[:-4] + (-1,)).take(at if sel is None else at[sel], axis=-1)
+
+    return evaluate
+
+
+def _gamma_whole(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
+    """Gamma, or -dGamma/dz under gram, on the index blocks or (index None) the full matrix."""
     if index is not None:
-        return np.where(code[rows] == code[cols], vals, 0.0)
-    out = np.zeros(z.shape + (model.defect_dim,) * 2, dtype=complex)
-    out[..., rows, cols] = vals
+        return _gamma_plan(model, index)(z, gram=gram)[-1]
+    blocks = channel_blocks(model)
+    out = np.zeros(np.shape(z) + (model.defect_dim,) * 2, dtype=complex)
+    out[..., blocks[:, :, None], blocks[:, None, :]] = _gamma_plan(model, blocks)(z, gram=gram)[-1]
     return out
 
 
@@ -125,7 +132,7 @@ def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
     Gamma[index[b], index[b]] are formed, as a (g, k, k) stack. A 1-D
     array of z adds a leading node axis: (n_z, m, m) or (n_z, g, k, k).
     """
-    return _gamma(model, z, index, gram=False)
+    return _gamma_whole(model, z, index, gram=False)
 
 
 def gamma_gram(model: ModelSpec, z, index=None) -> np.ndarray:
@@ -135,7 +142,7 @@ def gamma_gram(model: ModelSpec, z, index=None) -> np.ndarray:
     such a real z this is their Gram matrix <Phi_mu, Phi_nu>. index and
     a 1-D array of z shape the result as in gamma_free.
     """
-    return _gamma(model, z, index, gram=True)
+    return _gamma_whole(model, z, index, gram=True)
 
 
 def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
-from .krein import defect_matrix, gamma_dressed, gamma_free, gamma_gram
+from .krein import _gamma_plan, defect_matrix, gamma_dressed, gamma_free
 from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
@@ -82,8 +82,8 @@ class BoundState:
     charge_basis: np.ndarray  # (multiplicity, m) null vectors, phase-fixed
 
 
-def _reduce(frame: SpinFrame) -> list:
-    """(group, V, Lambda) per block group of the pair in its spin frame.
+def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
+    """(group, its krein._gamma_plan, V, Lambda) per block group of the pair in its spin frame.
 
     V keeps as many directions as the largest rank of B_k in the group;
     it is zero and Lambda the identity in those of zero singular values,
@@ -99,32 +99,33 @@ def _reduce(frame: SpinFrame) -> list:
         inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
         lam = vh @ g.A.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
         lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
-        out.append((g, vh.conj().swapaxes(-1, -2) * keep[:, None, :],
+        out.append((g, _gamma_plan(model, g.index), vh.conj().swapaxes(-1, -2) * keep[:, None, :],
                     lam + np.eye(r) * ~keep[:, None, :]))
     return out
 
 
-def _hermitian(model: ModelSpec, red: list, energy: float, active=None):
+def _hermitian(red: list, energy: float, active=None, gram: bool = False):
     """(group, positions, V, Gamma_k, H_k(energy)) per group, for all or the active blocks.
 
     Blocks are numbered in group order; active is a mask over them.
+    Gamma_k comes as its plan's stack: G_k = -Gamma_k' follows under gram.
     """
     start = 0
-    for g, v, lam in red:
+    for g, plan, v, lam in red:
         sel = np.arange(len(v)) if active is None else np.flatnonzero(active[start:start + len(v)])
         start += len(v)
         if sel.size:
-            gamma, vs = gamma_free(model, complex(energy), g.index[sel]), v[sel]
-            yield g, sel, vs, gamma, vs.conj().swapaxes(-1, -2) @ gamma @ vs + lam[sel]
+            gamma, vs = plan(energy, None if active is None else sel, gram), v[sel]
+            yield g, sel, vs, gamma, vs.conj().swapaxes(-1, -2) @ gamma[0] @ vs + lam[sel]
 
 
-def _count(model: ModelSpec, red: list, energy: float, active=None) -> np.ndarray:
+def _count(red: list, energy: float, active=None) -> np.ndarray:
     """Negative eigenvalues of H_k(energy) per block (per active block)."""
     return np.concatenate([np.sum(np.linalg.eigvalsh(h) < 0.0, axis=-1)
-                           for *_, h in _hermitian(model, red, energy, active)])
+                           for *_, h in _hermitian(red, energy, active)])
 
 
-def _between(model: ModelSpec, red: list, energy: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _between(red: list, energy: float, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Per-block counts at an energy between the ends of a bracket with counts low <= high.
 
     Blocks with low < high are counted, and every count is clamped into
@@ -134,20 +135,19 @@ def _between(model: ModelSpec, red: list, energy: float, low: np.ndarray, high: 
     active = high > low
     n = low.copy()
     if active.any():
-        n[active] = _count(model, red, energy, active)
+        n[active] = _count(red, energy, active)
     return np.clip(n, low, high)
 
 
-def _crossing(model: ModelSpec, red: list, energy: float, block: int, i: int) -> tuple[float, float]:
+def _crossing(red: list, energy: float, block: int, i: int) -> tuple[float, float]:
     """Eigenvalue i (ascending) of H_k(energy) on one block, and its slope in E.
 
     With y its unit eigenvector the slope is y* V* Gamma_k'(E) V y =
-    -y* V* G_k(E) V y, G = gamma_gram. Large blocks take the one
-    eigenpair, small ones the full eigh, which is faster there.
+    -y* V* G_k(E) V y, G = gamma_gram, from Gamma_k's plan evaluation.
+    Large blocks take the one eigenpair, small ones the full eigh (faster there).
     """
-    only = np.zeros(sum(len(v) for _, v, _ in red), dtype=bool)
-    only[block] = True
-    g, sel, v, _, h = next(_hermitian(model, red, energy, only))
+    only = np.arange(sum(len(v) for _, _, v, _ in red)) == block
+    _, _, v, (_, gram), h = next(_hermitian(red, energy, only, gram=True))
     if h.shape[-1] > 16:
         lam, y = scipy.linalg.eigh(h[0], subset_by_index=[i, i])
         lam, y = lam[0], y[:, 0]
@@ -155,12 +155,10 @@ def _crossing(model: ModelSpec, red: list, energy: float, block: int, i: int) ->
         lam, y = np.linalg.eigh(h[0])
         lam, y = lam[i], y[:, i]
     vy = v[0] @ y
-    gram = gamma_gram(model, complex(energy), g.index[sel])[0]
-    return float(lam), -float(np.real(vy.conj() @ gram @ vy))
+    return float(lam), -float(np.real(vy.conj() @ gram[0] @ vy))
 
 
-def _newton(model: ModelSpec, red: list, a: float, b: float, start: float, block: int, i: int,
-            tol: float):
+def _newton(red: list, a: float, b: float, start: float, block: int, i: int, tol: float):
     """Root of eigenvalue i of H_k in (a, b) by Newton steps from start, or None.
 
     Converged when a step, or the next one that quadratic convergence
@@ -170,7 +168,7 @@ def _newton(model: ModelSpec, red: list, a: float, b: float, start: float, block
     """
     e, step = start, 0.0
     for _ in range(_NEWTON_STEPS):
-        lam, slope = _crossing(model, red, e, block, i)
+        lam, slope = _crossing(red, e, block, i)
         if not slope < 0.0:
             return None
         step, prev = lam / slope, step
@@ -195,7 +193,7 @@ def _limit(model: ModelSpec, red: list) -> int:
         return 0
     p = channel_tables(model)[0]
     total = 0
-    for g, v, lam in red:
+    for g, _, v, lam in red:
         for index, vb, lb in zip(g.index, v, lam):
             keep = np.any(vb != 0.0, axis=0)
             if keep.any():
@@ -216,7 +214,7 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     """
     if not np.any(pair.B):
         return essential_spectrum_bottom(model) - 10.0  # no bound states
-    return _search_floor(model, pair, _reduce(pair.frame(model)))[0]
+    return _search_floor(model, pair, _reduce(model, pair.frame(model)))[0]
 
 
 def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[float, np.ndarray]:
@@ -226,7 +224,7 @@ def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[floa
                                 / float(np.max(np.abs(pair.B)))) ** 2)
     limit = _limit(model, red)
     for _ in range(30):
-        counts = _count(model, red, floor)
+        counts = _count(red, floor)
         if counts.sum() <= limit:
             return floor, counts
         floor = mu - 4.0 * (mu - floor)
@@ -239,8 +237,8 @@ def _level(model: ModelSpec, frame: SpinFrame, red: list, energy: float, n_below
     jump = n_above > n_below
     lo, up = n_below[jump], n_above[jump]
     rotated, sigma, i = [], np.inf, 0
-    for g, sel, v, gamma, h in _hermitian(model, red, energy, jump):
-        dressed = gamma_dressed(BlockGroup(g.index[sel], g.A[sel], g.B[sel]), gamma)
+    for g, sel, v, gamma, h in _hermitian(red, energy, jump):
+        dressed = gamma_dressed(BlockGroup(g.index[sel], g.A[sel], g.B[sel]), gamma[0])
         sigma = min(sigma, float(np.min(np.linalg.svd(dressed, compute_uv=False))))
         for index, vb, vec in zip(g.index[sel], v, np.linalg.eigh(h)[1]):
             # eigenvalue i is nonincreasing in E: those with lo <= i < up cross zero
@@ -278,7 +276,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     if not np.any(pair.B):
         return []  # A q = 0 forces q = 0
     frame = pair.frame(model)
-    red = _reduce(frame)
+    red = _reduce(model, frame)
     mu = essential_spectrum_bottom(model)
     if e_min is None:
         lo, n_lo = _search_floor(model, pair, red)
@@ -288,7 +286,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     if lo >= hi:
         return []
     states, last = [], None
-    stack = [(lo, _count(model, red, lo) if n_lo is None else n_lo, hi, _count(model, red, hi))]
+    stack = [(lo, _count(red, lo) if n_lo is None else n_lo, hi, _count(red, hi))]
     while stack:
         a, na, b, nb = stack.pop()
         active = nb > na  # blocks with a root in [a, b]
@@ -302,15 +300,15 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         # levels cluster: start from the last one found, or the midpoint before the first
         start = mid if last is None else min(max(last, a), b)
         block = int(np.argmax(active))
-        e = _newton(model, red, a, b, start, block, int(na[block]), tol)
+        e = _newton(red, a, b, start, block, int(na[block]), tol)
         if e is None:
-            nm = _between(model, red, mid, na, nb)
+            nm = _between(red, mid, na, nb)
             stack += [(mid, nm, b, nb), (a, na, mid, nm)]
             continue
         last, half = e, 0.5 * tol * (1.0 + abs(e))
         left, right = max(a, e - half), min(b, e + half)
-        n_left = na if left == a else _between(model, red, left, na, nb)
-        n_right = nb if right == b else _between(model, red, right, n_left, nb)
+        n_left = na if left == a else _between(red, left, na, nb)
+        n_right = nb if right == b else _between(red, right, n_left, nb)
         if np.any(n_right > n_left):
             states.append(_level(model, frame, red, 0.5 * (left + right), n_left, n_right))
         stack += [(right, n_right, b, nb), (a, na, left, n_left)]

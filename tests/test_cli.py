@@ -223,6 +223,26 @@ def test_kernel_reruns_are_byte_identical(tmp_path):
     assert b"\r" not in first
 
 
+def test_main_reuses_its_parser_in_one_process(tmp_path):
+    # the parser is built once per process; each call parses only its own flags
+    path = write_model(tmp_path, beta="-1.5")
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", str(path), "--z", "-1.0,0.5", "--out", str(out)]
+    assert run(*argv, "--n-points", "3") == 0
+    assert len(read_table(out)[2]) == 3
+    assert run(*argv) == 0
+    assert len(read_table(out)[2]) == 12
+    levels = tmp_path / "bs.csv"
+    assert run("boundstates", str(path), "--tol", "1e-10", "--out", str(levels)) == 0
+    assert "# tolerances: tol=1e-10" in read_table(levels)[0]
+    assert run("boundstates", str(path), "--out", str(levels)) == 0
+    assert "# tolerances: tol=1e-13" in read_table(levels)[0]
+    with pytest.raises(SystemExit) as err:
+        run("kernel", str(path), "--nope")
+    assert err.value.code == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_kernel_at_bound_state_flags_rows(tmp_path):
     path = write_model(tmp_path, beta="-2.0")
     out = tmp_path / "pole.csv"

@@ -140,6 +140,32 @@ def test_gamma_blocks_match_full_matrix():
                                           whole[index[:, :, None], index[:, None, :]])
 
 
+@pytest.mark.parametrize("model", [model_d1(2, alpha=[0.0, 0.0]), model_d1(3), model_d3(2, alpha=[0.0, 0.0]),
+                                   model_d3(3)], ids=["d1", "d1-zeeman", "d3", "d3-zeeman"])
+def test_gamma_plan_reads_the_public_matrices(model):
+    # a plan's blocks, all of them or a selection, at one z or on a node array, are exactly the
+    # blocks of gamma_free and gamma_gram; one gram evaluation gives both from the same waves
+    from spinpoint.krein import _gamma_plan
+
+    rng = np.random.default_rng(21)
+    m = model.defect_dim
+    stacks = [preset_offdiag(model, 0.8).frame(model).blocks[0].index,  # the blocks of a spin frame
+              np.stack([rng.permutation(m)[:5] for _ in range(3)])]  # blocks mixing spin codes
+    mu = np.min(model.shifts())
+    for z in (complex(mu - 0.9), complex(0.4, 0.7), np.array([mu - 2.0, 0.3 + 1e-12j, -1.0 - 0.5j])):
+        whole = [gamma_free(model, z), gamma_gram(model, z)]
+        for index in stacks:
+            plan = _gamma_plan(model, index)
+            for sel in (None, [len(index) - 1, 0]):
+                rows = index if sel is None else index[sel]
+                blocks = [part[..., rows[:, :, None], rows[:, None, :]] for part in whole]
+                gamma, gram = plan(z, sel, gram=True)
+                assert np.array_equal(plan(z, sel)[0], blocks[0])
+                assert np.array_equal(gamma, blocks[0]) and np.array_equal(gram, blocks[1])
+                assert np.array_equal(gamma, gamma_free(model, z, rows))
+                assert np.array_equal(gram, gamma_gram(model, z, rows))
+
+
 def overlap_closed_form(model, w, z, mu, nu):
     """(w integral side, z side) defect-overlap via resolvent-difference forms."""
     from spinpoint.spins import channel_tables

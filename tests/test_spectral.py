@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from spinpoint import krein, spectral
+from spinpoint import spectral
 from spinpoint.boundary import (
     ValidationError,
     preset_delta,
@@ -319,10 +319,10 @@ def test_multiplicities_add_up_to_the_count(dimension):
     if dimension == 1:
         pairs.append(list(_random_pairs(1, seed=7, sizes=(1, 2, 3)))[-1])
     for model, pair in pairs:
-        red = spectral._reduce(pair.frame(model))
+        red = spectral._reduce(model, pair.frame(model))
         _, n_floor = spectral._search_floor(model, pair, red)
         mu = essential_spectrum_bottom(model)
-        n_top = spectral._count(model, red, mu - spectral.GAP * (1.0 + abs(mu)))
+        n_top = spectral._count(red, mu - spectral.GAP * (1.0 + abs(mu)))
         states = find_bound_states(model, pair)
         assert sum(st.multiplicity for st in states) == n_top.sum() - n_floor.sum()
         energies = [st.energy for st in states]
@@ -353,16 +353,16 @@ def test_newton_slope_is_the_derivative_of_the_eigenvalue(dimension):
     """
     field = ModelSpec(dimension, _zero_field(dimension, 3).positions, [0.3] * 3)
     for model, pair in list(_random_pairs(dimension))[:3] + [(field, preset_offdiag(field, 0.8))]:
-        red = spectral._reduce(pair.frame(model))
+        red = spectral._reduce(model, pair.frame(model))
         energy = essential_spectrum_bottom(model) - 0.7
-        n_blocks = sum(len(v) for _, v, _ in red)
+        n_blocks = sum(len(v) for _, _, v, _ in red)
         for block in range(n_blocks):
             only = np.arange(n_blocks) == block
-            for i in range(next(spectral._hermitian(model, red, energy, only))[4].shape[-1]):
-                lam, slope = spectral._crossing(model, red, energy, block, i)
+            for i in range(next(spectral._hermitian(red, energy, only))[4].shape[-1]):
+                lam, slope = spectral._crossing(red, energy, block, i)
 
                 def eigenvalue(e):
-                    return np.linalg.eigvalsh(next(spectral._hermitian(model, red, e, only))[4][0])[i]
+                    return np.linalg.eigvalsh(next(spectral._hermitian(red, e, only))[4][0])[i]
 
                 h = 1e-4
                 assert lam == pytest.approx(eigenvalue(energy), abs=1e-12)
@@ -372,16 +372,21 @@ def test_newton_slope_is_the_derivative_of_the_eigenvalue(dimension):
 
 
 def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
-    """Gamma and Gram assemblies (both go through krein._gamma) per level.
+    """Gamma evaluations of the search's plans per level; a Newton step's Gram shares its Gamma's.
 
-    Bisection to tol took 37 per level on this chain.
+    Bisection to tol took 37 assemblies per level on this chain.
     """
     alpha = [0.1, 0.2, 0.4, 0.8]
     u = np.array([0.36, 0.48, 0.8])
     model = ModelSpec(3, [3.0 * j * u for j in range(4)], alpha)
     calls = []
-    assemble = krein._gamma
-    monkeypatch.setattr(krein, "_gamma", lambda *args, **kw: calls.append(1) or assemble(*args, **kw))
+    plan = spectral._gamma_plan
+
+    def counted(*args):
+        evaluate = plan(*args)
+        return lambda *a, **kw: calls.append(1) or evaluate(*a, **kw)
+
+    monkeypatch.setattr(spectral, "_gamma_plan", counted)
     states = find_bound_states(model, preset_delta(model, -1.0))
     assert len(states) == 16
     assert len(calls) <= 16 * len(states)
