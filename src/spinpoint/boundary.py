@@ -255,7 +255,6 @@ class BoundaryPair:
         return tuple(groups)
 
 
-
 @dataclass(frozen=True)
 class ValidationReport:
     is_valid: bool

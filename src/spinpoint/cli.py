@@ -105,7 +105,8 @@ def _build_preset(model: ModelSpec, name: str, params: dict) -> BoundaryPair:
 def load_model(path: str):
     """Parse a model file into (ModelSpec, BoundaryPair, digest)."""
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:
@@ -142,8 +143,8 @@ def load_model(path: str):
 def load_packet(path: str, model: ModelSpec):
     """Parse a state file into (GaussianPacket, UniformGrid)."""
     try:
-        raw = open(path, "rb").read()
-        doc = json.loads(raw)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -240,18 +241,19 @@ def _kernel_points(args, model: ModelSpec):
     if args.points:
         rows = []
         try:
-            for line in open(args.points):
-                line = line.strip()
-                if not line or line.startswith("#") or line[0].isalpha():
-                    continue
-                vals = [float(tok) for tok in line.split(",")]
-                if len(vals) != 2 * d + 2:
-                    raise InputError(f"points file rows need {2 * d + 2} columns for d={d}")
-                x = vals[0] if d == 1 else np.array(vals[:d])
-                sigma = int(vals[d])
-                xp = vals[d + 1] if d == 1 else np.array(vals[d + 1:2 * d + 1])
-                sigmap = int(vals[2 * d + 1])
-                rows.append((x, sigma, xp, sigmap))
+            with open(args.points) as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line or line.startswith("#") or line[0].isalpha():
+                        continue
+                    vals = [float(tok) for tok in line.split(",")]
+                    if len(vals) != 2 * d + 2:
+                        raise InputError(f"points file rows need {2 * d + 2} columns for d={d}")
+                    x = vals[0] if d == 1 else np.array(vals[:d])
+                    sigma = int(vals[d])
+                    xp = vals[d + 1] if d == 1 else np.array(vals[d + 1:2 * d + 1])
+                    sigmap = int(vals[2 * d + 1])
+                    rows.append((x, sigma, xp, sigmap))
         except OSError as exc:
             raise InputError(f"cannot read {args.points}: {exc}")
         except ValueError as exc:

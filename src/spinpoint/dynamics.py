@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .boundary import BoundaryPair, require_valid
-from .krein import _defect_factors, _defect_overlaps_gaussian, _dress_gamma, _gaussian_charges, gamma_free, gamma_gram
+from .krein import _defect_factors, _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _gaussian_charges, gamma_gram
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
@@ -41,7 +41,7 @@ __all__ = [
 
 ETA = 1e-12  # distance from the cut at which the correction is evaluated
 MIN_PANEL_NODES = 8
-_CHUNK_ELEMENTS = 2**15  # complex entries of one chunk's site waves and m x m stacks
+_CHUNK_ELEMENTS = 2**15  # complex entries of one chunk's site waves and Gamma stacks, m x m per z at most
 
 
 def _evolve_component(g: GaussianComponent, t: float, phase: complex) -> GaussianComponent:
@@ -138,13 +138,15 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i. Per chunk of
     nodes lam_k, Gamma and the site waves exp(i s r), one per (lam, site,
     distinct shift, point), are formed at lam + i ETA and conjugated for
-    lam - i ETA. Every node z = lam_0 + i ETA, lam_0 - i ETA, ... is still
-    dressed, with its own SVD, solve and condition number, in one stacked
-    call, and has its own charges. The weights w_k e^{-i lam_k t}
-    (+-1/2i) / pi fold into the charges, the lower side's conjugated, so
-    per distinct shift a chunk's sum is one batched matmul. A chunk holds
-    at least one lam and at most _CHUNK_ELEMENTS entries: per lam its
-    waves and the m x m stacks of both sides.
+    lam - i ETA, Gamma as one stack per block group of the pair's spin
+    frame (krein._frame_plans, planned once per call). Every node z =
+    lam_0 + i ETA, lam_0 - i ETA, ... is still dressed, with its own SVD,
+    solve and condition number, in one stacked call, and has its own
+    charges. The weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
+    charges, the lower side's conjugated, so per distinct shift a chunk's
+    sum is one batched matmul. A chunk holds at least one lam and at most
+    _CHUNK_ELEMENTS entries: per lam its waves and m x m per side, a bound
+    on the Gamma stacks of both sides.
     """
     require_valid(model, pair, unchecked)
     n_sites, n_codes = model.n_spins, model.n_configs
@@ -153,11 +155,12 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     coef = weights[:, :, None, None, None, None] * (np.array([1.0, -1.0]) / 2j)[:, None, None, None]
     step = max(1, _CHUNK_ELEMENTS // (levels.size * n_sites * grid.n_points + 2 * model.defect_dim**2))
     out = np.zeros((times.size, n_codes, grid.n_points), dtype=complex)
+    plans = _frame_plans(model, pair.frame(model))
     for lo in range(0, lam.size, step):
         z = lam[lo:lo + step, None] + np.array([1j, -1j]) * ETA
-        gamma = gamma_free(model, z[:, 0])
-        gamma = np.stack([gamma, gamma.conj()], axis=1).reshape(z.size, *gamma.shape[1:])
-        charges = _gaussian_charges(_dress_gamma(model, pair, z.ravel(), gamma), packet)
+        gammas = [plan(z[:, 0])[0] for _, plan in plans]
+        gammas = [np.stack([x, x.conj()], axis=1).reshape(z.size, *x.shape[1:]) for x in gammas]
+        charges = _gaussian_charges(_dress_gamma(model, pair, z.ravel(), gammas), packet)
         scale, wave, layer, _ = _defect_factors(model, z[:, 0], grid.points)
         # q[t, k, side, p, j, c]: the flat defect index is (layer p, site j, code c) in C order
         q = coef[:, lo:lo + step] * charges.reshape(len(z), 2, -1, n_sites, n_codes)

@@ -108,17 +108,20 @@ def _gamma_plan(model: ModelSpec, index):
     return evaluate
 
 
-def _gamma_whole(model: ModelSpec, z, index, gram: bool) -> np.ndarray:
-    """Gamma, or -dGamma/dz under gram, on the index blocks or (index None) the full matrix."""
-    if index is not None:
-        return _gamma_plan(model, index)(z, gram=gram)[-1]
+def _frame_plans(model: ModelSpec, frame: SpinFrame) -> list:
+    """(group, its _gamma_plan) per block group of a pair's spin frame: the solvers' one Gamma layout."""
+    return [(g, _gamma_plan(model, g.index)) for g in frame.blocks]
+
+
+def _gamma_whole(model: ModelSpec, z, gram: bool) -> np.ndarray:
+    """Gamma, or -dGamma/dz under gram, as the full matrix: its per-code blocks scattered into m x m."""
     blocks = channel_blocks(model)
     out = np.zeros(np.shape(z) + (model.defect_dim,) * 2, dtype=complex)
     out[..., blocks[:, :, None], blocks[:, None, :]] = _gamma_plan(model, blocks)(z, gram=gram)[-1]
     return out
 
 
-def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
+def gamma_free(model: ModelSpec, z) -> np.ndarray:
     """Boundary-value matrix Gamma(z) of the free defect functions.
 
     Block diagonal across spin configurations. d=3 per configuration:
@@ -128,21 +131,21 @@ def gamma_free(model: ModelSpec, z, index=None) -> np.ndarray:
         (0j, 0j') -> -G,  (1j, 1j') -> -(z - a.s) G  (including j = j'),
         (1j, 0j') -> +G', (0j, 1j') -> -G'           (zero at j = j').
 
-    With index, a (g, k) stack of flat defect indices, only the blocks
-    Gamma[index[b], index[b]] are formed, as a (g, k, k) stack. A 1-D
-    array of z adds a leading node axis: (n_z, m, m) or (n_z, g, k, k).
+    A 1-D array of z adds a leading node axis: (n_z, m, m). This is
+    output (CLI gamma, detgamma_profile): the solvers take Gamma on the
+    blocks of the pair's spin frame only, through _frame_plans.
     """
-    return _gamma_whole(model, z, index, gram=False)
+    return _gamma_whole(model, z, gram=False)
 
 
-def gamma_gram(model: ModelSpec, z, index=None) -> np.ndarray:
+def gamma_gram(model: ModelSpec, z) -> np.ndarray:
     """-dGamma/dz, the bilinear Gram matrix int Phi^z_mu Phi^z_nu of the defect functions.
 
     Below the continuum threshold the defect functions are real, so at
-    such a real z this is their Gram matrix <Phi_mu, Phi_nu>. index and
-    a 1-D array of z shape the result as in gamma_free.
+    such a real z this is their Gram matrix <Phi_mu, Phi_nu>. A 1-D array
+    of z adds a node axis as in gamma_free; the solvers use _gamma_plan.
     """
-    return _gamma_whole(model, z, index, gram=True)
+    return _gamma_whole(model, z, gram=True)
 
 
 def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
@@ -185,33 +188,33 @@ class _Dressing:
     """Per-(model, pair, z) factorized data for kernel evaluations.
 
     The dressing runs in the pair's spin frame U (BoundaryPair.frame):
-    rotated is U* C U for the correction C = (B Gamma + A)^{-1} B, block
-    diagonal on the frame's blocks, and charges maps vectors through U.
-    For a 1-D array of z, z, rotated and condition carry a leading node
+    solved holds, per group of frame.blocks, the (g, k, k) stack of the
+    blocks of U* C U for the correction C = (B Gamma + A)^{-1} B, and
+    charges maps vectors through U and each stack on its group's indices.
+    For a 1-D array of z, z, solved and condition carry a leading node
     axis; column needs the one-node case.
     """
 
     model: ModelSpec
-    pair: BoundaryPair
     z: complex | np.ndarray
     frame: SpinFrame
-    rotated: np.ndarray  # U* (Gamma^AB)^{-1} B U
+    solved: list  # per block group: the blocks of U* (Gamma^AB)^{-1} B U
     condition: float | np.ndarray
-    p: np.ndarray
-    j: np.ndarray
-    code: np.ndarray
 
     @property
     def correction(self) -> np.ndarray:
-        """(B Gamma + A)^{-1} B in the pair's own frame, U rotated U*."""
-        left = self.frame.rotate(self.rotated, axis=-2)
-        return self.frame.rotate(left.conj(), axis=-1).conj()
+        """(B Gamma + A)^{-1} B in the pair's own frame, m x m for tests: column mu is the charges of e_mu."""
+        m, nodes = self.model.defect_dim, np.shape(self.z)
+        unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
+        return np.moveaxis(self.charges(unit), 0, -1)
 
     def charges(self, overlaps) -> np.ndarray:
         """C s for overlap vectors s on the last axis of overlaps, one per node."""
-        frame = self.frame
-        inner = frame.rotate(overlaps, adjoint=True)
-        return frame.rotate(np.matmul(self.rotated, inner[..., None])[..., 0])
+        inner = self.frame.rotate(overlaps, adjoint=True)
+        out = np.zeros(np.shape(inner), dtype=complex)
+        for g, x in zip(self.frame.blocks, self.solved):
+            out[..., g.index] = np.matmul(x, inner[..., g.index, None])[..., 0]
+        return self.frame.rotate(out)
 
     def column(self, xp, sigmap):
         """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
@@ -222,23 +225,22 @@ class _Dressing:
         """
         model = self.model
         code_p = spin_code(sigmap, model.n_spins)
-        if _site_distance(model, xp) == 0.0:
+        if _at_site(model, xp):
             raise ValueError("source point coincides with a spin site")
         s = sqrt_upper(self.z - model.distinct_shifts()[0])
         phi_src = _defect_rows(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)], s)[:, 0]
-        phi_src = np.where(self.code == code_p, phi_src, 0.0)
+        phi_src = np.where(channel_tables(model)[2] == code_p, phi_src, 0.0)
         weights = self.charges(phi_src)  # c_mu for the x side
 
         def evaluate(x, sigma) -> complex:
             code = spin_code(sigma, model.n_spins)
-            if _site_distance(model, x) == 0.0:
+            if model.dimension == 1 and _at_site(model, x):  # d=3: _defect_factors rejects x
                 raise ValueError("evaluation point coincides with a spin site")
+            phi_out = _defect_rows(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)], s)
             val = 0.0 + 0.0j
             if code == code_p:
-                w = self.z - model.shifts()[code]
                 disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
-                val += green(model.dimension, w, disp, allow_cut=True)
-            phi_out = _defect_rows(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)], s)
+                val += green(model.dimension, self.z - model.shifts()[code], disp, allow_cut=True)
             return val + complex(channel_sum(model, weights, phi_out)[code, 0])
 
         return evaluate
@@ -249,30 +251,23 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
 
     U commutes with Gamma(z), so U* (B Gamma + A) U = B' Gamma + A' on the
     frame's blocks, with (A', B') = (U* A U, U* B U); its condition number
-    is that of B Gamma + A. z is one energy or a 1-D array of nodes. A
-    node array is dressed as (n_z, g, k, k) stacks, one values-only SVD
-    and one solve per block group for all nodes; the condition number is
-    per node, and a NearPoleError names the first node past the limit in
-    array order.
+    is that of B Gamma + A. Gamma is one stack per group (_frame_plans).
+    z is one energy or a 1-D array of nodes. A node array is dressed as
+    (n_z, g, k, k) stacks, one values-only SVD and one solve per block
+    group for all nodes; the condition number is per node, and a
+    NearPoleError names the first node past the limit in array order.
     """
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
     z = complex(z) if z.ndim == 0 else z
-    return _dress_gamma(model, pair, z, gamma_free(model, z))
+    return _dress_gamma(model, pair, z, [plan(z)[0] for _, plan in _frame_plans(model, pair.frame(model))])
 
 
-def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gamma: np.ndarray) -> _Dressing:
-    """_dress on a given Gamma(z) or stack of them, for a pair its caller has gated."""
+def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gammas: list) -> _Dressing:
+    """_dress on given Gamma(z) stacks, one per group of the pair's frame blocks, for a pair its caller has gated."""
     frame = pair.frame(model)
-    groups = frame.blocks
-    subs = [(..., g.index[:, :, None], g.index[:, None, :]) for g in groups]
-    dressed = [gamma_dressed(g, gamma[sub]) for g, sub in zip(groups, subs)]
-    solved, cond = invert_dressed(dressed, [g.B for g in groups], z)
-    rotated = np.zeros_like(gamma)
-    for sub, x in zip(subs, solved):
-        rotated[sub] = x
-    p, j, code = channel_tables(model)
-    return _Dressing(model, pair, z, frame, rotated, cond, p, j, code)
+    dressed = [gamma_dressed(g, gamma) for g, gamma in zip(frame.blocks, gammas)]
+    return _Dressing(model, z, frame, *invert_dressed(dressed, [g.B for g in frame.blocks], z))
 
 
 def _defect_factors(model: ModelSpec, z, points, s=None):
@@ -299,7 +294,7 @@ def _defect_factors(model: ModelSpec, z, points, s=None):
     if model.dimension == 3:
         r = np.linalg.norm(np.atleast_2d(pts)[None, :, :] - model.positions[:, None, :], axis=-1)[:, None, :]
         if not r.all():
-            raise ValueError("defect function evaluated at its own site")
+            raise ValueError("evaluation point coincides with a spin site")
         wave = s * (1j * r)
         return 1.0, np.exp(wave, out=wave), 1.0 / (4.0 * np.pi * r[None]), level
     disp = (np.atleast_1d(pts)[None, :] - model.positions[:, None])[:, None, :]
@@ -325,10 +320,8 @@ def _defect_rows(model: ModelSpec, z, points, s=None) -> np.ndarray:
     return phi.reshape(phi.shape[:-4] + (-1, phi.shape[-1]))
 
 
-def _site_distance(model: ModelSpec, x) -> float:
-    if model.dimension == 1:
-        return float(np.min(np.abs(model.positions - float(x))))
-    return float(np.min(np.linalg.norm(model.positions - np.asarray(x, dtype=float)[None, :], axis=-1)))
+def _at_site(model: ModelSpec, x) -> bool:
+    return bool(np.any(np.all(model.positions.reshape(model.n_spins, -1) == np.ravel(x), axis=-1)))
 
 
 def resolvent_kernel(model: ModelSpec, pair: BoundaryPair, z, x, sigma, xp, sigmap,
@@ -459,7 +452,8 @@ def _defect_overlaps_grid(dress: _Dressing, state: GridState) -> np.ndarray:
     """Grid-trapezoid defect overlaps, with d=1 kink corrections at on-node sites."""
     model = dress.model
     grid = state.grid
-    psi = state.values[dress.code]
+    p, sites, code = channel_tables(model)
+    psi = state.values[code]
     out = np.sum(defect_matrix(model, dress.z, grid.points) * psi * grid.weights, axis=1)
     if model.dimension == 1:
         h = grid.spacing
@@ -467,10 +461,10 @@ def _defect_overlaps_grid(dress: _Dressing, state: GridState) -> np.ndarray:
             node = _node_at(grid, float(site))
             if node is None:
                 continue
-            charge = (dress.j == j) & (dress.p == 0)
+            charge = (sites == j) & (p == 0)
             out[charge] -= h * h / 12.0 * psi[charge, node]
             if 0 < node < grid.n_points - 1:
-                dipole = (dress.j == j) & (dress.p == 1)
+                dipole = (sites == j) & (p == 1)
                 out[dipole] -= h * h / 12.0 * (psi[dipole, node + 1] - psi[dipole, node - 1]) / (2.0 * h)
     return out
 
@@ -534,7 +528,7 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
     """
     dress = _dress(model, pair, z, unchecked)
     z = dress.z
-    coupled = bool(np.any(dress.rotated != 0.0))
+    coupled = any(np.any(x != 0.0) for x in dress.solved)
     if isinstance(state, GridState):
         if grid is not None and grid is not state.grid:
             raise ValueError("grid input is applied on its own grid")

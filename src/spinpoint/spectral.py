@@ -34,7 +34,7 @@ import numpy as np
 import scipy
 
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
-from .krein import _gamma_plan, defect_matrix, gamma_dressed, gamma_free
+from .krein import _frame_plans, defect_matrix, gamma_dressed, gamma_free
 from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
@@ -83,7 +83,7 @@ class BoundState:
 
 
 def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
-    """(group, its krein._gamma_plan, V, Lambda) per block group of the pair in its spin frame.
+    """(group, its Gamma plan, V, Lambda) per block group of the pair in its spin frame (krein._frame_plans).
 
     V keeps as many directions as the largest rank of B_k in the group;
     it is zero and Lambda the identity in those of zero singular values,
@@ -91,7 +91,7 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
     is made Hermitian: no change for an admissible pair.
     """
     out = []
-    for g in frame.blocks:
+    for g, plan in _frame_plans(model, frame):
         w, s, vh = np.linalg.svd(g.B)
         keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
         r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
@@ -99,8 +99,7 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
         inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
         lam = vh @ g.A.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
         lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
-        out.append((g, _gamma_plan(model, g.index), vh.conj().swapaxes(-1, -2) * keep[:, None, :],
-                    lam + np.eye(r) * ~keep[:, None, :]))
+        out.append((g, plan, vh.conj().swapaxes(-1, -2) * keep[:, None, :], lam + np.eye(r) * ~keep[:, None, :]))
     return out
 
 

@@ -129,6 +129,8 @@ class ModelSpec:
         else:
             if pos.ndim != 2 or pos.shape[1] != 3:
                 raise ValueError("d=3 positions must have shape (N, 3)")
+        if not (np.isfinite(pos).all() and np.isfinite(alpha).all()):
+            raise ValueError("positions and alpha must be finite")
         n = pos.shape[0]
         if n < 1:
             raise ValueError("need at least one spin site")

@@ -221,6 +221,6 @@ class GridState:
         return float(np.sqrt(np.sum(self.channel_weights())))
 
     def inner(self, other: "GridState") -> complex:
-        if other.grid is not self.grid and other.grid.n_points != self.grid.n_points:
+        if other.grid is not self.grid and not np.array_equal(other.grid.points, self.grid.points):
             raise ValueError("states live on different grids")
         return complex(np.sum(np.conj(self.values) * other.values * self.grid.weights[None, :]))

@@ -37,7 +37,9 @@ def write_model(tmp_path, name="delta", dimension=1, positions="0.0", **flags):
 
 def read_table(path):
     meta, header, rows = [], None, []
-    for line in open(path, newline="\n").read().split("\n"):
+    with open(path, newline="\n") as fh:
+        text = fh.read()
+    for line in text.split("\n"):
         if not line:
             continue
         if line.startswith("#"):
@@ -488,8 +490,46 @@ def test_solver_value_errors_are_input_errors(tmp_path, capsys):
     points.write_text("0.0,0,0.5,0\n")
     assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points)) == 1
     assert "input error: evaluation point coincides with a spin site" in capsys.readouterr().err
+    path3 = write_model(tmp_path, dimension=3, positions="0.5,0.0,-0.25", beta="-2.0")
+    points.write_text("0.5,0.0,-0.25,0,1.0,0.5,0.0,0\n")
+    assert run("kernel", str(path3), "--z", "-1.0,0.5", "--points", str(points)) == 1
+    assert "input error: evaluation point coincides with a spin site" in capsys.readouterr().err
     assert run("gamma", str(path), "--z", "1.0,0.0") == 1
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_non_finite_model_fields_are_input_errors(tmp_path, capsys):
+    # json.loads reads NaN; a NaN alpha once gave an empty level list and exit 0
+    path = write_model(tmp_path, dimension=3, positions="0.0,0.0,0.0", beta="-1.0")
+    assert run("boundstates", str(path)) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    for field, value in (("alpha", [float("nan")]), ("positions", [[0.0, float("nan"), 0.0]])):
+        bad = tmp_path / f"bad_{field}.json"
+        bad.write_text(json.dumps(dict(doc, **{field: value})))
+        assert "NaN" in bad.read_text()
+        assert run("boundstates", str(bad)) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_input_files_are_closed(tmp_path):
+    import gc
+    import warnings
+
+    path = write_model(tmp_path, beta="-2.0")
+    points = tmp_path / "points.csv"
+    points.write_text("0.5,0,1.0,0\n-0.5,1,1.0,1\n")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"schema": "spinpoint-state v1",
+                                 "components": [{"channel": 0, "center": -2.0, "momentum": 1.0}],
+                                 "grid": {"lo": -6.0, "hi": 6.0, "n": 48}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points),
+                   "--out", str(tmp_path / "kernel.csv")) == 0
+        cli.load_packet(str(state), cli.load_model(str(path))[0])
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_paper_literal_doubles_delta_coupling(tmp_path):

@@ -128,6 +128,8 @@ def test_free_parts_mirror_across_the_cut(model):
 
 def test_gamma_blocks_match_full_matrix():
     # index stacks mixing spin codes, in any order, read the full matrix, for Gamma and -Gamma'
+    from spinpoint.krein import _gamma_plan
+
     rng = np.random.default_rng(8)
     for model in (model_d1(1), model_d3(2), model_d1(3), model_d3(4)):
         m = model.defect_dim
@@ -135,8 +137,8 @@ def test_gamma_blocks_match_full_matrix():
             full = [gamma_free(model, z), gamma_gram(model, z)]
             for k in (1, 2, m // 2):
                 index = np.stack([rng.permutation(m)[:k] for _ in range(3)])
-                for assemble, whole in zip((gamma_free, gamma_gram), full):
-                    assert np.array_equal(assemble(model, z, index),
+                for gram, whole in zip((False, True), full):
+                    assert np.array_equal(_gamma_plan(model, index)(z, gram=gram)[-1],
                                           whole[index[:, :, None], index[:, None, :]])
 
 
@@ -162,8 +164,8 @@ def test_gamma_plan_reads_the_public_matrices(model):
                 gamma, gram = plan(z, sel, gram=True)
                 assert np.array_equal(plan(z, sel)[0], blocks[0])
                 assert np.array_equal(gamma, blocks[0]) and np.array_equal(gram, blocks[1])
-                assert np.array_equal(gamma, gamma_free(model, z, rows))
-                assert np.array_equal(gram, gamma_gram(model, z, rows))
+                assert np.array_equal(gamma, _gamma_plan(model, rows)(z)[0])
+                assert np.array_equal(gram, _gamma_plan(model, rows)(z, gram=True)[1])
 
 
 def overlap_closed_form(model, w, z, mu, nu):
@@ -699,13 +701,14 @@ def test_defect_overlaps_grid_matches_channel_loop():
         phi = defect_matrix(model, dress.z, grid.points)
         h = grid.spacing
         loop = np.zeros(model.defect_dim, dtype=complex)
+        p, j, code = channel_tables(model)
         for mu in range(model.defect_dim):
-            psi = values[dress.code[mu]]
+            psi = values[code[mu]]
             loop[mu] = np.sum(phi[mu] * psi * grid.weights)
-            node = _node_at(grid, model.positions[dress.j[mu] - 1]) if model.dimension == 1 else None
+            node = _node_at(grid, model.positions[j[mu] - 1]) if model.dimension == 1 else None
             if node is None:
                 continue
-            if dress.p[mu] == 0:
+            if p[mu] == 0:
                 loop[mu] -= h * h / 12.0 * psi[node]
             elif 0 < node < grid.n_points - 1:
                 loop[mu] -= h * h / 12.0 * (psi[node + 1] - psi[node - 1]) / (2.0 * h)
@@ -906,11 +909,11 @@ def _assert_stacked(stacked, single):
 
 @pytest.mark.parametrize("model, pair, points, packet", _node_axis_cases())
 def test_node_axis_matches_one_node_calls(model, pair, points, packet):
-    from spinpoint.krein import _defect_overlaps_gaussian, _dress
+    from spinpoint.krein import _defect_overlaps_gaussian, _dress, _gamma_plan
 
     _assert_stacked(gamma_free(model, NODES), [gamma_free(model, z) for z in NODES])
-    index = pair.blocks()[0].index
-    _assert_stacked(gamma_free(model, NODES, index), [gamma_free(model, z, index) for z in NODES])
+    plan = _gamma_plan(model, pair.blocks()[0].index)
+    _assert_stacked(plan(NODES)[0], [plan(z)[0] for z in NODES])
     _assert_stacked(defect_matrix(model, NODES, points), [defect_matrix(model, z, points) for z in NODES])
     _assert_stacked(_defect_overlaps_gaussian(model, NODES, packet),
                     [_defect_overlaps_gaussian(model, z, packet) for z in NODES])
@@ -1054,6 +1057,49 @@ def test_identity_frame_keeps_the_block_path():
                 assert got == complex(want)
             np.testing.assert_allclose(dress.correction, np.linalg.solve(pair.B @ gamma + pair.A, pair.B),
                                        rtol=0, atol=1e-12 * np.max(np.abs(block)))
+
+
+def _frame_layout_cases():
+    rng = np.random.default_rng(41)
+    for d, make in ((1, model_d1), (3, model_d3)):
+        field, zero = make(2), _zero_field(d, 2)
+        pairs = ((field, preset_offdiag(field, [0.8, -0.6]), "one-block"),
+                 (zero, preset_offdiag(zero, [0.8, -0.6]), "frame-split"),
+                 (field, preset_delta(field, rng.normal(size=(2, 2))), "code-split"))
+        for model, pair, name in pairs:
+            yield pytest.param(model, pair, name == "one-block", id=f"d{d}-{name}")
+
+
+@pytest.mark.parametrize("model, pair, one_block", _frame_layout_cases())
+def test_solvers_take_gamma_only_on_frame_blocks(monkeypatch, model, pair, one_block):
+    """Every solver path runs with the m x m Gamma routes disabled, and the kernel keeps its dense value."""
+    from spinpoint import krein
+    from spinpoint.dynamics import _cut_correction, _cut_nodes
+
+    assert (sum(len(g.index) for g in pair.frame(model).blocks) == 1) == one_block
+    z, d = -0.7 + 0.9j, model.dimension
+    x, xp = (-0.6, 0.45) if d == 1 else (np.array([0.5, 0.5, 0.1]), np.array([0.4, -0.3, 0.2]))
+    want = [_dense_kernel(model, pair, z, x, c, xp, 1) for c in range(model.n_configs)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("m x m Gamma formed by a solver")
+
+    monkeypatch.setattr(krein, "gamma_free", refuse)
+    monkeypatch.setattr(krein, "_gamma_whole", refuse)
+    column = kernel_evaluator(model, pair, z, xp, 1)
+    for c in range(model.n_configs):
+        assert column(x, c) == pytest.approx(want[c], rel=1e-10, abs=1e-14)
+        assert resolvent_kernel(model, pair, z, x, c, xp, 1) == column(x, c)
+    packet = GaussianPacket.single(d, model.n_configs, 1, [0.3] * d, [0.9] * d, 0.7)
+    grid = UniformGrid.linear(-3.0, 3.0, 31) if d == 1 else UniformGrid.cube(-2.0, 2.0, 6)
+    on_grid = apply_resolvent(model, pair, z, packet, grid)
+    assert np.all(np.isfinite(on_grid.values))
+    assert np.all(np.isfinite(apply_resolvent(model, pair, z, packet.sample(grid)).values))
+    point = grid.points[0]  # off the sites
+    assert resolvent_state_evaluator(model, pair, z, packet)(point, 1) == pytest.approx(on_grid.values[1, 0],
+                                                                                       rel=1e-12)
+    lam, wts = _cut_nodes(model, 64, 20.0)
+    assert np.all(np.isfinite(_cut_correction(model, pair, packet, np.array([0.3]), grid, lam, wts, False)))
 
 
 def test_evaluators_match_per_call_defect_matrix():

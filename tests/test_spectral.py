@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from spinpoint import spectral
+from spinpoint import krein, spectral
 from spinpoint.boundary import (
     ValidationError,
     preset_delta,
@@ -380,13 +380,13 @@ def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
     u = np.array([0.36, 0.48, 0.8])
     model = ModelSpec(3, [3.0 * j * u for j in range(4)], alpha)
     calls = []
-    plan = spectral._gamma_plan
+    plan = krein._gamma_plan
 
     def counted(*args):
         evaluate = plan(*args)
         return lambda *a, **kw: calls.append(1) or evaluate(*a, **kw)
 
-    monkeypatch.setattr(spectral, "_gamma_plan", counted)
+    monkeypatch.setattr(krein, "_gamma_plan", counted)
     states = find_bound_states(model, preset_delta(model, -1.0))
     assert len(states) == 16
     assert len(calls) <= 16 * len(states)

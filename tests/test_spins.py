@@ -89,6 +89,17 @@ def test_model_rejects_shape_mismatch():
         ModelSpec(2, [0.0], [0.5])
 
 
+def test_model_rejects_non_finite_positions_and_alpha():
+    # json.loads reads NaN and Infinity, so a model file can carry them
+    for dimension, site in ((1, 0.0), (3, np.zeros(3))):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(dimension, [site], [np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(dimension, [site * np.nan], [0.3])
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(dimension, [site + np.inf], [0.3])
+
+
 def test_spin_cap_and_override(monkeypatch):
     positions = list(np.linspace(0.0, 6.0, 7))
     alpha = [0.0] * 7

@@ -120,6 +120,17 @@ def test_grid_state_inner_consistency():
     assert s1.inner(s1).real == pytest.approx(s1.norm() ** 2, rel=1e-12)
 
 
+def test_grid_state_inner_refuses_different_grids():
+    # same point count, different axes
+    near, far = UniformGrid.linear(0.0, 1.0, 11), UniformGrid.linear(5.0, 50.0, 11)
+    a, b = GridState(1, np.ones((1, 11)), near), GridState(1, np.ones((1, 11)), far)
+    with pytest.raises(ValueError, match="different grids"):
+        a.inner(b)
+    # an equal grid built twice is the same grid
+    twin = GridState(1, np.ones((1, 11)), UniformGrid.linear(0.0, 1.0, 11))
+    assert a.inner(twin) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_free_evolution_stays_normalized():
     from spinpoint.dynamics import free_evolve
     from spinpoint.spins import ModelSpec
