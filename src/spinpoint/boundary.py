@@ -9,7 +9,8 @@ conjugate transpose) and the m x 2m block (A | B) has maximal rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,6 +19,7 @@ from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, s
 
 __all__ = [
     "BoundaryPair",
+    "PairEntries",
     "BlockGroup",
     "SpinFrame",
     "ValidationReport",
@@ -99,41 +101,94 @@ def _joint_basis(mats: np.ndarray):
     return u if np.max(off) <= FRAME_RTOL * np.max(np.abs(mats)) else None
 
 
-@dataclass
-class BoundaryPair:
-    """Interface matrices for a given dimension and spin count.
+class PairEntries(NamedTuple):
+    """The entries of a pair in row-major order: the m x m A holds A[i] at (rows[i], cols[i]), and likewise B.
 
-    Arrays are stored read-only. Two partitions of the defect indices are
-    cached as BlockGroups ascending in block size: components(), the finest
-    on which A and B are block diagonal (for validation), and blocks(), on
-    which B Gamma(z) + A is block diagonal for every z. The solvers run on
-    frame(model).blocks, the blocks of the pair in its spin frame.
+    Every (row, col) where A or B is nonzero is listed once, so one of its
+    two values may be 0; every other entry of A and B is 0.
     """
 
-    dimension: int
-    n_spins: int
-    A: np.ndarray
-    B: np.ndarray
-    _report: "ValidationReport | None" = field(default=None, repr=False, compare=False)
-    _components: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
-    _blocks: "tuple[BlockGroup, ...] | None" = field(default=None, repr=False, compare=False)
-    _sites: "tuple | None" = field(default=None, repr=False, compare=False)
-    _frames: dict = field(default_factory=dict, repr=False, compare=False)
+    rows: np.ndarray  # (nnz,) int
+    cols: np.ndarray  # (nnz,) int
+    A: np.ndarray  # (nnz,) complex
+    B: np.ndarray  # (nnz,) complex
 
-    def __post_init__(self):
-        m = index_dimension(self.dimension, self.n_spins)
-        A = np.array(self.A, dtype=complex)
-        B = np.array(self.B, dtype=complex)
+
+class BoundaryPair:
+    """Interface matrices for a given dimension and spin count, held by their nonzero entries.
+
+    BoundaryPair(d, N, A, B) reads the entries (PairEntries) of dense m x m
+    input in one scan; the presets emit theirs directly. The m x m A and B
+    are read-only views built from the entries on first read, for output
+    and tests: validation, components, blocks and frames read the entries.
+    Two partitions of the defect indices are cached as BlockGroups ascending
+    in block size: components(), the finest on which A and B are block
+    diagonal (for validation), and blocks(), on which B Gamma(z) + A is
+    block diagonal for every z. The solvers run on frame(model).blocks, the
+    blocks of the pair in its spin frame. Pairs are equal when dimension,
+    spin count and entries are.
+    """
+
+    def __init__(self, dimension: int, n_spins: int, A, B):
+        m = index_dimension(dimension, n_spins)
+        A = np.asarray(A, dtype=complex)
+        B = np.asarray(B, dtype=complex)
         if A.shape != (m, m) or B.shape != (m, m):
             raise ValueError(f"A and B must be {m} x {m}, got {A.shape} and {B.shape}")
-        A.setflags(write=False)
-        B.setflags(write=False)
-        self.A = A
-        self.B = B
+        rows, cols = np.nonzero((A != 0.0) | (B != 0.0))
+        self._hold(dimension, n_spins, rows, cols, A[rows, cols], B[rows, cols])
+
+    @classmethod
+    def _from_entries(cls, dimension: int, n_spins: int, rows, cols, A, B) -> "BoundaryPair":
+        """The pair with values A, B at distinct positions (rows, cols) and 0 elsewhere.
+
+        Positions where both values are 0 are dropped, as a dense scan would.
+        """
+        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+        keep = (A != 0.0) | (B != 0.0)
+        rows, cols, A, B = (np.asarray(x)[keep] for x in (rows, cols, A, B))
+        order = np.lexsort((cols, rows))
+        pair = cls.__new__(cls)
+        pair._hold(dimension, n_spins, rows[order], cols[order], A[order], B[order])
+        return pair
+
+    def _hold(self, dimension: int, n_spins: int, rows, cols, A, B):
+        self.dimension, self.n_spins = dimension, n_spins
+        self.defect_dim = index_dimension(dimension, n_spins)
+        for arr in (rows, cols, A, B):
+            arr.setflags(write=False)
+        self.entries = PairEntries(rows, cols, A, B)
+        self._dense = None
+        self._report = None
+        self._components = None
+        self._blocks = None
+        self._sites = None
+        self._frames = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundaryPair):
+            return NotImplemented
+        return ((self.dimension, self.n_spins) == (other.dimension, other.n_spins)
+                and all(np.array_equal(x, y) for x, y in zip(self.entries, other.entries)))
 
     @property
-    def defect_dim(self) -> int:
-        return self.A.shape[0]
+    def A(self) -> np.ndarray:
+        """A as a read-only m x m array, built from the entries on first read."""
+        return self._dense_view()[0]
+
+    @property
+    def B(self) -> np.ndarray:
+        """B as a read-only m x m array, built from the entries on first read."""
+        return self._dense_view()[1]
+
+    def _dense_view(self) -> np.ndarray:
+        if self._dense is None:
+            rows, cols, a, b = self.entries
+            dense = np.zeros((2, self.defect_dim, self.defect_dim), dtype=complex)
+            dense[:, rows, cols] = a, b
+            dense.setflags(write=False)
+            self._dense = dense
+        return self._dense
 
     def validation(self, tol: float | None = None) -> "ValidationReport":
         if self._report is None or tol is not None:
@@ -144,9 +199,10 @@ class BoundaryPair:
         return self._report
 
     def components(self) -> "tuple[BlockGroup, ...]":
-        """Connected components of the nonzero pattern of A and B."""
+        """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges."""
         if self._components is None:
-            self._components = self._grouped([np.argwhere((self.A != 0.0) | (self.B != 0.0))])
+            rows, cols = self.entries[:2]
+            self._components = self._grouped([np.stack([rows, cols], axis=1)])
         return self._components
 
     def blocks(self) -> "tuple[BlockGroup, ...]":
@@ -189,19 +245,38 @@ class BoundaryPair:
             self._frames[sites] = SpinFrame(self.n_spins, sites, tuple(bases[j] for j in sites), blocks)
         return self._frames[sites]
 
-    def _site_bases(self):
-        """(mats, bases): the spin matrices of a local pair and U_j per site that can rotate.
+    @functools.cached_property
+    def _site_matrices(self):
+        """mats[w, p, p', j - 1], the 2 x 2 of A (w = 0) or B (w = 1) at site j; None for a pair that is not local.
 
-        mats[w, p, p', j - 1] is the 2 x 2 of A (w = 0) or B (w = 1) at
-        site j, read off the slots of spectator configuration 0 (None for
-        a pair that is not local); bases maps j to U_j. A site whose
-        matrices are all diagonal is skipped without arithmetic.
+        Each entry is looked up among the slots of spins.site_slots; the
+        pair is local when every entry has a slot and the values in the
+        slots do not change along the spectator axis (is_local). mats is
+        read off spectator configuration 0. No m x m matrix is formed.
+        """
+        m = self.defect_dim
+        slot_rows, slot_cols = site_slots(self)
+        keys = (slot_rows * m + slot_cols).ravel()
+        order = np.argsort(keys)
+        rows, cols, a, b = self.entries
+        flat = rows * m + cols
+        at = order[np.minimum(np.searchsorted(keys, flat, sorter=order), keys.size - 1)]
+        if np.any(keys[at] != flat):
+            return None  # an entry outside the slots
+        slots = np.zeros((2, keys.size), dtype=complex)
+        slots[:, at] = a, b
+        slots = slots.reshape((2,) + slot_rows.shape)
+        return None if np.any(slots != slots[..., :1]) else slots[..., 0]
+
+    def _site_bases(self):
+        """(mats, bases): the spin matrices of a local pair (_site_matrices) and U_j per site that can rotate.
+
+        bases maps j to U_j. A site whose matrices are all diagonal is
+        skipped without arithmetic.
         """
         if self._sites is None:
-            mats, bases = None, {}
-            if self.validation().is_local:
-                rows, cols = (x[..., 0] for x in site_slots(self))
-                mats = np.stack([self.A[rows, cols], self.B[rows, cols]])
+            mats, bases = self._site_matrices, {}
+            if mats is not None:
                 per_site = np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
                 for j, m in enumerate(per_site, start=1):
                     if m[:, 0, 1].any() or m[:, 1, 0].any():
@@ -214,7 +289,7 @@ class BoundaryPair:
     def _local_entries(self, mats: np.ndarray, index: np.ndarray):
         """(A, B) on the (g, k, k) blocks of index of the local pair with site matrices mats.
 
-        mats is laid out as in _site_bases. An entry is that of its site's
+        mats is laid out as in _site_matrices. An entry is that of its site's
         2 x 2 when row and column share the site and the spectator spins,
         and 0 otherwise: index arithmetic, no m x m matrix.
         """
@@ -225,11 +300,27 @@ class BoundaryPair:
         vals = np.where(local, mats[:, p[r], p[c], j[r] - 1, bit[r], bit[c]], 0.0)
         return vals[0], vals[1]
 
+    def _block_entries(self, index: np.ndarray):
+        """(A, B) on the (g, k, k) blocks of index, scattered from the entries on their rows.
+
+        Every entry whose row lies in a block must have its column in the
+        same block, as on the unions of components that _grouped forms.
+        """
+        g, k = index.shape
+        at = np.full(self.defect_dim, -1)
+        at[index.ravel()] = np.arange(index.size)  # block * k + position in the block
+        rows, cols, a, b = self.entries
+        r = at[rows]
+        on = np.flatnonzero(r >= 0)
+        out = np.zeros((2, g * k * k), dtype=complex)
+        out[:, r[on] * k + at[cols[on]] % k] = a[on], b[on]
+        return out.reshape(2, g, k, k)
+
     def _grouped(self, chains, entries=None) -> "tuple[BlockGroup, ...]":
         """Connected components of the graph linking neighbours along each row of each chain.
 
         entries(index) gives the (A, B) blocks of a (g, k) index stack;
-        by default they are read off the pair's own A and B.
+        by default they are the pair's own (_block_entries).
         """
         m = self.defect_dim
         head = np.concatenate([c[:, :-1].ravel() for c in chains])
@@ -250,8 +341,7 @@ class BoundaryPair:
         for k in np.unique(size):
             index = order[size[order] == k].reshape(-1, k)
             index.setflags(write=False)
-            sub = (index[:, :, None], index[:, None, :])
-            groups.append(BlockGroup(index, *(entries(index) if entries else (self.A[sub], self.B[sub]))))
+            groups.append(BlockGroup(index, *(entries or self._block_entries)(index)))
         return tuple(groups)
 
 
@@ -285,7 +375,6 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     A B* - B A* vanishes off them and the singular values of (A | B),
     ranked against the largest, are the union of those of the (A_k | B_k).
     """
-    A, B = pair.A, pair.B
     defect = 0.0
     sv = []
     for group in pair.components():
@@ -295,7 +384,8 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
         sv.append(np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False).ravel())
     sv = np.sort(np.concatenate(sv))[::-1]
     if tol is None:
-        scale = float(np.max(np.abs(A)) * np.max(np.abs(B)))
+        a, b = pair.entries.A, pair.entries.B  # every nonzero of A and of B is an entry
+        scale = float(np.max(np.abs(a), initial=0.0) * np.max(np.abs(b), initial=0.0))
         tol = HERMITICITY_TOL_FLOOR * max(1.0, scale)
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
     ok = defect <= tol and rank == pair.defect_dim
@@ -338,18 +428,11 @@ def is_local(pair: BoundaryPair) -> bool:
     Requires (i) no coupling across distinct sites, (ii) no dependence
     on spins other than the one at the shared site, and (iii) surviving
     entries identical across the spectator spins' configurations. (i)
-    and (ii) allow only the entries of spins.site_slots, so every nonzero
-    entry (counted on the pair's components) must lie in a slot; (iii)
-    holds when the values in those slots do not change along the
-    spectator axis.
+    and (ii) allow only the entries of spins.site_slots, so every entry of
+    the pair must lie in a slot; (iii) holds when the values in those
+    slots do not change along the spectator axis.
     """
-    rows, cols = site_slots(pair)
-    groups = pair.components()
-    for M, blocks in ((pair.A, [g.A for g in groups]), (pair.B, [g.B for g in groups])):
-        slots = M[rows, cols]
-        if sum(map(np.count_nonzero, blocks)) != np.count_nonzero(slots) or np.any(slots != slots[..., :1]):
-            return False
-    return True
+    return pair._site_matrices is not None
 
 
 def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
@@ -362,7 +445,8 @@ def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
 def preset_free(model: ModelSpec) -> BoundaryPair:
     """No interaction: A = I, B = 0 forces all charges to vanish."""
     m = model.defect_dim
-    return BoundaryPair(model.dimension, model.n_spins, np.eye(m), np.zeros((m, m)))
+    diag = np.arange(m)
+    return BoundaryPair._from_entries(model.dimension, model.n_spins, diag, diag, np.ones(m), np.zeros(m))
 
 
 def preset_delta(model: ModelSpec, beta, paper_literal: bool = False) -> BoundaryPair:
@@ -378,16 +462,12 @@ def preset_delta(model: ModelSpec, beta, paper_literal: bool = False) -> Boundar
     table = _beta_table(beta, n, "beta")
     p, j, code = channel_tables(model)
     spin_col = (code >> (j - 1)) & 1  # 0 for sigma_j = +1
+    diag = np.arange(m)
     if model.dimension == 3:
-        A = np.diag(table[j - 1, spin_col]).astype(complex)
-        B = np.eye(m, dtype=complex)
-        return BoundaryPair(3, n, A, B)
-    A = np.eye(m, dtype=complex)
-    B = np.zeros((m, m), dtype=complex)
+        return BoundaryPair._from_entries(3, n, diag, diag, table[j - 1, spin_col], np.ones(m))
     factor = -2.0 if paper_literal else -1.0
-    idx = np.flatnonzero(p == 0)
-    B[idx, idx] = factor * table[j[idx] - 1, spin_col[idx]]
-    return BoundaryPair(1, n, A, B)
+    return BoundaryPair._from_entries(1, n, diag, diag, np.ones(m),
+                                      np.where(p == 0, factor * table[j - 1, spin_col], 0.0))
 
 
 def preset_offdiag(model: ModelSpec, betahat) -> BoundaryPair:
@@ -410,16 +490,19 @@ def preset_offdiag(model: ModelSpec, betahat) -> BoundaryPair:
     flipped = np.arange(model.n_configs)[:, None] ^ (1 << (j[blocks[0]] - 1))
     partner = np.empty(m, dtype=int)
     partner[blocks] = blocks[flipped, np.arange(blocks.shape[1])]
+    diag = np.arange(m)
     if model.dimension == 3:
-        A = np.zeros((m, m), dtype=complex)
-        A[np.arange(m), partner] = sigma_j * 1j * table[j - 1, spin_col]
-        B = np.eye(m, dtype=complex)
-        return BoundaryPair(3, n, A, B)
-    A = np.eye(m, dtype=complex)
-    B = np.zeros((m, m), dtype=complex)
+        # B = I on the diagonal, A on the partners
+        flip = sigma_j * 1j * table[j - 1, spin_col]
+        return BoundaryPair._from_entries(3, n, np.concatenate([diag, diag]), np.concatenate([diag, partner]),
+                                          np.concatenate([np.zeros(m), flip]),
+                                          np.concatenate([np.ones(m), np.zeros(m)]))
+    # A = I on the diagonal, B on the partners of the charge layer
     idx = np.flatnonzero(p == 0)
-    B[idx, partner[idx]] = -2.0 * sigma_j[idx] * 1j * table[j[idx] - 1, spin_col[idx]]
-    return BoundaryPair(1, n, A, B)
+    flip = -2.0 * sigma_j[idx] * 1j * table[j[idx] - 1, spin_col[idx]]
+    return BoundaryPair._from_entries(1, n, np.concatenate([diag, idx]), np.concatenate([diag, partner[idx]]),
+                                      np.concatenate([np.ones(m), np.zeros(idx.size)]),
+                                      np.concatenate([np.zeros(m), flip]))
 
 
 def preset_delta_prime(model: ModelSpec, gamma) -> BoundaryPair:
@@ -434,11 +517,8 @@ def preset_delta_prime(model: ModelSpec, gamma) -> BoundaryPair:
     if gamma.shape != (n,):
         raise ValueError(f"gamma must be a scalar or shape ({n},)")
     p, j, _ = channel_tables(model)
-    A = np.eye(m, dtype=complex)
-    B = np.zeros((m, m), dtype=complex)
-    idx = np.flatnonzero(p == 1)
-    B[idx, idx] = gamma[j[idx] - 1]
-    return BoundaryPair(1, n, A, B)
+    diag = np.arange(m)
+    return BoundaryPair._from_entries(1, n, diag, diag, np.ones(m), np.where(p == 1, gamma[j - 1], 0.0))
 
 
 def random_valid_pair(model: ModelSpec, rng) -> BoundaryPair:

@@ -225,7 +225,7 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
         values += np.exp(-1j * bs.energy * times)[:, None, None] * proj
 
     lam, wts = _cut_nodes(model, n_nodes, lam_max)
-    if np.any(pair.B):  # a pair with B = 0 has no correction
+    if pair.entries.B.any():  # a pair with B = 0 has no correction
         values += _cut_correction(model, pair, packet, times, grid, lam, wts, unchecked)
 
     states = [GridState(model.dimension, v, grid) for v in values]

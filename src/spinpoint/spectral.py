@@ -211,7 +211,7 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     mu - 4 (mu - floor) until N(floor) equals its E -> -inf limit; as N
     is nondecreasing in E, no bound state lies below the result.
     """
-    if not np.any(pair.B):
+    if not pair.entries.B.any():
         return essential_spectrum_bottom(model) - 10.0  # no bound states
     return _search_floor(model, pair, _reduce(model, pair.frame(model)))[0]
 
@@ -219,8 +219,8 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
 def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[float, np.ndarray]:
     """default_search_floor on the pair's reduction, with the per-block counts there."""
     mu = essential_spectrum_bottom(model)
-    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(pair.A)))
-                                / float(np.max(np.abs(pair.B)))) ** 2)
+    a, b = pair.entries.A, pair.entries.B  # every nonzero of A and of B is an entry
+    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(a))) / float(np.max(np.abs(b)))) ** 2)
     limit = _limit(model, red)
     for _ in range(30):
         counts = _count(red, floor)
@@ -272,7 +272,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     levels are not certified.
     """
     require_valid(model, pair, unchecked)
-    if not np.any(pair.B):
+    if not pair.entries.B.any():
         return []  # A q = 0 forces q = 0
     frame = pair.frame(model)
     red = _reduce(model, frame)

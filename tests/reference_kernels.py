@@ -9,7 +9,8 @@ differences.
 
 Also provides brute-force quadrature oracles (free-resolvent overlaps,
 two-center product integrals) used to cross-check the fast paths in the
-main package.
+main package, and the presets' boundary pairs as dense m x m matrices,
+built entry by entry, against which the presets' sparse entries are checked.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from spinpoint.greens import green, green_derivative_1d, sqrt_upper
+from spinpoint.spins import channel_tables
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,66 @@ def two_site_bound_energies_1d(beta: float, r: float) -> list[float]:
         lo = 0.0 if sign > 0.0 else np.log(abs(beta) * r / 2.0) / r
         energies.append(-optimize.brentq(cond, lo, abs(beta) + 1.0, xtol=1e-15, rtol=1e-15) ** 2)
     return sorted(energies)
+
+
+# ---------------------------------------------------------------------------
+# dense preset pairs: the m x m constructions the sparse presets replace
+# ---------------------------------------------------------------------------
+
+def _dense_table(values, n_spins):
+    table = np.asarray(values, dtype=float)
+    return np.broadcast_to(table if table.ndim == 2 else table[..., None], (n_spins, 2))
+
+
+def dense_preset_free(model):
+    """(A, B) = (I, 0)."""
+    m = model.defect_dim
+    return np.eye(m, dtype=complex), np.zeros((m, m), dtype=complex)
+
+
+def dense_preset_delta(model, beta, paper_literal=False):
+    """Diagonal (A, B) of the contact interaction of strength beta[j, sigma_j]."""
+    m = model.defect_dim
+    table = _dense_table(beta, model.n_spins)
+    p, j, code = channel_tables(model)
+    spin_col = (code >> (j - 1)) & 1
+    if model.dimension == 3:
+        return np.diag(table[j - 1, spin_col]).astype(complex), np.eye(m, dtype=complex)
+    B = np.zeros((m, m), dtype=complex)
+    idx = np.flatnonzero(p == 0)
+    B[idx, idx] = (-2.0 if paper_literal else -1.0) * table[j[idx] - 1, spin_col[idx]]
+    return np.eye(m, dtype=complex), B
+
+
+def dense_preset_offdiag(model, betahat):
+    """(A, B) of the spin-flip interaction, each channel linked to the one with sigma_j flipped."""
+    m = model.defect_dim
+    table = _dense_table(betahat, model.n_spins)
+    p, j, code = channel_tables(model)
+    spin_col = (code >> (j - 1)) & 1
+    sigma_j = 1 - 2 * spin_col
+    # partner: same layer and site, code with bit j - 1 flipped, found by search
+    key = {(int(a), int(b), int(c)): mu for mu, (a, b, c) in enumerate(zip(p, j, code))}
+    partner = np.array([key[int(p[mu]), int(j[mu]), int(code[mu]) ^ (1 << int(j[mu] - 1))] for mu in range(m)])
+    if model.dimension == 3:
+        A = np.zeros((m, m), dtype=complex)
+        A[np.arange(m), partner] = sigma_j * 1j * table[j - 1, spin_col]
+        return A, np.eye(m, dtype=complex)
+    B = np.zeros((m, m), dtype=complex)
+    idx = np.flatnonzero(p == 0)
+    B[idx, partner[idx]] = -2.0 * sigma_j[idx] * 1j * table[j[idx] - 1, spin_col[idx]]
+    return np.eye(m, dtype=complex), B
+
+
+def dense_preset_delta_prime(model, gamma):
+    """d=1 (A, B) = (I, diag(gamma_j) on the dipole layer)."""
+    m = model.defect_dim
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (model.n_spins,))
+    p, j, _ = channel_tables(model)
+    B = np.zeros((m, m), dtype=complex)
+    idx = np.flatnonzero(p == 1)
+    B[idx, idx] = gamma[j[idx] - 1]
+    return np.eye(m, dtype=complex), B
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from spinpoint.boundary import (
     BoundaryPair,
     ValidationReport,
@@ -183,6 +184,18 @@ def test_locality_rejects_missing_spectator_entry():
     emptied = BoundaryPair(3, 2, A, base.B)
     assert not is_local(emptied)
     assert not _is_local_loop(emptied)
+
+
+def test_pairs_compare_by_entries():
+    model = model_for(3, 2)
+    pair = preset_delta(model, -1.0)
+    assert (pair == preset_delta(model, -1.0)) is True
+    assert pair == BoundaryPair(3, 2, pair.A, pair.B)
+    assert (pair == preset_delta(model, -0.5)) is False
+    assert pair != preset_offdiag(model, 0.8)
+    assert pair != preset_delta(model_for(1, 2), -1.0)
+    assert pair != BoundaryPair(3, 2, pair.A, np.zeros((8, 8)))
+    assert pair != "pair"
 
 
 def test_validation_report_is_cached():
@@ -393,6 +406,52 @@ def test_validation_factorizes_only_components(monkeypatch, d, preset, param, wi
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert pair.validation().is_valid
     assert shapes and all(r <= widest[0] and c <= widest[1] for r, c in shapes)
+
+
+def _same_groups(groups, want):
+    assert len(groups) == len(want)
+    for g, w in zip(groups, want):
+        assert all(np.array_equal(x, y) for x, y in zip(g, w))
+
+
+def _preset_cases():
+    """(model, sparse preset, dense reference (A, B)) for every preset, d = 1 and 3, N = 1..4."""
+    rng = np.random.default_rng(17)
+    for d in (1, 3):
+        for n in (1, 2, 3, 4):
+            zero_site = np.ones(n)
+            zero_site[n // 2] = 0.0
+            for model in (model_for(d, n), _zero_field_model(d, n)):
+                yield model, preset_free(model), ref.dense_preset_free(model)
+                for beta in (-1.0, rng.normal(size=n), rng.normal(size=(n, 2)), 0.7 * zero_site):
+                    yield model, preset_delta(model, beta), ref.dense_preset_delta(model, beta)
+                    if d == 1:
+                        yield (model, preset_delta(model, beta, paper_literal=True),
+                               ref.dense_preset_delta(model, beta, paper_literal=True))
+                for betahat in (0.8, rng.normal(size=n), 0.8 * zero_site,
+                                rng.normal(size=(n, 2))):  # unequal columns: invalid
+                    yield model, preset_offdiag(model, betahat), ref.dense_preset_offdiag(model, betahat)
+                if d == 1:
+                    for gamma in (1.3, rng.normal(size=n), zero_site):
+                        yield model, preset_delta_prime(model, gamma), ref.dense_preset_delta_prime(model, gamma)
+
+
+def test_presets_match_dense_reference():
+    """The presets' entries give the dense pairs of the m x m constructions, and every partition and report."""
+    for model, pair, (A, B) in _preset_cases():
+        assert np.array_equal(pair.A, A) and np.array_equal(pair.B, B)
+        dense = BoundaryPair(model.dimension, model.n_spins, A, B)
+        assert pair == dense
+        _same_groups(pair.components(), dense.components())
+        _same_groups(pair.blocks(), dense.blocks())
+        frame, want = pair.frame(model), dense.frame(model)
+        assert frame.sites == want.sites
+        assert all(np.array_equal(u, w) for u, w in zip(frame.bases, want.bases))
+        _same_groups(frame.blocks, want.blocks)
+        rep, want = pair.validation(), dense.validation()
+        assert np.array_equal(rep.singular_values, want.singular_values)
+        assert ((rep.is_valid, rep.hermiticity_defect, rep.rank, rep.is_local, rep.tol)
+                == (want.is_valid, want.hermiticity_defect, want.rank, want.is_local, want.tol))
 
 
 # ---------------------------------------------------------------------------

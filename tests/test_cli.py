@@ -574,3 +574,45 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "validate" in proc.stdout and "boundstates" in proc.stdout
+
+
+_SIX_D1 = "0,1.3,2.6,3.9,5.2,6.5"
+_SIX_D3 = "0,0,0;1.1,0.3,0;2.2,0,0;3.3,0.3,0;4.4,0,0;5.5,0.3,0"
+
+
+@pytest.mark.parametrize("name, dimension, positions, alpha, strength, evolve", [
+    ("delta", 1, _SIX_D1, "0.3,0.3,0.3,0.3,0.3,0.3", {"beta": "-1.2"}, True),  # 2^6 blocks
+    # one 384-channel block; 3D evolve at N = 6 is beyond a unit test's time
+    ("offdiag", 3, _SIX_D3, "0.3,0.3,0.3,0.3,0.3,0.3", {"betahat": "0.8"}, False),
+    ("offdiag", 1, "0,1.3", "0,0", {"betahat": "0.8"}, True),  # split in the spin frame
+], ids=["d1-delta-N6-field", "d3-offdiag-N6-field", "d1-offdiag-N2"])
+def test_commands_never_read_the_dense_pair(tmp_path, monkeypatch, name, dimension, positions, alpha, strength,
+                                            evolve):
+    """validate, kernel, boundstates, evolve and apply_resolvent read the pair's entries, never its m x m A or B."""
+    from spinpoint.boundary import BoundaryPair
+    from spinpoint.krein import apply_resolvent
+    from spinpoint.states import GaussianPacket, UniformGrid
+
+    path = str(write_model(tmp_path, name, dimension, positions, alpha=alpha, **strength))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "schema": "spinpoint-state v1",
+        "components": [{"channel": 1, "center": [-1.0] * dimension, "momentum": [1.0] * dimension}],
+        "grid": {"lo": -4.0, "hi": 4.0, "n": 41},
+    }))
+
+    def refuse(pair):
+        raise AssertionError("dense m x m view of a boundary pair read")
+
+    monkeypatch.setattr(BoundaryPair, "A", property(refuse))
+    monkeypatch.setattr(BoundaryPair, "B", property(refuse))
+    assert run("validate", path) == 0
+    assert run("kernel", path, "--z", "-0.7,0.9", "--n-points", "3") == 0
+    assert run("boundstates", path, "--tol", "0.5") == 0  # a wide bracket keeps the 384-channel search short
+    if evolve:
+        assert run("evolve", path, "--state", str(state), "--t", "0.5", "--n-nodes", "4", "--tol", "1",
+                   "--out", str(tmp_path / "run")) == 0
+    model, pair, _ = cli.load_model(path)
+    packet = GaussianPacket.single(dimension, model.n_configs, 1, [0.3] * dimension, [0.9] * dimension, 0.7)
+    grid = UniformGrid.linear(-3.0, 3.0, 31) if dimension == 1 else UniformGrid.cube(-2.0, 2.0, 4)
+    assert np.all(np.isfinite(apply_resolvent(model, pair, -0.7 + 0.9j, packet, grid).values))

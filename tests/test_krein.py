@@ -574,6 +574,20 @@ def test_verify_boundary_conditions_random_pairs():
             assert verify_boundary_conditions(pair, q, f) <= 1e-5
 
 
+def test_boundary_residual_from_entries_matches_dense_formula():
+    rng = np.random.default_rng(47)
+    for d in (1, 3):
+        model = (model_d1 if d == 1 else model_d3)(3)
+        pairs = [preset_delta(model, rng.normal(size=(3, 2))), preset_offdiag(model, rng.normal(size=3)),
+                 preset_offdiag(model, [0.8, 0.0, 1.1]), random_valid_pair(model, rng)]
+        if d == 1:
+            pairs.append(preset_delta_prime(model, rng.normal(size=3)))
+        for pair in pairs:
+            q, f = (rng.normal(size=model.defect_dim) + 1j * rng.normal(size=model.defect_dim) for _ in range(2))
+            want = float(np.max(np.abs(pair.A @ q - pair.B @ f)))
+            assert verify_boundary_conditions(pair, q, f) == pytest.approx(want, rel=1e-13)
+
+
 def test_flipped_sign_closed_form_fails_boundary_conditions():
     # the det-consistent form passes, the flipped variant does not;
     # parameters make the two denominators differ at order one
