@@ -60,7 +60,6 @@ class SpinFrame(NamedTuple):
     rotated they are the pair's own blocks.
     """
 
-    n_spins: int
     sites: tuple
     bases: tuple
     blocks: tuple
@@ -87,12 +86,15 @@ class SpinFrame(NamedTuple):
 def _joint_basis(mats: np.ndarray):
     """Unitary U with U* M U diagonal for every M of a (k, 2, 2) stack, or None.
 
-    U is the eigenbasis of one fixed generic Hermitian combination of
-    the Hermitian and skew-Hermitian parts of the M (the random-element
+    None also when every M is diagonal already, without arithmetic. U is
+    the eigenbasis of one fixed generic Hermitian combination of the
+    Hermitian and skew-Hermitian parts of the M (the random-element
     method of Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
     Math. 27, 2010). It diagonalizes them all when they commute and are
     normal, which is checked on the result.
     """
+    if not (mats[:, 0, 1].any() or mats[:, 1, 0].any()):
+        return None
     adj = mats.conj().swapaxes(-1, -2)
     parts = np.concatenate([mats + adj, 1j * (mats - adj)])
     u = np.linalg.eigh(np.tensordot(np.sqrt(np.arange(2, 2 + len(parts))), parts, axes=1))[1]
@@ -142,23 +144,25 @@ class BoundaryPair:
     def _from_entries(cls, dimension: int, n_spins: int, rows, cols, A, B) -> "BoundaryPair":
         """The pair with values A, B at distinct positions (rows, cols) and 0 elsewhere.
 
-        Positions where both values are 0 are dropped, as a dense scan would.
+        The four arrays are broadcast to one shape. Positions where both
+        values are 0 are dropped, as a dense scan would.
         """
-        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+        rows, cols, A, B = np.broadcast_arrays(rows, cols, np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
         keep = (A != 0.0) | (B != 0.0)
-        rows, cols, A, B = (np.asarray(x)[keep] for x in (rows, cols, A, B))
+        rows, cols, A, B = (x[keep] for x in (rows, cols, A, B))
         order = np.lexsort((cols, rows))
         pair = cls.__new__(cls)
         pair._hold(dimension, n_spins, rows[order], cols[order], A[order], B[order])
         return pair
 
     def _hold(self, dimension: int, n_spins: int, rows, cols, A, B):
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+            raise ValueError("A and B must be finite")
         self.dimension, self.n_spins = dimension, n_spins
         self.defect_dim = index_dimension(dimension, n_spins)
         for arr in (rows, cols, A, B):
             arr.setflags(write=False)
         self.entries = PairEntries(rows, cols, A, B)
-        self._dense = None
         self._report = None
         self._components = None
         self._blocks = None
@@ -174,42 +178,38 @@ class BoundaryPair:
     @property
     def A(self) -> np.ndarray:
         """A as a read-only m x m array, built from the entries on first read."""
-        return self._dense_view()[0]
+        return self._dense[0]
 
     @property
     def B(self) -> np.ndarray:
         """B as a read-only m x m array, built from the entries on first read."""
-        return self._dense_view()[1]
+        return self._dense[1]
 
-    def _dense_view(self) -> np.ndarray:
-        if self._dense is None:
-            rows, cols, a, b = self.entries
-            dense = np.zeros((2, self.defect_dim, self.defect_dim), dtype=complex)
-            dense[:, rows, cols] = a, b
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
+        rows, cols, a, b = self.entries
+        dense = np.zeros((2, self.defect_dim, self.defect_dim), dtype=complex)
+        dense[:, rows, cols] = a, b
+        dense.setflags(write=False)
+        return dense
 
     def validation(self, tol: float | None = None) -> "ValidationReport":
-        if self._report is None or tol is not None:
-            report = validate(self, tol=tol)
-            if tol is not None:
-                return report
-            self._report = report
+        if tol is not None:
+            return validate(self, tol=tol)
+        if self._report is None:
+            self._report = validate(self)
         return self._report
 
     def components(self) -> "tuple[BlockGroup, ...]":
         """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges."""
         if self._components is None:
-            rows, cols = self.entries[:2]
-            self._components = self._grouped([np.stack([rows, cols], axis=1)])
+            self._components = self._grouped([np.stack(self.entries[:2], axis=1)])
         return self._components
 
     def blocks(self) -> "tuple[BlockGroup, ...]":
         """The components joined through the equal-spin-code blocks of Gamma(z)."""
         if self._blocks is None:
-            chains = [g.index for g in self.components()] + [channel_blocks(self)]
-            self._blocks = self._grouped(chains)
+            self._blocks = self._grouped([np.stack(self.entries[:2], axis=1), channel_blocks(self)])
         return self._blocks
 
     def frame(self, model: ModelSpec) -> SpinFrame:
@@ -219,30 +219,25 @@ class BoundaryPair:
         spin matrices of A and B at site j (one per layer pair (p, p'))
         are not all diagonal but commute and are normal; U_j is their
         joint eigenbasis. Gamma(z) depends on sigma_j only through
-        alpha_j sigma_j, so U commutes with it, and (U* A U, U* B U)
-        splits into up to 2**N times more blocks; they are read off the
-        diagonals of the rotated 2 x 2s without forming U or any m x m
-        matrix. No rotated site: U = I and the pair's own blocks.
-        Validation stays on the pair itself: a unitary similarity keeps
-        admissibility.
+        alpha_j sigma_j, so U commutes with it, and (U* A U, U* B U) is an
+        admissible pair with up to 2**N times more blocks. It is again
+        local: its rotated 2 x 2s, diagonal with exact zeros off it, fill
+        the site slots, and the frame's blocks are its own blocks(). No
+        rotated site: U = I and the pair's own blocks. Validation stays on
+        the pair itself: a unitary similarity keeps admissibility.
         """
         mats, bases = self._site_bases()
         sites = tuple(j for j in bases if model.alpha[j - 1] == 0.0)
         if sites not in self._frames:
-            if not sites:
-                blocks = self.blocks()
-            else:
+            pair = self
+            if sites:
                 rot = mats.copy()
                 for j in sites:
-                    u = bases[j]
-                    diag = np.einsum("ab,...ac,cb->...b", u.conj(), rot[:, :, :, j - 1], u)
+                    diag = np.einsum("ab,...ac,cb->...b", bases[j].conj(), rot[:, :, :, j - 1], bases[j])
                     rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
-                rows, cols = site_slots(self)
-                filled = np.broadcast_to(np.any(rot != 0.0, axis=0)[..., None], rows.shape)
-                edges = np.stack([rows[filled], cols[filled]], axis=1)
-                blocks = self._grouped([edges, channel_blocks(self)],
-                                       lambda index: self._local_entries(rot, index))
-            self._frames[sites] = SpinFrame(self.n_spins, sites, tuple(bases[j] for j in sites), blocks)
+                # every slot of a site's 2 x 2 entry holds its value (spins.site_slots)
+                pair = BoundaryPair._from_entries(self.dimension, self.n_spins, *site_slots(self), *rot[..., None])
+            self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), pair.blocks())
         return self._frames[sites]
 
     @functools.cached_property
@@ -271,34 +266,14 @@ class BoundaryPair:
     def _site_bases(self):
         """(mats, bases): the spin matrices of a local pair (_site_matrices) and U_j per site that can rotate.
 
-        bases maps j to U_j. A site whose matrices are all diagonal is
-        skipped without arithmetic.
+        bases maps j to U_j (_joint_basis).
         """
         if self._sites is None:
-            mats, bases = self._site_matrices, {}
-            if mats is not None:
-                per_site = np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
-                for j, m in enumerate(per_site, start=1):
-                    if m[:, 0, 1].any() or m[:, 1, 0].any():
-                        u = _joint_basis(m)
-                        if u is not None:
-                            bases[j] = u
-            self._sites = (mats, bases)
+            mats = self._site_matrices
+            per_site = () if mats is None else np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
+            bases = {j: _joint_basis(m) for j, m in enumerate(per_site, start=1)}
+            self._sites = (mats, {j: u for j, u in bases.items() if u is not None})
         return self._sites
-
-    def _local_entries(self, mats: np.ndarray, index: np.ndarray):
-        """(A, B) on the (g, k, k) blocks of index of the local pair with site matrices mats.
-
-        mats is laid out as in _site_matrices. An entry is that of its site's
-        2 x 2 when row and column share the site and the spectator spins,
-        and 0 otherwise: index arithmetic, no m x m matrix.
-        """
-        p, j, code = channel_tables(self)
-        bit = (code >> (j - 1)) & 1
-        r, c = index[:, :, None], index[:, None, :]
-        local = (j[r] == j[c]) & (((code[r] ^ code[c]) & ~(1 << (j[r] - 1))) == 0)
-        vals = np.where(local, mats[:, p[r], p[c], j[r] - 1, bit[r], bit[c]], 0.0)
-        return vals[0], vals[1]
 
     def _block_entries(self, index: np.ndarray):
         """(A, B) on the (g, k, k) blocks of index, scattered from the entries on their rows.
@@ -316,33 +291,36 @@ class BoundaryPair:
         out[:, r[on] * k + at[cols[on]] % k] = a[on], b[on]
         return out.reshape(2, g, k, k)
 
-    def _grouped(self, chains, entries=None) -> "tuple[BlockGroup, ...]":
-        """Connected components of the graph linking neighbours along each row of each chain.
+    def _grouped(self, chains) -> "tuple[BlockGroup, ...]":
+        """The blocks of _partition(defect_dim, chains), with the pair's values on them."""
+        return tuple(BlockGroup(index, *self._block_entries(index)) for index in _partition(self.defect_dim, chains))
 
-        entries(index) gives the (A, B) blocks of a (g, k) index stack;
-        by default they are the pair's own (_block_entries).
-        """
-        m = self.defect_dim
-        head = np.concatenate([c[:, :-1].ravel() for c in chains])
-        tail = np.concatenate([c[:, 1:].ravel() for c in chains])
-        # min-label hooking and pointer jumping (Shiloach-Vishkin): every root
-        # takes the smallest root across its links, every channel then jumps
-        # to its root; labels end as the smallest channel of each component
-        labels, prev = np.arange(m), None
-        while not np.array_equal(labels, prev):
-            prev, labels = labels, labels.copy()
-            np.minimum.at(labels, prev[head], prev[tail])
-            np.minimum.at(labels, prev[tail], prev[head])
-            while not np.array_equal(labels, labels[labels]):
-                labels = labels[labels]
-        size = np.bincount(labels)[labels]
-        order = np.lexsort((np.arange(m), labels, size))
-        groups = []
-        for k in np.unique(size):
-            index = order[size[order] == k].reshape(-1, k)
-            index.setflags(write=False)
-            groups.append(BlockGroup(index, *(entries or self._block_entries)(index)))
-        return tuple(groups)
+
+def _partition(m: int, chains) -> "tuple[np.ndarray, ...]":
+    """Connected components of the graph on 0..m-1 linking neighbours along each row of each chain.
+
+    One read-only (g, k) index stack per component size k, ascending in k;
+    a row is one component, ascending, and rows ascend by their first index.
+    """
+    head = np.concatenate([c[:, :-1].ravel() for c in chains])
+    tail = np.concatenate([c[:, 1:].ravel() for c in chains])
+    head, tail = head[head != tail], tail[head != tail]  # a diagonal entry links nothing
+    # min-label hooking and pointer jumping (Shiloach-Vishkin): every root
+    # takes the smallest root across its links, every channel then jumps
+    # to its root; labels end as the smallest channel of each component
+    labels, prev = np.arange(m), None
+    while not np.array_equal(labels, prev):
+        prev, labels = labels, labels.copy()
+        np.minimum.at(labels, prev[head], prev[tail])
+        np.minimum.at(labels, prev[tail], prev[head])
+        while not np.array_equal(labels, labels[labels]):
+            labels = labels[labels]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((np.arange(m), labels, size))
+    groups = tuple(order[size[order] == k].reshape(-1, k) for k in np.unique(size))
+    for index in groups:
+        index.setflags(write=False)
+    return groups
 
 
 @dataclass(frozen=True)

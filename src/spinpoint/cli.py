@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -60,14 +61,22 @@ def _digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a flag's value, every one finite."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"{flag}: cannot parse {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{flag}: {text!r} is not finite")
+    return values
+
+
 def _parse_z(text: str) -> complex:
-    parts = [tok.strip() for tok in text.split(",")]
+    parts = _numbers(text, "--z")
     if len(parts) != 2:
         raise InputError('--z expects "re,im"')
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise InputError(f"--z: cannot parse {text!r}")
+    return complex(*parts)
 
 
 def _complex_entry(pair_or_number) -> complex:
@@ -336,7 +345,7 @@ def cmd_gamma(args) -> int:
 def cmd_evolve(args) -> int:
     model, pair, digest, note = _load_gated(args)
     packet, grid = load_packet(args.state, model)
-    times = [float(tok) for tok in args.t.split(",") if tok.strip()]
+    times = _numbers(args.t, "--t")
     if not times:
         raise InputError("--t needs at least one time")
     drift_tol = 1e-2 if args.tol is None else args.tol
@@ -512,6 +521,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_value_flags(argv))
     args.argv = argv
     try:
+        for name, value in vars(args).items():  # the float flags, --emin and --tol
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputError(f"--{name}: {value!r} is not finite")
         code = args.func(args)
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

@@ -27,7 +27,8 @@ import numpy as np
 import scipy
 
 from .boundary import BoundaryPair, require_valid
-from .krein import _defect_factors, _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _gaussian_charges, gamma_gram
+from .krein import (_defect_factors, _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _gaussian_charges,
+                    _require_match, gamma_gram)
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
@@ -66,8 +67,7 @@ def free_evolve(model: ModelSpec, packet: GaussianPacket, t: float) -> GaussianP
     Exactly unitary and exactly compositional: evolving by t1 then t2
     equals evolving by t1 + t2 to rounding.
     """
-    if packet.dimension != model.dimension or packet.n_channels != model.n_configs:
-        raise ValueError("packet does not match the model")
+    _require_match(model, packet)
     phases = np.exp(-1j * model.shifts() * t)
     evolved = {code: [_evolve_component(g, t, phases[code]) for g in comps]
                for code, comps in enumerate(packet.components)}
@@ -232,7 +232,7 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     norms = np.array([st.norm() for st in states])
     worst = int(np.argmax(np.abs(times)))
     drift = float(abs(norms[worst] - norm0))
-    if drift > drift_tol * max(norm0, 1e-30):
+    if not drift <= drift_tol * max(norm0, 1e-30):  # a NaN drift or tolerance fails too
         raise RuntimeError(f"norm drift {drift:.3e} exceeds tolerance {drift_tol:.1e}")
     return EvolveResult(
         state=states[-1],

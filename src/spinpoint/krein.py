@@ -518,6 +518,13 @@ def _free_apply_gaussian(model: ModelSpec, z: complex, packet: GaussianPacket, g
     return out
 
 
+def _require_match(model: ModelSpec, state, grid: UniformGrid | None = None) -> None:
+    """The check in front of every state entry point: the state, and an output grid, are in the model's space."""
+    if (state.dimension, state.n_channels) != (model.dimension, model.n_configs) or (
+            grid is not None and grid.dimension != model.dimension):
+        raise ValueError(f"state does not match the model (d={model.dimension}, {model.n_configs} channels)")
+
+
 def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: UniformGrid | None = None,
                     unchecked: bool = False) -> GridState:
     """Resolvent applied to a state, sampled on a grid.
@@ -526,26 +533,22 @@ def apply_resolvent(model: ModelSpec, pair: BoundaryPair, z, state, grid: Unifor
     forms (an output grid must be supplied). Grid input: the state's own
     trapezoid rule is the quadrature and the output reuses the same grid.
     """
-    dress = _dress(model, pair, z, unchecked)
-    z = dress.z
-    coupled = any(np.any(x != 0.0) for x in dress.solved)
     if isinstance(state, GridState):
         if grid is not None and grid is not state.grid:
             raise ValueError("grid input is applied on its own grid")
         grid = state.grid
-        values = _free_apply_grid(model, z, state)
-        charges = dress.charges(_defect_overlaps_grid(dress, state)) if coupled else None
-    elif isinstance(state, GaussianPacket):
-        if grid is None:
-            raise ValueError("Gaussian input needs an output grid")
-        values = _free_apply_gaussian(model, z, state, grid)
-        charges = _gaussian_charges(dress, state) if coupled else None
-    else:
+    elif not isinstance(state, GaussianPacket):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    if state.n_channels != model.n_configs:
-        raise ValueError("state channel count does not match the model")
-    if coupled:
-        values += channel_sum(model, charges, defect_matrix(model, z, grid.points))
+    elif grid is None:
+        raise ValueError("Gaussian input needs an output grid")
+    _require_match(model, state, grid)
+    dress = _dress(model, pair, z, unchecked)
+    z = dress.z
+    gridded = isinstance(state, GridState)
+    values = _free_apply_grid(model, z, state) if gridded else _free_apply_gaussian(model, z, state, grid)
+    if any(np.any(x != 0.0) for x in dress.solved):  # coupled
+        overlaps = _defect_overlaps_grid(dress, state) if gridded else _defect_overlaps_gaussian(model, z, state)
+        values += channel_sum(model, dress.charges(overlaps), defect_matrix(model, z, grid.points))
     return GridState(model.dimension, values, grid)
 
 
@@ -558,6 +561,7 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
     """
     if not isinstance(state, GaussianPacket):
         raise TypeError("pointwise evaluation needs Gaussian input")
+    _require_match(model, state)
     dress = _dress(model, pair, z, unchecked)
     charges = _gaussian_charges(dress, state)
     levels, level = model.distinct_shifts()

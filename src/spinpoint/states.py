@@ -37,7 +37,9 @@ class GaussianComponent:
         k = np.atleast_1d(np.asarray(self.momentum, dtype=float))
         if c.shape != k.shape or c.shape not in ((1,), (3,)):
             raise ValueError("center and momentum must both be scalars or 3-vectors")
-        v = complex(self.variance)
+        v, w = complex(self.variance), complex(self.weight)
+        if not np.isfinite([*c, *k, v, w]).all():
+            raise ValueError("center, momentum, variance and weight must be finite")
         if not v.real > 0.0:
             raise ValueError("variance must have positive real part")
         c.setflags(write=False)
@@ -45,7 +47,7 @@ class GaussianComponent:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "momentum", k)
         object.__setattr__(self, "variance", v)
-        object.__setattr__(self, "weight", complex(self.weight))
+        object.__setattr__(self, "weight", w)
 
     @property
     def dimension(self) -> int:
@@ -98,6 +100,8 @@ class GaussianPacket:
         self.n_channels = n_channels
         comps: list[tuple[GaussianComponent, ...]] = [() for _ in range(n_channels)]
         for code, items in (components.items() if isinstance(components, dict) else enumerate(components)):
+            if not 0 <= code < n_channels:
+                raise ValueError(f"channel {code} out of range 0..{n_channels - 1}")
             for g in items:
                 if g.dimension != dimension:
                     raise ValueError("component dimension mismatch")
@@ -154,8 +158,8 @@ class UniformGrid:
         cleaned = []
         for ax in axes:
             ax = np.asarray(ax, dtype=float)
-            if ax.ndim != 1 or ax.size < 2:
-                raise ValueError("each axis must be a 1d array with at least 2 points")
+            if ax.ndim != 1 or ax.size < 2 or not np.isfinite(ax).all():
+                raise ValueError("each axis must be a finite 1d array with at least 2 points")
             steps = np.diff(ax)
             if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
                 raise ValueError("axes must be uniformly spaced")

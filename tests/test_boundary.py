@@ -1,7 +1,5 @@
 """Admissibility checks and the built-in interface presets."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ import reference_kernels as ref
 from spinpoint.boundary import (
     BoundaryPair,
     ValidationReport,
+    _partition,
     is_local,
     preset_delta,
     preset_delta_prime,
@@ -278,7 +277,7 @@ def test_blocks_partition_the_defect_space():
 
 
 def _union_find_blocks(m, chains):
-    """Components of the chains' links by union-find, as _grouped orders them."""
+    """Components of the chains' links by union-find, as _partition orders them."""
     root = list(range(m))
 
     def find(i):
@@ -299,11 +298,10 @@ def _union_find_blocks(m, chains):
 
 
 def _grouped_blocks(m, chains):
-    groups = BoundaryPair._grouped(SimpleNamespace(defect_dim=m), chains,
-                                   lambda index: (None, None))
-    sizes = [g.index.shape[1] for g in groups]
+    groups = _partition(m, chains)
+    sizes = [index.shape[1] for index in groups]
     assert sizes == sorted(set(sizes))
-    return [row for g in groups for row in g.index.tolist()]
+    return [row for index in groups for row in index.tolist()]
 
 
 def test_grouping_matches_union_find_on_random_patterns():

@@ -512,6 +512,72 @@ def test_non_finite_model_fields_are_input_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("input error: ")
 
 
+def _state_file(tmp_path, **component):
+    state = tmp_path / "state.json"
+    entry = dict({"channel": 0, "center": [-2.0], "momentum": [0.5], "variance": 1.0}, **component)
+    state.write_text(json.dumps({"schema": "spinpoint-state v1", "components": [entry],
+                                 "grid": {"lo": -6.0, "hi": 6.0, "n": 32}}))
+    return state
+
+
+def test_non_finite_preset_strength_is_input_error(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert run("preset", "delta", "--dimension", "1", "--positions", "0", "--beta", "NaN", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "input error: A and B must be finite\n"
+    assert not out.exists()
+
+
+def test_non_finite_dense_entry_is_input_error(tmp_path, capsys):
+    # once reported as "hermiticity defect 0.000e+00 (tol inf)": max(0.0, nan) keeps 0.0
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]],
+                                "alpha": [0.0], "A": [[-1.0, 0.0], [0.0, -1.0]],
+                                "B": [[1.0, 0.0], [0.0, float("inf")]]}))
+    assert "Infinity" in path.read_text()
+    assert run("validate", str(path)) == 1
+    assert capsys.readouterr().err.endswith("A and B must be finite\n")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gamma", "--z", "nan,0"),  # once wrote NaN rows
+    ("kernel", "--z", "nan,1"),  # once "SVD did not converge"
+    ("boundstates", "--emin", "nan"),  # likewise
+    ("validate", "--tol", "nan"),  # once exit 2
+    ("evolve", "--t", "nan"),  # once "variance must have positive real part"
+    ("evolve", "--tol", "inf"),
+])
+def test_non_finite_numeric_flags_are_input_errors(tmp_path, capsys, command, flag, value):
+    path = write_model(tmp_path, beta="-1.0")
+    argv = [command, str(path), f"{flag}={value}", "--out", str(tmp_path / "out")]
+    if command == "evolve":
+        argv += ["--state", str(_state_file(tmp_path)), "--n-nodes", "64"]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {flag}: ") and err.endswith(" is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [("center", [float("nan")]), ("momentum", [float("inf")]),
+                                          ("variance", [1.0, float("nan")]), ("weight", float("nan"))])
+def test_non_finite_state_fields_are_input_errors(tmp_path, capsys, field, value):
+    # a NaN center once evolved to exit 0 with norm = nan
+    path = write_model(tmp_path, beta="-1.0")
+    state = _state_file(tmp_path, **{field: value})
+    assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
+    assert capsys.readouterr().err.endswith("center, momentum, variance and weight must be finite\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("channel", [-1, 2])
+def test_state_channel_out_of_range_is_input_error(tmp_path, capsys, channel):
+    # channel -1 once put the packet in the last channel and exited 0
+    path = write_model(tmp_path, beta="-1.0")
+    state = _state_file(tmp_path, channel=channel)
+    assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
+    assert capsys.readouterr().err.endswith(f"channel {channel} out of range 0..1\n")
+
+
 def test_input_files_are_closed(tmp_path):
     import gc
     import warnings

@@ -171,6 +171,14 @@ def test_spectral_norm_drift_raises():
         evolve_spectral(model, preset_delta(model, -2.0), packet, [1.0], grid, n_nodes=8)
 
 
+def test_spectral_nan_drift_tolerance_raises():
+    # drift > nan is False: the guard is written so that a NaN fails it
+    model = model_d1()
+    grid = UniformGrid.linear(-10.0, 10.0, 80)
+    with pytest.raises(RuntimeError, match="drift"):
+        evolve_spectral(model, preset_free(model), packet_d1(), [0.5], grid, n_nodes=16, drift_tol=float("nan"))
+
+
 def test_spectral_3d_reconstructs_and_flips():
     # the site sits at a cell centre of the 14^3 cube, which only samples the result
     model = ModelSpec(3, [np.zeros(3)], [0.0])

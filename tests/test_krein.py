@@ -634,6 +634,30 @@ def test_apply_resolvent_gaussian_matches_pointwise():
                     point_eval(grid.points[i], code), rel=1e-9)
 
 
+def test_state_entry_points_check_the_state_against_the_model_first(monkeypatch):
+    # one check, ahead of any dressing: wrong channel counts, dimension and output grid
+    from spinpoint import krein
+
+    model = model_d1(n=2)  # 4 channels
+    pair = preset_delta(model, -1.0)
+    z = -1.0 + 0.5j
+    grid = UniformGrid.linear(-3.0, 3.0, 9)
+    monkeypatch.setattr(krein, "_dress", lambda *args, **kwargs: pytest.fail("dressed before the check"))
+    wrong = [GaussianPacket.single(1, 2, 0, [0.5], [1.0], 0.5), GaussianPacket.single(1, 8, 0, [0.5], [1.0], 0.5),
+             GaussianPacket.single(3, 4, 0, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], 0.5)]
+    for packet in wrong:
+        for call in (lambda: resolvent_state_evaluator(model, pair, z, packet),
+                     lambda: apply_resolvent(model, pair, z, packet, grid),
+                     lambda: free_evolve(model, packet, 0.5)):
+            with pytest.raises(ValueError, match="does not match the model"):
+                call()
+    with pytest.raises(ValueError, match="does not match the model"):
+        apply_resolvent(model, pair, z, wrong[0].sample(grid))  # 2 channels on the grid
+    right = GaussianPacket.single(1, 4, 0, [0.5], [1.0], 0.5)
+    with pytest.raises(ValueError, match="does not match the model"):
+        apply_resolvent(model, pair, z, right, UniformGrid.cube(-1.0, 1.0, 3))  # a d=3 output grid
+
+
 def test_apply_resolvent_free_matches_quadrature_1d():
     model = ModelSpec(1, [0.0], [0.0])
     pair = preset_free(model)

@@ -28,6 +28,21 @@ def test_component_validation():
         GaussianComponent(0.0, 0.0, 1j, 1.0)  # Re v = 0
 
 
+def test_component_rejects_non_finite_numbers():
+    for args in ((np.nan, 0.0, 1.0, 1.0), (0.0, np.inf, 1.0, 1.0), (0.0, 0.0, complex(1.0, np.nan), 1.0),
+                 (0.0, 0.0, np.inf, 1.0), (0.0, 0.0, 1.0, complex(np.nan, 0.0))):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianComponent(*args)
+
+
+def test_packet_rejects_channels_outside_the_code_range():
+    g = GaussianComponent(0.0, 0.0, 1.0, 1.0)
+    for code in (-1, 4):
+        with pytest.raises(ValueError, match=f"channel {code} out of range 0..3"):
+            GaussianPacket(1, 4, {code: [g]})
+    assert GaussianPacket(1, 4, {3: [g]}).components[3] == (g,)
+
+
 def test_overlap_matches_quadrature_1d():
     g1 = GaussianComponent(0.3, 1.2, 0.7 + 0.2j, 0.8 - 0.1j)
     g2 = GaussianComponent(-0.5, -0.4, 1.1 - 0.3j, 1.5j)
@@ -97,6 +112,12 @@ def test_grid_construction_and_weights():
 def test_grid_rejects_nonuniform_axes():
     with pytest.raises(ValueError):
         UniformGrid(np.array([0.0, 0.5, 2.0]))
+
+
+def test_grid_rejects_non_finite_bounds():
+    for lo in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            UniformGrid(np.array([lo, 0.0, 1.0]))
 
 
 def test_grid_state_norm_matches_packet():
