@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, site_slots
+from .spins import ModelSpec, channel_blocks, index_dimension, site_slots
 
 __all__ = [
     "BoundaryPair",
@@ -120,9 +120,9 @@ class BoundaryPair:
     """Interface matrices for a given dimension and spin count, held by their nonzero entries.
 
     BoundaryPair(d, N, A, B) reads the entries (PairEntries) of dense m x m
-    input in one scan; the presets emit theirs directly. The m x m A and B
-    are read-only views built from the entries on first read, for output
-    and tests: validation, components, blocks and frames read the entries.
+    input in one scan; the presets write theirs with _local_pair. The m x m
+    A and B are read-only views built from the entries on first read, for
+    output and tests: validation, components, blocks and frames read them.
     Two partitions of the defect indices are cached as BlockGroups ascending
     in block size: components(), the finest on which A and B are block
     diagonal (for validation), and blocks(), on which B Gamma(z) + A is
@@ -166,7 +166,6 @@ class BoundaryPair:
         self._report = None
         self._components = None
         self._blocks = None
-        self._sites = None
         self._frames = {}
 
     def __eq__(self, other):
@@ -221,12 +220,12 @@ class BoundaryPair:
         joint eigenbasis. Gamma(z) depends on sigma_j only through
         alpha_j sigma_j, so U commutes with it, and (U* A U, U* B U) is an
         admissible pair with up to 2**N times more blocks. It is again
-        local: its rotated 2 x 2s, diagonal with exact zeros off it, fill
-        the site slots, and the frame's blocks are its own blocks(). No
-        rotated site: U = I and the pair's own blocks. Validation stays on
-        the pair itself: a unitary similarity keeps admissibility.
+        local: _local_pair writes it from the rotated 2 x 2s (diagonal,
+        exact zeros off it), and the frame's blocks are its own blocks().
+        No rotated site: U = I and the pair's own blocks. Validation stays
+        on the pair itself: a unitary similarity keeps admissibility.
         """
-        mats, bases = self._site_bases()
+        mats, bases = self._site_bases
         sites = tuple(j for j in bases if model.alpha[j - 1] == 0.0)
         if sites not in self._frames:
             pair = self
@@ -235,8 +234,7 @@ class BoundaryPair:
                 for j in sites:
                     diag = np.einsum("ab,...ac,cb->...b", bases[j].conj(), rot[:, :, :, j - 1], bases[j])
                     rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
-                # every slot of a site's 2 x 2 entry holds its value (spins.site_slots)
-                pair = BoundaryPair._from_entries(self.dimension, self.n_spins, *site_slots(self), *rot[..., None])
+                pair = _local_pair(self, *rot)
             self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), pair.blocks())
         return self._frames[sites]
 
@@ -244,36 +242,27 @@ class BoundaryPair:
     def _site_matrices(self):
         """mats[w, p, p', j - 1], the 2 x 2 of A (w = 0) or B (w = 1) at site j; None for a pair that is not local.
 
-        Each entry is looked up among the slots of spins.site_slots; the
-        pair is local when every entry has a slot and the values in the
-        slots do not change along the spectator axis (is_local). mats is
-        read off spectator configuration 0. No m x m matrix is formed.
+        mats reads the entries at the slots of spectator configuration 0
+        (spins.site_slots) in one search; the pair is local (is_local) exactly
+        when _local_pair writes it back from mats. No m x m matrix is formed.
         """
         m = self.defect_dim
-        slot_rows, slot_cols = site_slots(self)
-        keys = (slot_rows * m + slot_cols).ravel()
-        order = np.argsort(keys)
         rows, cols, a, b = self.entries
-        flat = rows * m + cols
-        at = order[np.minimum(np.searchsorted(keys, flat, sorter=order), keys.size - 1)]
-        if np.any(keys[at] != flat):
-            return None  # an entry outside the slots
-        slots = np.zeros((2, keys.size), dtype=complex)
-        slots[:, at] = a, b
-        slots = slots.reshape((2,) + slot_rows.shape)
-        return None if np.any(slots != slots[..., :1]) else slots[..., 0]
+        flat = np.append(rows * m + cols, m * m)  # ascending, then a sentinel past every slot
+        slot_rows, slot_cols = site_slots(self)
+        keys = slot_rows[..., 0] * m + slot_cols[..., 0]
+        at = np.searchsorted(flat, keys)
+        at[flat[at] != keys] = -1  # a slot without an entry reads the 0 appended below
+        mats = np.stack([np.append(a, 0.0), np.append(b, 0.0)])[:, at]
+        return mats if _local_pair(self, *mats) == self else None
 
+    @functools.cached_property
     def _site_bases(self):
-        """(mats, bases): the spin matrices of a local pair (_site_matrices) and U_j per site that can rotate.
-
-        bases maps j to U_j (_joint_basis).
-        """
-        if self._sites is None:
-            mats = self._site_matrices
-            per_site = () if mats is None else np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
-            bases = {j: _joint_basis(m) for j, m in enumerate(per_site, start=1)}
-            self._sites = (mats, {j: u for j, u in bases.items() if u is not None})
-        return self._sites
+        """(mats, bases): the 2 x 2s of a local pair (_site_matrices); bases[j] = U_j (_joint_basis) if j rotates."""
+        mats = self._site_matrices
+        per_site = () if mats is None else np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
+        bases = {j: _joint_basis(m) for j, m in enumerate(per_site, start=1)}
+        return mats, {j: u for j, u in bases.items() if u is not None}
 
     def _block_entries(self, index: np.ndarray):
         """(A, B) on the (g, k, k) blocks of index, scattered from the entries on their rows.
@@ -352,21 +341,29 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     (BoundaryPair.components), where A and B are block diagonal, so
     A B* - B A* vanishes off them and the singular values of (A | B),
     ranked against the largest, are the union of those of the (A_k | B_k).
+    A B* - B A* is formed, and held against the tolerance, with A and B
+    scaled exactly to max-abs below 1 by powers of two, so it is finite
+    at any scale; the report gives both at the pair's own scale.
     """
-    defect = 0.0
+    norms = [float(np.max(np.abs(x), initial=0.0)) for x in pair.entries[2:]]  # every nonzero is an entry
+    mantissas, (ka, kb) = np.frexp(norms)
+    scaled = 0.0  # max|A B* - B A*| / 2**(ka + kb)
     sv = []
     for group in pair.components():
-        a, b = group.A, group.B
+        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((group.A, ka), (group.B, kb)))
         ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
-        defect = max(defect, float(np.max(np.abs(a @ bh - b @ ah))))
-        sv.append(np.linalg.svd(np.concatenate([a, b], axis=-1), compute_uv=False).ravel())
+        scaled = max(scaled, float(np.max(np.abs(a @ bh - b @ ah))))
+        sv.append(np.linalg.svd(np.concatenate([group.A, group.B], axis=-1), compute_uv=False).ravel())
     sv = np.sort(np.concatenate(sv))[::-1]
-    if tol is None:
-        a, b = pair.entries.A, pair.entries.B  # every nonzero of A and of B is an entry
-        scale = float(np.max(np.abs(a), initial=0.0) * np.max(np.abs(b), initial=0.0))
-        tol = HERMITICITY_TOL_FLOOR * max(1.0, scale)
+    with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
+        if tol is None:
+            tol = HERMITICITY_TOL_FLOOR * max(1.0, norms[0] * norms[1])
+            scaled_tol = HERMITICITY_TOL_FLOOR * max(np.ldexp(1.0, -(ka + kb)), mantissas[0] * mantissas[1])
+        else:
+            scaled_tol = np.ldexp(tol, -(ka + kb))
+        defect = float(np.ldexp(scaled, ka + kb))
     rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-    ok = defect <= tol and rank == pair.defect_dim
+    ok = bool(scaled <= scaled_tol) and rank == pair.defect_dim
     return ValidationReport(
         is_valid=ok,
         hermiticity_defect=defect,
@@ -405,12 +402,29 @@ def is_local(pair: BoundaryPair) -> bool:
 
     Requires (i) no coupling across distinct sites, (ii) no dependence
     on spins other than the one at the shared site, and (iii) surviving
-    entries identical across the spectator spins' configurations. (i)
-    and (ii) allow only the entries of spins.site_slots, so every entry of
-    the pair must lie in a slot; (iii) holds when the values in those
-    slots do not change along the spectator axis.
+    entries identical across the spectator spins' configurations. Such a
+    pair is its 2 x 2 site matrices (_site_matrices), so it is local
+    exactly when _local_pair writes it back from them.
     """
     return pair._site_matrices is not None
+
+
+def _local_pair(space, a, b) -> BoundaryPair:
+    """The local pair with the 2 x 2 spin matrices a and b, which broadcast to (P, P, N, 2, 2).
+
+    a[p, p', j - 1, s, s'] is the value of A at every slot (p, p', j, s, s')
+    of spins.site_slots, whatever the spectator spins; likewise b for B.
+    space is a ModelSpec or a BoundaryPair. The values are copied along
+    the spectator axis, so that _from_entries broadcasts nothing for full input.
+    """
+    rows, cols = site_slots(space)
+    a, b = (np.asarray(x, dtype=complex)[..., None].repeat(rows.shape[-1], -1) for x in (a, b))
+    return BoundaryPair._from_entries(space.dimension, space.n_spins, rows, cols, a, b)
+
+
+def _identity(space) -> np.ndarray:
+    """The 2 x 2s of the m x m identity: I in each layer (p, p)."""
+    return np.eye(len(site_slots(space)[0]))[:, :, None, None, None] * np.eye(2)
 
 
 def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
@@ -422,9 +436,7 @@ def _beta_table(values, n_spins: int, name: str) -> np.ndarray:
 
 def preset_free(model: ModelSpec) -> BoundaryPair:
     """No interaction: A = I, B = 0 forces all charges to vanish."""
-    m = model.defect_dim
-    diag = np.arange(m)
-    return BoundaryPair._from_entries(model.dimension, model.n_spins, diag, diag, np.ones(m), np.zeros(m))
+    return _local_pair(model, _identity(model), 0.0)
 
 
 def preset_delta(model: ModelSpec, beta, paper_literal: bool = False) -> BoundaryPair:
@@ -435,17 +447,12 @@ def preset_delta(model: ModelSpec, beta, paper_literal: bool = False) -> Boundar
     derivative jump psi'(y+) - psi'(y-) = beta * psi(y); paper_literal
     keeps the alternative convention with the coupling doubled.
     """
-    n = model.n_spins
-    m = model.defect_dim
-    table = _beta_table(beta, n, "beta")
-    p, j, code = channel_tables(model)
-    spin_col = (code >> (j - 1)) & 1  # 0 for sigma_j = +1
-    diag = np.arange(m)
+    strength = _beta_table(beta, model.n_spins, "beta")[..., None] * np.eye(2)  # diagonal in sigma_j
     if model.dimension == 3:
-        return BoundaryPair._from_entries(3, n, diag, diag, table[j - 1, spin_col], np.ones(m))
-    factor = -2.0 if paper_literal else -1.0
-    return BoundaryPair._from_entries(1, n, diag, diag, np.ones(m),
-                                      np.where(p == 0, factor * table[j - 1, spin_col], 0.0))
+        return _local_pair(model, strength, _identity(model))
+    b = np.zeros((2, 2, model.n_spins, 2, 2))
+    b[0, 0] = (-2.0 if paper_literal else -1.0) * strength  # charge layer
+    return _local_pair(model, _identity(model), b)
 
 
 def preset_offdiag(model: ModelSpec, betahat) -> BoundaryPair:
@@ -456,31 +463,15 @@ def preset_offdiag(model: ModelSpec, betahat) -> BoundaryPair:
     betahat[j, +] == betahat[j, -]; unequal tables are still assembled
     (validate() then reports the defect |betahat_+ - betahat_-|).
     """
-    n = model.n_spins
-    m = model.defect_dim
-    table = _beta_table(betahat, n, "betahat")
-    p, j, code = channel_tables(model)
-    spin_col = (code >> (j - 1)) & 1
-    sigma_j = 1 - 2 * spin_col
-    # column partner: the same (p, j) slot in the block of the code with
-    # sigma_j flipped
-    blocks = channel_blocks(model)
-    flipped = np.arange(model.n_configs)[:, None] ^ (1 << (j[blocks[0]] - 1))
-    partner = np.empty(m, dtype=int)
-    partner[blocks] = blocks[flipped, np.arange(blocks.shape[1])]
-    diag = np.arange(m)
-    if model.dimension == 3:
-        # B = I on the diagonal, A on the partners
-        flip = sigma_j * 1j * table[j - 1, spin_col]
-        return BoundaryPair._from_entries(3, n, np.concatenate([diag, diag]), np.concatenate([diag, partner]),
-                                          np.concatenate([np.zeros(m), flip]),
-                                          np.concatenate([np.ones(m), np.zeros(m)]))
-    # A = I on the diagonal, B on the partners of the charge layer
-    idx = np.flatnonzero(p == 0)
-    flip = -2.0 * sigma_j[idx] * 1j * table[j[idx] - 1, spin_col[idx]]
-    return BoundaryPair._from_entries(1, n, np.concatenate([diag, idx]), np.concatenate([diag, partner[idx]]),
-                                      np.concatenate([np.ones(m), np.zeros(idx.size)]),
-                                      np.concatenate([np.zeros(m), flip]))
+    table = _beta_table(betahat, model.n_spins, "betahat")
+    sigma = np.array([1, -1])  # sigma_j of spin bit 0 and 1
+    if model.dimension == 3:  # B = I, and A flips sigma_j
+        a = np.zeros((model.n_spins, 2, 2), dtype=complex)
+        a[:, [0, 1], [1, 0]] = sigma * 1j * table
+        return _local_pair(model, a, _identity(model))
+    b = np.zeros((2, 2, model.n_spins, 2, 2), dtype=complex)  # A = I, and B flips sigma_j in the charge layer
+    b[0, 0][:, [0, 1], [1, 0]] = -2.0 * sigma * 1j * table
+    return _local_pair(model, _identity(model), b)
 
 
 def preset_delta_prime(model: ModelSpec, gamma) -> BoundaryPair:
@@ -488,15 +479,14 @@ def preset_delta_prime(model: ModelSpec, gamma) -> BoundaryPair:
     if model.dimension != 1:
         raise ValueError("the dipole-layer preset exists only in d=1")
     n = model.n_spins
-    m = model.defect_dim
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape == ():
         gamma = np.full(n, float(gamma))
     if gamma.shape != (n,):
         raise ValueError(f"gamma must be a scalar or shape ({n},)")
-    p, j, _ = channel_tables(model)
-    diag = np.arange(m)
-    return BoundaryPair._from_entries(1, n, diag, diag, np.ones(m), np.where(p == 1, gamma[j - 1], 0.0))
+    b = np.zeros((2, 2, n, 2, 2))
+    b[1, 1] = gamma[:, None, None] * np.eye(2)  # dipole layer
+    return _local_pair(model, _identity(model), b)
 
 
 def random_valid_pair(model: ModelSpec, rng) -> BoundaryPair:

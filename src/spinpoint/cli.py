@@ -430,6 +430,13 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """The value of a count flag; argparse names this function when the value is no integer."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _add_model(sub, tol_help=None, gated=True, out_dir=False):
     """The model argument and --out (a required directory under out_dir);
     --unchecked on gated commands; --tol where it is read."""
@@ -461,7 +468,7 @@ def build_parser() -> _Parser:
     _add_model(sub)
     sub.add_argument("--z", required=True, metavar="RE,IM")
     sub.add_argument("--points", default=None, help="CSV of evaluation rows")
-    sub.add_argument("--n-points", type=int, default=12,
+    sub.add_argument("--n-points", type=positive_int, default=12,
                      help="random rows when --points is absent")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_kernel)
@@ -480,7 +487,7 @@ def build_parser() -> _Parser:
     _add_model(sub, "relative norm-drift tolerance (default 1e-2)", out_dir=True)
     sub.add_argument("--state", required=True, help="state JSON file")
     sub.add_argument("--t", default="1.0", help="comma-separated times")
-    sub.add_argument("--n-nodes", type=int, default=None)
+    sub.add_argument("--n-nodes", type=positive_int, default=None)
     sub.set_defaults(func=cmd_evolve)
 
     sub = subs.add_parser("preset", help="write a model file for a named pair")
@@ -498,18 +505,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merge_value_flags(argv: list[str]) -> list[str]:
-    # "--z -1.0,0.5" trips argparse's negative-number heuristic; fold
-    # the value into the flag token before parsing
+@functools.cache  # main passes the one cached parser
+def _value_flags(parser: _Parser) -> frozenset:
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(s for sub in commands.values() for a in sub._actions if a.nargs != 0 for s in a.option_strings)
+
+
+def _merge_value_flags(parser: _Parser, argv: list[str]) -> list[str]:
+    # "--beta -1e-1" trips argparse's negative-number heuristic: fold the token after
+    # each flag that takes a value into it ("--beta=-1e-1"), unless it is a flag itself
+    flags = _value_flags(parser)
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--z", "--t") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if merged and merged[-1] in flags and not tok.startswith("--"):
+            merged[-1] += f"={tok}"
         else:
             merged.append(tok)
     return merged
@@ -518,7 +527,7 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_merge_value_flags(argv))
+    args = parser.parse_args(_merge_value_flags(parser, argv))
     args.argv = argv
     try:
         for name, value in vars(args).items():  # the float flags, --emin and --tol

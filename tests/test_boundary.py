@@ -7,6 +7,7 @@ import reference_kernels as ref
 from spinpoint.boundary import (
     BoundaryPair,
     ValidationReport,
+    _local_pair,
     _partition,
     is_local,
     preset_delta,
@@ -145,6 +146,20 @@ def test_hermiticity_violation_detected():
     rep = pair.validation()
     assert not rep.is_valid
     assert rep.hermiticity_defect == pytest.approx(2.0)
+
+
+def test_hermiticity_violation_detected_at_any_scale():
+    # A B* - B A* overflowed to inf - inf = NaN, and max(0.0, nan) kept 0.0:
+    # once "valid: hermiticity defect 0.000e+00 (tol inf)"
+    with np.errstate(over="raise", invalid="raise"):
+        rep = BoundaryPair(3, 1, 1e200 * np.eye(2), 1e200 * np.array([[1.0, 1.0], [0.0, 2.0]])).validation()
+        assert not rep.is_valid
+        assert (rep.hermiticity_defect, rep.tol, rep.rank) == (np.inf, np.inf, 2)
+        # the same pair scaled down, and admissible pairs scaled far up or down
+        assert not BoundaryPair(3, 1, np.eye(2), np.array([[1.0, 1.0], [0.0, 2.0]])).validation().is_valid
+        for scale in (1e-200, 1e200, 1e300):
+            rep = BoundaryPair(3, 1, scale * np.eye(2), -scale * np.array([[1.0, 1.0], [1.0, 2.0]])).validation()
+            assert rep.is_valid and rep.hermiticity_defect == 0.0
 
 
 def test_rank_deficiency_detected():
@@ -383,9 +398,44 @@ def test_is_local_matches_reference_loop():
         A[0, int(np.flatnonzero(j == 2)[0])] = 0.5  # cross-site entry
         pairs.append(BoundaryPair(d, n, A, base.B))
         pairs.append(random_valid_pair(model_for(d, n), rng))
+        # a local pair given densely, edited once: an entry added outside the
+        # slots (same site, other spectator spins), a slot entry removed, a
+        # value changed at one spectator configuration, an explicit -0.0
+        local = preset_offdiag(model_for(d, n), 0.8)
+        flips = 0 if d == 3 else 1  # A or B holds the spin flips
+        r0, r2 = (int(np.flatnonzero((j == 1) & (code == c))[0]) for c in (0, 2))
+        for edit in ("added", "removed", "spectator", "negative zero"):
+            mats = np.array([local.A, local.B])
+            c2 = int(np.flatnonzero(mats[flips, r2])[0])  # the spin-flip partner of r2
+            if edit == "added":
+                mats[flips, r0, r2] = 0.5  # same site, other spectator spins: no slot
+            elif edit == "removed":
+                mats[flips, r2, c2] = 0.0
+            elif edit == "spectator":
+                mats[flips, r2, c2] *= 2.0
+            else:
+                mats[1 - flips, r2, c2] = -0.0  # where the other matrix holds 0.0 at every other spectator
+            pairs.append(BoundaryPair(d, n, *mats))
     verdicts = [is_local(pair) for pair in pairs]
     assert verdicts == [_is_local_loop(pair) for pair in pairs]
     assert True in verdicts and False in verdicts
+
+
+def test_local_pairs_are_their_site_matrices():
+    # _local_pair writes back every preset from the 2 x 2s read off it
+    rng = np.random.default_rng(9)
+    for d in (1, 3):
+        for n in (1, 2, 3, 4):
+            model = model_for(d, n)
+            pairs = [preset_free(model), preset_delta(model, rng.normal(size=(n, 2))),
+                     preset_delta(model, rng.normal(size=n), paper_literal=True),
+                     preset_offdiag(model, rng.normal(size=n)), preset_offdiag(model, rng.normal(size=(n, 2)))]
+            if d == 1:
+                pairs.append(preset_delta_prime(model, rng.normal(size=n)))
+            for pair in pairs:
+                mats = pair._site_matrices
+                assert mats.shape == (2,) + (1 if d == 3 else 2,) * 2 + (n, 2, 2)
+                assert _local_pair(pair, *mats) == pair
 
 
 @pytest.mark.parametrize("d, preset, param, widest", [
@@ -533,6 +583,6 @@ def test_frame_is_not_built_by_validation():
     model = _zero_field_model(3, 2)
     pair = preset_offdiag(model, 0.8)
     assert pair.validation().is_valid
-    assert pair._sites is None and not pair._frames
+    assert "_site_bases" not in vars(pair) and not pair._frames
     pair.frame(model)
     assert pair._frames

@@ -527,6 +527,16 @@ def test_non_finite_preset_strength_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_large_non_hermitian_dense_pair_is_invalid(tmp_path, capsys):
+    # once "valid: true": A B* - B A* overflowed to NaN, which the running maximum dropped
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]],
+                                "alpha": [0.0], "A": [[1e200, 0.0], [0.0, 1e200]],
+                                "B": [[1e200, 1e200], [0.0, 2e200]]}))
+    assert run("validate", str(path)) == 2
+    assert "valid: false" in capsys.readouterr().out
+
+
 def test_non_finite_dense_entry_is_input_error(tmp_path, capsys):
     # once reported as "hermiticity defect 0.000e+00 (tol inf)": max(0.0, nan) keeps 0.0
     path = tmp_path / "dense.json"
@@ -576,6 +586,47 @@ def test_state_channel_out_of_range_is_input_error(tmp_path, capsys, channel):
     state = _state_file(tmp_path, channel=channel)
     assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
     assert capsys.readouterr().err.endswith(f"channel {channel} out of range 0..1\n")
+
+
+@pytest.mark.parametrize("dimension, flags, field, value", [
+    # each once "expected one argument" and exit 1; the "=" form worked
+    (1, ["--positions", "-1.3,0", "--beta", "-1"], "positions", [-1.3, 0.0]),
+    (1, ["--positions", "0,1.3", "--alpha", "-0.3,0.3", "--beta", "-1"], "alpha", [-0.3, 0.3]),
+    (1, ["--positions", "0", "--beta", "-1e-1"], "preset", {"name": "delta", "parameters": {"beta": -0.1}}),
+    (3, ["--positions", "-1,0,0;1,0,0", "--beta", "-1"], "positions", [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+])
+def test_negative_values_follow_flags_as_separate_tokens(tmp_path, dimension, flags, field, value):
+    out = tmp_path / "model.json"
+    assert run("preset", "delta", "--dimension", str(dimension), *flags, "--out", str(out)) == 0
+    assert json.loads(out.read_text())[field] == value
+
+
+def test_negative_search_floor_follows_its_flag(tmp_path):
+    path = write_model(tmp_path, name="offdiag", positions="-1.3,0", alpha="-0.3,0.3", betahat="0.8")
+    assert run("boundstates", str(path), "--emin", "-1e3", "--out", str(tmp_path / "a.csv")) == 0
+    assert run("boundstates", str(path), "--emin=-1e3", "--out", str(tmp_path / "b.csv")) == 0
+    assert read_table(tmp_path / "a.csv")[1:] == read_table(tmp_path / "b.csv")[1:]
+    assert read_table(tmp_path / "a.csv")[2]
+    for argv in (["--emin"], ["--emin", "--unchecked"]):  # a flag without its value
+        with pytest.raises(SystemExit) as err:
+            run("boundstates", str(path), *argv)
+        assert err.value.code == 1, argv
+
+
+@pytest.mark.parametrize("command, flag", [("kernel", "--n-points"), ("evolve", "--n-nodes")])
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_counts_must_be_positive(tmp_path, monkeypatch, capsys, command, flag, value):
+    # kernel --n-points -3 once wrote an empty table and exit 0; evolve --n-nodes -5
+    # and 0 once ran at 8 nodes per panel into the drift guard (exit 3)
+    path = write_model(tmp_path, beta="-1.0")
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("work began"))
+    argv = [command, str(path), flag, value, "--out", str(tmp_path / "out")]
+    argv += ["--z", "0.5,1.0"] if command == "kernel" else ["--state", str(_state_file(tmp_path))]
+    with pytest.raises(SystemExit) as err:
+        run(*argv)
+    assert err.value.code == 1
+    assert f"argument {flag}: '{value}' is not a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_input_files_are_closed(tmp_path):
