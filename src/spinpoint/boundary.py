@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-10
-HERMITICITY_TOL_FLOOR = 1e-10
+HERMITICITY_RTOL = 1e-10
 FRAME_RTOL = 1e-12  # largest off-diagonal part of a rotated site's matrices, relative to their largest entry
 
 
@@ -333,7 +333,8 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     """Check self-adjointness of the interface condition.
 
     hermiticity_defect is the max-abs entry of A B* - B A*; the default
-    tolerance is 1e-10 * max(1, ||A|| ||B||) in the max-abs norms. The
+    tolerance is 1e-10 * ||A|| ||B|| in the max-abs norms, so scaling
+    (A, B), which leaves A q = B f unchanged, leaves the verdict. The
     rank of (A | B) is counted from singular values above a relative
     threshold of 1e-10.
 
@@ -357,8 +358,8 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     sv = np.sort(np.concatenate(sv))[::-1]
     with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
         if tol is None:
-            tol = HERMITICITY_TOL_FLOOR * max(1.0, norms[0] * norms[1])
-            scaled_tol = HERMITICITY_TOL_FLOOR * max(np.ldexp(1.0, -(ka + kb)), mantissas[0] * mantissas[1])
+            tol = HERMITICITY_RTOL * (norms[0] * norms[1])
+            scaled_tol = HERMITICITY_RTOL * (mantissas[0] * mantissas[1])
         else:
             scaled_tol = np.ldexp(tol, -(ka + kb))
         defect = float(np.ldexp(scaled, ka + kb))

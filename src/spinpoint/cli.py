@@ -28,7 +28,7 @@ from .dynamics import evolve_spectral
 from .krein import NearPoleError, _dress, gamma_dressed, gamma_free
 from .spectral import essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
-from .states import GaussianPacket, UniformGrid
+from .states import GaussianComponent, GaussianPacket, UniformGrid
 
 __all__ = ["main"]
 
@@ -61,14 +61,14 @@ def _digest(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _numbers(text: str, flag: str) -> list[float]:
-    """The comma-separated numbers of a flag's value, every one finite."""
+def _numbers(text: str, name: str) -> list[float]:
+    """The comma-separated numbers of a flag's value or of a file's cells, every one finite."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise InputError(f"{flag}: cannot parse {text!r}")
+        raise InputError(f"{name}: cannot parse {text!r}")
     if not all(map(math.isfinite, values)):
-        raise InputError(f"{flag}: {text!r} is not finite")
+        raise InputError(f"{name}: {text!r} is not finite")
     return values
 
 
@@ -111,8 +111,8 @@ def _build_preset(model: ModelSpec, name: str, params: dict) -> BoundaryPair:
     return PRESETS[name][0](model, params)
 
 
-def load_model(path: str):
-    """Parse a model file into (ModelSpec, BoundaryPair, digest)."""
+def _read(path: str, schema: str):
+    """The decoded JSON document of a file tagged with schema, and its raw bytes."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -122,15 +122,28 @@ def load_model(path: str):
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
-        raise InputError(f'{path}: expected "schema": "{MODEL_SCHEMA}"')
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise InputError(f'{path}: expected "schema": "{schema}"')
+    return doc, raw
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer field; true, 2.5 and "2" are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def load_model(path: str):
+    """Parse a model file into (ModelSpec, BoundaryPair, digest)."""
+    doc, raw = _read(path, MODEL_SCHEMA)
     try:
-        model = ModelSpec(int(doc["dimension"]), doc["positions"], doc["alpha"])
+        model = ModelSpec(_integer(doc["dimension"], f"{path}: dimension"), doc["positions"], doc["alpha"])
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
-    if "n" in doc and int(doc["n"]) != model.n_spins:
+    if "n" in doc and _integer(doc["n"], f"{path}: n") != model.n_spins:
         raise InputError(f"{path}: n={doc['n']} does not match {model.n_spins} positions")
     try:
         if "preset" in doc:
@@ -151,36 +164,30 @@ def load_model(path: str):
 
 def load_packet(path: str, model: ModelSpec):
     """Parse a state file into (GaussianPacket, UniformGrid)."""
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(doc, dict) or doc.get("schema") != STATE_SCHEMA:
-        raise InputError(f'{path}: expected "schema": "{STATE_SCHEMA}"')
+    doc, _ = _read(path, STATE_SCHEMA)
     comps: dict[int, list] = {}
     try:
         for entry in doc["components"]:
-            code = int(entry["channel"])
-            single = GaussianPacket.single(
-                model.dimension, model.n_configs, code,
+            code = _integer(entry["channel"], f"{path}: channel")
+            comps.setdefault(code, []).append(GaussianComponent(
                 entry["center"], entry["momentum"],
-                _complex_entry(entry.get("variance", 1.0)),
-                _complex_entry(entry.get("weight", 1.0)),
-            )
-            comps.setdefault(code, []).extend(single.components[code])
+                _complex_entry(entry.get("variance", 1.0)), _complex_entry(entry.get("weight", 1.0))))
         g = doc["grid"]
-        if model.dimension == 1:
-            grid = UniformGrid.linear(float(g["lo"]), float(g["hi"]), int(g["n"]))
-        else:
-            grid = UniformGrid.cube(float(g["lo"]), float(g["hi"]), int(g["n"]))
+        axis = np.linspace(float(g["lo"]), float(g["hi"]), _integer(g["n"], f"{path}: grid n"))
+        return GaussianPacket(model.dimension, model.n_configs, comps), UniformGrid(*[axis] * model.dimension)
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"{path}: bad state file ({exc})")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
-    return GaussianPacket(model.dimension, model.n_configs, comps), grid
+
+
+def _emit(text: str, out: str | None):
+    """Write text to the file out, with LF line endings, or to stdout."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 class ResultWriter:
@@ -207,12 +214,7 @@ class ResultWriter:
         self.lines.extend(map(",".join, zip(*cells)))
 
     def dump(self, out: str | None):
-        payload = "\n".join(self.lines) + "\n"
-        if out is None:
-            sys.stdout.write(payload)
-        else:
-            with open(out, "w", newline="\n") as fh:
-                fh.write(payload)
+        _emit("\n".join(self.lines) + "\n", out)
 
 
 def _echo(args) -> str:
@@ -239,36 +241,40 @@ def cmd_validate(args) -> int:
     ]
     text = "\n".join(out) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        _emit(text, args.out)
     sys.stdout.write(text)
     return EXIT_OK if report.is_valid else EXIT_INVALID
 
 
 def _kernel_points(args, model: ModelSpec):
+    """Kernel rows (x, sigma, x', sigma'): those of the points file, or n_points random ones."""
     d = model.dimension
-    if args.points:
-        rows = []
+    if args.points is not None:
         try:
             with open(args.points) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#") or line[0].isalpha():
-                        continue
-                    vals = [float(tok) for tok in line.split(",")]
-                    if len(vals) != 2 * d + 2:
-                        raise InputError(f"points file rows need {2 * d + 2} columns for d={d}")
-                    x = vals[0] if d == 1 else np.array(vals[:d])
-                    sigma = int(vals[d])
-                    xp = vals[d + 1] if d == 1 else np.array(vals[d + 1:2 * d + 1])
-                    sigmap = int(vals[2 * d + 1])
-                    rows.append((x, sigma, xp, sigmap))
+                lines = [(i, line.strip().split(",")) for i, line in enumerate(fh, 1)]
         except OSError as exc:
             raise InputError(f"cannot read {args.points}: {exc}")
-        except ValueError as exc:
-            raise InputError(f"{args.points}: {exc}")
+        lines = [(i, cells) for i, cells in lines if cells != [""] and not cells[0].startswith("#")]
+        if lines:
+            try:
+                float(lines[0][1][0])
+            except ValueError:
+                del lines[0]  # the header: its first cell is not a number
+        rows = []
+        for i, cells in lines:
+            where = f"{args.points}: line {i}"
+            if len(cells) != 2 * d + 2:
+                raise InputError(f"{where}: points file rows need {2 * d + 2} columns for d={d}")
+            coords = _numbers(",".join(cells[:d] + cells[d + 1:-1]), where)
+            try:
+                sigma, sigmap = int(cells[d]), int(cells[-1])
+            except ValueError:
+                raise InputError(f"{where}: spin codes {cells[d]!r} and {cells[-1]!r} must be integers")
+            x, xp = (coords[0], coords[1]) if d == 1 else (np.array(coords[:d]), np.array(coords[d:]))
+            rows.append((x, sigma, xp, sigmap))
         if not rows:
-            raise InputError(f"{args.points}: no usable rows")
+            raise InputError(f"{args.points}: no rows")
         return rows
     rng = np.random.default_rng(args.seed)
     pos = np.atleast_2d(np.asarray(model.positions, dtype=float).reshape(model.n_spins, -1))
@@ -346,8 +352,6 @@ def cmd_evolve(args) -> int:
     model, pair, digest, note = _load_gated(args)
     packet, grid = load_packet(args.state, model)
     times = _numbers(args.t, "--t")
-    if not times:
-        raise InputError("--t needs at least one time")
     drift_tol = 1e-2 if args.tol is None else args.tol
     try:
         res = evolve_spectral(model, pair, packet, times, grid, n_nodes=args.n_nodes,
@@ -380,28 +384,17 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _parse_positions(text: str, dimension: int):
-    if dimension == 1:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    triples = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vals = [float(tok) for tok in chunk.split(",")]
-        if len(vals) != 3:
-            raise InputError("d=3 positions are semicolon-separated x,y,z triples")
-        triples.append(vals)
-    return triples
-
-
 def cmd_preset(args) -> int:
-    positions = _parse_positions(args.positions, args.dimension)
+    if args.dimension == 1:
+        positions = _numbers(args.positions, "--positions")
+    else:
+        positions = [_numbers(chunk, "--positions") for chunk in args.positions.split(";") if chunk.strip()]
+        if any(len(triple) != 3 for triple in positions):
+            raise InputError("d=3 positions are semicolon-separated x,y,z triples")
     n = len(positions)
     if n == 0:
         raise InputError("need at least one position")
-    alpha = ([float(tok) for tok in args.alpha.split(",")] if args.alpha
-             else [0.0] * n)
+    alpha = _numbers(args.alpha, "--alpha") if args.alpha else [0.0] * n
     params: dict = {}
     key = PRESETS[args.name][1]
     if key is not None:
@@ -421,12 +414,7 @@ def cmd_preset(args) -> int:
         "preset": {"name": args.name, "parameters": params},
     }
     _build_preset(ModelSpec(args.dimension, positions, alpha), args.name, params)  # rejects bad parameters
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -533,6 +521,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():  # the float flags, --emin and --tol
             if isinstance(value, float) and not math.isfinite(value):
                 raise InputError(f"--{name}: {value!r} is not finite")
+        if getattr(args, "tol", None) is not None and args.tol <= 0.0:
+            raise InputError(f"--tol: {args.tol!r} is not positive")
         code = args.func(args)
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

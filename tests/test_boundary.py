@@ -250,7 +250,7 @@ def _dense_report(pair):
     """validate() on the whole m x m matrices, without the block structure."""
     A, B = pair.A, pair.B
     defect = float(np.max(np.abs(A @ B.conj().T - B @ A.conj().T)))
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(A)) * np.max(np.abs(B))))
+    tol = 1e-10 * float(np.max(np.abs(A)) * np.max(np.abs(B)))
     sv = np.linalg.svd(np.hstack([A, B]), compute_uv=False)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0.0 else 0
     return ValidationReport(defect <= tol and rank == pair.defect_dim, defect, rank,

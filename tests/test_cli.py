@@ -588,6 +588,112 @@ def test_state_channel_out_of_range_is_input_error(tmp_path, capsys, channel):
     assert capsys.readouterr().err.endswith(f"channel {channel} out of range 0..1\n")
 
 
+@pytest.mark.parametrize("fields", [
+    {"dimension": 3.7, "n": 2},  # once validated as d=3
+    {"dimension": 3, "n": 2.9},  # once matched 2 sites
+    {"dimension": True, "n": 2},  # once ran as d=1
+    {"dimension": "3", "n": 2},
+])
+def test_model_integer_fields_must_be_json_integers(tmp_path, capsys, fields):
+    path = write_model(tmp_path, dimension=3, positions="0,0,0;1.5,0,0", beta="-1.0")
+    doc = dict(json.loads(path.read_text()), **fields)
+    path.write_text(json.dumps(doc))
+    assert run("validate", str(path), "--out", str(tmp_path / "report.txt")) == 1
+    name, value = next((k, v) for k, v in fields.items() if type(v) is not int)
+    assert capsys.readouterr().err.endswith(f"{name} must be an integer, got {json.dumps(value)}\n")
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("component, grid_n", [({"channel": 1.7}, 100), ({"channel": True}, 100),
+                                               ({}, 100.9)])
+def test_state_integer_fields_must_be_json_integers(tmp_path, capsys, component, grid_n):
+    # channel 1.7 and grid n 100.9 once evolved channel 1 on 100 points, exit 0
+    path = write_model(tmp_path, beta="-1.0")
+    state = _state_file(tmp_path, **component)
+    doc = json.loads(state.read_text())
+    doc["grid"]["n"] = grid_n
+    state.write_text(json.dumps(doc))
+    assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
+    assert re.search(r"(channel|grid n) must be an integer, got (1\.7|true|100\.9)\n$", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("nan,0,0.5,0\n", "is not finite"),  # once skipped
+    ("0.3,0,inf,0\n", "is not finite"),  # once written as nan,nan,ok with exit 0
+    ("0.3,1.5,0.5,0\n", "must be integers"),  # once ran as spin code 1
+    ("0.3,0,0.5,0\nx,sigma,xp,sigmap\n", "cannot parse"),  # a header after a row, once skipped
+    ("x,sigma,xp,sigmap\nx,sigma,xp,sigmap\n0.3,0,0.5,0\n", "cannot parse"),  # two headers
+    ("0.3,0,,0\n", "cannot parse"),
+    ("0.3,0,0.5\n", "columns"),
+    ("# comment only\n\n", "no rows"),
+])
+def test_points_file_rows_are_read_whole(tmp_path, capsys, rows, message):
+    path = write_model(tmp_path, beta="-1.0")
+    points = tmp_path / "points.csv"
+    points.write_text(rows)
+    out = tmp_path / "kernel.csv"
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {points}") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "MODEL", "--z", "-1.0,,0.5"],  # once read as -1.0 + 0.5i
+    ["evolve", "MODEL", "--state", "STATE", "--t", "0.1,,0.2", "--n-nodes", "64"],
+    ["preset", "delta", "--dimension", "1", "--positions", "0,,1.5", "--beta", "-1"],
+    ["preset", "delta", "--dimension", "3", "--positions", "0,0,,1;1,1,1", "--beta", "-1"],
+])
+def test_comma_lists_have_no_empty_items(tmp_path, capsys, argv):
+    path = write_model(tmp_path, beta="-1.0")
+    paths = {"MODEL": str(path), "STATE": str(_state_file(tmp_path))}
+    assert run(*[paths.get(tok, tok) for tok in argv], "--out", str(tmp_path / "out")) == 1
+    assert "cannot parse" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_points_file_header_comments_and_blank_lines(tmp_path):
+    # a header is the line before the first row whose first cell is not a number;
+    # a quoted header once failed to parse, as its first character is no letter
+    path = write_model(tmp_path, beta="-1.0")
+    points = tmp_path / "points.csv"
+    points.write_text("0.3,0,0.5,1\n-0.5,1,1.0,1\n")
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points), "--out", str(tmp_path / "a.csv")) == 0
+    points.write_text('# rows\n\n"x","sigma","xp","sigmap"\n  \n0.3,0,0.5,1\n# between\n-0.5, 1,1.0,1\n\n')
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points), "--out", str(tmp_path / "b.csv")) == 0
+    assert read_table(tmp_path / "a.csv")[1:] == read_table(tmp_path / "b.csv")[1:]
+    assert len(read_table(tmp_path / "b.csv")[2]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "boundstates", "evolve"])
+@pytest.mark.parametrize("value", ["-1e-3", "0"])
+def test_tol_must_be_positive(tmp_path, monkeypatch, capsys, command, value):
+    # validate --tol -1e-3 once called a valid pair invalid (exit 2), boundstates ran with
+    # a negative bracket width (exit 0), and evolve could only fail its drift guard (exit 3)
+    path = write_model(tmp_path, name="offdiag", positions="0,1.3", betahat="0.8")
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("work began"))
+    argv = [command, str(path), "--tol", value, "--out", str(tmp_path / "out")]
+    if command == "evolve":
+        argv += ["--state", str(_state_file(tmp_path)), "--n-nodes", "64"]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"input error: --tol: {float(value)!r} is not positive\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e6])
+def test_hermiticity_verdict_does_not_depend_on_the_pair_scale(tmp_path, capsys, scale):
+    # at scale 1e-6 the defect 1e-12 once fell under an absolute tolerance 1e-10: "valid: true"
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]],
+                                "alpha": [0.0], "A": [[scale, 0.0], [0.0, scale]],
+                                "B": [[scale, scale], [0.0, 2 * scale]]}))
+    assert run("validate", str(path)) == 2
+    assert "valid: false" in capsys.readouterr().out
+    assert str(cli.load_model(str(path))[1].validation()).startswith(
+        f"INVALID: hermiticity defect {scale * scale:.3e} (tol {1e-10 * 2 * scale * scale:.3e})")
+
+
 @pytest.mark.parametrize("dimension, flags, field, value", [
     # each once "expected one argument" and exit 1; the "=" form worked
     (1, ["--positions", "-1.3,0", "--beta", "-1"], "positions", [-1.3, 0.0]),
