@@ -79,16 +79,19 @@ def _parse_z(text: str) -> complex:
     return complex(*parts)
 
 
-def _complex_entry(pair_or_number) -> complex:
-    if isinstance(pair_or_number, (int, float)):
-        return complex(pair_or_number)
-    if isinstance(pair_or_number, (list, tuple)) and len(pair_or_number) == 2:
-        return complex(float(pair_or_number[0]), float(pair_or_number[1]))
-    raise InputError(f"expected number or [re, im] pair, got {pair_or_number!r}")
+_NUMBER = (int, float)  # the types json gives numbers, exactly: true is a bool, an int subclass
+
+
+def _complex_entry(value, name: str) -> complex:
+    """A JSON number or [re, im] pair of numbers."""
+    re, im = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
+    if type(re) not in _NUMBER or type(im) not in _NUMBER:
+        raise InputError(f"{name} must be a number, got {json.dumps(im if type(re) in _NUMBER else re)}")
+    return complex(re, im)
 
 
 def _matrix(entries, m: int, name: str) -> np.ndarray:
-    arr = np.asarray([[_complex_entry(e) for e in row] for row in entries], dtype=complex)
+    arr = np.asarray([[_complex_entry(e, name) for e in row] for row in entries], dtype=complex)
     if arr.shape != (m, m):
         raise InputError(f"{name} must be {m} x {m} in flat-index order, got {arr.shape}")
     return arr
@@ -108,6 +111,9 @@ PRESETS = {
 def _build_preset(model: ModelSpec, name: str, params: dict) -> BoundaryPair:
     if name not in PRESETS:
         raise InputError(f"unknown preset {name!r}")
+    key = PRESETS[name][1]
+    if key in params:
+        params = {**params, key: _number(params[key], key)}
     return PRESETS[name][0](model, params)
 
 
@@ -134,11 +140,21 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str):
+    """A JSON number as a float, or nested lists of them as lists; true, "2" and null are not numbers."""
+    if isinstance(value, list):
+        return [_number(v, name) for v in value]
+    if type(value) not in _NUMBER:
+        raise InputError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def load_model(path: str):
     """Parse a model file into (ModelSpec, BoundaryPair, digest)."""
     doc, raw = _read(path, MODEL_SCHEMA)
     try:
-        model = ModelSpec(_integer(doc["dimension"], f"{path}: dimension"), doc["positions"], doc["alpha"])
+        model = ModelSpec(_integer(doc["dimension"], f"{path}: dimension"),
+                          _number(doc["positions"], f"{path}: positions"), _number(doc["alpha"], f"{path}: alpha"))
     except KeyError as exc:
         raise InputError(f"{path}: missing field {exc}")
     except ValueError as exc:
@@ -152,7 +168,7 @@ def load_model(path: str):
         elif "A" in doc and "B" in doc:
             m = model.defect_dim
             pair = BoundaryPair(model.dimension, model.n_spins,
-                                _matrix(doc["A"], m, "A"), _matrix(doc["B"], m, "B"))
+                                _matrix(doc["A"], m, f"{path}: A"), _matrix(doc["B"], m, f"{path}: B"))
         else:
             raise InputError(f"{path}: needs either a preset block or explicit A and B")
     except (KeyError, TypeError) as exc:
@@ -170,15 +186,31 @@ def load_packet(path: str, model: ModelSpec):
         for entry in doc["components"]:
             code = _integer(entry["channel"], f"{path}: channel")
             comps.setdefault(code, []).append(GaussianComponent(
-                entry["center"], entry["momentum"],
-                _complex_entry(entry.get("variance", 1.0)), _complex_entry(entry.get("weight", 1.0))))
+                _number(entry["center"], f"{path}: center"), _number(entry["momentum"], f"{path}: momentum"),
+                _complex_entry(entry.get("variance", 1.0), f"{path}: variance"),
+                _complex_entry(entry.get("weight", 1.0), f"{path}: weight")))
         g = doc["grid"]
-        axis = np.linspace(float(g["lo"]), float(g["hi"]), _integer(g["n"], f"{path}: grid n"))
+        axis = np.linspace(_number(g["lo"], f"{path}: grid lo"), _number(g["hi"], f"{path}: grid hi"),
+                           _integer(g["n"], f"{path}: grid n"))
         return GaussianPacket(model.dimension, model.n_configs, comps), UniformGrid(*[axis] * model.dimension)
     except (KeyError, TypeError, IndexError) as exc:
         raise InputError(f"{path}: bad state file ({exc})")
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def _check_out(out: str, directory: bool):
+    """Refuse an --out that cannot be written, before any work.
+
+    Its parent must be an existing directory that can be written; out
+    itself, if it exists, must be a writable file, or a directory when
+    the command writes a directory (evolve).
+    """
+    parent = os.path.dirname(os.path.abspath(out))
+    if not out or not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+        raise InputError(f"--out: {parent} is not a writable directory")
+    if os.path.exists(out) and (os.path.isdir(out) != directory or not os.access(out, os.W_OK)):
+        raise InputError(f"--out: {out} exists and is not a writable {'directory' if directory else 'file'}")
 
 
 def _emit(text: str, out: str | None):
@@ -523,6 +555,8 @@ def main(argv=None) -> int:
                 raise InputError(f"--{name}: {value!r} is not finite")
         if getattr(args, "tol", None) is not None and args.tol <= 0.0:
             raise InputError(f"--tol: {args.tol!r} is not positive")
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out, directory=args.command == "evolve")
         code = args.func(args)
     except ValidationError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)

@@ -43,13 +43,13 @@ def sqrt_upper(w):
     return s
 
 
-def _dist(x):
-    """Euclidean length of a displacement: scalar for d=1, 3-vector for d=3."""
+def _dist(d: int, x):
+    """Length of a displacement or of each in an array: |x| entrywise for d=1, over a last axis of 3 for d=3."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return abs(float(x))
+    if d == 1 or x.ndim == 0:
+        return np.abs(x) if x.ndim else abs(float(x))
     if x.shape[-1] != 3:
-        raise ValueError(f"displacement must be scalar or length-3, got shape {x.shape}")
+        raise ValueError(f"d=3 displacements need a last axis of length 3, got shape {x.shape}")
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
@@ -66,11 +66,12 @@ def green(d: int, w, x, allow_cut: bool = False):
     d=1: i*exp(i*sqrt(w)|x|)/(2*sqrt(w)), finite at x=0.
     d=3: exp(i*sqrt(w)|x|)/(4*pi*|x|), singular at x=0.
 
-    x may be an array of displacements (last axis of length 3 for d=3).
+    x may be an array of displacements: any shape for d=1, a last axis
+    of length 3 for d=3.
     """
     w = _check_energy(w, allow_cut)
     s = sqrt_upper(w)
-    r = _dist(x)
+    r = _dist(d, x)
     if d == 1:
         if s == 0.0:
             raise ValueError("d=1 Green function diverges at w=0")
@@ -113,7 +114,7 @@ def green_overlap(d: int, z, w, x, allow_cut: bool = False):
     w = _check_energy(w, allow_cut)
     if z == w:
         raise ValueError("overlap formula needs distinct energies z != w")
-    r = _dist(x)
+    r = _dist(d, x)
     if d == 3 and np.all(r == 0.0):
         return 1j * (sqrt_upper(z) - sqrt_upper(w)) / (4.0 * np.pi * (z - w))
     if d == 3 and np.any(r == 0.0):

@@ -59,14 +59,16 @@ class NearPoleError(ArithmeticError):
 
 
 def _gamma_plan(model: ModelSpec, index):
-    """Gamma(z) on a (g, k, k) stack of index blocks, planned once: plan(z, sel=None, gram=False).
+    """Gamma(z) on a (g, k, k) stack of index blocks, planned once: plan(z, sel=None, gram=False, paired=False).
 
     The plan holds the site distances and one flat index of each block
     entry into the (shift level, p, p', j, j') layer table, whose extra
     zero level fills entries of unequal spin codes. It evaluates the
     blocks sel, or all, at z (a scalar, or a 1-D array of nodes that leads
     the result) and stacks Gamma and, under gram, -dGamma/dz from the same
-    s and waves: the bilinear Gram matrix int Phi^z_mu Phi^z_nu.
+    s and waves: the bilinear Gram matrix int Phi^z_mu Phi^z_nu. Under
+    paired, z and sel are 1-D arrays of one length and block sel[i] is
+    evaluated at z[i] only: the result is (1 + gram, len(z), k, k).
     """
     levels, level = model.distinct_shifts()
     p, j, code = channel_tables(model)
@@ -81,7 +83,7 @@ def _gamma_plan(model: ModelSpec, index):
     scale, sign = (4.0 * np.pi * np.where(off, dist, 1.0)).astype(complex), sign.astype(complex)
     levels_c, dist = levels.astype(complex), dist.astype(complex)
 
-    def evaluate(z, sel=None, gram=False):
+    def evaluate(z, sel=None, gram=False, paired=False):
         z = np.asarray(z, dtype=complex)
         w = z[..., None] - levels_c
         s = sqrt_upper(w)
@@ -103,7 +105,10 @@ def _gamma_plan(model: ModelSpec, index):
         table = np.zeros((1 + gram,) + z.shape + (levels.size + 1, layers**2, n, n), dtype=complex)
         for k, lay in enumerate(parts):
             table[k // layers**2, ..., :-1, k % layers**2, :, :] = lay
-        return table.reshape(table.shape[:-4] + (-1,)).take(at if sel is None else at[sel], axis=-1)
+        table = table.reshape(table.shape[:-4] + (-1,))
+        if paired:
+            return table[:, np.arange(z.size)[:, None, None], at[sel]]
+        return table.take(at if sel is None else at[sel], axis=-1)
 
     return evaluate
 

@@ -15,6 +15,8 @@ built entry by entry, against which the presets' sparse entries are checked.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import integrate, optimize
 
@@ -177,6 +179,17 @@ def two_site_bound_energies_1d(beta: float, r: float) -> list[float]:
         lo = 0.0 if sign > 0.0 else np.log(abs(beta) * r / 2.0) / r
         energies.append(-optimize.brentq(cond, lo, abs(beta) + 1.0, xtol=1e-15, rtol=1e-15) ** 2)
     return sorted(energies)
+
+
+def delta_chain_levels_1d(alpha, beta: float) -> list[float]:
+    """Levels of d=1 delta wells of strength beta < 0 far apart, one spin 1/2 at each, ascending.
+
+    Each well binds alone at kappa = -beta/2 in every spin configuration
+    sigma, so the levels are alpha . sigma - beta^2/4, each as many-fold
+    as there are wells (the intersite corrections go like e^{-kappa r}).
+    """
+    return sorted(float(np.dot(alpha, s)) + delta_bound_energy_1d(beta)
+                  for s in itertools.product([1, -1], repeat=len(alpha)))
 
 
 # ---------------------------------------------------------------------------

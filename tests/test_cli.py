@@ -681,6 +681,66 @@ def test_tol_must_be_positive(tmp_path, monkeypatch, capsys, command, value):
     assert not (tmp_path / "out").exists()
 
 
+_WORK = {"kernel": "_dress", "boundstates": "find_bound_states", "gamma": "gamma_free",
+         "evolve": "evolve_spectral", "validate": "load_model", "preset": "_build_preset"}
+
+
+@pytest.mark.parametrize("command", list(_WORK))
+@pytest.mark.parametrize("where", ["missing parent", "kind"])
+def test_out_that_cannot_be_written_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command, where):
+    # a missing parent once computed every kernel row, then ended in a FileNotFoundError traceback
+    path = write_model(tmp_path, beta="-1.0")
+    argv = {"kernel": [str(path), "--z", "0.5,1", "--n-points", "2"], "boundstates": [str(path)],
+            "gamma": [str(path), "--z", "-2,0"], "validate": [str(path)],
+            "evolve": [str(path), "--state", str(_state_file(tmp_path)), "--n-nodes", "64"],
+            "preset": ["delta", "--dimension", "1", "--positions", "0", "--beta", "-1"]}[command]
+    if where == "kind":  # a directory where a file is written, a file where evolve makes a directory
+        out = tmp_path / "taken"
+        out.mkdir() if command != "evolve" else out.write_text("")
+    else:
+        out = tmp_path / "missing" / "out"
+    monkeypatch.setattr(cli, _WORK[command], lambda *a, **k: pytest.fail("worked before refusing --out"))
+    assert run(command, *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("input error: --out: ")
+    assert not (tmp_path / "missing").exists()
+    assert out.exists() == (where == "kind")
+
+
+@pytest.mark.parametrize("field, value", [("lo", "-12"), ("hi", True), ("variance", True), ("weight", True),
+                                          ("weight", [1.0, "0"]), ("center", ["-2"]), ("momentum", [None])])
+def test_state_number_fields_must_be_json_numbers(tmp_path, capsys, field, value):
+    # "lo": "-12", "variance": true and "weight": true once loaded as -12.0, 1.0 and 1.0 and evolved
+    path = write_model(tmp_path, beta="-1.0")
+    state = _state_file(tmp_path)
+    doc = json.loads(state.read_text())
+    (doc["grid"] if field in ("lo", "hi") else doc["components"][0])[field] = value
+    state.write_text(json.dumps(doc))
+    assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
+    bad = "|".join(map(re.escape, ['"-12"', "true", '"0"', '"-2"', "null"]))
+    assert re.search(rf"{field} must be a number, got ({bad})\n$", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field, value", [("A", [[True, 0.0], [0.0, -1.0]]), ("B", [[1.0, [0.0, False]], [0.0, 1.0]]),
+                                          ("positions", [[0.0, "0", 0.0]]), ("alpha", [True])])
+def test_model_number_fields_must_be_json_numbers(tmp_path, capsys, field, value):
+    # a true entry of A once read as 1.0
+    path = tmp_path / "model.json"
+    doc = {"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]], "alpha": [0.0],
+           "A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+    path.write_text(json.dumps(dict(doc, **{field: value})))
+    assert run("boundstates", str(path), "--out", str(tmp_path / "levels.csv")) == 1
+    assert re.search(rf"{field} must be a number, got (true|false|\"0\")\n$", capsys.readouterr().err)
+    assert not (tmp_path / "levels.csv").exists()
+
+
+def test_preset_strength_must_be_a_json_number(tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert run("preset", "delta", "--dimension", "1", "--positions", "0", "--beta", '"-1"', "--out", str(out)) == 1
+    assert capsys.readouterr().err == 'input error: beta must be a number, got "-1"\n'
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e6])
 def test_hermiticity_verdict_does_not_depend_on_the_pair_scale(tmp_path, capsys, scale):
     # at scale 1e-6 the defect 1e-12 once fell under an absolute tolerance 1e-10: "valid: true"

@@ -72,6 +72,28 @@ def test_green_frozen_values():
     assert green(1, -4.0 + 0j, 1.0) == pytest.approx(np.exp(-2.0) / 4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_green_1d_on_an_array_of_displacements(n):
+    # a length-3 array was once read as one 3-vector: one value, at |x| = sqrt(14)
+    w = 0.7 + 0.4j
+    x = np.linspace(-1.0, 3.0, n) + 0.5
+    values = green(1, w, x)
+    assert values.shape == (n,)
+    assert np.array_equal(values, [green(1, w, float(xi)) for xi in x])
+    grid = x.reshape(1, n)
+    assert np.array_equal(green(1, w, grid), values.reshape(1, n))
+
+
+def test_green_3d_on_an_array_of_displacements():
+    w = -0.3 + 0.2j
+    x = np.array([[1.0, 2.0, 3.0], [-0.5, 0.1, 0.2], [0.0, 0.0, 2.5], [1.5, -1.0, 0.0]])
+    values = green(3, w, x)
+    assert values.shape == (4,)
+    assert np.array_equal(values, [green(3, w, xi) for xi in x])
+    with pytest.raises(ValueError, match="last axis of length 3"):
+        green(3, w, np.ones((4, 2)))
+
+
 def test_green_rejects_cut_energy_unless_allowed():
     with pytest.raises(ValueError):
         green(1, 2.0 + 0j, 0.5)

@@ -227,6 +227,18 @@ def test_zeeman_chain_levels_3d():
         assert st.energy == pytest.approx(e, rel=1e-12)
 
 
+def test_zeeman_chain_levels_1d():
+    # wells 20 apart bind alone to e^{-40}: 16 Zeeman levels 0.2 apart,
+    # each bound at all 4 wells
+    alpha = [0.1, 0.2, 0.4, 0.8]
+    model = ModelSpec(1, [0.3 + 20.0 * j for j in range(4)], alpha)
+    states = find_bound_states(model, preset_delta(model, -4.0))
+    expect = ref.delta_chain_levels_1d(alpha, -4.0)
+    assert [st.multiplicity for st in states] == [4] * 16
+    for st, e in zip(states, expect):
+        assert st.energy == pytest.approx(e, rel=1e-12)
+
+
 def _random_pairs(dimension, seed=None, sizes=(1, 2, 3, 1, 2, 3)):
     """Random admissible pairs with Zeeman couplings on random sites, one per size."""
     rng = np.random.default_rng(31 + dimension if seed is None else seed)
@@ -348,33 +360,40 @@ def test_degenerate_level_is_one_row():
 def test_newton_slope_is_the_derivative_of_the_eigenvalue(dimension):
     """-y* V* G V y against a central difference of the sorted eigenvalue.
 
-    The one-block offdiag pair in a field (N = 3: 24 or 48 channels)
-    takes the single-eigenpair path of large blocks.
+    Every eigenvalue of every block comes from one batched call, each
+    block at its own energy. The one-block offdiag pair in a field
+    (N = 3: 24 or 48 channels) takes the single-eigenpair path of large
+    blocks.
     """
     field = ModelSpec(dimension, _zero_field(dimension, 3).positions, [0.3] * 3)
     for model, pair in list(_random_pairs(dimension))[:3] + [(field, preset_offdiag(field, 0.8))]:
         red = spectral._reduce(model, pair.frame(model))
-        energy = essential_spectrum_bottom(model) - 0.7
-        n_blocks = sum(len(v) for _, _, v, _ in red)
-        for block in range(n_blocks):
-            only = np.arange(n_blocks) == block
-            for i in range(next(spectral._hermitian(red, energy, only))[4].shape[-1]):
-                lam, slope = spectral._crossing(red, energy, block, i)
 
-                def eigenvalue(e):
-                    return np.linalg.eigvalsh(next(spectral._hermitian(red, e, only))[4][0])[i]
+        def eigenvalues(e):  # ascending, per block in group order, all blocks at energy e
+            return [ev for rd in red for ev in np.linalg.eigvalsh(rd.hermitian(rd.plan(e)[0], slice(None)))]
 
-                h = 1e-4
-                assert lam == pytest.approx(eigenvalue(energy), abs=1e-12)
-                assert slope < 0.0
-                assert slope == pytest.approx((eigenvalue(energy + h) - eigenvalue(energy - h)) / (2 * h),
-                                              rel=1e-6)
+        n_blocks = len(eigenvalues(essential_spectrum_bottom(model) - 0.7))
+        energy = essential_spectrum_bottom(model) - 0.7 - 0.05 * np.arange(n_blocks)
+        at = [eigenvalues(e) for e in energy]
+        blocks = np.concatenate([np.full(len(at[b][b]), b) for b in range(n_blocks)])
+        index = np.concatenate([np.arange(len(at[b][b])) for b in range(n_blocks)])
+        lam, slope = spectral._crossing(red, energy[blocks], blocks, index)
+        h = 1e-4
+        up, down = [eigenvalues(e + h) for e in energy], [eigenvalues(e - h) for e in energy]
+        for k, (b, i) in enumerate(zip(blocks, index)):
+            assert lam[k] == pytest.approx(at[b][b][i], abs=1e-12)
+            assert slope[k] < 0.0
+            assert slope[k] == pytest.approx((up[b][b][i] - down[b][b][i]) / (2 * h), rel=1e-6)
 
 
 def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
-    """Gamma evaluations of the search's plans per level; a Newton step's Gram shares its Gamma's.
+    """Gamma evaluations of the search's plans; a Newton step's Gram shares its Gamma's.
 
-    Bisection to tol took 37 assemblies per level on this chain.
+    Bisection to tol took 37 assemblies per level on this chain, and
+    Newton steps on one block at a time 87 for its 16 levels. All 16
+    blocks stepped at once take 6: a count at the floor and one at the
+    top, two Newton steps, one count at every window edge and one
+    dressing of all 16 levels.
     """
     alpha = [0.1, 0.2, 0.4, 0.8]
     u = np.array([0.36, 0.48, 0.8])
@@ -389,4 +408,4 @@ def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
     monkeypatch.setattr(krein, "_gamma_plan", counted)
     states = find_bound_states(model, preset_delta(model, -1.0))
     assert len(states) == 16
-    assert len(calls) <= 16 * len(states)
+    assert len(calls) <= 6
