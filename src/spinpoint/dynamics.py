@@ -15,7 +15,9 @@ Stone's formula splits the interacting evolution into three parts:
 The free motion is the closed form below; the bound states lie below
 the continuum threshold mu, where the defect functions are real and
 their overlaps and Gram matrix are closed forms; only the rank-m
-correction is integrated, on the cut. A grid only samples the result.
+correction is integrated, on the cut. Only its upper side is dressed:
+for a self-adjoint pair C(conj z) = C(z)*, so lam - i0 takes the adjoint
+of the dressing at lam + i0. A grid only samples the result.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 import scipy
 
 from .boundary import BoundaryPair, require_valid
-from .krein import (_defect_factors, _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _gaussian_charges,
-                    _require_match, gamma_gram)
+from .krein import (_defect_factors, _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _require_match,
+                    gamma_gram)
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
@@ -42,7 +44,7 @@ __all__ = [
 
 ETA = 1e-12  # distance from the cut at which the correction is evaluated
 MIN_PANEL_NODES = 8
-_CHUNK_ELEMENTS = 2**15  # complex entries of one chunk's site waves and Gamma stacks, m x m per z at most
+_CHUNK_ELEMENTS = 2**15  # complex entries of one cut stack: its site waves, or its dressing's m x m matrices
 
 
 def _evolve_component(g: GaussianComponent, t: float, phase: complex) -> GaussianComponent:
@@ -135,41 +137,51 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
                     grid: UniformGrid, lam: np.ndarray, wts: np.ndarray, unchecked: bool) -> np.ndarray:
     """(1/pi) sum_k w_k e^{-i lam_k t} Im[Phi C s](lam_k + i0) on the grid, for every t.
 
-    Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i. Per chunk of
-    nodes lam_k, Gamma and the site waves exp(i s r), one per (lam, site,
-    distinct shift, point), are formed at lam + i ETA and conjugated for
-    lam - i ETA, Gamma as one stack per block group of the pair's spin
-    frame (krein._frame_plans, planned once per call). Every node z =
-    lam_0 + i ETA, lam_0 - i ETA, ... is still dressed, with its own SVD,
-    solve and condition number, in one stacked call, and has its own
-    charges. The weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
+    Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i, and only
+    z = lam + i ETA is dressed: for a self-adjoint pair C(conj z) = C(z)*
+    and Phi^{conj z} = conj Phi^z exactly, so nothing is formed at lam -
+    i ETA but the packet's overlaps s(conj z). Two loops, each holding at
+    most _CHUNK_ELEMENTS complex entries at a time and at least one lam.
+    The first dresses the nodes z in stacks, counted as four m x m
+    matrices per node (Gamma, the dressed matrix, its SVD copy and the
+    solution): Gamma is one stack per block group of the pair's spin frame
+    (krein._frame_plans, planned once per call), and a stack takes one
+    dressing call, with one SVD, condition number and solve per node. It
+    fills the charges C(z) s(z) and C(z)* s(conj z) of every node. The
+    second forms the site waves exp(i s r), one per (lam, site, distinct
+    shift, point), at z in chunks of nodes and conjugates them for the
+    lower side. The weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
     charges, the lower side's conjugated, so per distinct shift a chunk's
-    sum is one batched matmul. A chunk holds at least one lam and at most
-    _CHUNK_ELEMENTS entries: per lam its waves and m x m per side, a bound
-    on the Gamma stacks of both sides.
+    sum is one batched matmul.
     """
     require_valid(model, pair, unchecked)
-    n_sites, n_codes = model.n_spins, model.n_configs
+    n_sites, n_codes, m = model.n_spins, model.n_configs, model.defect_dim
     levels, level = model.distinct_shifts()
+    z = lam + 1j * ETA
+    charges = np.empty((lam.size, 2, m), dtype=complex)
+    plans = _frame_plans(model, pair.frame(model))
+    step = max(1, _CHUNK_ELEMENTS // (4 * m * m))
+    for lo in range(0, lam.size, step):
+        zs = z[lo:lo + step]
+        dress = _dress_gamma(model, pair, zs, [plan(zs)[0] for _, plan in plans])
+        s = _defect_overlaps_gaussian(model, np.concatenate([zs, zs.conj()]), packet)
+        charges[lo:lo + step, 0] = dress.charges(s[:zs.size])
+        charges[lo:lo + step, 1] = dress.charges(s[zs.size:], adjoint=True)
     weights = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
     coef = weights[:, :, None, None, None, None] * (np.array([1.0, -1.0]) / 2j)[:, None, None, None]
-    step = max(1, _CHUNK_ELEMENTS // (levels.size * n_sites * grid.n_points + 2 * model.defect_dim**2))
+    step = max(1, _CHUNK_ELEMENTS // (levels.size * n_sites * grid.n_points))
     out = np.zeros((times.size, n_codes, grid.n_points), dtype=complex)
-    plans = _frame_plans(model, pair.frame(model))
     for lo in range(0, lam.size, step):
-        z = lam[lo:lo + step, None] + np.array([1j, -1j]) * ETA
-        gammas = [plan(z[:, 0])[0] for _, plan in plans]
-        gammas = [np.stack([x, x.conj()], axis=1).reshape(z.size, *x.shape[1:]) for x in gammas]
-        charges = _gaussian_charges(_dress_gamma(model, pair, z.ravel(), gammas), packet)
-        scale, wave, layer, _ = _defect_factors(model, z[:, 0], grid.points)
+        scale, wave, layer, _ = _defect_factors(model, z[lo:lo + step], grid.points)
+        n = wave.shape[0]
         # q[t, k, side, p, j, c]: the flat defect index is (layer p, site j, code c) in C order
-        q = coef[:, lo:lo + step] * charges.reshape(len(z), 2, -1, n_sites, n_codes)
+        q = coef[:, lo:lo + step] * charges[lo:lo + step].reshape(n, 2, -1, n_sites, n_codes)
         np.conj(q[:, :, 1], out=q[:, :, 1])
         q = (q * (scale[:, None, ..., level, 0] if model.dimension == 1 else scale)).transpose(4, 5, 0, 2, 3, 1)
         for lv in range(levels.size):
             codes = np.flatnonzero(level == lv)
             # per site: (codes x times x sides x layers, nodes) @ (nodes, grid points)
-            summed = np.matmul(q[:, codes].reshape(n_sites, -1, len(z)), wave[:, 0, :, lv].transpose(1, 0, 2))
+            summed = np.matmul(q[:, codes].reshape(n_sites, -1, n), wave[:, 0, :, lv].transpose(1, 0, 2))
             summed = summed.reshape(n_sites, codes.size, times.size, 2, -1, grid.n_points)
             summed = summed[:, :, :, 0] + summed[:, :, :, 1].conj()
             out[:, codes] += np.einsum("jctpx,pjx->tcx", summed, layer[:, :, 0])
@@ -202,16 +214,24 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     continuum adds (1/pi) int e^{-i lam t} Im[correction] dlam on the
     nodes of _cut_nodes, the correction at lam +- i ETA being Phi(z) on
     the grid times the closed-form charges of the packet. The grid only
-    samples: no state is applied or projected on it. The norm drift at
-    the largest |t| serves as the reported error estimate; drift beyond
-    drift_tol raises. lam_max comes from spectral_defaults and the
-    bound-state search starts at its certified floor; params records the
-    node count used and lam_max.
+    samples: no state is applied or projected on it. times is one time or
+    a non-empty 1-D sequence of finite times, checked before any work
+    (ValueError). The error estimate is the absolute drift |norm(t) -
+    norm0| of the grid norm at the largest |t|; drift_tol bounds it
+    relative to norm0, so drift beyond drift_tol * norm0 raises. lam_max
+    comes from spectral_defaults and the bound-state search starts at its
+    certified floor; params records the node count used and lam_max.
     """
+    try:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        valid = times.ndim == 1 and times.size > 0 and bool(np.all(np.isfinite(times)))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError("times must be one finite number or a non-empty 1-D sequence of them")
     defaults = spectral_defaults(model, packet)
     n_nodes = defaults["n_nodes"] if n_nodes is None else int(n_nodes)
     lam_max = defaults["lam_max"]
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     norm0 = packet.sample(grid).norm()
     values = np.stack([free_evolve(model, packet, float(t)).sample(grid).values for t in times])
 

@@ -213,11 +213,12 @@ class _Dressing:
         unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
         return np.moveaxis(self.charges(unit), 0, -1)
 
-    def charges(self, overlaps) -> np.ndarray:
-        """C s for overlap vectors s on the last axis of overlaps, one per node."""
+    def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
+        """C s for overlap vectors s on the last axis of overlaps, one per node; C* s under adjoint."""
         inner = self.frame.rotate(overlaps, adjoint=True)
         out = np.zeros(np.shape(inner), dtype=complex)
         for g, x in zip(self.frame.blocks, self.solved):
+            x = x.conj().swapaxes(-1, -2) if adjoint else x
             out[..., g.index] = np.matmul(x, inner[..., g.index, None])[..., 0]
         return self.frame.rotate(out)
 

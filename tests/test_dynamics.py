@@ -10,7 +10,7 @@ conservation, t=0 completeness, and channel bookkeeping.
 import numpy as np
 import pytest
 
-from spinpoint.boundary import preset_delta, preset_free, preset_offdiag
+from spinpoint.boundary import preset_delta, preset_free, preset_offdiag, random_valid_pair
 from spinpoint.dynamics import evolve_spectral, free_evolve, spectral_defaults
 from spinpoint.spins import ModelSpec
 from spinpoint.states import GaussianPacket, UniformGrid
@@ -224,10 +224,14 @@ def _evolve_cases():
     pair3 = ModelSpec(3, [np.zeros(3), np.array([1.5, 0.0, 0.0])], [0.0, 0.0])
     yield (pair3, preset_offdiag(pair3, 0.3),
            GaussianPacket.single(3, 4, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
+    # a complex, dense pair coupling both sites: the lower side of the cut rests on its self-adjointness alone
+    field3 = ModelSpec(3, [np.zeros(3), np.array([1.5, 0.0, 0.0])], [0.3, 0.58])
+    yield (field3, random_valid_pair(field3, np.random.default_rng(0)),
+           GaussianPacket.single(3, 4, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
 
 
 @pytest.mark.parametrize("model, pair, packet, grid", _evolve_cases(),
-                         ids=["d1-zeeman-N2", "d3-N1", "d1-shared-shift-N2", "d3-zero-field-N2"])
+                         ids=["d1-zeeman-N2", "d3-N1", "d1-shared-shift-N2", "d3-zero-field-N2", "d3-random-N2"])
 def test_stacked_nodes_match_per_node_loop(monkeypatch, model, pair, packet, grid):
     from spinpoint import dynamics
 
@@ -244,15 +248,50 @@ def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
     from spinpoint import dynamics
 
     model, pair, packet, grid = next(_evolve_cases())
-    # per lam: the site waves of lam + i ETA, one per distinct shift, and the m x m stacks of both sides
-    per_lam = model.distinct_shifts()[0].size * model.n_spins * grid.n_points + 2 * model.defect_dim**2
-    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 7 * per_lam)  # 7 lam per chunk
+    # per lam: the site waves of lam + i ETA, one per distinct shift; per dressed node: four m x m matrices
+    per_lam = model.distinct_shifts()[0].size * model.n_spins * grid.n_points
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 7 * per_lam)  # 7 lam per wave chunk
+    stack = 7 * per_lam // (4 * model.defect_dim**2)  # lam per dressing stack
     res = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
-    assert res.params["n_nodes"] % 7 != 0
+    n = res.params["n_nodes"]
+    assert stack not in (1, 7) and n % 7 != 0 and n % stack != 0
     monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)
     ref = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
     scale = float(np.max(np.abs(ref.state.values)))
     assert float(np.max(np.abs(res.state.values - ref.state.values))) <= 1e-12 * scale
+
+
+def test_cut_dresses_each_node_once(monkeypatch):
+    # lam - i ETA takes the adjoint of lam + i ETA's dressing: one dressed node per lam, not two
+    from spinpoint import dynamics, krein
+
+    model, pair, packet, grid = next(_evolve_cases())
+    dressed = []
+    inner = krein.invert_dressed
+
+    def counted(stacks, rhs, z=None):
+        dressed.append(np.size(z))
+        return inner(stacks, rhs, z)
+
+    monkeypatch.setattr(krein, "invert_dressed", counted)
+    lam, wts = dynamics._cut_nodes(model, 96, spectral_defaults(model, packet)["lam_max"])
+    dynamics._cut_correction(model, pair, packet, np.array([0.4]), grid, lam, wts, False)
+    assert sum(dressed) == lam.size and len(dressed) > 1
+
+
+@pytest.mark.parametrize("times", [[], [[0.1, 0.2]], [0.3, float("nan")], [float("inf")], ["soon"], np.zeros((0, 2))],
+                         ids=["empty", "2-d", "nan", "inf", "text", "empty-2-d"])
+def test_spectral_checks_its_times_first(monkeypatch, times):
+    from spinpoint import dynamics
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the times were checked")
+
+    monkeypatch.setattr(dynamics, "spectral_defaults", no_work)
+    monkeypatch.setattr(dynamics, "free_evolve", no_work)
+    grid = UniformGrid.linear(-10.0, 10.0, 80)
+    with pytest.raises(ValueError, match="times"):
+        evolve_spectral(model_d1(), preset_free(model_d1()), packet_d1(), times, grid, n_nodes=16)
 
 
 @pytest.mark.parametrize("n_nodes", [64, 2048])

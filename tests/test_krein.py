@@ -126,6 +126,34 @@ def test_free_parts_mirror_across_the_cut(model):
         assert np.array_equal(gamma_free(model, np.conj(w)), gamma_free(model, w).conj())
 
 
+def _mirror_cases():
+    rng = np.random.default_rng(11)
+    for d, make in ((1, model_d1), (3, model_d3)):
+        for n in (1, 2, 3):
+            for field in (False, True):
+                model = make(n, alpha=None if field else np.zeros(n))
+                pairs = {"free": preset_free(model), "delta": preset_delta(model, rng.normal(size=(n, 2))),
+                         "offdiag": preset_offdiag(model, rng.normal(size=n)),
+                         "random": random_valid_pair(model, rng)}
+                if d == 1:
+                    pairs["delta-prime"] = preset_delta_prime(model, rng.normal(size=n))
+                for name, pair in pairs.items():
+                    yield pytest.param(model, pair, id=f"d{d}-N{n}-{'field' if field else 'zero'}-{name}")
+
+
+@pytest.mark.parametrize("model, pair", _mirror_cases())
+def test_correction_mirrors_across_the_cut(model, pair):
+    # an admissible pair has C(conj z) = C(z)*, which lets the cut integral dress only lam + i ETA
+    from spinpoint.krein import _dress
+
+    levels = model.distinct_shifts()[0]
+    real = np.array([levels[0] + 0.35, levels[-1] + 0.9, levels[-1] + 37.0])
+    z = np.concatenate([real + 1e-12j, real - 1e-12j, [-1.3 + 0.7j, 0.4 - 0.9j, levels[-1] + 2.0 + 1.1j]])
+    upper = _dress(model, pair, z).correction
+    lower = _dress(model, pair, z.conj()).correction
+    assert np.max(np.abs(lower - upper.conj().swapaxes(-1, -2))) <= 1e-12 * np.max(np.abs(upper))
+
+
 def test_gamma_blocks_match_full_matrix():
     # index stacks mixing spin codes, in any order, read the full matrix, for Gamma and -Gamma'
     from spinpoint.krein import _gamma_plan
