@@ -15,9 +15,26 @@ import sys
 
 import numpy as np
 
-from spinpoint.boundary import preset_delta
-from spinpoint.spectral import detgamma_profile, essential_spectrum_bottom
-from spinpoint.spins import ModelSpec
+from spinpoint import ModelSpec, essential_spectrum_bottom, gamma_dressed, gamma_free, preset_delta
+
+
+def detgamma_profile(model: ModelSpec, pair, energies) -> np.ndarray:
+    """Smallest singular value and log|det| of the dense dressed matrix B Gamma(E) + A per energy.
+
+    Energies must lie strictly below the essential spectrum bottom.
+    Returns a (len(energies), 2) array of (sigma_min, logabsdet).
+    """
+    mu = essential_spectrum_bottom(model)
+    energies = np.asarray(energies, dtype=float)
+    if np.any(energies >= mu):
+        raise ValueError(f"profile energies must lie below the continuum threshold {mu}")
+    out = np.empty((energies.size, 2))
+    for i, e in enumerate(energies):
+        dressed = gamma_dressed(pair, gamma_free(model, complex(e)))
+        sv = np.linalg.svd(dressed, compute_uv=False)
+        _, logdet = np.linalg.slogdet(dressed)
+        out[i] = (sv[-1], logdet)
+    return out
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ from .boundary import (
     validate,
 )
 from .dynamics import EvolveResult, evolve_spectral, free_evolve, spectral_defaults
-from .greens import green, green_derivative_1d, green_overlap, sqrt_upper
+from .greens import green, sqrt_upper
 from .krein import (
     NearPoleError,
     apply_resolvent,
@@ -37,7 +37,6 @@ from .krein import (
 )
 from .spectral import (
     BoundState,
-    detgamma_profile,
     eigenfunction_eval,
     essential_spectrum_bottom,
     find_bound_states,
@@ -45,12 +44,8 @@ from .spectral import (
 from .spins import (
     ModelSpec,
     config_code,
-    config_from_code,
-    decode_multiindex,
-    encode_multiindex,
     enumerate_configs,
     index_dimension,
-    zeeman_shift,
 )
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid, gaussian_overlap
 

@@ -134,7 +134,7 @@ def _cut_nodes(model: ModelSpec, n_nodes: int, lam_max: float):
 
 
 def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket, times: np.ndarray,
-                    grid: UniformGrid, lam: np.ndarray, wts: np.ndarray, unchecked: bool) -> np.ndarray:
+                    grid: UniformGrid, lam: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """(1/pi) sum_k w_k e^{-i lam_k t} Im[Phi C s](lam_k + i0) on the grid, for every t.
 
     Im f(lam + i0) is (f(lam + i ETA) - f(lam - i ETA)) / 2i, and only
@@ -152,9 +152,8 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     shift, point), at z in chunks of nodes and conjugates them for the
     lower side. The weights w_k e^{-i lam_k t} (+-1/2i) / pi fold into the
     charges, the lower side's conjugated, so per distinct shift a chunk's
-    sum is one batched matmul.
+    sum is one batched matmul. The pair is checked by the caller.
     """
-    require_valid(model, pair, unchecked)
     n_sites, n_codes, m = model.n_spins, model.n_configs, model.defect_dim
     levels, level = model.distinct_shifts()
     z = lam + 1j * ETA
@@ -214,14 +213,16 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     continuum adds (1/pi) int e^{-i lam t} Im[correction] dlam on the
     nodes of _cut_nodes, the correction at lam +- i ETA being Phi(z) on
     the grid times the closed-form charges of the packet. The grid only
-    samples: no state is applied or projected on it. times is one time or
-    a non-empty 1-D sequence of finite times, checked before any work
-    (ValueError). The error estimate is the absolute drift |norm(t) -
-    norm0| of the grid norm at the largest |t|; drift_tol bounds it
-    relative to norm0, so drift beyond drift_tol * norm0 raises. lam_max
-    comes from spectral_defaults and the bound-state search starts at its
-    certified floor; params records the node count used and lam_max.
+    samples: no state is applied or projected on it. The pair (unless
+    unchecked; ValidationError) and times, one time or a non-empty 1-D
+    sequence of finite times (ValueError), are checked before any work.
+    The error estimate is the absolute drift |norm(t) - norm0| of the
+    grid norm at the largest |t|; drift_tol bounds it relative to norm0,
+    so drift beyond drift_tol * norm0 raises. lam_max comes from
+    spectral_defaults and the bound-state search starts at its certified
+    floor; params records the node count used and lam_max.
     """
+    require_valid(model, pair, unchecked)
     try:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         valid = times.ndim == 1 and times.size > 0 and bool(np.all(np.isfinite(times)))
@@ -246,7 +247,7 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
 
     lam, wts = _cut_nodes(model, n_nodes, lam_max)
     if pair.entries.B.any():  # a pair with B = 0 has no correction
-        values += _cut_correction(model, pair, packet, times, grid, lam, wts, unchecked)
+        values += _cut_correction(model, pair, packet, times, grid, lam, wts)
 
     states = [GridState(model.dimension, v, grid) for v in values]
     norms = np.array([st.norm() for st in states])

@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "sqrt_upper",
     "green",
-    "green_derivative_1d",
-    "green_overlap",
 ]
 
 _TINY_IMAG = 1j * np.finfo(float).smallest_subnormal
@@ -82,41 +80,3 @@ def green(d: int, w, x, allow_cut: bool = False):
         return np.exp(1j * s * r) / (4.0 * np.pi * r)
     raise ValueError(f"dimension must be 1 or 3, got {d}")
 
-
-def green_derivative_1d(w, x, allow_cut: bool = False):
-    """Spatial derivative of the d=1 Green function: -sgn(x)*exp(i*sqrt(w)|x|)/2.
-
-    Undefined at x=0 (jump discontinuity); raises there.
-    """
-    w = _check_energy(w, allow_cut)
-    s = sqrt_upper(w)
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise ValueError("d=1 Green derivative has a jump at x=0")
-    val = -np.sign(x) * np.exp(1j * s * np.abs(x)) / 2.0
-    if val.ndim == 0:
-        return complex(val)
-    return val
-
-
-def green_overlap(d: int, z, w, x, allow_cut: bool = False):
-    """Pair overlap of Green functions centered a displacement x apart.
-
-    Evaluates integral of G^z(u - y) * G^w(u - y') over u, with
-    x = y - y', via the resolvent difference identity
-
-        (G^z(x) - G^w(x)) / (z - w),
-
-    which stays finite at coinciding centers: for d=3 and x=0 the limit
-    i*(sqrt(z) - sqrt(w))/(4*pi*(z - w)) is used. Requires z != w.
-    """
-    z = _check_energy(z, allow_cut)
-    w = _check_energy(w, allow_cut)
-    if z == w:
-        raise ValueError("overlap formula needs distinct energies z != w")
-    r = _dist(d, x)
-    if d == 3 and np.all(r == 0.0):
-        return 1j * (sqrt_upper(z) - sqrt_upper(w)) / (4.0 * np.pi * (z - w))
-    if d == 3 and np.any(r == 0.0):
-        raise ValueError("mixed zero and nonzero displacements not supported")
-    return (green(d, z, x, allow_cut) - green(d, w, x, allow_cut)) / (z - w)

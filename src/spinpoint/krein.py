@@ -31,6 +31,7 @@ __all__ = [
     "gamma_gram",
     "gamma_dressed",
     "invert_dressed",
+    "defect_matrix",
     "resolvent_kernel",
     "kernel_evaluator",
     "apply_resolvent",
@@ -137,8 +138,8 @@ def gamma_free(model: ModelSpec, z) -> np.ndarray:
         (1j, 0j') -> +G', (0j, 1j') -> -G'           (zero at j = j').
 
     A 1-D array of z adds a leading node axis: (n_z, m, m). This is
-    output (CLI gamma, detgamma_profile): the solvers take Gamma on the
-    blocks of the pair's spin frame only, through _frame_plans.
+    output (CLI gamma, the singular-value profile script): the solvers
+    take Gamma on the blocks of the pair's spin frame only (_frame_plans).
     """
     return _gamma_whole(model, z, gram=False)
 
@@ -205,13 +206,6 @@ class _Dressing:
     frame: SpinFrame
     solved: list  # per block group: the blocks of U* (Gamma^AB)^{-1} B U
     condition: float | np.ndarray
-
-    @property
-    def correction(self) -> np.ndarray:
-        """(B Gamma + A)^{-1} B in the pair's own frame, m x m for tests: column mu is the charges of e_mu."""
-        m, nodes = self.model.defect_dim, np.shape(self.z)
-        unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
-        return np.moveaxis(self.charges(unit), 0, -1)
 
     def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
         """C s for overlap vectors s on the last axis of overlaps, one per node; C* s under adjoint."""

@@ -40,12 +40,11 @@ import scipy
 
 from . import krein
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
-from .krein import _frame_plans, defect_matrix, gamma_dressed, gamma_free
+from .krein import _frame_plans, defect_matrix, gamma_dressed
 from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
     "essential_spectrum_bottom",
-    "detgamma_profile",
     "find_bound_states",
     "eigenfunction_eval",
     "BoundState",
@@ -58,25 +57,6 @@ _NEWTON_STEPS = 8  # batched Newton steps per bracket; a block not converged by 
 def essential_spectrum_bottom(model: ModelSpec) -> float:
     """mu = min over configurations of alpha . sigma, i.e. -sum |alpha_j|."""
     return float(np.min(model.shifts()))
-
-
-def detgamma_profile(model: ModelSpec, pair: BoundaryPair, energies) -> np.ndarray:
-    """Smallest singular value and log|det| of the dressed matrix per energy.
-
-    Energies must lie strictly below the essential spectrum bottom.
-    Returns a (len(energies), 2) array of (sigma_min, logabsdet).
-    """
-    mu = essential_spectrum_bottom(model)
-    energies = np.asarray(energies, dtype=float)
-    if np.any(energies >= mu):
-        raise ValueError(f"profile energies must lie below the continuum threshold {mu}")
-    out = np.empty((energies.size, 2))
-    for i, e in enumerate(energies):
-        dressed = gamma_dressed(pair, gamma_free(model, complex(e)))
-        sv = np.linalg.svd(dressed, compute_uv=False)
-        _, logdet = np.linalg.slogdet(dressed)
-        out[i] = (sv[-1], logdet)
-    return out
 
 
 @dataclass(frozen=True)
@@ -159,9 +139,6 @@ def _groups(red: list, blocks: np.ndarray):
 
     Blocks are numbered across the groups in order.
     """
-    if len(red) == 1:
-        yield red[0], np.arange(blocks.size), blocks
-        return
     start = 0
     for rd in red:
         at = np.flatnonzero((blocks >= start) & (blocks < start + len(rd.lam)))

@@ -27,12 +27,8 @@ __all__ = [
     "ModelSpec",
     "enumerate_configs",
     "config_code",
-    "config_from_code",
     "spin_code",
-    "zeeman_shift",
     "index_dimension",
-    "encode_multiindex",
-    "decode_multiindex",
     "channel_tables",
     "channel_blocks",
     "channel_sum",
@@ -63,7 +59,7 @@ def enumerate_configs(n_spins: int) -> np.ndarray:
 
 
 def config_code(sigma) -> int:
-    """Bit code of one configuration; inverse of config_from_code."""
+    """Bit code of one configuration: its row in enumerate_configs."""
     sigma = np.asarray(sigma, dtype=int)
     if sigma.ndim != 1 or not np.all(np.abs(sigma) == 1):
         raise ValueError("configuration must be a 1d array of +-1")
@@ -82,18 +78,6 @@ def spin_code(sigma, n_spins: int) -> int:
         raise ValueError(f"configuration of {n_spins} spins must have shape ({n_spins},), "
                          f"got shape {np.shape(sigma)}")
     return config_code(sigma)
-
-
-def config_from_code(code: int, n_spins: int) -> np.ndarray:
-    if not 0 <= code < 2**n_spins:
-        raise ValueError(f"code {code} out of range for {n_spins} spins")
-    bits = (code >> np.arange(n_spins)) & 1
-    return 1 - 2 * bits
-
-
-def zeeman_shift(alpha, sigma) -> float:
-    """Channel energy shift alpha . sigma."""
-    return float(np.dot(np.asarray(alpha, dtype=float), np.asarray(sigma, dtype=float)))
 
 
 def index_dimension(d: int, n_spins: int) -> int:
@@ -180,38 +164,6 @@ class ModelSpec:
         if not 1 <= j <= self.n_spins:
             raise ValueError(f"site index must be in 1..{self.n_spins}")
         return self.positions[j - 1]
-
-
-def encode_multiindex(model: ModelSpec, j: int, sigma, p: int | None = None) -> int:
-    """Flat position of a defect channel; p-major, then site, then spin code.
-
-    j is 1-based. For d=1 a parity p in {0, 1} is required; d=3 has no
-    derivative channel, so p must be 0 or omitted.
-    """
-    n = model.n_spins
-    if not 1 <= j <= n:
-        raise ValueError(f"site index must be in 1..{n}")
-    code = spin_code(sigma, n)
-    if model.dimension == 1:
-        if p not in (0, 1):
-            raise ValueError("d=1 multi-index needs parity p in {0, 1}")
-        return p * n * 2**n + (j - 1) * 2**n + code
-    if p not in (None, 0):
-        raise ValueError("d=3 multi-index has no derivative layer")
-    return (j - 1) * 2**n + code
-
-
-def decode_multiindex(model: ModelSpec, flat: int):
-    """Inverse of encode_multiindex.
-
-    Returns (p, j, sigma) with sigma as a +-1 array; p is always 0 for
-    d=3.
-    """
-    m = model.defect_dim
-    if not 0 <= flat < m:
-        raise ValueError(f"flat index {flat} out of range 0..{m - 1}")
-    p, j, code = channel_tables(model)
-    return int(p[flat]), int(j[flat]), config_from_code(int(code[flat]), model.n_spins)
 
 
 @functools.lru_cache(maxsize=32)

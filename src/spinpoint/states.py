@@ -65,12 +65,6 @@ class GaussianComponent:
             r2 = np.sum(dx * dx, axis=-1)
         return self.weight * np.exp(-r2 / (4.0 * self.variance) + 1j * phase)
 
-    def support_radius(self, tol: float = 1e-14) -> float:
-        """Distance from the center beyond which |g| < tol * |weight|."""
-        # |g| = |w| exp(-r^2 Re(1/(4v)))
-        decay = (1.0 / (4.0 * self.variance)).real
-        return float(np.sqrt(max(np.log(1.0 / tol), 1.0) / decay))
-
 
 def gaussian_overlap(g1: GaussianComponent, g2: GaussianComponent) -> complex:
     """Exact inner product <g1, g2> (antilinear in the first slot)."""
@@ -134,14 +128,6 @@ class GaussianPacket:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.channel_weights())))
-
-    def support_radius(self, tol: float = 1e-14) -> float:
-        """Radius (from the origin) containing all components' mass above tol."""
-        r = 0.0
-        for comps in self.components:
-            for g in comps:
-                r = max(r, float(np.linalg.norm(g.center)) + g.support_radius(tol))
-        return r
 
     def sample(self, grid: "UniformGrid") -> "GridState":
         pts = grid.points

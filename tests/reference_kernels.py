@@ -7,10 +7,13 @@ is tested against these, never the other way round. Tests validate the
 oracles themselves by checking boundary conditions with plain finite
 differences.
 
-Also provides brute-force quadrature oracles (free-resolvent overlaps,
-two-center product integrals) used to cross-check the fast paths in the
-main package, and the presets' boundary pairs as dense m x m matrices,
-built entry by entry, against which the presets' sparse entries are checked.
+Also provides the d=1 Green-function derivative and the closed-form
+overlap of two Green functions, brute-force quadrature oracles
+(free-resolvent overlaps, two-center product integrals) used to
+cross-check the fast paths in the main package, the presets' boundary
+pairs as dense m x m matrices, built entry by entry, against which the
+presets' sparse entries are checked, and the dense correction matrix of
+a dressing.
 """
 
 from __future__ import annotations
@@ -20,8 +23,51 @@ import itertools
 import numpy as np
 from scipy import integrate, optimize
 
-from spinpoint.greens import green, green_derivative_1d, sqrt_upper
+from spinpoint.greens import _check_energy, _dist, green, sqrt_upper
 from spinpoint.spins import channel_tables
+
+
+# ---------------------------------------------------------------------------
+# free Green-function oracles
+# ---------------------------------------------------------------------------
+
+def green_derivative_1d(w, x, allow_cut: bool = False):
+    """Spatial derivative of the d=1 Green function: -sgn(x)*exp(i*sqrt(w)|x|)/2.
+
+    Undefined at x=0 (jump discontinuity); raises there.
+    """
+    w = _check_energy(w, allow_cut)
+    s = sqrt_upper(w)
+    x = np.asarray(x, dtype=float)
+    if np.any(x == 0.0):
+        raise ValueError("d=1 Green derivative has a jump at x=0")
+    val = -np.sign(x) * np.exp(1j * s * np.abs(x)) / 2.0
+    if val.ndim == 0:
+        return complex(val)
+    return val
+
+
+def green_overlap(d: int, z, w, x, allow_cut: bool = False):
+    """Pair overlap of Green functions centered a displacement x apart.
+
+    Evaluates integral of G^z(u - y) * G^w(u - y') over u, with
+    x = y - y', via the resolvent difference identity
+
+        (G^z(x) - G^w(x)) / (z - w),
+
+    which stays finite at coinciding centers: for d=3 and x=0 the limit
+    i*(sqrt(z) - sqrt(w))/(4*pi*(z - w)) is used. Requires z != w.
+    """
+    z = _check_energy(z, allow_cut)
+    w = _check_energy(w, allow_cut)
+    if z == w:
+        raise ValueError("overlap formula needs distinct energies z != w")
+    r = _dist(d, x)
+    if d == 3 and np.all(r == 0.0):
+        return 1j * (sqrt_upper(z) - sqrt_upper(w)) / (4.0 * np.pi * (z - w))
+    if d == 3 and np.any(r == 0.0):
+        raise ValueError("mixed zero and nonzero displacements not supported")
+    return (green(d, z, x, allow_cut) - green(d, w, x, allow_cut)) / (z - w)
 
 
 # ---------------------------------------------------------------------------
@@ -353,3 +399,18 @@ def one_center_product_integral_3d(z1, z2, n=4000):
     wr = 0.5 * rmax * wr
     vals = np.exp(1.0j * (s1 + s2) * rs) / (4.0 * np.pi) ** 2
     return complex(4.0 * np.pi * np.sum(wr * vals))
+
+
+# ---------------------------------------------------------------------------
+# dense correction of a dressing
+# ---------------------------------------------------------------------------
+
+def dressing_correction(dress):
+    """(B Gamma + A)^{-1} B of a krein._Dressing in the pair's own frame, m x m per node.
+
+    Column mu is the charges of the unit vector e_mu; a 1-D array of z
+    leads the result with its node axis.
+    """
+    m, nodes = dress.model.defect_dim, np.shape(dress.z)
+    unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
+    return np.moveaxis(dress.charges(unit), 0, -1)

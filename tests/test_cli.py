@@ -899,3 +899,41 @@ def test_commands_never_read_the_dense_pair(tmp_path, monkeypatch, name, dimensi
     packet = GaussianPacket.single(dimension, model.n_configs, 1, [0.3] * dimension, [0.9] * dimension, 0.7)
     grid = UniformGrid.linear(-3.0, 3.0, 31) if dimension == 1 else UniformGrid.cube(-2.0, 2.0, 4)
     assert np.all(np.isfinite(apply_resolvent(model, pair, -0.7 + 0.9j, packet, grid).values))
+
+
+def _package_modules():
+    import pkgutil
+
+    import spinpoint
+
+    return sorted(info.name for info in pkgutil.iter_modules(spinpoint.__path__))
+
+
+@pytest.mark.parametrize("name", _package_modules())
+def test_every_public_name_resolves(name):
+    """Each module's __all__ names what it binds, once each, so a star import works."""
+    import importlib
+
+    module = importlib.import_module(f"spinpoint.{name}")
+    public = module.__all__
+    assert len(public) == len(set(public))
+    assert [n for n in public if not hasattr(module, n)] == []
+    namespace = {}
+    exec(f"from spinpoint.{name} import *", namespace)
+    assert set(public) <= set(namespace)
+
+
+def test_package_reexports_public_names_of_their_modules():
+    """Every name the package re-exports is the object of the same name in its module's __all__."""
+    import importlib
+    import types
+
+    import spinpoint
+
+    reexports = {k: v for k, v in vars(spinpoint).items()
+                 if not k.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert "ModelSpec" in reexports and "find_bound_states" in reexports
+    for attr, obj in reexports.items():
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("spinpoint.") and attr in home.__all__, attr
+        assert getattr(home, attr) is obj

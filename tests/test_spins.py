@@ -10,10 +10,8 @@ from spinpoint.spins import (
     channel_sum,
     channel_tables,
     config_code,
-    config_from_code,
     enumerate_configs,
     index_dimension,
-    zeeman_shift,
 )
 
 
@@ -34,13 +32,14 @@ def test_config_code_frozen():
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_config_roundtrip(n, data):
     code = data.draw(st.integers(min_value=0, max_value=2**n - 1))
-    assert config_code(config_from_code(code, n)) == code
+    assert config_code(enumerate_configs(n)[code]) == code
 
 
 def test_zeeman_shift():
-    alpha = np.array([0.5, -0.25])
-    assert zeeman_shift(alpha, np.array([1, -1])) == pytest.approx(0.75)
-    assert zeeman_shift(alpha, np.array([-1, 1])) == pytest.approx(-0.75)
+    # the shift alpha . sigma of a configuration sits at its code in the model's one table
+    shifts = ModelSpec(3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0.5, -0.25]).shifts()
+    assert shifts[config_code(np.array([1, -1]))] == pytest.approx(0.75)
+    assert shifts[config_code(np.array([-1, 1]))] == pytest.approx(-0.75)
 
 
 def test_index_dimension_formulas():
@@ -114,46 +113,30 @@ def test_spin_cap_and_override(monkeypatch):
 
 
 def test_flat_index_frozen_examples():
-    from spinpoint.spins import encode_multiindex, decode_multiindex
-
-    m1 = ModelSpec(1, [0.0], [0.0])
     # layout: parity-major, then site, then configuration code
-    assert encode_multiindex(m1, 1, np.array([1]), 0) == 0
-    assert encode_multiindex(m1, 1, np.array([-1]), 0) == 1
-    assert encode_multiindex(m1, 1, np.array([1]), 1) == 2
-    assert encode_multiindex(m1, 1, np.array([-1]), 1) == 3
+    p, j, code = channel_tables(ModelSpec(1, [0.0], [0.0]))
+    assert list(zip(p, j, code)) == [(0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)]
 
-    m3 = ModelSpec(3, [np.zeros(3), np.ones(3)], [0.0, 0.0])
-    assert encode_multiindex(m3, 1, np.array([1, 1]), 0) == 0
-    assert encode_multiindex(m3, 2, np.array([1, 1]), 0) == 4
-    assert encode_multiindex(m3, 2, np.array([-1, -1]), 0) == 7
-    p, j, sigma = decode_multiindex(m3, 7)
-    assert (p, j) == (0, 2)
-    assert sigma.tolist() == [-1, -1]
+    p, j, code = channel_tables(ModelSpec(3, [np.zeros(3), np.ones(3)], [0.0, 0.0]))
+    assert list(zip(p, j, code)) == [(0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3),
+                                     (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3)]
+    assert code[7] == config_code(np.array([-1, -1]))
 
-
-@given(st.integers(min_value=0, max_value=15))
-def test_flat_index_roundtrip_d1(flat):
-    from spinpoint.spins import decode_multiindex, encode_multiindex
-
-    m = ModelSpec(1, [0.0, 2.0], [0.1, 0.2])
-    p, j, sigma = decode_multiindex(m, flat)
-    assert encode_multiindex(m, j, sigma, p) == flat
+    p, j, code = channel_tables(ModelSpec(1, [0.0, 2.0], [0.1, 0.2]))
+    assert (p[13], j[13], code[13]) == (1, 2, 1)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_channel_tables_match_multiindex(d):
-    from spinpoint.spins import decode_multiindex, encode_multiindex
-
     for n in range(1, 7):
         positions = [float(k) for k in range(n)] if d == 1 else [[float(k), 0.0, 0.0] for k in range(n)]
         model = ModelSpec(d, positions, [0.0] * n)
         p, j, code = channel_tables(model)
         assert p.shape == j.shape == code.shape == (model.defect_dim,)
-        for flat in range(model.defect_dim):
-            dp, dj, sigma = decode_multiindex(model, flat)
-            assert (p[flat], j[flat], code[flat]) == (dp, dj, config_code(sigma))
-            assert encode_multiindex(model, j[flat], sigma, p[flat] if d == 1 else None) == flat
+        # the flat index of (p, j, code) in closed form, and each part in its range
+        assert np.array_equal((p * n + j - 1) * 2**n + code, np.arange(model.defect_dim))
+        assert set(p.tolist()) == ({0, 1} if d == 1 else {0})
+        assert j.min() == 1 and j.max() == n and code.min() == 0 and code.max() == 2**n - 1
         blocks = channel_blocks(model)
         assert (code[blocks] == np.arange(model.n_configs)[:, None]).all()
         assert (p[blocks] == p[blocks[0]]).all() and (j[blocks] == j[blocks[0]]).all()

@@ -89,13 +89,6 @@ def test_packet_channel_weights_and_norm():
     assert pkt.norm() == pytest.approx(np.sqrt(np.sum(w)))
 
 
-def test_packet_support_radius_bounds_tail():
-    pkt = GaussianPacket.single(1, 2, 0, center=2.0, momentum=3.0, variance=0.7)
-    r = pkt.support_radius(tol=1e-12)
-    vals = pkt.evaluate(0, np.array([r + 0.1, -(r + 0.1)]))
-    assert np.all(np.abs(vals) < 1e-12)
-
-
 def test_grid_construction_and_weights():
     grid = UniformGrid.linear(-1.0, 1.0, 5)
     assert grid.n_points == 5
