@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -91,10 +92,20 @@ def _complex_entry(value, name: str) -> complex:
 
 
 def _matrix(entries, m: int, name: str) -> np.ndarray:
-    arr = np.asarray([[_complex_entry(e, name) for e in row] for row in entries], dtype=complex)
-    if arr.shape != (m, m):
-        raise InputError(f"{name} must be {m} x {m} in flat-index order, got {arr.shape}")
-    return arr
+    """An m x m matrix of JSON numbers or [re, im] pairs of numbers, row by row.
+
+    Every cell becomes one (re, im) pair in one pass, the pairs' values
+    are type-checked together, and one np.asarray converts them.
+    """
+    cells = [e if type(e) is list and len(e) == 2 else (e, 0.0) for row in entries for e in row]
+    values = list(itertools.chain.from_iterable(cells))
+    if not set(map(type, values)) <= set(_NUMBER):
+        bad = next(v for v in values if type(v) not in _NUMBER)
+        raise InputError(f"{name} must be a number, got {json.dumps(bad)}")
+    if len(entries) != m or any(len(row) != m for row in entries):
+        shape = np.asarray([[0j] * len(row) for row in entries]).shape
+        raise InputError(f"{name} must be {m} x {m} in flat-index order, got {shape}")
+    return np.asarray(values, dtype=float).view(complex).reshape(m, m)
 
 
 # name -> (pair builder from the file's parameters, required parameter);

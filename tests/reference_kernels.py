@@ -12,8 +12,9 @@ overlap of two Green functions, brute-force quadrature oracles
 (free-resolvent overlaps, two-center product integrals) used to
 cross-check the fast paths in the main package, the presets' boundary
 pairs as dense m x m matrices, built entry by entry, against which the
-presets' sparse entries are checked, and the dense correction matrix of
-a dressing.
+presets' sparse entries are checked, the dense correction matrix of
+a dressing, and the spectral evolution's cut correction summed node by
+node.
 """
 
 from __future__ import annotations
@@ -414,3 +415,29 @@ def dressing_correction(dress):
     m, nodes = dress.model.defect_dim, np.shape(dress.z)
     unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
     return np.moveaxis(dress.charges(unit), 0, -1)
+
+
+# ---------------------------------------------------------------------------
+# the cut correction of the spectral evolution, node by node
+# ---------------------------------------------------------------------------
+
+def cut_correction_per_node(model, pair, packet, times, grid, lam, wts):
+    """(1/pi) sum_k w_k e^{-i lam_k t} Im[Phi C s](lam_k + i0) on the grid, with no tables.
+
+    At each node and each side z = lam_k +- i ETA: one dressing of its
+    own, the packet's charges C(z) s(z), and the defect functions of
+    krein.defect_matrix at every grid point, summed with the weights
+    (+-1/2i) w_k e^{-i lam_k t} / pi. Shape (times, codes, points).
+    """
+    from spinpoint.dynamics import ETA
+    from spinpoint.krein import _dress, _gaussian_charges, defect_matrix
+    from spinpoint.spins import channel_sum
+
+    out = np.zeros((times.size, model.n_configs, grid.n_points), dtype=complex)
+    phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
+    for k in range(lam.size):
+        for sign in (1.0, -1.0):
+            dress = _dress(model, pair, lam[k] + sign * 1j * ETA)
+            field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
+            out += (sign / 2j) * phases[:, k, None, None] * field
+    return out

@@ -734,6 +734,29 @@ def test_model_number_fields_must_be_json_numbers(tmp_path, capsys, field, value
     assert not (tmp_path / "levels.csv").exists()
 
 
+@pytest.mark.parametrize("value, message", [([[1.0, 0.0, 0.0]] * 3, "A must be 2 x 2 in flat-index order, got (3, 3)"),
+                                            ([[1.0, 0.0], [0.0]], "inhomogeneous shape"),
+                                            ([[[1, 2, 3], 0.0], [0.0, -1.0]], "A must be a number, got [1, 2, 3]")],
+                         ids=["3x3", "ragged", "triple"])
+def test_dense_matrix_shapes_are_input_errors(tmp_path, capsys, value, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]],
+                                "alpha": [0.0], "A": value, "B": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert run("validate", str(path)) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_dense_matrix_cells_mix_numbers_and_pairs(tmp_path):
+    doc = {"schema": "spinpoint-model v1", "dimension": 3, "positions": [[0.0, 0.0, 0.0]], "alpha": [0.0]}
+    paths = [tmp_path / "pairs.json", tmp_path / "mixed.json"]
+    paths[0].write_text(json.dumps(dict(doc, A=[[[-1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [-1.0, 0.0]]],
+                                        B=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])))
+    paths[1].write_text(json.dumps(dict(doc, A=[[-1, [0.0, 0.5]], [[0, -0.5], -1.0]], B=[[1.0, 0], [0.0, [1, 0]]])))
+    pairs = [cli.load_model(str(p))[1] for p in paths]
+    assert np.array_equal(pairs[0].A, pairs[1].A) and np.array_equal(pairs[0].B, pairs[1].B)
+    assert pairs[1].A[0, 1] == 0.5j and pairs[1].A.dtype == complex
+
+
 def test_preset_strength_must_be_a_json_number(tmp_path, capsys):
     out = tmp_path / "model.json"
     assert run("preset", "delta", "--dimension", "1", "--positions", "0", "--beta", '"-1"', "--out", str(out)) == 1

@@ -7,13 +7,16 @@ free evolution on the free pair, and on interacting pairs through norm
 conservation, t=0 completeness, and channel bookkeeping.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from spinpoint.boundary import preset_delta, preset_free, preset_offdiag, random_valid_pair
+import reference_kernels as ref
+from spinpoint.boundary import preset_delta, preset_delta_prime, preset_free, preset_offdiag, random_valid_pair
 from spinpoint.dynamics import evolve_spectral, free_evolve, spectral_defaults
 from spinpoint.spins import ModelSpec
-from spinpoint.states import GaussianPacket, UniformGrid
+from spinpoint.states import GaussianPacket, GridState, UniformGrid
 
 
 def model_d1(alpha=0.0):
@@ -193,20 +196,31 @@ def test_spectral_3d_reconstructs_and_flips():
     assert res.state.channel_weights()[1] > 10.0 * res.error_estimate
 
 
-def _per_node_correction(model, pair, packet, times, grid, lam, wts):
-    """The cut integral node by node: two one-node dressings per node, z = lam +- i ETA."""
-    from spinpoint.dynamics import ETA
-    from spinpoint.krein import _dress, _gaussian_charges, defect_matrix
-    from spinpoint.spins import channel_sum
+def _evolve_against_reference(model, pair, packet, times, grid, n_nodes, drift_tol=1e-2):
+    """evolve_spectral, and the largest difference of its states from those with the node-by-node cut.
 
-    out = np.zeros((times.size, model.n_configs, grid.n_points), dtype=complex)
-    phases = np.exp(-1j * np.outer(times, lam)) * wts / np.pi
-    for k in range(lam.size):
-        for sign in (1.0, -1.0):
-            dress = _dress(model, pair, lam[k] + sign * 1j * ETA)
-            field = channel_sum(model, _gaussian_charges(dress, packet), defect_matrix(model, dress.z, grid.points))
-            out += (sign / 2j) * phases[:, k, None, None] * field
-    return out
+    The reference (reference_kernels.cut_correction_per_node) is computed
+    beside the cut inside the same run, so both sides share the free
+    motion and the bound levels; drift_tol is evolve_spectral's. Returns
+    the result, the difference relative to the reference's max |psi|, and
+    the reference's norms.
+    """
+    from spinpoint import dynamics
+
+    inner, delta = dynamics._cut_correction, []
+
+    def both(*args):
+        out, n_radii = inner(*args)
+        delta.append(ref.cut_correction_per_node(*args) - out)
+        return out, n_radii
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_cut_correction", both)
+        res = evolve_spectral(model, pair, packet, times, grid, n_nodes=n_nodes, drift_tol=drift_tol)
+    want = [st.values + d for st, d in zip(res.states, delta[0])] if delta else [st.values for st in res.states]
+    scale = max(float(np.max(np.abs(w))) for w in want)
+    diff = max(float(np.max(np.abs(w - st.values))) for w, st in zip(want, res.states))
+    return res, diff / scale, np.array([GridState(model.dimension, w, grid).norm() for w in want])
 
 
 def _evolve_cases():
@@ -216,11 +230,11 @@ def _evolve_cases():
     model3 = ModelSpec(3, [np.zeros(3)], [0.0])
     yield (model3, preset_offdiag(model3, 0.3),
            GaussianPacket.single(3, 2, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
-    # codes 1 and 2 share the shift 0, and their site waves
+    # codes 1 and 2 share the shift 0, and their wave tables
     shared = ModelSpec(1, [0.0, 1.5], [0.3, 0.3])
     yield (shared, preset_offdiag(shared, 0.8),
            GaussianPacket.single(1, 4, 0, [-4.0], [2.5], 1.0), UniformGrid.linear(-14.0, 12.0, 220))
-    # at alpha = 0 all four codes share one set of site waves
+    # at alpha = 0 all four codes share one wave table
     pair3 = ModelSpec(3, [np.zeros(3), np.array([1.5, 0.0, 0.0])], [0.0, 0.0])
     yield (pair3, preset_offdiag(pair3, 0.3),
            GaussianPacket.single(3, 4, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0), UniformGrid.cube(-6.0, 6.0, 14))
@@ -232,33 +246,102 @@ def _evolve_cases():
 
 @pytest.mark.parametrize("model, pair, packet, grid", _evolve_cases(),
                          ids=["d1-zeeman-N2", "d3-N1", "d1-shared-shift-N2", "d3-zero-field-N2", "d3-random-N2"])
-def test_stacked_nodes_match_per_node_loop(monkeypatch, model, pair, packet, grid):
-    from spinpoint import dynamics
+def test_stacked_nodes_match_per_node_loop(model, pair, packet, grid):
+    res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.0, 0.7]), grid, 256)
+    assert diff <= 1e-12
+    assert res.norms == pytest.approx(norms, rel=1e-12)
 
-    res = evolve_spectral(model, pair, packet, [0.0, 0.7], grid, n_nodes=256)
-    monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)
-    ref = evolve_spectral(model, pair, packet, [0.0, 0.7], grid, n_nodes=256)
-    scale = max(float(np.max(np.abs(st.values))) for st in ref.states)
-    for got, want in zip(res.states, ref.states):
-        assert float(np.max(np.abs(got.values - want.values))) <= 1e-12 * scale
-    assert res.norms == pytest.approx(ref.norms, rel=1e-12)
+
+def _reference_cases():
+    """d = 1 and 3, N = 1..3, alpha = 0 and per-site fields, every preset and a random pair."""
+    for d, n, field in itertools.product((1, 3), (1, 2, 3), (False, True)):
+        positions = [1.3 * k + 0.1 for k in range(n)] if d == 1 else [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(n)]
+        model = ModelSpec(d, positions, [0.3, 0.58, 0.2][:n] if field else [0.0] * n)
+        pairs = {"free": preset_free(model), "delta": preset_delta(model, -1.0), "offdiag": preset_offdiag(model, 0.8),
+                 "random": random_valid_pair(model, np.random.default_rng(n))}
+        if d == 1:
+            pairs["delta-prime"] = preset_delta_prime(model, 0.7)
+        for name, pair in pairs.items():
+            yield pytest.param(model, pair, id=f"d{d}-N{n}-{'field' if field else 'zero'}-{name}")
+
+
+@pytest.mark.parametrize("model, pair", _reference_cases())
+def test_cut_matches_the_per_node_reference(model, pair):
+    # no grid node on a site: the d=1 nodes are -8 + k/6, the d=3 ones -4.5 + 9k/7. These grids and 64 nodes are
+    # coarse: the delta and random pairs drift by up to 2.0 % of the norm, so the drift bound is 5e-2, not 1e-2
+    d = model.dimension
+    grid = UniformGrid.linear(-8.0, 8.0, 97) if d == 1 else UniformGrid.cube(-4.5, 4.5, 8)
+    packet = GaussianPacket.single(d, model.n_configs, 0, [-2.0] + [0.0] * (d - 1), [1.5] + [0.0] * (d - 1), 1.0)
+    res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.0, 0.7]), grid, 64, drift_tol=5e-2)
+    assert diff <= 1e-12
+    assert res.norms == pytest.approx(norms, rel=1e-12)
+
+
+@pytest.mark.parametrize("positions, pair, drift_tol", [([0.0, 1.5], "delta-prime", 5e-2), ([-7.0], "delta-prime", 1e-2),
+                                                        ([-7.0], "offdiag", 1e-2), ([0.0, 7.5], "offdiag", 1e-2)],
+                         ids=["on-nodes", "left-of-the-grid", "left-of-the-grid-offdiag", "on-a-node-and-right"])
+def test_cut_on_the_d1_ladder_edges(positions, pair, drift_tol):
+    # sites on grid nodes keep the dipole layer's 0 there; a site off the grid has one side only. Two delta-prime
+    # sites on this 0.25 spacing drift by 1.6 % of the norm, so that case's drift bound is 5e-2
+    model = ModelSpec(1, positions, [0.2] * len(positions))
+    pair = preset_delta_prime(model, 0.7) if pair == "delta-prime" else preset_offdiag(model, 0.8)
+    grid = UniformGrid.linear(-6.0, 6.0, 49)
+    assert np.isin(0.0, grid.points) and np.isin(1.5, grid.points)
+    packet = GaussianPacket.single(1, model.n_configs, 0, [-1.0], [1.5], 1.0)
+    res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.0, 0.5]), grid, 128, drift_tol)
+    assert diff <= 1e-12
+    assert res.norms == pytest.approx(norms, rel=1e-12)
+
+
+def test_d3_grid_node_on_a_site_raises():
+    from spinpoint.dynamics import _cut_correction, _cut_nodes
+
+    model = ModelSpec(3, [np.zeros(3)], [0.0])
+    pair = preset_offdiag(model, 0.3)
+    packet = GaussianPacket.single(3, 2, 0, [-2.0, 0.0, 0.0], [1.5, 0.0, 0.0], 1.0)
+    grid = UniformGrid.cube(-6.0, 6.0, 13)  # the node (0, 0, 0)
+    with pytest.raises(ValueError, match="evaluation point coincides with a spin site"):
+        evolve_spectral(model, pair, packet, [0.5], grid, n_nodes=64)
+    lam, wts = _cut_nodes(model, 64, 20.0)
+    with pytest.raises(ValueError, match="evaluation point coincides with a spin site"):
+        _cut_correction(model, pair, packet, np.array([0.5]), grid, lam, wts)
+
+
+def test_radii_follow_the_largest_wavenumber():
+    # a faster packet has a larger kinetic scale, so a larger lam_max and |s|: more Chebyshev radii, same accuracy
+    model = ModelSpec(3, [np.zeros(3), np.array([1.1, 0.3, 0.0])], [0.3, 0.58])
+    pair = preset_offdiag(model, 0.8)
+    grid = UniformGrid.cube(-4.5, 4.5, 8)
+    radii = []
+    for momentum in (1.5, 4.0):
+        packet = GaussianPacket.single(3, 4, 0, [-2.0, 0.0, 0.0], [momentum, 0.0, 0.0], 1.0)
+        res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.3]), grid, 64)
+        assert diff <= 1e-12
+        assert res.norms == pytest.approx(norms, rel=1e-12)
+        radii.append(res.params["n_radii"])
+    assert radii[1] > radii[0] > 1
+
+
+def test_d1_radii_are_the_grid_ladder():
+    model = ModelSpec(1, [0.0, 1.5], [0.3, 0.58])
+    grid = UniformGrid.linear(-6.0, 6.0, 49)  # the longest side: 30 nodes left of 1.5
+    packet = GaussianPacket.single(1, 4, 0, [-1.0], [1.5], 1.0)
+    res = evolve_spectral(model, preset_offdiag(model, 0.8), packet, [0.2], grid, n_nodes=64, drift_tol=np.inf)
+    assert res.params["n_radii"] == 30
+    assert evolve_spectral(model, preset_free(model), packet, [0.2], grid, n_nodes=64).params["n_radii"] == 0
 
 
 def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
     from spinpoint import dynamics
 
     model, pair, packet, grid = next(_evolve_cases())
-    # per lam: the site waves of lam + i ETA, one per distinct shift; per dressed node: four m x m matrices
-    per_lam = model.distinct_shifts()[0].size * model.n_spins * grid.n_points
-    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 7 * per_lam)  # 7 lam per wave chunk
-    stack = 7 * per_lam // (4 * model.defect_dim**2)  # lam per dressing stack
-    res = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
+    n_radii = dynamics._ladder(model, grid)[1]  # per lam: one wave table row; per dressed node: four m x m matrices
+    monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 37 * n_radii)  # 37 lam per wave chunk
+    stack = 37 * n_radii // (4 * model.defect_dim**2)  # lam per dressing stack
+    res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.4]), grid, 96)
     n = res.params["n_nodes"]
-    assert stack not in (1, 7) and n % 7 != 0 and n % stack != 0
-    monkeypatch.setattr(dynamics, "_cut_correction", _per_node_correction)
-    ref = evolve_spectral(model, pair, packet, [0.4], grid, n_nodes=96)
-    scale = float(np.max(np.abs(ref.state.values)))
-    assert float(np.max(np.abs(res.state.values - ref.state.values))) <= 1e-12 * scale
+    assert stack not in (1, 37) and n % 37 != 0 and n % stack != 0 and n > 37
+    assert diff <= 1e-12
 
 
 def test_cut_dresses_each_node_once(monkeypatch):

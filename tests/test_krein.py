@@ -1172,7 +1172,7 @@ def test_solvers_take_gamma_only_on_frame_blocks(monkeypatch, model, pair, one_b
     assert resolvent_state_evaluator(model, pair, z, packet)(point, 1) == pytest.approx(on_grid.values[1, 0],
                                                                                        rel=1e-12)
     lam, wts = _cut_nodes(model, 64, 20.0)
-    assert np.all(np.isfinite(_cut_correction(model, pair, packet, np.array([0.3]), grid, lam, wts)))
+    assert np.all(np.isfinite(_cut_correction(model, pair, packet, np.array([0.3]), grid, lam, wts)[0]))
 
 
 def test_evaluators_match_per_call_defect_matrix():
