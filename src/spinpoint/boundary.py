@@ -55,14 +55,31 @@ class SpinFrame(NamedTuple):
     """A unitary U = I (x) (U_N (x) ... (x) U_1) on the spin code, and a pair's blocks in it.
 
     sites lists the rotated sites (1-based) and bases their 2 x 2 U_j;
-    every other U_j is the identity. blocks are the dressing blocks of
-    (U* A U, U* B U), as BoundaryPair.blocks gives them; with no site
-    rotated they are the pair's own blocks.
+    every other U_j is the identity. blocks are the blocks of pair =
+    (U* A U, U* B U) on which B Gamma(z) + A is block diagonal, as
+    BoundaryPair.blocks gives them; with no site rotated they are the
+    pair's own blocks. charged are those blocks on their charged channels
+    only, the dressing's blocks, and inert the smallest and largest |a_i|
+    of the inert channels, its 1 x 1 blocks that need no solve
+    (_charged_blocks). Each is computed on its first read and cached on
+    pair.
     """
 
     sites: tuple
     bases: tuple
-    blocks: tuple
+    pair: "BoundaryPair"  # (U* A U, U* B U); the pair itself when no site is rotated
+
+    @property
+    def blocks(self) -> "tuple[BlockGroup, ...]":
+        return self.pair.blocks()
+
+    @property
+    def charged(self) -> "tuple[BlockGroup, ...]":
+        return self.pair._charged[0]
+
+    @property
+    def inert(self) -> tuple:
+        return self.pair._charged[1]
 
     def rotate(self, v, axis: int = -1, adjoint: bool = False):
         """U v, or U* v under adjoint, along the flat defect axis of v; v itself when U = I.
@@ -208,11 +225,16 @@ class BoundaryPair:
     def blocks(self) -> "tuple[BlockGroup, ...]":
         """The components joined through the equal-spin-code blocks of Gamma(z)."""
         if self._blocks is None:
-            self._blocks = self._grouped([np.stack(self.entries[:2], axis=1), channel_blocks(self)])
+            self._blocks = tuple(BlockGroup(index, *self._block_entries(index)) for index in self._block_index)
         return self._blocks
 
+    @functools.cached_property
+    def _block_index(self) -> "tuple[np.ndarray, ...]":
+        """The index stacks of blocks(), without their values."""
+        return _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1), channel_blocks(self)])
+
     def frame(self, model: ModelSpec) -> SpinFrame:
-        """The spin frame of the solvers in this model, cached per set of rotated sites.
+        """The spin frame of the solvers in this model, cached per nonempty set of rotated sites.
 
         Site j rotates when alpha_j = 0, the pair is local, and the 2 x 2
         spin matrices of A and B at site j (one per layer pair (p, p'))
@@ -222,20 +244,21 @@ class BoundaryPair:
         admissible pair with up to 2**N times more blocks. It is again
         local: _local_pair writes it from the rotated 2 x 2s (diagonal,
         exact zeros off it), and the frame's blocks are its own blocks().
-        No rotated site: U = I and the pair's own blocks. Validation stays
-        on the pair itself: a unitary similarity keeps admissibility.
+        No rotated site: U = I and the pair's own blocks. The charged blocks
+        and inert channels are read from the entries of the frame's pair
+        when the dressing first asks. Validation stays on the pair itself:
+        a unitary similarity keeps admissibility.
         """
         mats, bases = self._site_bases
         sites = tuple(j for j in bases if model.alpha[j - 1] == 0.0)
+        if not sites:  # not cached: a frame holding its own pair would keep the pair in a reference cycle
+            return SpinFrame(sites, (), self)
         if sites not in self._frames:
-            pair = self
-            if sites:
-                rot = mats.copy()
-                for j in sites:
-                    diag = np.einsum("ab,...ac,cb->...b", bases[j].conj(), rot[:, :, :, j - 1], bases[j])
-                    rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
-                pair = _local_pair(self, *rot)
-            self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), pair.blocks())
+            rot = mats.copy()
+            for j in sites:
+                diag = np.einsum("ab,...ac,cb->...b", bases[j].conj(), rot[:, :, :, j - 1], bases[j])
+                rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
+            self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), _local_pair(self, *rot))
         return self._frames[sites]
 
     @functools.cached_property
@@ -257,6 +280,11 @@ class BoundaryPair:
         return mats if _local_pair(self, *mats) == self else None
 
     @functools.cached_property
+    def _charged(self):
+        """(charged blocks, extremes of the inert |a_i|) of this pair (_charged_blocks), for its spin frames."""
+        return _charged_blocks(self)
+
+    @functools.cached_property
     def _site_bases(self):
         """(mats, bases): the 2 x 2s of a local pair (_site_matrices); bases[j] = U_j (_joint_basis) if j rotates."""
         mats = self._site_matrices
@@ -265,17 +293,18 @@ class BoundaryPair:
         return mats, {j: u for j, u in bases.items() if u is not None}
 
     def _block_entries(self, index: np.ndarray):
-        """(A, B) on the (g, k, k) blocks of index, scattered from the entries on their rows.
+        """(A, B) on the (g, k, k) blocks of index, scattered from the entries with row and column in index.
 
-        Every entry whose row lies in a block must have its column in the
-        same block, as on the unions of components that _grouped forms.
+        An entry whose row and column both lie in index must lie in one
+        block, as on the unions of components that _grouped forms and on
+        their subsets (_charged_blocks).
         """
         g, k = index.shape
         at = np.full(self.defect_dim, -1)
         at[index.ravel()] = np.arange(index.size)  # block * k + position in the block
         rows, cols, a, b = self.entries
         r = at[rows]
-        on = np.flatnonzero(r >= 0)
+        on = np.flatnonzero(np.minimum(r, at[cols]) >= 0)
         out = np.zeros((2, g * k * k), dtype=complex)
         out[:, r[on] * k + at[cols[on]] % k] = a[on], b[on]
         return out.reshape(2, g, k, k)
@@ -283,6 +312,48 @@ class BoundaryPair:
     def _grouped(self, chains) -> "tuple[BlockGroup, ...]":
         """The blocks of _partition(defect_dim, chains), with the pair's values on them."""
         return tuple(BlockGroup(index, *self._block_entries(index)) for index in _partition(self.defect_dim, chains))
+
+
+def _charged_blocks(pair: BoundaryPair):
+    """(charged, inert): the pair's blocks() on its charged channels, and the extremes of |a_i| over its inert ones.
+
+    Channel i is inert when row and column i of B are 0 and row i of A is
+    a e_i with a != 0: row i of A q = B f then reads a q_i = 0, so q_i = 0
+    at every z, and with the channels ordered (J, I), J the charged ones,
+    B Gamma + A = [[D_J, X], [0, diag a]] with D_J = B_JJ Gamma_JJ + A_JJ.
+    Its correction (B Gamma + A)^{-1} B is D_J^{-1} B_JJ on J and 0 on the
+    rest, for any pair. The blocks keep their charged positions, in order,
+    regrouped by their count r ascending; a block with none drops out.
+    Their values are scattered from the entries for the charged positions
+    only. inert is the smallest and largest |a_i|, all that the condition
+    number reads of the 1 x 1 blocks; with no inert channel it is () and
+    charged is blocks() itself.
+    """
+    rows, cols, a, b = pair.entries
+    on_b = b != 0.0
+    if np.bincount(rows[on_b], minlength=pair.defect_dim).all():  # B has an entry in every row, as for d=3 presets
+        return pair.blocks(), ()
+    # a diagonal entry without b, alone in its row, in a column where B has no entry: then a != 0
+    lone = (rows == cols) & ~on_b & (np.bincount(rows, minlength=pair.defect_dim)[rows] == 1)
+    inert, lone_rows = np.zeros(pair.defect_dim, dtype=bool), rows[lone]
+    inert[lone_rows] = True
+    inert[cols[on_b]] = False
+    if not inert.any():
+        return pair.blocks(), ()
+    by_count = {}
+    for index in pair._block_index:
+        keep = ~inert[index]
+        count = keep.sum(axis=1)
+        for r in np.bincount(count)[1:].nonzero()[0] + 1:
+            sel = count == r
+            by_count.setdefault(int(r), []).append(index[sel][keep[sel]].reshape(-1, r))
+    groups = []
+    for r in sorted(by_count):
+        index = np.concatenate(by_count[r])
+        index.setflags(write=False)
+        groups.append(BlockGroup(index, *pair._block_entries(index)))
+    scale = np.abs(a[lone][inert[lone_rows]])
+    return tuple(groups), (float(scale.min()), float(scale.max()))
 
 
 def _partition(m: int, chains) -> "tuple[np.ndarray, ...]":

@@ -415,7 +415,8 @@ def cmd_evolve(args) -> int:
     summary.dump(os.path.join(args.out, "summary.csv"))
 
     names = ["x"] if model.dimension == 1 else ["x1", "x2", "x3"]
-    coords = np.concatenate([grid.points] * model.n_configs).reshape(model.n_configs * grid.n_points, -1).T
+    # the grid's cells are formatted once and repeated per channel, code-major as values.ravel()
+    coords = [list(map(repr, axis.tolist())) * model.n_configs for axis in grid.points.reshape(grid.n_points, -1).T]
     codes = np.repeat(np.arange(model.n_configs).astype(str), grid.n_points).tolist()
     for i, t in enumerate(res.times):
         snap = ResultWriter(_echo(args), digest, tolstr, note)

@@ -34,7 +34,7 @@ import scipy
 
 from .boundary import BoundaryPair, require_valid
 from .greens import sqrt_upper
-from .krein import _defect_overlaps_gaussian, _dress_gamma, _frame_plans, _require_match, gamma_gram
+from .krein import _defect_overlaps_gaussian, _dress_gamma, _gamma_plan, _require_match, gamma_gram
 from .spectral import eigenfunction_eval, essential_spectrum_bottom, find_bound_states
 from .spins import ModelSpec
 from .states import GaussianComponent, GaussianPacket, GridState, UniformGrid
@@ -48,7 +48,7 @@ __all__ = [
 
 ETA = 1e-12  # distance from the cut at which the correction is evaluated
 MIN_PANEL_NODES = 8
-# entries of one cut stack: a chunk of nodes' wave table or their dressings' m x m matrices, or the d=3
+# entries of one cut stack: a chunk of nodes' wave table or their dressings' r x r matrices, or the d=3
 # interpolation rows of a chunk of grid points
 _CHUNK_ELEMENTS = 2**15
 
@@ -247,12 +247,13 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     and Phi^{conj z} = conj Phi^z exactly, so nothing is formed at lam -
     i ETA but the packet's overlaps s(conj z). Two loops, each holding at
     most _CHUNK_ELEMENTS complex entries at a time and at least one lam.
-    The first dresses the nodes z in stacks, counted as four m x m
-    matrices per node (Gamma, the dressed matrix, its SVD copy and the
-    solution): Gamma is one stack per block group of the pair's spin frame
-    (krein._frame_plans, planned once per call), and a stack takes one
-    dressing call, with one SVD, condition number and solve per node. It
-    fills the charges C(z) s(z) and C(z)* s(conj z) of every node.
+    The first dresses the nodes z in stacks, counted as four matrices per
+    node and charged block (Gamma, the dressed matrix, its SVD copy and
+    the solution, each r x r): Gamma is one stack per group of the charged
+    blocks of the pair's spin frame (krein._dress, planned once per call),
+    and a stack takes one dressing call, with one SVD, condition number
+    and solve per node. It fills the charges C(z) s(z) and C(z)* s(conj z)
+    of every node, 0 on the inert channels.
 
     The second sums the nodes on radial tables: per distinct shift a_l,
     with s = sqrt_upper(z - a_l), F(r) = sum_k q_k e^{i s_k r} is one
@@ -278,11 +279,12 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
         nodes, mid, half = _chebyshev_radii(model, grid, float(np.max(np.abs(s))))
         radii, n_r, sides, layers = mid + half * nodes, nodes.size, 1, 1
     charges = np.empty((lam.size, 2, m), dtype=complex)
-    plans = _frame_plans(model, pair.frame(model))
-    step = max(1, _CHUNK_ELEMENTS // (4 * m * m))
+    charged = pair.frame(model).charged
+    plans = [_gamma_plan(model, g.index) for g in charged]
+    step = max(1, _CHUNK_ELEMENTS // (4 * sum(g.index.size * g.index.shape[1] for g in charged)))
     for lo in range(0, lam.size, step):
         zs = z[lo:lo + step]
-        dress = _dress_gamma(model, pair, zs, [plan(zs)[0] for _, plan in plans])
+        dress = _dress_gamma(model, pair, zs, [plan(zs)[0] for plan in plans])
         overlaps = _defect_overlaps_gaussian(model, np.concatenate([zs, zs.conj()]), packet)
         charges[lo:lo + step, 0] = dress.charges(overlaps[:zs.size])
         charges[lo:lo + step, 1] = dress.charges(overlaps[zs.size:], adjoint=True)

@@ -115,7 +115,10 @@ def _gamma_plan(model: ModelSpec, index):
 
 
 def _frame_plans(model: ModelSpec, frame: SpinFrame) -> list:
-    """(group, its _gamma_plan) per block group of a pair's spin frame: the solvers' one Gamma layout."""
+    """(group, its _gamma_plan) per block group of a pair's spin frame: the bound-state search's Gamma layout.
+
+    The dressing plans the frame's charged blocks instead (_dress).
+    """
     return [(g, _gamma_plan(model, g.index)) for g in frame.blocks]
 
 
@@ -164,21 +167,25 @@ def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
     return pair.B @ gamma + pair.A
 
 
-def invert_dressed(dressed, rhs, z=None):
+def invert_dressed(dressed, rhs, z=None, inert=()):
     """Solve dressed X = rhs block by block; raises NearPoleError past 1e12.
 
     dressed and rhs are sequences of (g, k, k) stacks, the diagonal
     blocks of a block-diagonal matrix, or of (n_z, g, k, k) stacks, one
-    such matrix per node (rhs may stay (g, k, k)). Each stack takes one
-    batched values-only SVD and one batched solve. A matrix's singular
-    values are the union of its blocks' ones, so each node's 2-norm
-    condition number comes from its own blocks alone. Returns the
-    solution stacks and the condition number, one per node. The error
-    names the first node past the limit, by its entry of z when given.
+    such matrix per node (rhs may stay (g, k, k)). inert lists the moduli
+    of further 1 x 1 diagonal blocks, the same at every node, that take
+    no solve (only their extremes count). Each stack takes one batched
+    values-only SVD and one batched solve. A block-diagonal matrix's
+    singular values are the union of its blocks' ones, so each node's
+    2-norm condition number comes from its own blocks and inert alone.
+    Returns the solution stacks and the condition number, one per node.
+    The error names the first node past the limit, by its entry of z when
+    given.
     """
-    sv = [np.linalg.svd(d, compute_uv=False) for d in dressed]
-    smallest = np.min(np.concatenate([s[..., -1] for s in sv], axis=-1), axis=-1)
-    largest = np.max(np.concatenate([s[..., 0] for s in sv], axis=-1), axis=-1)
+    # with no stack to factor, an empty one of z's node shape carries that shape to the condition number
+    sv = [np.linalg.svd(d, compute_uv=False) for d in dressed] or [np.empty(np.shape(z) + (0, 1))]
+    smallest = np.concatenate([s[..., -1] for s in sv], axis=-1).min(axis=-1, initial=min(inert, default=np.inf))
+    largest = np.concatenate([s[..., 0] for s in sv], axis=-1).max(axis=-1, initial=max(inert, default=0.0))
     cond = np.divide(largest, smallest, out=np.full_like(largest, np.inf), where=smallest > 0.0)
     bad = np.flatnonzero(cond > CONDITION_LIMIT)
     if bad.size:
@@ -193,10 +200,12 @@ def invert_dressed(dressed, rhs, z=None):
 class _Dressing:
     """Per-(model, pair, z) factorized data for kernel evaluations.
 
-    The dressing runs in the pair's spin frame U (BoundaryPair.frame):
-    solved holds, per group of frame.blocks, the (g, k, k) stack of the
-    blocks of U* C U for the correction C = (B Gamma + A)^{-1} B, and
-    charges maps vectors through U and each stack on its group's indices.
+    The dressing runs in the pair's spin frame U (BoundaryPair.frame), on
+    its charged channels J: solved holds, per group of frame.charged, the
+    (g, r, r) stack of the blocks of D_J^{-1} B_JJ, which is U* C U on J
+    for the correction C = (B Gamma + A)^{-1} B; C is 0 on every inert
+    channel's row and column. charges maps vectors through U and each
+    stack on its group's indices, and leaves the inert charges exactly 0.
     For a 1-D array of z, z, solved and condition carry a leading node
     axis; column needs the one-node case.
     """
@@ -204,14 +213,14 @@ class _Dressing:
     model: ModelSpec
     z: complex | np.ndarray
     frame: SpinFrame
-    solved: list  # per block group: the blocks of U* (Gamma^AB)^{-1} B U
+    solved: list  # per charged block group: the blocks of U* (Gamma^AB)^{-1} B U on J
     condition: float | np.ndarray
 
     def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
         """C s for overlap vectors s on the last axis of overlaps, one per node; C* s under adjoint."""
         inner = self.frame.rotate(overlaps, adjoint=True)
         out = np.zeros(np.shape(inner), dtype=complex)
-        for g, x in zip(self.frame.blocks, self.solved):
+        for g, x in zip(self.frame.charged, self.solved):
             x = x.conj().swapaxes(-1, -2) if adjoint else x
             out[..., g.index] = np.matmul(x, inner[..., g.index, None])[..., 0]
         return self.frame.rotate(out)
@@ -247,27 +256,34 @@ class _Dressing:
 
 
 def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
-    """Gamma(z), its dressing and the correction, on the blocks of the pair's spin frame.
+    """Gamma(z), its dressing and the correction, on the charged blocks of the pair's spin frame.
 
     U commutes with Gamma(z), so U* (B Gamma + A) U = B' Gamma + A' on the
-    frame's blocks, with (A', B') = (U* A U, U* B U); its condition number
-    is that of B Gamma + A. Gamma is one stack per group (_frame_plans).
-    z is one energy or a 1-D array of nodes. A node array is dressed as
-    (n_z, g, k, k) stacks, one values-only SVD and one solve per block
-    group for all nodes; the condition number is per node, and a
-    NearPoleError names the first node past the limit in array order.
+    frame's blocks, with (A', B') = (U* A U, U* B U). An inert channel of
+    (A', B') (boundary._charged_blocks) has zero charge at every z, so
+    only D_J = B'_JJ Gamma_JJ + A'_JJ on the charged channels J is formed,
+    one Gamma stack per group of frame.charged, and solved against B'_JJ.
+    The condition number is the exact 2-norm value of D_J's blocks with
+    each inert |a_i| as a 1 x 1 block: the dressed matrix without its
+    part coupling J to the inert channels, which is never above the
+    value of B Gamma + A, as the dressed matrix is block triangular in
+    (J, inert) order, and equal to it when no channel is inert. z is one
+    energy or a 1-D array of nodes. A node array is dressed as
+    (n_z, g, r, r) stacks, one values-only SVD and one solve per group
+    for all nodes; the condition number is per node, and a NearPoleError
+    names the first node past the limit in array order.
     """
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
     z = complex(z) if z.ndim == 0 else z
-    return _dress_gamma(model, pair, z, [plan(z)[0] for _, plan in _frame_plans(model, pair.frame(model))])
+    return _dress_gamma(model, pair, z, [_gamma_plan(model, g.index)(z)[0] for g in pair.frame(model).charged])
 
 
 def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gammas: list) -> _Dressing:
-    """_dress on given Gamma(z) stacks, one per group of the pair's frame blocks, for a pair its caller has gated."""
+    """_dress on given Gamma(z) stacks, one per group of the frame's charged blocks, for a pair its caller has gated."""
     frame = pair.frame(model)
-    dressed = [gamma_dressed(g, gamma) for g, gamma in zip(frame.blocks, gammas)]
-    return _Dressing(model, z, frame, *invert_dressed(dressed, [g.B for g in frame.blocks], z))
+    dressed = [gamma_dressed(g, gamma) for g, gamma in zip(frame.charged, gammas)]
+    return _Dressing(model, z, frame, *invert_dressed(dressed, [g.B for g in frame.charged], z, frame.inert))
 
 
 def _defect_factors(model: ModelSpec, z, points, s=None):

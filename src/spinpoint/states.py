@@ -136,7 +136,7 @@ class GaussianPacket:
 
 
 class UniformGrid:
-    """Uniform tensor grid; one axis for d=1, three for d=3."""
+    """Uniform tensor grid; one axis for d=1, three for d=3, each strictly increasing."""
 
     def __init__(self, *axes):
         if len(axes) not in (1, 3):
@@ -147,6 +147,8 @@ class UniformGrid:
             if ax.ndim != 1 or ax.size < 2 or not np.isfinite(ax).all():
                 raise ValueError("each axis must be a finite 1d array with at least 2 points")
             steps = np.diff(ax)
+            if not np.all(steps > 0.0):  # the trapezoid weights take the sign of the step
+                raise ValueError("each axis must strictly increase")
             if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
                 raise ValueError("axes must be uniformly spaced")
             cleaned.append(ax)

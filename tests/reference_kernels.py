@@ -13,7 +13,8 @@ overlap of two Green functions, brute-force quadrature oracles
 cross-check the fast paths in the main package, the presets' boundary
 pairs as dense m x m matrices, built entry by entry, against which the
 presets' sparse entries are checked, the dense correction matrix of
-a dressing, and the spectral evolution's cut correction summed node by
+a dressing, the dressing restricted to the charged channels from dense
+A and B, and the spectral evolution's cut correction summed node by
 node.
 """
 
@@ -415,6 +416,31 @@ def dressing_correction(dress):
     m, nodes = dress.model.defect_dim, np.shape(dress.z)
     unit = np.broadcast_to(np.eye(m).reshape((m,) + (1,) * len(nodes) + (m,)), (m,) + nodes + (m,))
     return np.moveaxis(dress.charges(unit), 0, -1)
+
+
+def charged_dressing(pair_A, pair_B, gamma):
+    """(correction, condition) of the dressing on the charged channels, from dense m x m A, B and Gamma.
+
+    Channel i is inert when row i and column i of B are 0 and row i of A
+    has its only nonzero entry a_i on the diagonal; J lists the others.
+    The correction is D_J^-1 B_JJ, D_J = B_JJ Gamma_JJ + A_JJ, scattered
+    into m x m with zeros on the inert rows and columns; the condition is
+    the largest over the smallest of the singular values of D_J and the
+    |a_i|.
+    """
+    m = pair_A.shape[0]
+    inert = [i for i in range(m)
+             if not pair_B[i, :].any() and not pair_B[:, i].any()
+             and pair_A[i, i] != 0.0 and np.count_nonzero(pair_A[i, :]) == 1]
+    J = [i for i in range(m) if i not in inert]
+    out = np.zeros((m, m), dtype=complex)
+    scales = [abs(pair_A[i, i]) for i in inert]
+    if J:
+        sub = np.ix_(J, J)
+        dressed = pair_B[sub] @ gamma[sub] + pair_A[sub]
+        out[sub] = np.linalg.solve(dressed, pair_B[sub])
+        scales.extend(np.linalg.svd(dressed, compute_uv=False))
+    return out, max(scales) / min(scales)
 
 
 # ---------------------------------------------------------------------------

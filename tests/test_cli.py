@@ -721,6 +721,47 @@ def test_state_number_fields_must_be_json_numbers(tmp_path, capsys, field, value
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("lo, hi", [(6.0, -6.0), (2.0, 2.0)])
+def test_state_grid_must_increase(tmp_path, capsys, lo, hi):
+    # lo > hi once evolved on a descending grid to "norm drift nan exceeds tolerance" (exit 3)
+    path = write_model(tmp_path, beta="-1.0")
+    state = _state_file(tmp_path)
+    doc = json.loads(state.read_text())
+    doc["grid"].update(lo=lo, hi=hi)
+    state.write_text(json.dumps(doc))
+    assert run("evolve", str(path), "--state", str(state), "--n-nodes", "64", "--out", str(tmp_path / "run")) == 1
+    assert capsys.readouterr().err.endswith("each axis must strictly increase\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dimension, positions, n", [(1, "0.0,1.5", 40), (3, "0,0,0;1.5,0,0", 6)], ids=["d1", "d3"])
+def test_evolve_snapshots_match_per_row_repr(tmp_path, dimension, positions, n):
+    """Each snapshot row is repr of the point's coordinates, the code, and repr of re and im, code-major."""
+    from spinpoint.dynamics import evolve_spectral
+
+    path = write_model(tmp_path, "offdiag", dimension, positions, alpha="0.3,0.55", betahat="0.8")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "schema": "spinpoint-state v1",
+        "components": [{"channel": 1, "center": [-1.0] * dimension, "momentum": [1.0] * dimension}],
+        "grid": {"lo": -4.0, "hi": 4.0, "n": n},
+    }))
+    outdir = tmp_path / "run"
+    assert run("evolve", str(path), "--state", str(state), "--t", "0.2,0.5", "--n-nodes", "32", "--tol", "1",
+               "--out", str(outdir)) == 0
+    model, pair, _ = cli.load_model(str(path))
+    packet, grid = cli.load_packet(str(state), model)
+    res = evolve_spectral(model, pair, packet, [0.2, 0.5], grid, n_nodes=32, drift_tol=1.0)
+    points = grid.points.reshape(grid.n_points, -1)
+    assert model.n_configs == 4
+    for i, snapshot in enumerate(res.states):
+        want = [",".join([*map(repr, map(float, points[k])), str(code), repr(float(v.real)), repr(float(v.imag))])
+                for code in range(model.n_configs) for k, v in enumerate(snapshot.values[code])]
+        lines = (outdir / f"state_{i:03d}.csv").read_text().split("\n")
+        body = [ln for ln in lines if ln and not ln.startswith("#")]
+        assert body[1:] == want
+
+
 @pytest.mark.parametrize("field, value", [("A", [[True, 0.0], [0.0, -1.0]]), ("B", [[1.0, [0.0, False]], [0.0, 1.0]]),
                                           ("positions", [[0.0, "0", 0.0]]), ("alpha", [True])])
 def test_model_number_fields_must_be_json_numbers(tmp_path, capsys, field, value):

@@ -335,9 +335,11 @@ def test_stacked_nodes_with_a_partial_last_chunk(monkeypatch):
     from spinpoint import dynamics
 
     model, pair, packet, grid = next(_evolve_cases())
-    n_radii = dynamics._ladder(model, grid)[1]  # per lam: one wave table row; per dressed node: four m x m matrices
+    # per lam: one wave table row; per dressed node: four r x r matrices per charged block
+    n_radii = dynamics._ladder(model, grid)[1]
     monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 37 * n_radii)  # 37 lam per wave chunk
-    stack = 37 * n_radii // (4 * model.defect_dim**2)  # lam per dressing stack
+    charged = sum(g.index.size * g.index.shape[1] for g in pair.frame(model).charged)
+    stack = 37 * n_radii // (4 * charged)  # lam per dressing stack
     res, diff, norms = _evolve_against_reference(model, pair, packet, np.array([0.4]), grid, 96)
     n = res.params["n_nodes"]
     assert stack not in (1, 37) and n % 37 != 0 and n % stack != 0 and n > 37
@@ -352,12 +354,12 @@ def test_cut_dresses_each_node_once(monkeypatch):
     dressed = []
     inner = krein.invert_dressed
 
-    def counted(stacks, rhs, z=None):
+    def counted(stacks, rhs, z=None, inert=()):
         dressed.append(np.size(z))
-        return inner(stacks, rhs, z)
+        return inner(stacks, rhs, z, inert)
 
     monkeypatch.setattr(krein, "invert_dressed", counted)
-    lam, wts = dynamics._cut_nodes(model, 96, spectral_defaults(model, packet)["lam_max"])
+    lam, wts = dynamics._cut_nodes(model, 256, spectral_defaults(model, packet)["lam_max"])
     dynamics._cut_correction(model, pair, packet, np.array([0.4]), grid, lam, wts)
     assert sum(dressed) == lam.size and len(dressed) > 1
 

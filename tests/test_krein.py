@@ -9,6 +9,7 @@ import pytest
 
 import reference_kernels as ref
 from spinpoint.boundary import (
+    BoundaryPair,
     preset_delta,
     preset_delta_prime,
     preset_free,
@@ -927,8 +928,60 @@ def test_dress_matches_dense_reference():
         expect = np.linalg.solve(dressed, pair.B)
         err = np.max(np.abs(ref.dressing_correction(dress) - expect))
         assert err <= 1e-12 * np.max(np.abs(expect)), (model.dimension, model.n_spins)
+        assert dress.condition == pytest.approx(ref.charged_dressing(pair.A, pair.B, gamma_free(model, z))[1],
+                                                rel=1e-12)
+        # the dressed matrix is block triangular in (charged, inert) order: never above its full value
         sv = np.linalg.svd(dressed, compute_uv=False)
-        assert dress.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        assert dress.condition <= sv[0] / sv[-1] * (1.0 + 1e-12)
+
+
+def _unchecked_d1_cases():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        model = model_d1(n, alpha=rng.uniform(-0.5, 0.5, size=n))
+        offdiag = preset_offdiag(model, rng.uniform(0.3, 1.5, size=(n, 2)))  # betahat_+ != betahat_-
+        delta = preset_delta(model, rng.normal(size=(n, 2)))
+        skewed = BoundaryPair(1, n, delta.A, (1.0 + 0.5j) * delta.B)  # A B* - B A* != 0
+        for pair in (offdiag, skewed):
+            assert not pair.validation().is_valid
+            yield model, pair
+
+
+def test_unchecked_pairs_match_the_dense_solve():
+    """Non-Hermitian d=1 pairs: the charged-channel dressing is still the full (B Gamma + A)^-1 B."""
+    from spinpoint.krein import _dress
+
+    z = -0.8 + 0.45j
+    for model, pair in _unchecked_d1_cases():
+        assert sum(g.index.size for g in pair.frame(model).charged) == model.defect_dim // 2  # the charge layer
+        dress = _dress(model, pair, z, unchecked=True)
+        expect = np.linalg.solve(pair.B @ gamma_free(model, z) + pair.A, pair.B)
+        assert np.max(np.abs(ref.dressing_correction(dress) - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_charged_counts_that_differ_between_blocks():
+    """A delta table with one zero entry: that channel is inert too, and its block keeps fewer channels."""
+    from spinpoint.krein import _dress
+
+    z = -1.1 + 0.6j
+    for model in (model_d1(2, alpha=[0.3, 0.55]), model_d1(3, alpha=[0.3, 0.55, -0.2])):
+        n = model.n_spins
+        beta = -1.0 - np.arange(2 * n, dtype=float).reshape(n, 2) / 4.0
+        beta[1, 0] = 0.0  # site 2, sigma_2 = +1: no coupling
+        pair = preset_delta(model, beta)
+        frame = pair.frame(model)
+        assert [g.index.shape for g in frame.charged] == [(model.n_configs // 2, n - 1), (model.n_configs // 2, n)]
+        dress = _dress(model, pair, z)
+        gamma = gamma_free(model, z)
+        expect = np.linalg.solve(pair.B @ gamma + pair.A, pair.B)
+        assert np.max(np.abs(ref.dressing_correction(dress) - expect)) <= 1e-12 * np.max(np.abs(expect))
+        want, cond = ref.charged_dressing(pair.A, pair.B, gamma)
+        got = ref.dressing_correction(dress)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert dress.condition == pytest.approx(cond, rel=1e-12)
+        inert = np.setdiff1d(np.arange(model.defect_dim), np.concatenate([g.index.ravel() for g in frame.charged]))
+        assert inert.size == model.defect_dim // 2 + 2**(n - 1)  # the dipole layer and the uncoupled channels
+        assert not got[inert].any() and not got[:, inert].any()  # their charges are exactly 0
 
 
 def test_near_pole_in_one_block_of_several():
@@ -993,8 +1046,7 @@ def test_node_axis_matches_one_node_calls(model, pair, points, packet):
     # the condition number is that node's own, not the stack's
     assert dress.condition.shape == NODES.shape
     for z, cond in zip(NODES, dress.condition):
-        sv = np.linalg.svd(pair.B @ gamma_free(model, z) + pair.A, compute_uv=False)
-        assert cond == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        assert cond == pytest.approx(ref.charged_dressing(pair.A, pair.B, gamma_free(model, z))[1], rel=1e-12)
     assert np.ptp(dress.condition) > 0.0
 
 
@@ -1066,8 +1118,8 @@ def test_rotated_dressing_matches_dense_reference():
         dressed = pair.B @ gamma_free(model, z) + pair.A
         ref_corr = np.linalg.solve(dressed, pair.B)
         assert np.max(np.abs(ref.dressing_correction(dress) - ref_corr)) <= 1e-12 * np.max(np.abs(ref_corr))
-        sv = np.linalg.svd(dressed, compute_uv=False)
-        assert dress.condition == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+        assert dress.condition == pytest.approx(ref.charged_dressing(pair.A, pair.B, gamma_free(model, z))[1],
+                                                rel=1e-12)
         stacked = _dress(model, pair, NODES)
         _assert_stacked(ref.dressing_correction(stacked),
                         [ref.dressing_correction(_dress(model, pair, w)) for w in NODES])
@@ -1098,7 +1150,7 @@ def test_rotated_kernel_matches_closed_form_and_dense_solve():
 
 
 def test_identity_frame_keeps_the_block_path():
-    """Pairs with U = I: the kernel is bit for bit the unrotated block computation."""
+    """Pairs with U = I: the kernel is bit for bit the unrotated block computation on the charged channels."""
     from spinpoint.krein import _dress
     from spinpoint.spins import channel_sum
 
@@ -1112,17 +1164,18 @@ def test_identity_frame_keeps_the_block_path():
                                    (model, preset_offdiag(model, rng.normal(size=(3, 2))), True)):
             assert pair.frame(m).sites == ()
             gamma = gamma_free(m, z)
-            block = np.zeros_like(gamma)
-            for g in pair.blocks():
-                sub = (g.index[:, :, None], g.index[:, None, :])
-                block[sub] = np.linalg.solve(g.B @ gamma[sub] + g.A, g.B)
-            dress = _dress(m, pair, z, unchecked)
-            assert np.array_equal(ref.dressing_correction(dress), block)
             x, xp = (0.37, -0.81) if d == 1 else (np.array([0.3, -0.2, 0.5]), np.array([-0.4, 0.6, 0.1]))
             chan = channel_tables(m)[2]
             src = np.where(chan == 1, defect_matrix(m, z, _point(m, xp))[:, 0], 0.0)
+            block, weights = np.zeros_like(gamma), np.zeros_like(src)
+            for g in pair.frame(m).charged:
+                sub = (g.index[:, :, None], g.index[:, None, :])
+                block[sub] = np.linalg.solve(g.B @ gamma[sub] + g.A, g.B)
+                weights[g.index] = np.matmul(block[sub], src[g.index][..., None])[..., 0]
+            dress = _dress(m, pair, z, unchecked)
+            assert np.array_equal(ref.dressing_correction(dress), block)
             for code in (1, 2):
-                want = channel_sum(m, block @ src, defect_matrix(m, z, _point(m, x)))[code, 0]
+                want = channel_sum(m, weights, defect_matrix(m, z, _point(m, x)))[code, 0]
                 if code == 1:
                     want = green(d, z - m.shifts()[1], np.asarray(x) - np.asarray(xp), allow_cut=True) + want
                 got = kernel_evaluator(m, pair, z, xp, 1, unchecked=unchecked)(x, code)

@@ -107,6 +107,15 @@ def test_grid_rejects_nonuniform_axes():
         UniformGrid(np.array([0.0, 0.5, 2.0]))
 
 
+def test_grid_rejects_axes_that_do_not_increase():
+    # a descending axis once gave trapezoid weights summing to -12, and norm() NaN
+    up = np.linspace(-6.0, 6.0, 49)
+    for axes in ((up[::-1],), (np.zeros(5),), (up, up, up[::-1]), (up, np.full(3, 2.0), up)):
+        with pytest.raises(ValueError, match="strictly increase"):
+            UniformGrid(*axes)
+    assert np.sum(UniformGrid(up).weights) == pytest.approx(12.0)
+
+
 def test_grid_rejects_non_finite_bounds():
     for lo in (np.nan, -np.inf):
         with pytest.raises(ValueError, match="finite"):
