@@ -100,24 +100,31 @@ class SpinFrame(NamedTuple):
         return np.moveaxis(v.reshape(shape), -1, axis)
 
 
-def _joint_basis(mats: np.ndarray):
-    """Unitary U with U* M U diagonal for every M of a (k, 2, 2) stack, or None.
+def _joint_bases(mats: np.ndarray) -> dict:
+    """{j: U_j}, U_j unitary with U_j* M U_j diagonal for every 2 x 2 M of site j in the table mats.
 
-    None also when every M is diagonal already, without arithmetic. U is
-    the eigenbasis of one fixed generic Hermitian combination of the
-    Hermitian and skew-Hermitian parts of the M (the random-element
-    method of Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl.
-    Math. 27, 2010). It diagonalizes them all when they commute and are
-    normal, which is checked on the result.
+    mats is a local pair's (2, P, P, N, 2, 2) table (_site_matrices). A
+    site whose 2 x 2s are all diagonal already has no U_j, without
+    arithmetic. U_j is the eigenbasis of one fixed generic Hermitian
+    combination of the Hermitian and skew-Hermitian parts of site j's
+    M (the random-element method of Murota, Kanno, Kojima and Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010), one stacked eigh for all
+    sites. It diagonalizes them all when they commute and are normal,
+    which is checked on the result; a site where it does not has no U_j.
     """
-    if not (mats[:, 0, 1].any() or mats[:, 1, 0].any()):
-        return None
-    adj = mats.conj().swapaxes(-1, -2)
-    parts = np.concatenate([mats + adj, 1j * (mats - adj)])
-    u = np.linalg.eigh(np.tensordot(np.sqrt(np.arange(2, 2 + len(parts))), parts, axes=1))[1]
-    rot = u.conj().T @ mats @ u
-    off = np.maximum(np.abs(rot[:, 0, 1]), np.abs(rot[:, 1, 0]))
-    return u if np.max(off) <= FRAME_RTOL * np.max(np.abs(mats)) else None
+    per_site = mats.transpose(3, 0, 1, 2, 4, 5).reshape(mats.shape[3], -1, 2, 2)  # (N, 2 P P, 2, 2)
+    sites = np.flatnonzero(per_site[:, :, 0, 1].any(axis=1) | per_site[:, :, 1, 0].any(axis=1))
+    if not sites.size:
+        return {}
+    m = per_site[sites]
+    adj = m.conj().swapaxes(-1, -2)
+    parts = np.concatenate([m + adj, 1j * (m - adj)], axis=1)
+    combination = np.sqrt(np.arange(2, 2 + parts.shape[1])) @ parts.reshape(len(sites), -1, 4)
+    u = np.linalg.eigh(combination.reshape(-1, 2, 2))[1]
+    rot = u.conj().swapaxes(-1, -2)[:, None] @ m @ u[:, None]
+    off = np.maximum(np.abs(rot[..., 0, 1]), np.abs(rot[..., 1, 0]))
+    ok = np.max(off, axis=1) <= FRAME_RTOL * np.max(np.abs(m), axis=(1, 2, 3))
+    return {int(j) + 1: uj for j, uj, good in zip(sites, u, ok) if good}
 
 
 class PairEntries(NamedTuple):
@@ -137,15 +144,17 @@ class BoundaryPair:
     """Interface matrices for a given dimension and spin count, held by their nonzero entries.
 
     BoundaryPair(d, N, A, B) reads the entries (PairEntries) of dense m x m
-    input in one scan; the presets write theirs with _local_pair. The m x m
-    A and B are read-only views built from the entries on first read, for
-    output and tests: validation, components, blocks and frames read them.
-    Two partitions of the defect indices are cached as BlockGroups ascending
-    in block size: components(), the finest on which A and B are block
-    diagonal (for validation), and blocks(), on which B Gamma(z) + A is
-    block diagonal for every z. The solvers run on frame(model).blocks, the
-    blocks of the pair in its spin frame. Pairs are equal when dimension,
-    spin count and entries are.
+    input in one scan; the presets write theirs with _local_pair, which
+    also keeps the site table they were written from (_site_matrices). The
+    m x m A and B are read-only views built from the entries on first read,
+    for output and tests: validation, components, blocks and frames read
+    the entries or the site table. blocks() are the BlockGroups, ascending
+    in block size, on which B Gamma(z) + A is block diagonal for every z;
+    a local pair reads them off its site table in closed form, any other
+    pair partitions its entries (_partition), as components() does, the
+    finest blocks of A and B, for validating a pair that is not local. The
+    solvers run on frame(model).blocks, the blocks of the pair in its spin
+    frame. Pairs are equal when dimension, spin count and entries are.
     """
 
     def __init__(self, dimension: int, n_spins: int, A, B):
@@ -217,9 +226,14 @@ class BoundaryPair:
         return self._report
 
     def components(self) -> "tuple[BlockGroup, ...]":
-        """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges."""
+        """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges.
+
+        validate reads them for a pair that is not local; a local pair's are
+        the copies of its site components (_site_components).
+        """
         if self._components is None:
-            self._components = self._grouped([np.stack(self.entries[:2], axis=1)])
+            groups = _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1)])
+            self._components = tuple(BlockGroup(index, *self._block_entries(index)) for index in groups)
         return self._components
 
     def blocks(self) -> "tuple[BlockGroup, ...]":
@@ -230,7 +244,10 @@ class BoundaryPair:
 
     @functools.cached_property
     def _block_index(self) -> "tuple[np.ndarray, ...]":
-        """The index stacks of blocks(), without their values."""
+        """The index stacks of blocks(), without their values: _coset_blocks for a local pair, else _partition."""
+        mats = self._site_matrices
+        if mats is not None:
+            return _coset_blocks(mats)
         return _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1), channel_blocks(self)])
 
     def frame(self, model: ModelSpec) -> SpinFrame:
@@ -254,10 +271,10 @@ class BoundaryPair:
         if not sites:  # not cached: a frame holding its own pair would keep the pair in a reference cycle
             return SpinFrame(sites, (), self)
         if sites not in self._frames:
+            u, at = np.array([bases[j] for j in sites]), np.array(sites) - 1
             rot = mats.copy()
-            for j in sites:
-                diag = np.einsum("ab,...ac,cb->...b", bases[j].conj(), rot[:, :, :, j - 1], bases[j])
-                rot[:, :, :, j - 1] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
+            diag = np.einsum("jab,...jac,jcb->...jb", u.conj(), mats[:, :, :, at], u)
+            rot[:, :, :, at] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
             self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), _local_pair(self, *rot))
         return self._frames[sites]
 
@@ -265,9 +282,11 @@ class BoundaryPair:
     def _site_matrices(self):
         """mats[w, p, p', j - 1], the 2 x 2 of A (w = 0) or B (w = 1) at site j; None for a pair that is not local.
 
-        mats reads the entries at the slots of spectator configuration 0
-        (spins.site_slots) in one search; the pair is local (is_local) exactly
-        when _local_pair writes it back from mats. No m x m matrix is formed.
+        A pair written by _local_pair holds the table it was written from,
+        and this search never runs. Otherwise mats reads the entries at the
+        slots of spectator configuration 0 (spins.site_slots) in one search;
+        the pair is local (is_local) exactly when _local_pair writes it back
+        from mats. No m x m matrix is formed.
         """
         m = self.defect_dim
         rows, cols, a, b = self.entries
@@ -286,18 +305,19 @@ class BoundaryPair:
 
     @functools.cached_property
     def _site_bases(self):
-        """(mats, bases): the 2 x 2s of a local pair (_site_matrices); bases[j] = U_j (_joint_basis) if j rotates."""
+        """(mats, bases): the 2 x 2s of a local pair (_site_matrices); bases[j] = U_j if j rotates.
+
+        The bases of all sites come from one stacked eigh (_joint_bases).
+        """
         mats = self._site_matrices
-        per_site = () if mats is None else np.moveaxis(mats, 3, 0).reshape(self.n_spins, -1, 2, 2)
-        bases = {j: _joint_basis(m) for j, m in enumerate(per_site, start=1)}
-        return mats, {j: u for j, u in bases.items() if u is not None}
+        return mats, {} if mats is None else _joint_bases(mats)
 
     def _block_entries(self, index: np.ndarray):
         """(A, B) on the (g, k, k) blocks of index, scattered from the entries with row and column in index.
 
         An entry whose row and column both lie in index must lie in one
-        block, as on the unions of components that _grouped forms and on
-        their subsets (_charged_blocks).
+        block, as on components, on their unions (blocks) and on subsets
+        of those (_charged_blocks).
         """
         g, k = index.shape
         at = np.full(self.defect_dim, -1)
@@ -308,10 +328,6 @@ class BoundaryPair:
         out = np.zeros((2, g * k * k), dtype=complex)
         out[:, r[on] * k + at[cols[on]] % k] = a[on], b[on]
         return out.reshape(2, g, k, k)
-
-    def _grouped(self, chains) -> "tuple[BlockGroup, ...]":
-        """The blocks of _partition(defect_dim, chains), with the pair's values on them."""
-        return tuple(BlockGroup(index, *self._block_entries(index)) for index in _partition(self.defect_dim, chains))
 
 
 def _charged_blocks(pair: BoundaryPair):
@@ -354,6 +370,54 @@ def _charged_blocks(pair: BoundaryPair):
         groups.append(BlockGroup(index, *pair._block_entries(index)))
     scale = np.abs(a[lone][inert[lone_rows]])
     return tuple(groups), (float(scale.min()), float(scale.max()))
+
+
+def _coset_blocks(mats: np.ndarray) -> "tuple[np.ndarray, ...]":
+    """_partition(m, [entries, channel_blocks]) of the local pair with the site table mats, in closed form.
+
+    Gamma(z) joins the channels of each spin code, and an entry of a
+    local pair joins two codes only where a site's 2 x 2 has an
+    off-diagonal entry, the codes then differing in that site's bit
+    alone. With F the sites that have one (in A or B, at any layer pair),
+    every block is thus the channels of one coset code + span{bits of F}:
+    one stack of equal blocks, each ascending in flat order, the rows
+    ascending by their smallest code.
+    """
+    _, layers, _, n = mats.shape[:4]
+    flips = ((mats[..., 0, 1] != 0.0) | (mats[..., 1, 0] != 0.0)).any(axis=(0, 1, 2))
+    bits = int(flips @ (1 << np.arange(n)))
+    codes = np.arange(2**n)
+    span, reps = codes[(codes & ~bits) == 0], codes[(codes & bits) == 0]
+    index = (np.arange(layers * n)[:, None] * 2**n + span).ravel() + reps[:, None]  # (p, j) major, then code
+    index.setflags(write=False)
+    return (index,)
+
+
+def _site_components(mats: np.ndarray) -> list:
+    """(A, B) stacks of the components of the N site graphs of the site table mats, one per component size.
+
+    Site j's graph joins (p, s) and (p', s') where its 2 x 2s of A or B
+    have an entry at (p, p', s, s'). Copied over the 2**(N-1) spectator
+    configurations, its components are those of the pair
+    (BoundaryPair.components), each in flat order there as here, ordered
+    by (p, s). A component has at most 2 P <= 4 nodes, so two squarings
+    of the reachability matrix close it.
+    """
+    _, layers, _, n = mats.shape[:4]
+    site = mats.transpose(0, 3, 1, 4, 2, 5).reshape(2, n, 2 * layers, 2 * layers)  # [w, j - 1, (p, s), (p', s')]
+    link = (site != 0.0).any(axis=0)
+    reach = link | link.swapaxes(1, 2) | np.eye(2 * layers, dtype=bool)
+    for _ in range(2):
+        reach = reach @ reach
+    size = reach.sum(axis=2)
+    root = reach.argmax(axis=2) == np.arange(2 * layers)  # the smallest node of its component
+    out = []
+    for k in np.unique(size):
+        j, node = np.nonzero(root & (size == k))
+        nodes = np.nonzero(reach[j, node])[1].reshape(-1, k)
+        sub = (j[:, None, None], nodes[:, :, None], nodes[:, None, :])
+        out.append((site[0][sub], site[1][sub]))
+    return out
 
 
 def _partition(m: int, chains) -> "tuple[np.ndarray, ...]":
@@ -409,24 +473,33 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     rank of (A | B) is counted from singular values above a relative
     threshold of 1e-10.
 
-    Neither needs Gamma(z): both are computed on the pair's components
-    (BoundaryPair.components), where A and B are block diagonal, so
-    A B* - B A* vanishes off them and the singular values of (A | B),
-    ranked against the largest, are the union of those of the (A_k | B_k).
-    A B* - B A* is formed, and held against the tolerance, with A and B
-    scaled exactly to max-abs below 1 by powers of two, so it is finite
-    at any scale; the report gives both at the pair's own scale.
+    Neither needs Gamma(z): both are computed on the pair's components,
+    where A and B are block diagonal, so A B* - B A* vanishes off them
+    and the singular values of (A | B), ranked against the largest, are
+    the union of those of the (A_k | B_k). A local pair's components are
+    the 2**(N-1) copies of its site components (_site_components), read
+    off its site table: one copy of each is factored, and its singular
+    values count 2**(N-1) times. Any other pair's are cached by
+    BoundaryPair.components. A B* - B A* is formed, and held against the
+    tolerance, with A and B scaled exactly to max-abs below 1 by powers
+    of two, so it is finite at any scale; the report gives both at the
+    pair's own scale.
     """
     norms = [float(np.max(np.abs(x), initial=0.0)) for x in pair.entries[2:]]  # every nonzero is an entry
     mantissas, (ka, kb) = np.frexp(norms)
+    mats = pair._site_matrices
+    if mats is None:
+        stacks, copies = [(group.A, group.B) for group in pair.components()], 1
+    else:
+        stacks, copies = _site_components(mats), 2 ** (pair.n_spins - 1)
     scaled = 0.0  # max|A B* - B A*| / 2**(ka + kb)
     sv = []
-    for group in pair.components():
-        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((group.A, ka), (group.B, kb)))
+    for A, B in stacks:
+        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((A, ka), (B, kb)))
         ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
         scaled = max(scaled, float(np.max(np.abs(a @ bh - b @ ah))))
-        sv.append(np.linalg.svd(np.concatenate([group.A, group.B], axis=-1), compute_uv=False).ravel())
-    sv = np.sort(np.concatenate(sv))[::-1]
+        sv.append(np.linalg.svd(np.concatenate([A, B], axis=-1), compute_uv=False).ravel())
+    sv = np.sort(np.repeat(np.concatenate(sv), copies))[::-1]
     with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
         if tol is None:
             tol = HERMITICITY_RTOL * (norms[0] * norms[1])
@@ -440,7 +513,7 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
         is_valid=ok,
         hermiticity_defect=defect,
         rank=rank,
-        is_local=is_local(pair),
+        is_local=mats is not None,
         singular_values=sv,
         tol=tol,
     )
@@ -475,8 +548,9 @@ def is_local(pair: BoundaryPair) -> bool:
     Requires (i) no coupling across distinct sites, (ii) no dependence
     on spins other than the one at the shared site, and (iii) surviving
     entries identical across the spectator spins' configurations. Such a
-    pair is its 2 x 2 site matrices (_site_matrices), so it is local
-    exactly when _local_pair writes it back from them.
+    pair is its 2 x 2 site matrices (_site_matrices): a pair written by
+    _local_pair is local by construction, and any other is local exactly
+    when _local_pair writes it back from the matrices read off its slots.
     """
     return pair._site_matrices is not None
 
@@ -487,11 +561,20 @@ def _local_pair(space, a, b) -> BoundaryPair:
     a[p, p', j - 1, s, s'] is the value of A at every slot (p, p', j, s, s')
     of spins.site_slots, whatever the spectator spins; likewise b for B.
     space is a ModelSpec or a BoundaryPair. The values are copied along
-    the spectator axis, so that _from_entries broadcasts nothing for full input.
+    the spectator axis, so that _from_entries broadcasts nothing for full
+    input. The pair keeps the (2, P, P, N, 2, 2) table of a and b as its
+    _site_matrices, with +0 where both are 0, as the slot search reads an
+    absent entry.
     """
     rows, cols = site_slots(space)
-    a, b = (np.asarray(x, dtype=complex)[..., None].repeat(rows.shape[-1], -1) for x in (a, b))
-    return BoundaryPair._from_entries(space.dimension, space.n_spins, rows, cols, a, b)
+    mats = np.empty((2,) + rows.shape[:-1], dtype=complex)
+    mats[0], mats[1] = a, b
+    np.copyto(mats, 0.0, where=(mats == 0.0).all(axis=0))
+    pair = BoundaryPair._from_entries(space.dimension, space.n_spins, rows, cols,
+                                      *mats[..., None].repeat(rows.shape[-1], -1))
+    mats.setflags(write=False)
+    pair.__dict__["_site_matrices"] = mats  # the cached_property's slot: the search never runs
+    return pair
 
 
 def _identity(space) -> np.ndarray:

@@ -79,6 +79,7 @@ class _Reduced(NamedTuple):
     lam: np.ndarray  # (g, r, r)
     charge: bool  # every row of H_k lies in the d=1 charge layer
     mu: np.ndarray  # (g,) the lowest Zeeman shift of each block's rows: its own threshold
+    unitary: bool  # every B_k is unitary: all its singular values are 1 to rounding
 
     def hermitian(self, gamma: np.ndarray, sel) -> np.ndarray:
         """H_k of the blocks sel from the stack of their plan's Gamma; leading axes carry through."""
@@ -106,12 +107,14 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
     block Gamma_k[J, J] plus R Lambda R*: no product, and the plan
     evaluates those rows only. J is the whole block where B_k is
     invertible, and R Lambda R* = B_k^-1 A_k there. Lambda is made
-    Hermitian: no change for an admissible pair.
+    Hermitian: no change for an admissible pair. unitary is read off the
+    same singular values: then cols and v are None.
     """
     p, _, code = channel_tables(model)
     out = []
     for g, dress in _frame_plans(model, frame):
         w, s, vh = np.linalg.svd(g.B)
+        unitary = bool(np.all(np.abs(s - 1.0) <= s.shape[-1] * np.finfo(float).eps))
         keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
         r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
         w, s, vh, keep = w[..., :r], s[:, :r], vh[:, :r], keep[:, :r]
@@ -130,7 +133,7 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
                 cols, rows = support, np.take_along_axis(g.index, support, axis=1)
                 plan = krein._gamma_plan(model, rows)
         charge = model.dimension == 1 and v is None and not p[rows].any()
-        out.append(_Reduced(g, dress, cols, plan, v, lam, charge, np.min(model.shifts()[code[rows]], axis=1)))
+        out.append(_Reduced(g, dress, cols, plan, v, lam, charge, np.min(model.shifts()[code[rows]], axis=1), unitary))
     return out
 
 
@@ -171,6 +174,13 @@ def _eigenpairs(h: np.ndarray, lo, up) -> list:
         return [scipy.linalg.eigh(m, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
     lam, y = np.linalg.eigh(h)
     return [(lm[i:j], ym[:, i:j]) for lm, ym, i, j in zip(lam, y, lo, up)]
+
+
+def _eigenvalues(h: np.ndarray, lo, up) -> list:
+    """Eigenvalues lo[i]..up[i] - 1, ascending, of each matrix h[i] of a Hermitian stack (_eigenpairs' values)."""
+    if h.shape[-1] > 16:
+        return [scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
+    return [lm[i:j] for lm, i, j in zip(np.linalg.eigvalsh(h), lo, up)]
 
 
 def _crossing(red: list, energy: np.ndarray, blocks: np.ndarray, index: np.ndarray):
@@ -290,14 +300,21 @@ def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[floa
                      f"did not fall to its limit {limit}")
 
 
-def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list) -> list[BoundState]:
+def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked: bool) -> list[BoundState]:
     """Bound states at roots bracketed by per-block counts, found = [(energy, n_below, n_above)].
 
     Every block whose count jumps is dressed at its level's energy, all
-    levels at once: one paired plan call, one stacked SVD of B_k Gamma_k
-    + A_k and one stacked eigh per group. Eigenvalue i of H_k is
-    nonincreasing in E, so those with n_below <= i < n_above cross zero:
-    their eigenvectors, mapped back to the defect space, span the charges.
+    levels at once: one paired plan call and one stacked eigh per group.
+    Eigenvalue i of H_k is nonincreasing in E, so those with n_below <= i
+    < n_above cross zero: their eigenvectors, mapped back to the defect
+    space, span the charges. The smallest singular value of B_k Gamma_k
+    + A_k takes one stacked SVD of it, except in a group of unitary B_k
+    of a checked (admissible) pair: there B_k Gamma_k + A_k = B_k H_k, so
+    its singular values are the |eigenvalues| of H_k, and the smallest
+    lies among the crossing ones and their two neighbours, i = n_below -
+    1 .. n_above (_eigenvalues). The eigenvectors stay those of the
+    crossing eigenvalues alone, as a subset eigh over the wider range
+    could rotate them towards a neighbour that is nearly 0 as well.
     """
     energy = np.array([e for e, _, _ in found])
     lo, up = np.array([n for _, n, _ in found]), np.array([n for _, _, n in found])
@@ -305,12 +322,20 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list) -> list[
     sigma, vectors = np.full(energy.size, np.inf), [None] * level.size
     for rd, at, sel in _groups(red, blocks):
         gamma = rd.dress(energy[level[at]], sel, paired=True)[0]
-        dressed = gamma_dressed(BlockGroup(rd.group.index[sel], rd.group.A[sel], rd.group.B[sel]), gamma)
-        np.minimum.at(sigma, level[at], np.linalg.svd(dressed, compute_uv=False)[:, -1])
-        if rd.cols is not None:
-            cols = rd.cols[sel]
-            gamma = np.take_along_axis(np.take_along_axis(gamma, cols[:, :, None], axis=1), cols[:, None, :], axis=2)
-        pairs = _eigenpairs(rd.hermitian(gamma, sel), lo[level[at], blocks[at]], up[level[at], blocks[at]])
+        first, last = lo[level[at], blocks[at]], up[level[at], blocks[at]]
+        if checked and rd.unitary:
+            h = rd.hermitian(gamma, sel)
+            near = _eigenvalues(h, np.maximum(first - 1, 0), np.minimum(last + 1, h.shape[-1]))
+            np.minimum.at(sigma, level[at], [np.min(np.abs(val)) for val in near])
+            pairs = _eigenpairs(h, first, last)
+        else:
+            dressed = gamma_dressed(BlockGroup(rd.group.index[sel], rd.group.A[sel], rd.group.B[sel]), gamma)
+            np.minimum.at(sigma, level[at], np.linalg.svd(dressed, compute_uv=False)[:, -1])
+            if rd.cols is not None:
+                cols = rd.cols[sel]
+                gamma = np.take_along_axis(gamma, cols[:, :, None], axis=1)
+                gamma = np.take_along_axis(gamma, cols[:, None, :], axis=2)
+            pairs = _eigenpairs(rd.hermitian(gamma, sel), first, last)
         for i, b, rows, (_, y) in zip(at, sel, rd.rows(sel), pairs):
             vectors[i] = np.zeros((y.shape[1], model.defect_dim), dtype=complex)
             vectors[i][:, rows] = (y if rd.v is None else rd.v[b] @ y).T
@@ -366,7 +391,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         if not blocks.size:
             continue
         if b - a <= tol * (1.0 + abs(a)) or not a < mid < b:
-            states += _levels(model, frame, red, [(mid, na, nb)])
+            states += _levels(model, frame, red, [(mid, na, nb)], not unchecked)
             continue
 
         # levels cluster: each block starts from its last root found, or the midpoint before its first
@@ -400,7 +425,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
                 gaps.append((x0, n0, x1, n1))
             elif np.any(n1 > n0):
                 found.append((0.5 * (x0 + x1), n0, n1))
-        states += _levels(model, frame, red, found) if found else []
+        states += _levels(model, frame, red, found, not unchecked) if found else []
         stack += gaps[::-1]
     return sorted(states, key=lambda st: st.energy)
 

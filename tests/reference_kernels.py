@@ -12,10 +12,12 @@ overlap of two Green functions, brute-force quadrature oracles
 (free-resolvent overlaps, two-center product integrals) used to
 cross-check the fast paths in the main package, the presets' boundary
 pairs as dense m x m matrices, built entry by entry, against which the
-presets' sparse entries are checked, the dense correction matrix of
-a dressing, the dressing restricted to the charged channels from dense
-A and B, and the spectral evolution's cut correction summed node by
-node.
+presets' sparse entries are checked, the validation report as a loop
+over a pair's components and the spin frame's bases site by site,
+against which the site-table paths of local pairs are checked, the
+dense correction matrix of a dressing, the dressing restricted to the
+charged channels from dense A and B, and the spectral evolution's cut
+correction summed node by node.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import numpy as np
 from scipy import integrate, optimize
 
+from spinpoint.boundary import FRAME_RTOL, HERMITICITY_RTOL, RANK_RTOL, ValidationReport, is_local
 from spinpoint.greens import _check_energy, _dist, green, sqrt_upper
 from spinpoint.spins import channel_tables
 
@@ -401,6 +404,60 @@ def one_center_product_integral_3d(z1, z2, n=4000):
     wr = 0.5 * rmax * wr
     vals = np.exp(1.0j * (s1 + s2) * rs) / (4.0 * np.pi) ** 2
     return complex(4.0 * np.pi * np.sum(wr * vals))
+
+
+# ---------------------------------------------------------------------------
+# validation and spin-frame bases without the site table
+# ---------------------------------------------------------------------------
+
+def component_report(pair, tol=None):
+    """boundary.validate as one loop over BoundaryPair.components, every copy of every component factored."""
+    norms = [float(np.max(np.abs(x), initial=0.0)) for x in pair.entries[2:]]  # every nonzero is an entry
+    mantissas, (ka, kb) = np.frexp(norms)
+    scaled = 0.0  # max|A B* - B A*| / 2**(ka + kb)
+    sv = []
+    for group in pair.components():
+        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((group.A, ka), (group.B, kb)))
+        ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
+        scaled = max(scaled, float(np.max(np.abs(a @ bh - b @ ah))))
+        sv.append(np.linalg.svd(np.concatenate([group.A, group.B], axis=-1), compute_uv=False).ravel())
+    sv = np.sort(np.concatenate(sv))[::-1]
+    with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
+        if tol is None:
+            tol = HERMITICITY_RTOL * (norms[0] * norms[1])
+            scaled_tol = HERMITICITY_RTOL * (mantissas[0] * mantissas[1])
+        else:
+            scaled_tol = np.ldexp(tol, -(ka + kb))
+        defect = float(np.ldexp(scaled, ka + kb))
+    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+    ok = bool(scaled <= scaled_tol) and rank == pair.defect_dim
+    return ValidationReport(
+        is_valid=ok,
+        hermiticity_defect=defect,
+        rank=rank,
+        is_local=is_local(pair),
+        singular_values=sv,
+        tol=tol,
+    )
+
+
+def joint_basis(mats):
+    """Unitary U with U* M U diagonal for every M of one site's (k, 2, 2) stack, or None; one eigh per site."""
+    if not (mats[:, 0, 1].any() or mats[:, 1, 0].any()):
+        return None
+    adj = mats.conj().swapaxes(-1, -2)
+    parts = np.concatenate([mats + adj, 1j * (mats - adj)])
+    u = np.linalg.eigh(np.tensordot(np.sqrt(np.arange(2, 2 + len(parts))), parts, axes=1))[1]
+    rot = u.conj().T @ mats @ u
+    off = np.maximum(np.abs(rot[:, 0, 1]), np.abs(rot[:, 1, 0]))
+    return u if np.max(off) <= FRAME_RTOL * np.max(np.abs(mats)) else None
+
+
+def site_bases(mats):
+    """{j: U_j} from joint_basis on each site j of a (2, P, P, N, 2, 2) site table, site by site."""
+    per_site = np.moveaxis(mats, 3, 0).reshape(mats.shape[3], -1, 2, 2)
+    bases = {j: joint_basis(m) for j, m in enumerate(per_site, start=1)}
+    return {j: u for j, u in bases.items() if u is not None}
 
 
 # ---------------------------------------------------------------------------

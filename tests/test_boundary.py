@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
+from spinpoint import boundary
 from spinpoint.boundary import (
     BoundaryPair,
     ValidationReport,
@@ -16,7 +17,7 @@ from spinpoint.boundary import (
     preset_offdiag,
     random_valid_pair,
 )
-from spinpoint.spins import ModelSpec, channel_tables
+from spinpoint.spins import ModelSpec, channel_blocks, channel_tables
 
 
 def model_for(dimension, n):
@@ -500,6 +501,77 @@ def test_presets_match_dense_reference():
         assert np.array_equal(rep.singular_values, want.singular_values)
         assert ((rep.is_valid, rep.hermiticity_defect, rep.rank, rep.is_local, rep.tol)
                 == (want.is_valid, want.hermiticity_defect, want.rank, want.is_local, want.tol))
+
+
+def _site_table_pairs():
+    """Each _preset_cases pair, its frame pair at zero field and its dense copy; a local pair given densely with a beta table."""
+    for model, pair, (A, B) in _preset_cases():
+        yield pair
+        yield pair.frame(_zero_field_model(model.dimension, model.n_spins)).pair
+        yield BoundaryPair(model.dimension, model.n_spins, A, B)
+    model = model_for(1, 3)
+    yield BoundaryPair(1, 3, *ref.dense_preset_delta(model, np.random.default_rng(23).normal(size=(3, 2))))
+
+
+def test_recorded_site_tables_are_the_searched_ones():
+    recorded = 0
+    for pair in _site_table_pairs():
+        recorded += "_site_matrices" in vars(pair)  # written by _local_pair: no search
+        dense = BoundaryPair(pair.dimension, pair.n_spins, pair.A, pair.B)
+        assert "_site_matrices" not in vars(dense)
+        mats, want = pair._site_matrices, dense._site_matrices
+        assert np.array_equal(mats, want) and mats.tobytes() == want.tobytes()  # +0 where A and B are 0
+    assert recorded > 200
+
+
+def test_site_table_reports_equal_the_component_loop():
+    for pair in _site_table_pairs():
+        rep, want = pair.validation(), ref.component_report(pair)
+        assert np.array_equal(rep.singular_values, want.singular_values)
+        assert ((rep.is_valid, rep.hermiticity_defect, rep.rank, rep.is_local, rep.tol)
+                == (want.is_valid, want.hermiticity_defect, want.rank, want.is_local, want.tol))
+        assert rep.is_local
+
+
+def test_coset_blocks_are_the_partition():
+    for pair in _site_table_pairs():
+        chains = [np.stack(pair.entries[:2], axis=1), channel_blocks(pair)]
+        want = _partition(pair.defect_dim, chains)
+        assert len(pair._block_index) == len(want)
+        assert all(np.array_equal(index, w) for index, w in zip(pair._block_index, want))
+
+
+def test_stacked_site_bases_are_the_per_site_ones():
+    rotated = 0
+    for pair in _site_table_pairs():
+        mats, bases = pair._site_bases
+        want = ref.site_bases(mats)
+        assert bases.keys() == want.keys()
+        assert all(np.array_equal(bases[j], want[j]) for j in want)
+        rotated += len(want)
+    assert rotated > 100
+
+
+@pytest.mark.parametrize("d, preset, param, zero_field", [
+    (1, preset_delta, -1.0, False),  # 2^6 dressing blocks of 12 channels, 6 charged
+    (3, preset_offdiag, 0.8, True),  # one block of 384 channels, 2^6 of 6 in the rotated frame
+])
+def test_local_pairs_partition_nothing_at_m_scale(monkeypatch, d, preset, param, zero_field):
+    model = _zero_field_model(d, 6) if zero_field else model_for(d, 6)
+    pair = preset(model, param)
+    sizes = []
+    partition = boundary._partition
+
+    def recording_partition(m, chains):
+        sizes.append(m)
+        return partition(m, chains)
+
+    monkeypatch.setattr(boundary, "_partition", recording_partition)
+    assert pair.validation().is_valid
+    frame = pair.frame(model)
+    assert frame.blocks and frame.charged
+    assert (frame.sites != ()) == zero_field
+    assert all(m < pair.defect_dim for m in sizes)
 
 
 # ---------------------------------------------------------------------------
