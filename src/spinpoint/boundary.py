@@ -52,26 +52,21 @@ class BlockGroup(NamedTuple):
 
 
 class SpinFrame(NamedTuple):
-    """A unitary U = I (x) (U_N (x) ... (x) U_1) on the spin code, and a pair's blocks in it.
+    """A unitary U = I (x) (U_N (x) ... (x) U_1) on the spin code, and a pair's charged blocks in it.
 
     sites lists the rotated sites (1-based) and bases their 2 x 2 U_j;
-    every other U_j is the identity. blocks are the blocks of pair =
-    (U* A U, U* B U) on which B Gamma(z) + A is block diagonal, as
-    BoundaryPair.blocks gives them; with no site rotated they are the
-    pair's own blocks. charged are those blocks on their charged channels
-    only, the dressing's blocks, and inert the smallest and largest |a_i|
-    of the inert channels, its 1 x 1 blocks that need no solve
-    (_charged_blocks). Each is computed on its first read and cached on
-    pair.
+    every other U_j is the identity. charged are the blocks of pair =
+    (U* A U, U* B U) on which B Gamma(z) + A is block diagonal
+    (pair.blocks()), each on its charged channels only: the blocks of the
+    dressing and of the bound-state search. inert holds the smallest and
+    largest |a_i| of the inert channels, the 1 x 1 blocks that need no
+    solve (_charged_blocks). Both are computed on first read and cached
+    on pair.
     """
 
     sites: tuple
     bases: tuple
     pair: "BoundaryPair"  # (U* A U, U* B U); the pair itself when no site is rotated
-
-    @property
-    def blocks(self) -> "tuple[BlockGroup, ...]":
-        return self.pair.blocks()
 
     @property
     def charged(self) -> "tuple[BlockGroup, ...]":
@@ -153,8 +148,8 @@ class BoundaryPair:
     a local pair reads them off its site table in closed form, any other
     pair partitions its entries (_partition), as components() does, the
     finest blocks of A and B, for validating a pair that is not local. The
-    solvers run on frame(model).blocks, the blocks of the pair in its spin
-    frame. Pairs are equal when dimension, spin count and entries are.
+    solvers run on frame(model).charged. Pairs are equal when dimension,
+    spin count and entries are.
     """
 
     def __init__(self, dimension: int, n_spins: int, A, B):
@@ -263,7 +258,7 @@ class BoundaryPair:
         exact zeros off it), and the frame's blocks are its own blocks().
         No rotated site: U = I and the pair's own blocks. The charged blocks
         and inert channels are read from the entries of the frame's pair
-        when the dressing first asks. Validation stays on the pair itself:
+        when a solver first asks. Validation stays on the pair itself:
         a unitary similarity keeps admissibility.
         """
         mats, bases = self._site_bases

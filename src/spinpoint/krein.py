@@ -114,14 +114,6 @@ def _gamma_plan(model: ModelSpec, index):
     return evaluate
 
 
-def _frame_plans(model: ModelSpec, frame: SpinFrame) -> list:
-    """(group, its _gamma_plan) per block group of a pair's spin frame: the bound-state search's Gamma layout.
-
-    The dressing plans the frame's charged blocks instead (_dress).
-    """
-    return [(g, _gamma_plan(model, g.index)) for g in frame.blocks]
-
-
 def _gamma_whole(model: ModelSpec, z, gram: bool) -> np.ndarray:
     """Gamma, or -dGamma/dz under gram, as the full matrix: its per-code blocks scattered into m x m."""
     blocks = channel_blocks(model)
@@ -142,7 +134,7 @@ def gamma_free(model: ModelSpec, z) -> np.ndarray:
 
     A 1-D array of z adds a leading node axis: (n_z, m, m). This is
     output (CLI gamma, the singular-value profile script): the solvers
-    take Gamma on the blocks of the pair's spin frame only (_frame_plans).
+    take Gamma on the charged blocks of the pair's spin frame only.
     """
     return _gamma_whole(model, z, gram=False)
 

@@ -1,11 +1,13 @@
 """Discrete spectrum below the continuum threshold.
 
 The essential spectrum starts at mu = min_sigma alpha . sigma; below it
-the eigenvalues are the energies E where B Gamma(E) + A is singular. On
-each block of the pair (BoundaryPair.blocks), with B_k = W S V* cut to
-the nonzero singular values, every (q, f) with A q = B f has q = V y and
-V* f = Lambda y, Lambda = V* A* W S^-1 (Hermitian for an admissible
-pair). With f = -Gamma(E) q, a bound state at E is a null vector y of
+the eigenvalues are the energies E where B Gamma(E) + A is singular. An
+inert channel has zero charge, so the search runs on the charged blocks
+of the pair in its spin frame (SpinFrame.charged, the dressing's
+blocks). On each, with B_k = W S V* cut to the nonzero singular values,
+every (q, f) with A_k q = B_k f has q = V y and V* f = Lambda y, Lambda
+= V* A_k* W S^-1 (Hermitian for an admissible pair). With f = -Gamma(E)
+q, a bound state at E is a null vector y of
 
     H_k(E) = V* Gamma_k(E) V + Lambda,
 
@@ -23,9 +25,8 @@ to cross zero, all at once and each at its own energy: one paired
 evaluation of the group's Gamma plan, one stacked eigh and one stacked
 slope per step. One count of those blocks at every edge of the windows
 e -+ tol (1 + |e|)/2 around the roots e confirms them, and bisection on
-N takes over where no step converges. The blocks are those of the pair
-in its spin frame U (BoundaryPair.frame): U commutes with Gamma(E), so
-the rotated pair has the same levels, and its charges q' map back as
+N takes over where no step converges. U commutes with Gamma(E), so the
+rotated pair has the same levels, and its charges q' map back as
 q = U q'.
 """
 
@@ -40,7 +41,7 @@ import scipy
 
 from . import krein
 from .boundary import RANK_RTOL, BlockGroup, BoundaryPair, SpinFrame, require_valid
-from .krein import _frame_plans, defect_matrix, gamma_dressed
+from .krein import defect_matrix, gamma_dressed
 from .spins import ModelSpec, channel_sum, channel_tables
 
 __all__ = [
@@ -69,13 +70,11 @@ class BoundState:
 
 
 class _Reduced(NamedTuple):
-    """One block group of the pair in its spin frame, with H_k(E) = V* Gamma_k(E) V + Lambda (_reduce)."""
+    """One group of the frame's charged blocks, with H_k(E) = V* Gamma_k(E) V + Lambda (_reduce)."""
 
-    group: BlockGroup
-    dress: Callable  # Gamma plan on the group's blocks
-    cols: np.ndarray | None  # (g, r) positions in each block of the rows of H_k; None: every position
-    plan: Callable  # Gamma plan on the rows of H_k, or on the blocks when v maps them
-    v: np.ndarray | None  # (g, k, r); None: H_k = Gamma_k[cols, cols] + Lambda, with no product
+    group: BlockGroup  # the charged sub-pair (A_JJ, B_JJ), stacked
+    plan: Callable  # Gamma plan on the group's blocks
+    v: np.ndarray | None  # (g, k, r); None: H_k = Gamma_k + Lambda, with no product
     lam: np.ndarray  # (g, r, r)
     charge: bool  # every row of H_k lies in the d=1 charge layer
     mu: np.ndarray  # (g,) the lowest Zeeman shift of each block's rows: its own threshold
@@ -88,31 +87,24 @@ class _Reduced(NamedTuple):
         v = self.v[sel]
         return v.conj().swapaxes(-1, -2) @ gamma @ v + self.lam[sel]
 
-    def rows(self, sel) -> np.ndarray:
-        """Flat defect indices of the plan's rows for the blocks sel."""
-        index = self.group.index[sel]
-        return index if self.cols is None else np.take_along_axis(index, self.cols[sel], axis=-1)
-
 
 def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
-    """_Reduced per block group of the pair in its spin frame (krein._frame_plans).
+    """_Reduced per group of the frame's charged blocks, each with its own Gamma plan.
 
     With B_k = W S V* cut to its nonzero singular values, every (q, f)
     with A_k q = B_k f has q = V y and V* f = Lambda y, Lambda = V* A_k* W S^-1.
     V keeps as many directions as the largest rank of B_k in the group;
     it is zero and Lambda the identity in those of zero singular values,
     which thus add no negative eigenvalue or null vector to H_k. Where
-    every B_k of the group has exactly as many nonzero columns J as its
-    rank, V = E_J R with R unitary, and H_k in the coordinates J is the
-    block Gamma_k[J, J] plus R Lambda R*: no product, and the plan
-    evaluates those rows only. J is the whole block where B_k is
-    invertible, and R Lambda R* = B_k^-1 A_k there. Lambda is made
+    every B_k of the group is invertible (every preset and every Haar
+    pair), H_k in the block's own coordinates is Gamma_k + V Lambda V*,
+    V Lambda V* = B_k^-1 A_k: no product, and v is None. Lambda is made
     Hermitian: no change for an admissible pair. unitary is read off the
-    same singular values: then cols and v are None.
+    same singular values.
     """
     p, _, code = channel_tables(model)
     out = []
-    for g, dress in _frame_plans(model, frame):
+    for g in frame.charged:
         w, s, vh = np.linalg.svd(g.B)
         unitary = bool(np.all(np.abs(s - 1.0) <= s.shape[-1] * np.finfo(float).eps))
         keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
@@ -122,18 +114,12 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
         lam = vh @ g.A.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
         lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
         v, lam = vh.conj().swapaxes(-1, -2) * keep[:, None, :], lam + np.eye(r) * ~keep[:, None, :]
-        support = g.B.any(axis=1)  # the nonzero columns of each B_k
-        cols, rows, plan = None, g.index, dress
-        if r and keep.all() and np.all(np.sum(support, axis=1) == r):
-            support = np.nonzero(support)[1].reshape(-1, r)
-            rot = np.take_along_axis(v, support[:, :, None], axis=1)  # R = V[J]
-            lam, v = rot @ lam @ rot.conj().swapaxes(-1, -2), None
+        if r == g.index.shape[1] and keep.all():
+            lam, v = v @ lam @ v.conj().swapaxes(-1, -2), None
             lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2))
-            if r < g.index.shape[1]:
-                cols, rows = support, np.take_along_axis(g.index, support, axis=1)
-                plan = krein._gamma_plan(model, rows)
-        charge = model.dimension == 1 and v is None and not p[rows].any()
-        out.append(_Reduced(g, dress, cols, plan, v, lam, charge, np.min(model.shifts()[code[rows]], axis=1), unitary))
+        charge = model.dimension == 1 and v is None and not p[g.index].any()
+        out.append(_Reduced(g, krein._gamma_plan(model, g.index), v, lam, charge,
+                            np.min(model.shifts()[code[g.index]], axis=1), unitary))
     return out
 
 
@@ -260,7 +246,7 @@ def _limit(model: ModelSpec, red: list) -> int:
             bound = RANK_RTOL * np.max(np.abs(rd.lam), axis=(1, 2))
             total += int(np.sum(np.linalg.eigvalsh(rd.lam) <= bound[:, None]))
             continue
-        rows = rd.rows(slice(None))
+        rows = rd.group.index
         v = np.broadcast_to(np.eye(rows.shape[1]), rows.shape + rows.shape[1:]) if rd.v is None else rd.v
         for index, vb, lb in zip(rows, v, rd.lam):
             keep = np.any(vb != 0.0, axis=0)
@@ -307,13 +293,13 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
     levels at once: one paired plan call and one stacked eigh per group.
     Eigenvalue i of H_k is nonincreasing in E, so those with n_below <= i
     < n_above cross zero: their eigenvectors, mapped back to the defect
-    space, span the charges. The smallest singular value of B_k Gamma_k
-    + A_k takes one stacked SVD of it, except in a group of unitary B_k
-    of a checked (admissible) pair: there B_k Gamma_k + A_k = B_k H_k, so
-    its singular values are the |eigenvalues| of H_k, and the smallest
-    lies among the crossing ones and their two neighbours, i = n_below -
-    1 .. n_above (_eigenvalues). The eigenvectors stay those of the
-    crossing eigenvalues alone, as a subset eigh over the wider range
+    space, span the charges. The smallest singular value of D_J = B_k
+    Gamma_k + A_k on the crossing blocks takes one stacked SVD, except in
+    a group of unitary B_k of a checked (admissible) pair: there D_J = B_k
+    H_k, so its singular values are the |eigenvalues| of H_k, and the
+    smallest lies among the crossing ones and their two neighbours, i =
+    n_below - 1 .. n_above (_eigenvalues). The eigenvectors stay those of
+    the crossing eigenvalues alone, as a subset eigh over the wider range
     could rotate them towards a neighbour that is nearly 0 as well.
     """
     energy = np.array([e for e, _, _ in found])
@@ -321,24 +307,18 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
     level, blocks = np.nonzero(up > lo)  # level by level, blocks in group order
     sigma, vectors = np.full(energy.size, np.inf), [None] * level.size
     for rd, at, sel in _groups(red, blocks):
-        gamma = rd.dress(energy[level[at]], sel, paired=True)[0]
+        gamma = rd.plan(energy[level[at]], sel, paired=True)[0]
         first, last = lo[level[at], blocks[at]], up[level[at], blocks[at]]
+        h = rd.hermitian(gamma, sel)
         if checked and rd.unitary:
-            h = rd.hermitian(gamma, sel)
             near = _eigenvalues(h, np.maximum(first - 1, 0), np.minimum(last + 1, h.shape[-1]))
             np.minimum.at(sigma, level[at], [np.min(np.abs(val)) for val in near])
-            pairs = _eigenpairs(h, first, last)
         else:
             dressed = gamma_dressed(BlockGroup(rd.group.index[sel], rd.group.A[sel], rd.group.B[sel]), gamma)
             np.minimum.at(sigma, level[at], np.linalg.svd(dressed, compute_uv=False)[:, -1])
-            if rd.cols is not None:
-                cols = rd.cols[sel]
-                gamma = np.take_along_axis(gamma, cols[:, :, None], axis=1)
-                gamma = np.take_along_axis(gamma, cols[:, None, :], axis=2)
-            pairs = _eigenpairs(rd.hermitian(gamma, sel), first, last)
-        for i, b, rows, (_, y) in zip(at, sel, rd.rows(sel), pairs):
+        for i, b, (_, y) in zip(at, sel, _eigenpairs(h, first, last)):
             vectors[i] = np.zeros((y.shape[1], model.defect_dim), dtype=complex)
-            vectors[i][:, rows] = (y if rd.v is None else rd.v[b] @ y).T
+            vectors[i][:, rd.group.index[b]] = (y if rd.v is None else rd.v[b] @ y).T
     basis = frame.rotate(np.concatenate(vectors))
     lead = basis[np.arange(len(basis)), np.argmax(np.abs(basis), axis=1)]
     basis = basis * (np.abs(lead) / lead)[:, None]  # largest entry of each row real positive
@@ -363,12 +343,18 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     Counts inside a bracket are clamped into those at its ends and made
     nondecreasing, so the brackets stay nested and the multiplicities
     add up to N(mu - gap) - N(e_min). e_min defaults to
-    default_search_floor. smallest_singular_value is that of
-    B Gamma(E) + A, whose null space charge_basis spans (largest entry
-    of each row real positive). Under unchecked, a pair that is not
-    admissible is counted with the Hermitian part of Lambda, and its
-    levels are not certified.
+    default_search_floor; a given one must be finite, and tol finite
+    and > 0. charge_basis spans the null space of B Gamma(E) + A
+    (largest entry of each row real positive); smallest_singular_value
+    is that of D_J on the level's blocks (_levels), which is that of
+    B Gamma(E) + A where no channel is inert. Under unchecked, a pair
+    that is not admissible is counted with the Hermitian part of
+    Lambda, and its levels are not certified.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if e_min is not None and not np.isfinite(e_min):
+        raise ValueError(f"e_min must be finite, got {e_min}")
     require_valid(model, pair, unchecked)
     if not pair.entries.B.any():
         return []  # A q = 0 forces q = 0

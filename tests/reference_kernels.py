@@ -475,21 +475,29 @@ def dressing_correction(dress):
     return np.moveaxis(dress.charges(unit), 0, -1)
 
 
-def charged_dressing(pair_A, pair_B, gamma):
-    """(correction, condition) of the dressing on the charged channels, from dense m x m A, B and Gamma.
+def charged_channels(pair_A, pair_B):
+    """(J, inert): the charged and the inert channels of dense m x m A and B.
 
     Channel i is inert when row i and column i of B are 0 and row i of A
     has its only nonzero entry a_i on the diagonal; J lists the others.
+    """
+    m = pair_A.shape[0]
+    inert = [i for i in range(m)
+             if not pair_B[i, :].any() and not pair_B[:, i].any()
+             and pair_A[i, i] != 0.0 and np.count_nonzero(pair_A[i, :]) == 1]
+    return [i for i in range(m) if i not in inert], inert
+
+
+def charged_dressing(pair_A, pair_B, gamma):
+    """(correction, condition) of the dressing on the charged channels J (charged_channels), from dense A, B and Gamma.
+
     The correction is D_J^-1 B_JJ, D_J = B_JJ Gamma_JJ + A_JJ, scattered
     into m x m with zeros on the inert rows and columns; the condition is
     the largest over the smallest of the singular values of D_J and the
     |a_i|.
     """
     m = pair_A.shape[0]
-    inert = [i for i in range(m)
-             if not pair_B[i, :].any() and not pair_B[:, i].any()
-             and pair_A[i, i] != 0.0 and np.count_nonzero(pair_A[i, :]) == 1]
-    J = [i for i in range(m) if i not in inert]
+    J, inert = charged_channels(pair_A, pair_B)
     out = np.zeros((m, m), dtype=complex)
     scales = [abs(pair_A[i, i]) for i in inert]
     if J:

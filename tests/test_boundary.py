@@ -496,7 +496,7 @@ def test_presets_match_dense_reference():
         frame, want = pair.frame(model), dense.frame(model)
         assert frame.sites == want.sites
         assert all(np.array_equal(u, w) for u, w in zip(frame.bases, want.bases))
-        _same_groups(frame.blocks, want.blocks)
+        _same_groups(frame.pair.blocks(), want.pair.blocks())
         rep, want = pair.validation(), dense.validation()
         assert np.array_equal(rep.singular_values, want.singular_values)
         assert ((rep.is_valid, rep.hermiticity_defect, rep.rank, rep.is_local, rep.tol)
@@ -569,7 +569,7 @@ def test_local_pairs_partition_nothing_at_m_scale(monkeypatch, d, preset, param,
     monkeypatch.setattr(boundary, "_partition", recording_partition)
     assert pair.validation().is_valid
     frame = pair.frame(model)
-    assert frame.blocks and frame.charged
+    assert frame.pair.blocks() and frame.charged
     assert (frame.sites != ()) == zero_field
     assert all(m < pair.defect_dim for m in sizes)
 
@@ -595,7 +595,7 @@ def test_offdiag_at_zero_field_splits_in_the_spin_frame(d, n, shape):
     assert [g.index.shape for g in pair.blocks()] == [(1, pair.defect_dim)]
     frame = pair.frame(model)
     assert frame.sites == tuple(range(1, n + 1))
-    assert [g.index.shape for g in frame.blocks] == [shape]
+    assert [g.index.shape for g in frame.pair.blocks()] == [shape]
     assert pair.frame(model) is frame
 
 
@@ -608,7 +608,7 @@ def test_rotated_blocks_are_the_unitary_similarity(d):
     assert np.allclose(u.conj().T @ u, np.eye(pair.defect_dim), atol=1e-14)
     rot_a, rot_b = u.conj().T @ pair.A @ u, u.conj().T @ pair.B @ u
     covered = np.zeros(pair.defect_dim, dtype=bool)
-    for g in frame.blocks:
+    for g in frame.pair.blocks():
         sub = (g.index[:, :, None], g.index[:, None, :])
         assert np.max(np.abs(g.A - rot_a[sub])) <= 1e-14 and np.max(np.abs(g.B - rot_b[sub])) <= 1e-14
         covered[g.index] = True
@@ -629,10 +629,10 @@ def test_site_in_a_field_stays_unrotated():
     frame = pair.frame(model)
     assert frame.sites == (1, 3)
     # site 2 still flips its spin: blocks of 2 channels x 2 codes
-    assert [g.index.shape for g in frame.blocks] == [(4, 6)]
+    assert [g.index.shape for g in frame.pair.blocks()] == [(4, 6)]
     # the field decides, not the pair: with every alpha_j != 0 the frame is U = I
     zeeman = ModelSpec(3, model.positions, [0.3, 0.4, 0.5])
-    assert pair.frame(zeeman).sites == () and pair.frame(zeeman).blocks is pair.blocks()
+    assert pair.frame(zeeman).sites == () and pair.frame(zeeman).pair.blocks() is pair.blocks()
 
 
 def test_identity_frame_for_diagonal_dense_and_invalid_pairs():
@@ -646,7 +646,7 @@ def test_identity_frame_for_diagonal_dense_and_invalid_pairs():
                      (model, preset_offdiag(model, rng.normal(size=(n, 2))))]  # asymmetric: not normal
             for m, pair in cases:
                 frame = pair.frame(m)
-                assert frame.sites == () and frame.blocks is pair.blocks()
+                assert frame.sites == () and frame.pair.blocks() is pair.blocks()
                 v = rng.normal(size=pair.defect_dim)
                 assert frame.rotate(v) is v
 

@@ -180,7 +180,7 @@ def test_gamma_plan_reads_the_public_matrices(model):
 
     rng = np.random.default_rng(21)
     m = model.defect_dim
-    stacks = [preset_offdiag(model, 0.8).frame(model).blocks[0].index,  # the blocks of a spin frame
+    stacks = [preset_offdiag(model, 0.8).frame(model).pair.blocks()[0].index,  # the blocks of a spin frame
               np.stack([rng.permutation(m)[:5] for _ in range(3)])]  # blocks mixing spin codes
     mu = np.min(model.shifts())
     for z in (complex(mu - 0.9), complex(0.4, 0.7), np.array([mu - 2.0, 0.3 + 1e-12j, -1.0 - 0.5j])):
@@ -1202,7 +1202,7 @@ def test_solvers_take_gamma_only_on_frame_blocks(monkeypatch, model, pair, one_b
     from spinpoint import krein
     from spinpoint.dynamics import _cut_correction, _cut_nodes
 
-    assert (sum(len(g.index) for g in pair.frame(model).blocks) == 1) == one_block
+    assert (sum(len(g.index) for g in pair.frame(model).pair.blocks()) == 1) == one_block
     z, d = -0.7 + 0.9j, model.dimension
     x, xp = (-0.6, 0.45) if d == 1 else (np.array([0.5, 0.5, 0.1]), np.array([0.4, -0.3, 0.2]))
     want = [_dense_kernel(model, pair, z, x, c, xp, 1) for c in range(model.n_configs)]

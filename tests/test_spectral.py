@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import reference_kernels as ref
 from spinpoint import krein, spectral
 from spinpoint.boundary import (
+    BoundaryPair,
     ValidationError,
     preset_delta,
     preset_delta_prime,
@@ -23,6 +25,7 @@ from spinpoint.spectral import (
     find_bound_states,
 )
 from spinpoint.spins import ModelSpec
+from test_boundary import _preset_cases
 
 
 def test_essential_spectrum_bottom():
@@ -398,3 +401,114 @@ def test_zeeman_chain_takes_few_assemblies_per_level(monkeypatch):
     states = find_bound_states(model, preset_delta(model, -1.0))
     assert len(states) == 16
     assert len(calls) <= 6
+
+
+# ---------------------------------------------------------------------------
+# the search on the frame's charged blocks
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": 0.0}, "tol"), ({"tol": -1e-13}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ({"e_min": np.nan}, "e_min"), ({"e_min": -np.inf}, "e_min"), ({"e_min": np.inf}, "e_min"),
+])
+def test_search_rejects_bad_tol_and_floor_before_any_work(kwargs, name):
+    """A ValueError that names the argument, ahead of the gate: the pair here does not even fit the model."""
+    model = ModelSpec(3, [np.zeros(3)], [0.0])
+    other = ModelSpec(3, [np.zeros(3), np.ones(3)], [0.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        find_bound_states(model, preset_delta(other, -1.0), **kwargs)
+
+
+def _field_chain(n):
+    """d=1 sites 1.3 apart with a field at the first and last site only."""
+    alpha = np.zeros(n)
+    alpha[0], alpha[-1] = 0.3, 0.2
+    return ModelSpec(1, [1.3 * k for k in range(n)], alpha)
+
+
+@pytest.mark.parametrize("make, n", [(make, n) for make in (lambda m: preset_delta(m, -1.0),
+                                                            lambda m: preset_offdiag(m, 0.8)) for n in (2, 3)])
+def test_mixed_rows_take_the_general_reduction(make, n):
+    """(C A, C B) with C invertible has the levels and charges of (A, B): A q = B f does not change.
+
+    C mixes every row, so no channel is inert, the pair is one dense
+    block, and B_k = C B has the rank of B, half the block: _reduce takes
+    the general V path there.
+    """
+    model = _field_chain(n)
+    pair = make(model)
+    rng = np.random.default_rng(40 + n)
+    m = model.defect_dim
+    q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+    c = q * rng.uniform(1.0, 2.0, m)  # condition number at most 2
+    mixed = BoundaryPair(1, n, c @ pair.A, c @ pair.B)
+    red = spectral._reduce(model, mixed.frame(model))
+    assert red and all(rd.v is not None for rd in red)
+    want, got = find_bound_states(model, pair), find_bound_states(model, mixed)
+    assert [st.multiplicity for st in got] == [st.multiplicity for st in want]
+    for st, wt in zip(got, want):
+        assert abs(st.energy - wt.energy) <= 1e-13 * (1.0 + abs(wt.energy))
+        assert np.max(scipy.linalg.subspace_angles(st.charge_basis.T, wt.charge_basis.T)) <= 1e-12
+
+
+def _structure_pairs():
+    """Every preset case of the boundary tests, and Haar pairs in both dimensions."""
+    for model, pair, _ in _preset_cases():
+        yield model, pair
+    for d in (1, 3):
+        yield from _random_pairs(d, sizes=(2,))
+
+
+def test_search_groups_are_the_charged_blocks():
+    for model, pair in _structure_pairs():
+        frame = pair.frame(model)
+        red = spectral._reduce(model, frame)
+        assert len(red) == len(frame.charged)
+        for rd, g in zip(red, frame.charged):
+            assert rd.group.index is g.index
+
+
+def test_search_plans_each_charged_group_once(monkeypatch):
+    """One Gamma plan per group of frame.charged for the whole search, floor and levels included."""
+    builds = []
+    plan = krein._gamma_plan
+
+    def counted(model, index):
+        builds.append(np.shape(index))
+        return plan(model, index)
+
+    monkeypatch.setattr(krein, "_gamma_plan", counted)
+    chain = _field_chain(3)
+    table = preset_delta(chain, [[-1.0, 0.0], [-2.0, -1.0], [0.0, -0.5]])  # charged blocks of 1, 2 and 3
+    cases = [(chain, table), (chain, preset_offdiag(chain, 0.8)), (chain, preset_delta_prime(chain, -1.3)),
+             (_zero_field(3, 3), preset_offdiag(_zero_field(3, 3), 0.8))]
+    cases += list(_random_pairs(1, sizes=(2,))) + list(_random_pairs(3, sizes=(2,)))
+    for model, pair in cases:
+        builds.clear()
+        assert find_bound_states(model, pair)
+        charged = pair.frame(model).charged
+        assert builds == [g.index.shape for g in charged]
+    assert len(table.frame(chain).charged) == 3
+
+
+def test_smallest_singular_value_is_that_of_the_charged_dressing():
+    """sigma_min of the level against the dense D_J = B_JJ Gamma_JJ + A_JJ; of B Gamma + A where nothing is inert."""
+    chain, field = _field_chain(3), ModelSpec(3, [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(3)], [0.3] * 3)
+    cases = [(chain, preset_delta(chain, -1.0)), (chain, preset_offdiag(chain, 0.8)),
+             (chain, preset_delta_prime(chain, -1.3)), (_zero_field(1, 3), preset_offdiag(_zero_field(1, 3), 0.8)),
+             (field, preset_offdiag(field, 0.8)), (field, preset_delta(field, -1.0))]
+    cases += list(_random_pairs(1, sizes=(2,))) + list(_random_pairs(3, sizes=(2,)))
+    inert_seen = 0
+    for model, pair in cases:
+        J = ref.charged_channels(pair.A, pair.B)[0]
+        inert_seen += len(J) < model.defect_dim
+        sub = np.ix_(J, J)
+        for st in find_bound_states(model, pair):
+            gamma = gamma_free(model, complex(st.energy))
+            dressed = pair.B[sub] @ gamma[sub] + pair.A[sub]
+            assert st.smallest_singular_value == pytest.approx(np.linalg.svd(dressed, compute_uv=False)[-1],
+                                                               abs=1e-14)
+            if len(J) == model.defect_dim:
+                full = np.linalg.svd(gamma_dressed(pair, gamma), compute_uv=False)[-1]
+                assert st.smallest_singular_value == pytest.approx(full, abs=1e-14)
+    assert inert_seen == 4
