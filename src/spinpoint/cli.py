@@ -290,7 +290,7 @@ def cmd_validate(args) -> int:
 
 
 def _kernel_points(args, model: ModelSpec):
-    """Kernel rows (x, sigma, x', sigma'): those of the points file, or n_points random ones."""
+    """Kernel rows as arrays x, sigma, x', sigma': those of the points file, or n_points random ones."""
     d = model.dimension
     if args.points is not None:
         try:
@@ -314,11 +314,13 @@ def _kernel_points(args, model: ModelSpec):
                 sigma, sigmap = int(cells[d]), int(cells[-1])
             except ValueError:
                 raise InputError(f"{where}: spin codes {cells[d]!r} and {cells[-1]!r} must be integers")
+            if not (0 <= sigma < model.n_configs and 0 <= sigmap < model.n_configs):
+                raise InputError(f"{where}: spin codes {sigma} and {sigmap} must lie in 0..{model.n_configs - 1}")
             x, xp = (coords[0], coords[1]) if d == 1 else (np.array(coords[:d]), np.array(coords[d:]))
             rows.append((x, sigma, xp, sigmap))
         if not rows:
             raise InputError(f"{args.points}: no rows")
-        return rows
+        return [np.array(column) for column in zip(*rows)]
     rng = np.random.default_rng(args.seed)
     pos = np.atleast_2d(np.asarray(model.positions, dtype=float).reshape(model.n_spins, -1))
     center = pos.mean(axis=0)
@@ -332,29 +334,26 @@ def _kernel_points(args, model: ModelSpec):
         sigma = int(rng.integers(model.n_configs))
         sigmap = int(rng.integers(model.n_configs))
         rows.append((x, sigma, xp, sigmap))
-    return rows
+    return [np.array(column) for column in zip(*rows)]
 
 
 def cmd_kernel(args) -> int:
     model, pair, digest, note = _load_gated(args)
     z = _parse_z(args.z)
-    points = _kernel_points(args, model)
+    x, sigma, xp, sigmap = _kernel_points(args, model)
     writer = ResultWriter(_echo(args), digest, "none", note)
     writer.comment(f"z: {_fmt(z.real)},{_fmt(z.imag)}")
     d = model.dimension
     axes = [""] if d == 1 else ["1", "2", "3"]
     writer.header(*[f"x{a}" for a in axes], "sigma", *[f"xp{a}" for a in axes], "sigmap", "re", "im", "flag")
-    # one dressing serves every row; near a pole every row is flagged
+    # one dressing and one pass serve every row; near a pole every row is flagged
     try:
         dress = _dress(model, pair, z, args.unchecked)
     except NearPoleError:
         dress = None
-    n = len(points)
-    values = np.array([complex(np.nan, np.nan) if dress is None else dress.column(xp, sigmap)(x, sigma)
-                       for x, sigma, xp, sigmap in points], dtype=complex)
-    writer.columns(*np.reshape([r[0] for r in points], (n, d)).T, [str(r[1]) for r in points],
-                   *np.reshape([r[2] for r in points], (n, d)).T, [str(r[3]) for r in points],
-                   values.real, values.imag, ["near-pole" if dress is None else "ok"] * n)
+    values = np.full(sigma.size, complex(np.nan, np.nan)) if dress is None else dress.rows(x, sigma, xp, sigmap)
+    writer.columns(*np.reshape(x, (-1, d)).T, list(map(str, sigma)), *np.reshape(xp, (-1, d)).T, list(map(str, sigmap)),
+                   values.real, values.imag, ["near-pole" if dress is None else "ok"] * sigma.size)
     writer.dump(args.out)
     return EXIT_NUMERIC if dress is None else EXIT_OK
 

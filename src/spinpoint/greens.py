@@ -48,7 +48,7 @@ def _dist(d: int, x):
         return np.abs(x) if x.ndim else abs(float(x))
     if x.shape[-1] != 3:
         raise ValueError(f"d=3 displacements need a last axis of length 3, got shape {x.shape}")
-    return np.sqrt(np.sum(x * x, axis=-1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _check_energy(w, allow_cut):
@@ -67,11 +67,14 @@ def green(d: int, w, x, allow_cut: bool = False):
     x may be an array of displacements: any shape for d=1, a last axis
     of length 3 for d=3.
     """
-    w = _check_energy(w, allow_cut)
-    s = sqrt_upper(w)
+    return _green_at(d, sqrt_upper(_check_energy(w, allow_cut)), x)
+
+
+def _green_at(d: int, s, x):
+    """green with s = sqrt_upper(w) given: a scalar, or an array of one s per displacement."""
     r = _dist(d, x)
     if d == 1:
-        if s == 0.0:
+        if np.any(s == 0.0):
             raise ValueError("d=1 Green function diverges at w=0")
         return 1j * np.exp(1j * s * r) / (2.0 * s)
     if d == 3:
@@ -79,4 +82,3 @@ def green(d: int, w, x, allow_cut: bool = False):
             raise ValueError("d=3 Green function is singular at zero displacement")
         return np.exp(1j * s * r) / (4.0 * np.pi * r)
     raise ValueError(f"dimension must be 1 or 3, got {d}")
-

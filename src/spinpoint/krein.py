@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .boundary import BoundaryPair, SpinFrame, require_valid
-from .greens import _check_energy, green, sqrt_upper
+from .greens import _check_energy, _green_at, sqrt_upper
 from .spins import ModelSpec, channel_blocks, channel_sum, channel_tables, spin_code
 from .states import GaussianPacket, GridState, UniformGrid
 
@@ -199,7 +199,7 @@ class _Dressing:
     channel's row and column. charges maps vectors through U and each
     stack on its group's indices, and leaves the inert charges exactly 0.
     For a 1-D array of z, z, solved and condition carry a leading node
-    axis; column needs the one-node case.
+    axis; the kernel (rows, column, all rows in one pass) needs one node.
     """
 
     model: ModelSpec
@@ -207,6 +207,7 @@ class _Dressing:
     frame: SpinFrame
     solved: list  # per charged block group: the blocks of U* (Gamma^AB)^{-1} B U on J
     condition: float | np.ndarray
+    roots: np.ndarray | None = None  # sqrt_upper(z - a_l) per (node and) distinct shift l, from _dress
 
     def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
         """C s for overlap vectors s on the last axis of overlaps, one per node; C* s under adjoint."""
@@ -217,34 +218,60 @@ class _Dressing:
             out[..., g.index] = np.matmul(x, inner[..., g.index, None])[..., 0]
         return self.frame.rotate(out)
 
-    def column(self, xp, sigmap):
-        """Closure evaluating K(x, sigma; xp, sigmap) for the fixed source column.
+    def values(self, points, codes) -> np.ndarray:
+        """phi_mu(points[i]) on the k channels of code codes[i] only, flat order: (R, k); one _defect_factors call."""
+        scale, wave, layer, level = _defect_factors(self.model, points, self.roots)
+        lv, at = level[codes], np.arange(len(codes))
+        phi = wave[:, :, lv, at] * layer[:, :, 0]  # (P, N, R); a d=1 layer (1 or -sgn/2) scales exactly, d=3 scale is 1
+        return (phi if self.model.dimension == 3 else scale[:, :, lv, 0] * phi).reshape(-1, at.size).T
 
-        The source-side defect values and sqrt_upper(z - a.s) are computed
-        once per column, and every column of one dressing shares its
-        factorization.
+    def sources(self, xp, codes_p) -> np.ndarray:
+        """C phi_i for every row i, phi_i = values at xp_i on code codes_p[i], in one charges call: (R, 2^N, k)."""
+        blocks, at = channel_blocks(self.model), np.arange(len(codes_p))
+        overlaps = np.zeros((at.size, self.model.defect_dim), dtype=complex)
+        overlaps[at[:, None], blocks[codes_p]] = self.values(xp, codes_p)
+        return self.charges(overlaps)[:, blocks]
+
+    def rows(self, x, codes, xp, codes_p, weights=None) -> np.ndarray:
+        """K(x_i, codes[i]; xp_i, codes_p[i]) of every row i in one pass; x and xp are (R,) in d=1, (R, 3) in d=3.
+
+        Without weights = sources(xp, codes_p), every row is checked first:
+        a source at a site, a point at one, then d=3 x = x' in one code
+        raise. Rows sum in channel_sum's order; equal codes add G at once.
         """
-        model = self.model
-        code_p = spin_code(sigmap, model.n_spins)
-        if _at_site(model, xp):
-            raise ValueError("source point coincides with a spin site")
-        s = sqrt_upper(self.z - model.distinct_shifts()[0])
-        phi_src = _defect_rows(model, self.z, [xp] if model.dimension == 1 else [np.asarray(xp)], s)[:, 0]
-        phi_src = np.where(channel_tables(model)[2] == code_p, phi_src, 0.0)
-        weights = self.charges(phi_src)  # c_mu for the x side
+        same = (codes == codes_p).nonzero()[0]
+        if weights is None:
+            _check_sites(self.model, xp, "source point coincides with a spin site")
+            _check_sites(self.model, x, "evaluation point coincides with a spin site")
+            if self.model.dimension == 3 and (x[same] == xp[same]).all(axis=-1).any():
+                raise ValueError("d=3 Green function is singular at zero displacement")
+            weights = self.sources(xp, codes_p)
+        out = np.einsum("rk,rk->r", weights[np.arange(len(codes)), codes], self.values(x, codes))
+        if same.size:  # s_l is green's sqrt_upper(z - a.s)
+            s = self.roots[self.model.distinct_shifts()[1][codes[same]]]
+            out[same] += _green_at(self.model.dimension, s, x[same] - xp[same])
+        return out
+
+    def column(self, xp, sigmap):
+        """Closure evaluating K(x, sigma; xp, sigmap): the source side once, each point one row of rows."""
+        model, code_p, xp = self.model, np.array([spin_code(sigmap, self.model.n_spins)]), np.asarray(xp, float)[None]
+        _check_sites(model, xp, "source point coincides with a spin site")
+        weights = self.sources(xp, code_p)
 
         def evaluate(x, sigma) -> complex:
-            code = spin_code(sigma, model.n_spins)
-            if model.dimension == 1 and _at_site(model, x):  # d=3: _defect_factors rejects x
-                raise ValueError("evaluation point coincides with a spin site")
-            phi_out = _defect_rows(model, self.z, [x] if model.dimension == 1 else [np.asarray(x)], s)
-            val = 0.0 + 0.0j
-            if code == code_p:
-                disp = (x - xp) if model.dimension == 1 else (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float))
-                val += green(model.dimension, self.z - model.shifts()[code], disp, allow_cut=True)
-            return val + complex(channel_sum(model, weights, phi_out)[code, 0])
+            x = np.asarray(x, dtype=float)[None]
+            if model.dimension == 1:  # d=3: _defect_factors rejects x at a site, green x = x'
+                _check_sites(model, x, "evaluation point coincides with a spin site")
+            return complex(self.rows(x, np.array([spin_code(sigma, model.n_spins)]), xp, code_p, weights)[0])
 
         return evaluate
+
+
+def _check_sites(model: ModelSpec, points, message: str) -> None:
+    """Raise ValueError(message) where a point of an (R,) (d=1) or (R, 3) (d=3) array is a spin site."""
+    equal = points[:, None] == model.positions
+    if (equal.all(axis=-1) if model.dimension == 3 else equal).any():
+        raise ValueError(message)
 
 
 def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> _Dressing:
@@ -268,17 +295,18 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
     z = complex(z) if z.ndim == 0 else z
-    return _dress_gamma(model, pair, z, [_gamma_plan(model, g.index)(z)[0] for g in pair.frame(model).charged])
+    return _dress_gamma(model, pair, z, [_gamma_plan(model, g.index)(z)[0] for g in pair.frame(model).charged],
+                        sqrt_upper(np.asarray(z)[..., None] - model.distinct_shifts()[0]))
 
 
-def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gammas: list) -> _Dressing:
+def _dress_gamma(model: ModelSpec, pair: BoundaryPair, z, gammas: list, roots=None) -> _Dressing:
     """_dress on given Gamma(z) stacks, one per group of the frame's charged blocks, for a pair its caller has gated."""
     frame = pair.frame(model)
     dressed = [gamma_dressed(g, gamma) for g, gamma in zip(frame.charged, gammas)]
-    return _Dressing(model, z, frame, *invert_dressed(dressed, [g.B for g in frame.charged], z, frame.inert))
+    return _Dressing(model, z, frame, *invert_dressed(dressed, [g.B for g in frame.charged], z, frame.inert), roots)
 
 
-def _defect_factors(model: ModelSpec, z, points, s=None):
+def _defect_factors(model: ModelSpec, points, s):
     """The defect functions in factored form, (scale, wave, layer, level).
 
     scale * wave * layer broadcasts to phi on (layer p, site j, distinct
@@ -290,17 +318,14 @@ def _defect_factors(model: ModelSpec, z, points, s=None):
     charge layer has scale i/(2 s_l) and layer 1, the dipole layer scale
     1 and layer -sgn(x - y_j)/2. d=3 has one layer, scale 1.0 (a float)
     and layer 1/(4 pi r_j). Shapes: d=1 scale (..., 2, 1, L, 1), wave
-    (..., 1, N, L, n_points), layer (P, N, 1, n_points), level (C,); a 1-D
-    array of z is the leading axis of scale and wave. s, when given, is
-    s_l per (node and) l, for callers that reuse one z.
+    (..., 1, N, L, n_points), layer (P, N, 1, n_points), level (C,); s is
+    s_l per l, or (n_z, L) for a node array, whose axis leads scale and wave.
     """
-    levels, level = model.distinct_shifts()
-    if s is None:
-        s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - levels)
+    level = model.distinct_shifts()[1]
     s = s[..., None, None, :, None]
     pts = np.asarray(points, dtype=float)
     if model.dimension == 3:
-        r = np.linalg.norm(np.atleast_2d(pts)[None, :, :] - model.positions[:, None, :], axis=-1)[:, None, :]
+        r = np.sqrt(np.add.reduce((pts.reshape(1, -1, 3) - model.positions[:, None, :]) ** 2, axis=-1))[:, None, :]
         if not r.all():
             raise ValueError("evaluation point coincides with a spin site")
         wave = s * (1j * r)
@@ -318,28 +343,20 @@ def defect_matrix(model: ModelSpec, z, points) -> np.ndarray:
     delta_{code(state), code(mu)} is not applied here. In d=1 the
     dipole layer takes its mean value 0 at the site.
     """
-    return _defect_rows(model, z, points)
-
-
-def _defect_rows(model: ModelSpec, z, points, s=None) -> np.ndarray:
-    """defect_matrix, with s as in _defect_factors."""
-    scale, wave, layer, level = _defect_factors(model, z, points, s)
+    s = sqrt_upper(np.asarray(z, dtype=complex)[..., None] - model.distinct_shifts()[0])
+    scale, wave, layer, level = _defect_factors(model, points, s)
     phi = (scale * wave * layer).take(level, axis=-2)
     return phi.reshape(phi.shape[:-4] + (-1, phi.shape[-1]))
 
 
-def _at_site(model: ModelSpec, x) -> bool:
-    return bool(np.any(np.all(model.positions.reshape(model.n_spins, -1) == np.ravel(x), axis=-1)))
-
-
 def resolvent_kernel(model: ModelSpec, pair: BoundaryPair, z, x, sigma, xp, sigmap,
                      unchecked: bool = False) -> complex:
-    """Kernel of the dressed resolvent at one pair of space-spin points.
+    """Kernel of the dressed resolvent at one pair of space-spin points: one row of _Dressing.rows.
 
     sigma and sigmap are spin configurations (arrays of +-1) or their
     bit codes. Evaluation exactly at a spin site is an error.
     """
-    return _dress(model, pair, z, unchecked).column(xp, sigmap)(x, sigma)
+    return kernel_evaluator(model, pair, z, xp, sigmap, unchecked)(x, sigma)
 
 
 def kernel_evaluator(model: ModelSpec, pair: BoundaryPair, z, xp, sigmap,
@@ -571,16 +588,13 @@ def resolvent_state_evaluator(model: ModelSpec, pair: BoundaryPair, z, state,
         raise TypeError("pointwise evaluation needs Gaussian input")
     _require_match(model, state)
     dress = _dress(model, pair, z, unchecked)
-    charges = _gaussian_charges(dress, state)
+    charges = _gaussian_charges(dress, state)[channel_blocks(model)]
     levels, level = model.distinct_shifts()
-    s = sqrt_upper(dress.z - levels)  # once for the closure's one z
 
     def evaluate(x, sigma) -> complex:
-        code = spin_code(sigma, model.n_spins)
-        pts = [x] if model.dimension == 1 else [np.asarray(x, dtype=float)]
-        val = _gaussian_green(state, code, dress.z - levels[level[code]], pts, complex(s[level[code]]))[0, 0]
-        phi = _defect_rows(model, dress.z, pts, s)
-        return complex(val + channel_sum(model, charges, phi)[code, 0])
+        code, pts = spin_code(sigma, model.n_spins), np.asarray(x, dtype=float)[None]
+        val = _gaussian_green(state, code, dress.z - levels[level[code]], pts, complex(dress.roots[level[code]]))[0, 0]
+        return complex(val + np.einsum("rk,rk->r", charges[[code]], dress.values(pts, [code]))[0])
 
     return evaluate
 

@@ -78,7 +78,7 @@ class _Reduced(NamedTuple):
     lam: np.ndarray  # (g, r, r)
     charge: bool  # every row of H_k lies in the d=1 charge layer
     mu: np.ndarray  # (g,) the lowest Zeeman shift of each block's rows: its own threshold
-    unitary: bool  # every B_k is unitary: all its singular values are 1 to rounding
+    scale: np.ndarray | None  # (g,) c_k where every B_k is c_k times a unitary: all its singular values c_k to rounding
 
     def hermitian(self, gamma: np.ndarray, sel) -> np.ndarray:
         """H_k of the blocks sel from the stack of their plan's Gamma; leading axes carry through."""
@@ -99,14 +99,14 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
     every B_k of the group is invertible (every preset and every Haar
     pair), H_k in the block's own coordinates is Gamma_k + V Lambda V*,
     V Lambda V* = B_k^-1 A_k: no product, and v is None. Lambda is made
-    Hermitian: no change for an admissible pair. unitary is read off the
-    same singular values.
+    Hermitian: no change for an admissible pair. scale, c_k = ||B_k||, is
+    read off the same singular values (all c_k within k eps, relative).
     """
     p, _, code = channel_tables(model)
     out = []
     for g in frame.charged:
         w, s, vh = np.linalg.svd(g.B)
-        unitary = bool(np.all(np.abs(s - 1.0) <= s.shape[-1] * np.finfo(float).eps))
+        uniform = np.all((s[:, 0] > 0.0) & (s[:, 0] - s[:, -1] <= s.shape[-1] * np.finfo(float).eps * s[:, 0]))
         keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
         r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
         w, s, vh, keep = w[..., :r], s[:, :r], vh[:, :r], keep[:, :r]
@@ -119,7 +119,7 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
             lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2))
         charge = model.dimension == 1 and v is None and not p[g.index].any()
         out.append(_Reduced(g, krein._gamma_plan(model, g.index), v, lam, charge,
-                            np.min(model.shifts()[code[g.index]], axis=1), unitary))
+                            np.min(model.shifts()[code[g.index]], axis=1), s[:, 0] if uniform else None))
     return out
 
 
@@ -295,8 +295,8 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
     < n_above cross zero: their eigenvectors, mapped back to the defect
     space, span the charges. The smallest singular value of D_J = B_k
     Gamma_k + A_k on the crossing blocks takes one stacked SVD, except in
-    a group of unitary B_k of a checked (admissible) pair: there D_J = B_k
-    H_k, so its singular values are the |eigenvalues| of H_k, and the
+    a group of B_k = c_k U, U unitary (_Reduced.scale), of a checked pair:
+    there D_J = B_k H_k, its singular values c_k |eigenvalues of H_k|; the
     smallest lies among the crossing ones and their two neighbours, i =
     n_below - 1 .. n_above (_eigenvalues). The eigenvectors stay those of
     the crossing eigenvalues alone, as a subset eigh over the wider range
@@ -310,9 +310,9 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
         gamma = rd.plan(energy[level[at]], sel, paired=True)[0]
         first, last = lo[level[at], blocks[at]], up[level[at], blocks[at]]
         h = rd.hermitian(gamma, sel)
-        if checked and rd.unitary:
+        if checked and rd.scale is not None:
             near = _eigenvalues(h, np.maximum(first - 1, 0), np.minimum(last + 1, h.shape[-1]))
-            np.minimum.at(sigma, level[at], [np.min(np.abs(val)) for val in near])
+            np.minimum.at(sigma, level[at], rd.scale[sel] * [np.min(np.abs(val)) for val in near])
         else:
             dressed = gamma_dressed(BlockGroup(rd.group.index[sel], rd.group.A[sel], rd.group.B[sel]), gamma)
             np.minimum.at(sigma, level[at], np.linalg.svd(dressed, compute_uv=False)[:, -1])

@@ -16,8 +16,8 @@ presets' sparse entries are checked, the validation report as a loop
 over a pair's components and the spin frame's bases site by site,
 against which the site-table paths of local pairs are checked, the
 dense correction matrix of a dressing, the dressing restricted to the
-charged channels from dense A and B, and the spectral evolution's cut
-correction summed node by node.
+charged channels from dense A and B, the kernel from one dense Krein
+solve, and the spectral evolution's cut correction summed node by node.
 """
 
 from __future__ import annotations
@@ -506,6 +506,23 @@ def charged_dressing(pair_A, pair_B, gamma):
         out[sub] = np.linalg.solve(dressed, pair_B[sub])
         scales.extend(np.linalg.svd(dressed, compute_uv=False))
     return out, max(scales) / min(scales)
+
+
+def dense_kernel(model, pair, z, x, code, xp, codep):
+    """K(z)(x, code; xp, codep) = G delta + phi(x) (B Gamma + A)^{-1} B phi(x'), from one dense m x m solve."""
+    from spinpoint.krein import defect_matrix, gamma_free
+
+    correction = np.linalg.solve(pair.B @ gamma_free(model, z) + pair.A, pair.B)
+    chan = channel_tables(model)[2]
+
+    def column(v):
+        return defect_matrix(model, z, [v] if model.dimension == 1 else [np.asarray(v)])[:, 0]
+
+    phi, phi_p = np.where(chan == code, column(x), 0.0), np.where(chan == codep, column(xp), 0.0)
+    free = 0.0
+    if code == codep:
+        free = green(model.dimension, z - model.shifts()[code], np.asarray(x) - np.asarray(xp))
+    return free + phi @ correction @ phi_p
 
 
 # ---------------------------------------------------------------------------

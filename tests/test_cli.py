@@ -297,6 +297,60 @@ def test_kernel_dresses_once_per_command(tmp_path, monkeypatch):
     assert len(calls) == 1 + len(rows)
 
 
+def test_kernel_table_is_one_pass(tmp_path, monkeypatch):
+    """One rows call and one charges call (one rotation in and out, one matmul per group) for the whole table."""
+    from spinpoint import krein
+
+    path = write_model(tmp_path, name="offdiag", dimension=3, positions="0,0,0;1.1,0.3,0", betahat="0.8")
+    calls = []
+    for name in ("rows", "charges"):
+        inner = getattr(krein._Dressing, name)
+        monkeypatch.setattr(krein._Dressing, name,
+                            lambda self, *a, _inner=inner, _name=name: calls.append(_name) or _inner(self, *a))
+    out = tmp_path / "kernel.csv"
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--n-points", "25", "--out", str(out)) == 0
+    assert calls == ["rows", "charges"]
+    assert len(read_table(out)[2]) == 25
+
+
+def _cut_points(table, n, d):
+    """The first n rows of a kernel CSV as a points file: the coordinate and code columns, repr floats as written."""
+    body = [line for line in table.read_text().splitlines() if not line.startswith("#")]
+    return "\n".join(",".join(line.split(",")[:2 * d + 2]) for line in body[:n + 1]) + "\n"
+
+
+@pytest.mark.parametrize("d, positions, flags", [
+    (1, "0,1.3,2.6", {"name": "offdiag", "betahat": "0.8"}),
+    (3, "0,0,0;1.1,0.3,0;2.2,0,0", {"name": "offdiag", "betahat": "0.8", "alpha": "0.3,0.3,0.3"}),
+])
+def test_kernel_rows_do_not_depend_on_their_neighbours(tmp_path, d, positions, flags):
+    """The first rows of a table, fed back as a points file, give the same value columns byte for byte."""
+    path = write_model(tmp_path, dimension=d, positions=positions, **flags)
+    table, again = tmp_path / "table.csv", tmp_path / "again.csv"
+    assert run("kernel", str(path), "--z", "0.5,1.0", "--n-points", "60", "--seed", "7", "--out", str(table)) == 0
+    points = tmp_path / "points.csv"
+    points.write_text(_cut_points(table, 5, d))
+    assert run("kernel", str(path), "--z", "0.5,1.0", "--points", str(points), "--out", str(again)) == 0
+    assert read_table(again)[2] == read_table(table)[2][:5]
+
+
+@pytest.mark.parametrize("d, rows, message", [
+    (1, "0.3,0,0.5,1\n-0.4,1,1.3,1\n0.2,1,0.7,0\n", "source point coincides with a spin site"),
+    (1, "0.3,0,0.5,1\n1.3,1,0.4,1\n0.2,1,0.7,0\n", "evaluation point coincides with a spin site"),
+    (3, "0.3,0,0,0,0.5,0,0,1\n0.2,0.1,0,1,0.2,0.1,0,1\n0.2,0,0.1,1,0.7,0,0,0\n",
+     "d=3 Green function is singular at zero displacement"),
+])
+def test_one_bad_row_rejects_the_whole_table(tmp_path, capsys, d, rows, message):
+    positions = "0,1.3" if d == 1 else "0,0,0;1.3,0,0"
+    path = write_model(tmp_path, dimension=d, positions=positions, beta="-1.0")
+    points = tmp_path / "points.csv"
+    points.write_text(rows)
+    out = tmp_path / "kernel.csv"
+    assert run("kernel", str(path), "--z", "-1.0,0.5", "--points", str(points), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
 def test_kernel_near_pole_flags_every_row_once(tmp_path, monkeypatch):
     path = write_model(tmp_path, beta="-2.0")  # bound state at E = -1
     pts = tmp_path / "pts.csv"
@@ -622,6 +676,7 @@ def test_state_integer_fields_must_be_json_integers(tmp_path, capsys, component,
     ("nan,0,0.5,0\n", "is not finite"),  # once skipped
     ("0.3,0,inf,0\n", "is not finite"),  # once written as nan,nan,ok with exit 0
     ("0.3,1.5,0.5,0\n", "must be integers"),  # once ran as spin code 1
+    ("0.3,0,0.5,2\n", "spin codes 0 and 2 must lie in 0..1"),  # once a ValueError of the row's evaluation
     ("0.3,0,0.5,0\nx,sigma,xp,sigmap\n", "cannot parse"),  # a header after a row, once skipped
     ("x,sigma,xp,sigmap\nx,sigma,xp,sigmap\n0.3,0,0.5,0\n", "cannot parse"),  # two headers
     ("0.3,0,,0\n", "cannot parse"),

@@ -1086,18 +1086,6 @@ def _point(model, x):
     return [x] if model.dimension == 1 else [np.asarray(x)]
 
 
-def _dense_kernel(model, pair, z, x, code, xp, codep):
-    """G delta + phi(x) (B Gamma + A)^{-1} B phi(x'), from one dense solve."""
-    correction = np.linalg.solve(pair.B @ gamma_free(model, z) + pair.A, pair.B)
-    chan = channel_tables(model)[2]
-    phi = np.where(chan == code, defect_matrix(model, z, _point(model, x))[:, 0], 0.0)
-    phi_p = np.where(chan == codep, defect_matrix(model, z, _point(model, xp))[:, 0], 0.0)
-    free = 0.0
-    if code == codep:
-        free = green(model.dimension, z - model.shifts()[code], np.asarray(x) - np.asarray(xp))
-    return free + phi @ correction @ phi_p
-
-
 def _rotated_cases():
     rng = np.random.default_rng(17)
     for d in (1, 3):
@@ -1146,7 +1134,7 @@ def test_rotated_kernel_matches_closed_form_and_dense_solve():
         for c in range(model.n_configs):
             cp = int(rng.integers(model.n_configs))
             val = kernel_evaluator(model, pair, z, xp, cp)(x, c)
-            assert val == pytest.approx(_dense_kernel(model, pair, z, x, c, xp, cp), rel=1e-10, abs=1e-14)
+            assert val == pytest.approx(ref.dense_kernel(model, pair, z, x, c, xp, cp), rel=1e-10, abs=1e-14)
 
 
 def test_identity_frame_keeps_the_block_path():
@@ -1205,7 +1193,7 @@ def test_solvers_take_gamma_only_on_frame_blocks(monkeypatch, model, pair, one_b
     assert (sum(len(g.index) for g in pair.frame(model).pair.blocks()) == 1) == one_block
     z, d = -0.7 + 0.9j, model.dimension
     x, xp = (-0.6, 0.45) if d == 1 else (np.array([0.5, 0.5, 0.1]), np.array([0.4, -0.3, 0.2]))
-    want = [_dense_kernel(model, pair, z, x, c, xp, 1) for c in range(model.n_configs)]
+    want = [ref.dense_kernel(model, pair, z, x, c, xp, 1) for c in range(model.n_configs)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("m x m Gamma formed by a solver")
@@ -1259,3 +1247,106 @@ def test_evaluators_match_per_call_defect_matrix():
                 want = (_gaussian_green(packet, code, z - model.shifts()[code], pts)[0, 0]
                         + channel_sum(model, charges, phi)[code, 0])
                 assert abs(state(x, code) - want) <= 1e-15 * max(abs(want), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# kernel tables: every row in one pass
+
+
+def _table_cases():
+    """(model, pair, unchecked) for every preset case of the boundary tests and a Haar pair per dimension and field."""
+    from test_boundary import _preset_cases
+
+    for model, pair, _ in _preset_cases():
+        yield model, pair, not pair.validation().is_valid
+    rng = np.random.default_rng(43)
+    for d in (1, 3):
+        for alpha in (0.0, 0.3):
+            model = (model_d1 if d == 1 else model_d3)(2, alpha=[alpha, alpha])
+            yield model, random_valid_pair(model, rng), False
+
+
+def _table(model, n_rows, rng):
+    """Rows (x, codes, xp, codes_p) off the sites, every code on both sides, codes equal on every third row."""
+    d, n = model.dimension, model.n_configs
+    shape = (n_rows,) if d == 1 else (n_rows, 3)
+    x, xp = rng.normal(size=shape) * 1.5, rng.normal(size=shape) * 1.5
+    codes = np.arange(n_rows) % n
+    codes_p = (codes + 1 + rng.integers(n - 1, size=n_rows)) % n  # another code
+    codes_p[::3] = codes[::3]
+    return x, codes, xp, codes_p
+
+
+def test_kernel_rows_are_the_closure_and_resolvent_kernel_bit_for_bit():
+    """One pass over a table gives, byte for byte, the pointwise column closure and resolvent_kernel."""
+    from spinpoint.krein import _dress
+
+    rng = np.random.default_rng(47)
+    z = -0.7 + 0.9j
+    for model, pair, unchecked in _table_cases():
+        x, codes, xp, codes_p = _table(model, 9, rng)
+        got = _dress(model, pair, z, unchecked).rows(x, codes, xp, codes_p)
+        assert got.shape == (9,) and np.any(codes != codes_p) and np.any(codes == codes_p)
+        for i in range(9):
+            column = kernel_evaluator(model, pair, z, xp[i], int(codes_p[i]), unchecked=unchecked)
+            assert column(x[i], int(codes[i])) == got[i]
+        for i in range(3):
+            assert resolvent_kernel(model, pair, z, x[i], int(codes[i]), xp[i], int(codes_p[i]),
+                                    unchecked=unchecked) == got[i]
+
+
+def test_kernel_rows_match_the_dense_solve():
+    from spinpoint.krein import _dress
+
+    rng = np.random.default_rng(53)
+    z = -0.7 + 0.9j
+    for model, pair, unchecked in _table_cases():
+        x, codes, xp, codes_p = _table(model, 6, rng)
+        got = _dress(model, pair, z, unchecked).rows(x, codes, xp, codes_p)
+        for i in range(6):
+            want = ref.dense_kernel(model, pair, z, x[i], codes[i], xp[i], codes_p[i])
+            assert got[i] == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
+def test_kernel_table_conjugate_symmetry():
+    """K(z)(x, x') = conj K(conj z)(x', x) on every row of a table, swapping the two sides of all rows."""
+    from spinpoint.krein import _dress
+
+    rng = np.random.default_rng(59)
+    z = -0.4 + 0.8j
+    for model, pair, unchecked in _table_cases():
+        if unchecked:
+            continue  # not self-adjoint
+        x, codes, xp, codes_p = _table(model, 8, rng)
+        up = _dress(model, pair, z).rows(x, codes, xp, codes_p)
+        down = _dress(model, pair, np.conj(z)).rows(xp, codes_p, x, codes)
+        np.testing.assert_allclose(up, np.conj(down), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, bad, message", [
+    (1, "source", "source point coincides with a spin site"),
+    (3, "source", "source point coincides with a spin site"),
+    (1, "point", "evaluation point coincides with a spin site"),
+    (3, "point", "evaluation point coincides with a spin site"),
+    (3, "same", "d=3 Green function is singular at zero displacement"),
+])
+def test_one_bad_row_rejects_the_table_before_any_row_is_evaluated(monkeypatch, d, bad, message):
+    from spinpoint import krein
+
+    model = (model_d1 if d == 1 else model_d3)(2)
+    pair = preset_delta(model, -1.0)
+    x, codes, xp, codes_p = _table(model, 7, np.random.default_rng(61))
+    site = model.site(2)
+    if bad == "source":
+        xp[4] = site
+    elif bad == "point":
+        x[4] = site
+    else:
+        x[4], codes[4] = xp[4], codes_p[4]
+    dress = krein._dress(model, pair, -0.7 + 0.9j)
+    evaluated = []
+    inner = krein._defect_factors
+    monkeypatch.setattr(krein, "_defect_factors", lambda *a, **k: evaluated.append(1) or inner(*a, **k))
+    with pytest.raises(ValueError, match=message):
+        dress.rows(x, codes, xp, codes_p)
+    assert not evaluated

@@ -512,3 +512,44 @@ def test_smallest_singular_value_is_that_of_the_charged_dressing():
                 full = np.linalg.svd(gamma_dressed(pair, gamma), compute_uv=False)[-1]
                 assert st.smallest_singular_value == pytest.approx(full, abs=1e-14)
     assert inert_seen == 4
+
+
+@pytest.mark.parametrize("make, scale", [
+    (lambda m: preset_delta(m, -1.7), 1.7),  # B_JJ = -beta I
+    (lambda m: preset_offdiag(m, 0.8), 1.6),  # 2 betahat times a unitary flip
+    (lambda m: preset_delta_prime(m, -0.9), 0.9),
+    (lambda m: preset_delta(m, [[-1.0, -2.0], [-1.5, -1.0], [-0.7, -1.2]]), None),  # unequal singular values
+])
+def test_multiples_of_a_unitary_take_no_values_only_svd(monkeypatch, make, scale):
+    """Where every B_k of a group is c_k times a unitary, sigma_min is c_k min |eig H_k|, with no SVD of D_J."""
+    chain = _field_chain(3)
+    field = ModelSpec(1, chain.positions, [0.3] * 3)
+    values_only = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        values_only.append(kwargs.get("compute_uv", True) is False)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for model in (chain, field):
+        pair = make(model)
+        red = spectral._reduce(model, pair.frame(model))
+        if scale is None:
+            assert all(rd.scale is None for rd in red)
+        else:
+            assert all(np.allclose(rd.scale, scale, rtol=1e-14, atol=0.0) for rd in red)
+        J = ref.charged_channels(pair.A, pair.B)[0]
+        assert pair.validation().is_valid  # its values-only SVDs are cached on the pair
+        values_only.clear()
+        states = find_bound_states(model, pair)
+        assert states and any(values_only) == (scale is None)
+        for st in states:
+            dressed = (pair.B @ gamma_free(model, complex(st.energy)) + pair.A)[np.ix_(J, J)]
+            assert st.smallest_singular_value == pytest.approx(svd(dressed, compute_uv=False)[-1], abs=1e-14)
+            # just off the level sigma_min is well above rounding, so the factor c_k shows
+            step = 1e-6 * (1.0 + abs(st.energy))
+            found = [(st.energy - step / 2, spectral._count(red, st.energy - step), spectral._count(red, st.energy + step))]
+            off = spectral._levels(model, pair.frame(model), red, found, True)[0]
+            dressed = (pair.B @ gamma_free(model, complex(found[0][0])) + pair.A)[np.ix_(J, J)]
+            assert off.smallest_singular_value == pytest.approx(svd(dressed, compute_uv=False)[-1], rel=1e-6)
