@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spins import ModelSpec, channel_blocks, index_dimension, site_slots
+from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, site_slots
 
 __all__ = [
     "BoundaryPair",
@@ -94,6 +94,28 @@ class SpinFrame(NamedTuple):
             v = np.stack([u[0, 0] * lo + u[0, 1] * hi, u[1, 0] * lo + u[1, 1] * hi], axis=1)
         return np.moveaxis(v.reshape(shape), -1, axis)
 
+    def code_rows(self, codes) -> "np.ndarray | None":
+        """Rows codes of the 2**N x 2**N unitary U_N (x) ... (x) U_1 that U applies on the spin code; None when U = I.
+
+        Entry (c, c') is the product of U_j[bit j - 1 of c, of c'] over the
+        rotated sites, and 0 where c and c' differ in another bit. As the
+        flat defect index is (p, j) major with the code fastest, U* v for a
+        v held on the channels of one code c is the outer product of v's
+        values there and conj(row c), and (U w) on code c is w, split into
+        (p, j) by code, times row c: no pass over other codes.
+        """
+        if not self.sites:
+            return None
+        codes = np.asarray(codes)[:, None]
+        other = np.arange(2**self.pair.n_spins)
+        rows = np.ones((codes.size, other.size), dtype=complex)
+        rotated = 0
+        for j, u in zip(self.sites, self.bases):
+            rows *= u[(codes >> (j - 1)) & 1, (other >> (j - 1)) & 1]
+            rotated |= 1 << (j - 1)
+        rows[(codes ^ other) & ~rotated != 0] = 0.0
+        return rows
+
 
 def _joint_bases(mats: np.ndarray) -> dict:
     """{j: U_j}, U_j unitary with U_j* M U_j diagonal for every 2 x 2 M of site j in the table mats.
@@ -136,20 +158,21 @@ class PairEntries(NamedTuple):
 
 
 class BoundaryPair:
-    """Interface matrices for a given dimension and spin count, held by their nonzero entries.
+    """Interface matrices for a given dimension and spin count, held by their nonzero entries or their site table.
 
     BoundaryPair(d, N, A, B) reads the entries (PairEntries) of dense m x m
-    input in one scan; the presets write theirs with _local_pair, which
-    also keeps the site table they were written from (_site_matrices). The
-    m x m A and B are read-only views built from the entries on first read,
-    for output and tests: validation, components, blocks and frames read
-    the entries or the site table. blocks() are the BlockGroups, ascending
-    in block size, on which B Gamma(z) + A is block diagonal for every z;
-    a local pair reads them off its site table in closed form, any other
-    pair partitions its entries (_partition), as components() does, the
-    finest blocks of A and B, for validating a pair that is not local. The
-    solvers run on frame(model).charged. Pairs are equal when dimension,
-    spin count and entries are.
+    input in one scan. The presets write theirs with _local_pair, which
+    keeps only the site table they are written from (_site_matrices): their
+    entries are built from it on first read, and the m x m A and B, read-only
+    views, from the entries, for output and tests. Validation, max_abs,
+    blocks, frames and charged blocks read a local pair's site table (also
+    for dense input found local) and any other pair's entries. blocks() are
+    the BlockGroups, ascending in block size, on which B Gamma(z) + A is
+    block diagonal for every z; a local pair reads them off its site table in
+    closed form, any other pair partitions its entries (_partition), as
+    components() does, the finest blocks of A and B, for validating a pair
+    that is not local. The solvers run on frame(model).charged. Pairs are
+    equal when dimension, spin count and entries are.
     """
 
     def __init__(self, dimension: int, n_spins: int, A, B):
@@ -159,35 +182,43 @@ class BoundaryPair:
         if A.shape != (m, m) or B.shape != (m, m):
             raise ValueError(f"A and B must be {m} x {m}, got {A.shape} and {B.shape}")
         rows, cols = np.nonzero((A != 0.0) | (B != 0.0))
-        self._hold(dimension, n_spins, rows, cols, A[rows, cols], B[rows, cols])
+        a, b = A[rows, cols], B[rows, cols]
+        self._hold(dimension, n_spins, a, b)
+        for arr in (rows, cols, a, b):
+            arr.setflags(write=False)
+        self.entries = PairEntries(rows, cols, a, b)
 
-    @classmethod
-    def _from_entries(cls, dimension: int, n_spins: int, rows, cols, A, B) -> "BoundaryPair":
-        """The pair with values A, B at distinct positions (rows, cols) and 0 elsewhere.
+    @staticmethod
+    def _from_entries(rows, cols, A, B) -> PairEntries:
+        """The read-only entries of the pair with values A, B at distinct positions (rows, cols) and 0 elsewhere.
 
         The four arrays are broadcast to one shape. Positions where both
-        values are 0 are dropped, as a dense scan would.
+        values are 0 are dropped, as a dense scan would, and the rest are
+        sorted in row-major order.
         """
-        rows, cols, A, B = np.broadcast_arrays(rows, cols, np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+        rows, cols, A, B = np.broadcast_arrays(rows, cols, A, B)
         keep = (A != 0.0) | (B != 0.0)
         rows, cols, A, B = (x[keep] for x in (rows, cols, A, B))
         order = np.lexsort((cols, rows))
-        pair = cls.__new__(cls)
-        pair._hold(dimension, n_spins, rows[order], cols[order], A[order], B[order])
-        return pair
+        entries = PairEntries(*(x[order] for x in (rows, cols, A, B)))
+        for arr in entries:
+            arr.setflags(write=False)
+        return entries
 
-    def _hold(self, dimension: int, n_spins: int, rows, cols, A, B):
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    def _hold(self, dimension: int, n_spins: int, *values):
+        if not all(np.isfinite(x).all() for x in values):
             raise ValueError("A and B must be finite")
         self.dimension, self.n_spins = dimension, n_spins
         self.defect_dim = index_dimension(dimension, n_spins)
-        for arr in (rows, cols, A, B):
-            arr.setflags(write=False)
-        self.entries = PairEntries(rows, cols, A, B)
         self._report = None
         self._components = None
         self._blocks = None
         self._frames = {}
+
+    @functools.cached_property
+    def entries(self) -> PairEntries:
+        """The entries of a pair written by _local_pair, built from its site table on first read; set on dense input."""
+        return self._from_entries(*site_slots(self), *self._site_matrices[..., None])
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryPair):
@@ -204,6 +235,12 @@ class BoundaryPair:
     def B(self) -> np.ndarray:
         """B as a read-only m x m array, built from the entries on first read."""
         return self._dense[1]
+
+    @functools.cached_property
+    def max_abs(self) -> tuple:
+        """(max |A_ij|, max |B_ij|): read off the site table of a local pair, else off the entries."""
+        mats = self._site_matrices
+        return tuple(float(np.max(np.abs(x), initial=0.0)) for x in (self.entries[2:] if mats is None else mats))
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
@@ -257,8 +294,9 @@ class BoundaryPair:
         local: _local_pair writes it from the rotated 2 x 2s (diagonal,
         exact zeros off it), and the frame's blocks are its own blocks().
         No rotated site: U = I and the pair's own blocks. The charged blocks
-        and inert channels are read from the entries of the frame's pair
-        when a solver first asks. Validation stays on the pair itself:
+        and inert channels are read off the site table of the frame's pair
+        (of the pair's entries, for a pair that is not local) when a solver
+        first asks. Validation stays on the pair itself:
         a unitary similarity keeps admissibility.
         """
         mats, bases = self._site_bases
@@ -308,20 +346,26 @@ class BoundaryPair:
         return mats, {} if mats is None else _joint_bases(mats)
 
     def _block_entries(self, index: np.ndarray):
-        """(A, B) on the (g, k, k) blocks of index, scattered from the entries with row and column in index.
+        """(A, B) on the (g, k, k) blocks of index: each entry with row and column in one block, scattered there.
 
-        An entry whose row and column both lie in index must lie in one
-        block, as on components, on their unions (blocks) and on subsets
-        of those (_charged_blocks).
+        A local pair scatters every slot of its site table (spins.site_slots)
+        instead, with the value of its 2 x 2 entry; a slot of two zeros
+        writes the +0 already there.
         """
         g, k = index.shape
         at = np.full(self.defect_dim, -1)
         at[index.ravel()] = np.arange(index.size)  # block * k + position in the block
-        rows, cols, a, b = self.entries
-        r = at[rows]
-        on = np.flatnonzero(np.minimum(r, at[cols]) >= 0)
+        mats = self._site_matrices
+        if mats is None:
+            rows, cols, a, b = self.entries
+            values, spread = np.stack([a, b]), 1
+        else:
+            rows, cols = (x.ravel() for x in site_slots(self))
+            values, spread = mats.reshape(2, -1), 2 ** (self.n_spins - 1)  # slot // spread is its 2 x 2 entry
+        r, c = at[rows], at[cols]
+        on = np.flatnonzero((np.minimum(r, c) >= 0) & (r // k == c // k))
         out = np.zeros((2, g * k * k), dtype=complex)
-        out[:, r[on] * k + at[cols[on]] % k] = a[on], b[on]
+        out[:, r[on] * k + c[on] % k] = values[:, on // spread]
         return out.reshape(2, g, k, k)
 
 
@@ -333,22 +377,18 @@ def _charged_blocks(pair: BoundaryPair):
     at every z, and with the channels ordered (J, I), J the charged ones,
     B Gamma + A = [[D_J, X], [0, diag a]] with D_J = B_JJ Gamma_JJ + A_JJ.
     Its correction (B Gamma + A)^{-1} B is D_J^{-1} B_JJ on J and 0 on the
-    rest, for any pair. The blocks keep their charged positions, in order,
-    regrouped by their count r ascending; a block with none drops out.
-    Their values are scattered from the entries for the charged positions
-    only. inert is the smallest and largest |a_i|, all that the condition
-    number reads of the 1 x 1 blocks; with no inert channel it is () and
-    charged is blocks() itself.
+    rest, for any pair. The inert channels of a local pair are read per
+    (layer, site, spin bit) off its site table (_inert_sites), any other
+    pair's off its entries (_inert_entries). The blocks keep their charged
+    positions, in order, regrouped by their count r ascending; a block
+    with none drops out. Their values are those of blocks() on the
+    charged positions only (BoundaryPair._block_entries). inert is the
+    smallest and largest |a_i|, all that the condition number reads of
+    the 1 x 1 blocks; with no inert channel it is () and charged is
+    blocks() itself.
     """
-    rows, cols, a, b = pair.entries
-    on_b = b != 0.0
-    if np.bincount(rows[on_b], minlength=pair.defect_dim).all():  # B has an entry in every row, as for d=3 presets
-        return pair.blocks(), ()
-    # a diagonal entry without b, alone in its row, in a column where B has no entry: then a != 0
-    lone = (rows == cols) & ~on_b & (np.bincount(rows, minlength=pair.defect_dim)[rows] == 1)
-    inert, lone_rows = np.zeros(pair.defect_dim, dtype=bool), rows[lone]
-    inert[lone_rows] = True
-    inert[cols[on_b]] = False
+    mats = pair._site_matrices
+    inert, scale = _inert_entries(pair) if mats is None else _inert_sites(pair, mats)
     if not inert.any():
         return pair.blocks(), ()
     by_count = {}
@@ -363,8 +403,34 @@ def _charged_blocks(pair: BoundaryPair):
         index = np.concatenate(by_count[r])
         index.setflags(write=False)
         groups.append(BlockGroup(index, *pair._block_entries(index)))
-    scale = np.abs(a[lone][inert[lone_rows]])
     return tuple(groups), (float(scale.min()), float(scale.max()))
+
+
+def _inert_entries(pair: BoundaryPair):
+    """(inert per channel, |a_i| of the inert channels), from the entries."""
+    rows, cols, a, b = pair.entries
+    on_b = b != 0.0
+    # a diagonal entry without b, alone in its row, in a column where B has no entry: then a != 0
+    lone = (rows == cols) & ~on_b & (np.bincount(rows, minlength=pair.defect_dim)[rows] == 1)
+    inert, lone_rows = np.zeros(pair.defect_dim, dtype=bool), rows[lone]
+    inert[lone_rows] = True
+    inert[cols[on_b]] = False
+    return inert, np.abs(a[lone][inert[lone_rows]])
+
+
+def _inert_sites(pair: BoundaryPair, mats: np.ndarray):
+    """_inert_entries of the local pair with the site table mats, read per (layer p, site j, spin bit s).
+
+    Row (p, j, s) of a site's 2 x 2s is the row of every channel with that
+    layer, site and bit of the code at j, whatever the spectator spins, and
+    so is its column: the test holds for all 2**(N-1) channels or none. Each
+    inert |a| thus counts once here, which leaves its extremes.
+    """
+    a, b = mats != 0.0  # [p, p', j - 1, s, s']
+    diag = np.einsum("ppjss->pjs", mats[0])
+    sites = (diag != 0.0) & (a.sum(axis=(1, 4)) == 1) & ~b.any(axis=(1, 4)) & ~b.any(axis=(0, 3))
+    p, j, code = channel_tables(pair)
+    return sites[p, j - 1, (code >> (j - 1)) & 1], np.abs(diag[sites])
 
 
 def _coset_blocks(mats: np.ndarray) -> "tuple[np.ndarray, ...]":
@@ -480,7 +546,7 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     of two, so it is finite at any scale; the report gives both at the
     pair's own scale.
     """
-    norms = [float(np.max(np.abs(x), initial=0.0)) for x in pair.entries[2:]]  # every nonzero is an entry
+    norms = pair.max_abs
     mantissas, (ka, kb) = np.frexp(norms)
     mats = pair._site_matrices
     if mats is None:
@@ -555,18 +621,16 @@ def _local_pair(space, a, b) -> BoundaryPair:
 
     a[p, p', j - 1, s, s'] is the value of A at every slot (p, p', j, s, s')
     of spins.site_slots, whatever the spectator spins; likewise b for B.
-    space is a ModelSpec or a BoundaryPair. The values are copied along
-    the spectator axis, so that _from_entries broadcasts nothing for full
-    input. The pair keeps the (2, P, P, N, 2, 2) table of a and b as its
-    _site_matrices, with +0 where both are 0, as the slot search reads an
-    absent entry.
+    space is a ModelSpec or a BoundaryPair. The pair holds only the
+    (2, P, P, N, 2, 2) table of a and b, its _site_matrices, with +0 where
+    both are 0, as the slot search reads an absent entry; its entries are
+    built from the table on first read.
     """
-    rows, cols = site_slots(space)
-    mats = np.empty((2,) + rows.shape[:-1], dtype=complex)
+    mats = np.empty((2,) + site_slots(space)[0].shape[:-1], dtype=complex)
     mats[0], mats[1] = a, b
     np.copyto(mats, 0.0, where=(mats == 0.0).all(axis=0))
-    pair = BoundaryPair._from_entries(space.dimension, space.n_spins, rows, cols,
-                                      *mats[..., None].repeat(rows.shape[-1], -1))
+    pair = BoundaryPair.__new__(BoundaryPair)
+    pair._hold(space.dimension, space.n_spins, mats)
     mats.setflags(write=False)
     pair.__dict__["_site_matrices"] = mats  # the cached_property's slot: the search never runs
     return pair

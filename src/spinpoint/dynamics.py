@@ -389,7 +389,7 @@ def evolve_spectral(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
 
     lam, wts = _cut_nodes(model, n_nodes, lam_max)
     n_radii = 0
-    if pair.entries.B.any():  # a pair with B = 0 has no correction
+    if pair.max_abs[1] > 0.0:  # a pair with B = 0 has no correction
         correction, n_radii = _cut_correction(model, pair, packet, times, grid, lam, wts)
         values += correction
 

@@ -198,8 +198,10 @@ class _Dressing:
     for the correction C = (B Gamma + A)^{-1} B; C is 0 on every inert
     channel's row and column. charges maps vectors through U and each
     stack on its group's indices, and leaves the inert charges exactly 0.
-    For a 1-D array of z, z, solved and condition carry a leading node
-    axis; the kernel (rows, column, all rows in one pass) needs one node.
+    Kernel rows hold a source on one spin code and read one code, so they
+    apply U per code (sources, _on_codes) instead of rotating all m
+    channels. For a 1-D array of z, z, solved and condition carry a leading
+    node axis; the kernel (rows, column, all rows in one pass) needs one node.
     """
 
     model: ModelSpec
@@ -211,12 +213,15 @@ class _Dressing:
 
     def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
         """C s for overlap vectors s on the last axis of overlaps, one per node; C* s under adjoint."""
-        inner = self.frame.rotate(overlaps, adjoint=True)
+        return self.frame.rotate(self._solve(self.frame.rotate(overlaps, adjoint=True), adjoint))
+
+    def _solve(self, inner, adjoint: bool = False) -> np.ndarray:
+        """U* C U applied to vectors on the last axis of inner: each stack on its group's indices, 0 elsewhere."""
         out = np.zeros(np.shape(inner), dtype=complex)
         for g, x in zip(self.frame.charged, self.solved):
             x = x.conj().swapaxes(-1, -2) if adjoint else x
             out[..., g.index] = np.matmul(x, inner[..., g.index, None])[..., 0]
-        return self.frame.rotate(out)
+        return out
 
     def values(self, points, codes) -> np.ndarray:
         """phi_mu(points[i]) on the k channels of code codes[i] only, flat order: (R, k); one _defect_factors call."""
@@ -225,28 +230,47 @@ class _Dressing:
         phi = wave[:, :, lv, at] * layer[:, :, 0]  # (P, N, R); a d=1 layer (1 or -sgn/2) scales exactly, d=3 scale is 1
         return (phi if self.model.dimension == 3 else scale[:, :, lv, 0] * phi).reshape(-1, at.size).T
 
-    def sources(self, xp, codes_p) -> np.ndarray:
-        """C phi_i for every row i, phi_i = values at xp_i on code codes_p[i], in one charges call: (R, 2^N, k)."""
-        blocks, at = channel_blocks(self.model), np.arange(len(codes_p))
-        overlaps = np.zeros((at.size, self.model.defect_dim), dtype=complex)
-        overlaps[at[:, None], blocks[codes_p]] = self.values(xp, codes_p)
-        return self.charges(overlaps)[:, blocks]
+    def sources(self, phi, codes_p) -> np.ndarray:
+        """U* C s_i for source vectors s_i = phi[i] on the channels of code codes_p[i]: (R, k, 2^N), (p, j) by code.
 
-    def rows(self, x, codes, xp, codes_p, weights=None) -> np.ndarray:
+        U* s_i is phi[i] times conj(row codes_p[i]) of U's code matrix
+        (SpinFrame.code_rows), or phi[i] on code codes_p[i] alone when U = I.
+        """
+        rows, at = self.frame.code_rows(codes_p), np.arange(len(codes_p))
+        if rows is None:
+            inner = np.zeros(phi.shape + (self.model.n_configs,), dtype=complex)
+            inner[at, :, codes_p] = phi
+        else:
+            inner = phi[:, :, None] * rows.conj()[:, None, :]
+        return self._solve(inner.reshape(at.size, -1)).reshape(inner.shape)
+
+    def _on_codes(self, sources, codes) -> np.ndarray:
+        """(U sources[i]) on the channels of code codes[i] for every row: (R, k), one spin code each."""
+        rows = self.frame.code_rows(codes)
+        if rows is None:
+            return sources[np.arange(len(codes)), :, codes]
+        return np.matmul(sources, rows[:, :, None])[..., 0]
+
+    def rows(self, x, codes, xp, codes_p, sources=None) -> np.ndarray:
         """K(x_i, codes[i]; xp_i, codes_p[i]) of every row i in one pass; x and xp are (R,) in d=1, (R, 3) in d=3.
 
-        Without weights = sources(xp, codes_p), every row is checked first:
-        a source at a site, a point at one, then d=3 x = x' in one code
-        raise. Rows sum in channel_sum's order; equal codes add G at once.
+        Without given sources (those of xp, codes_p), every row is checked
+        first: a source at a site, a point at one, then d=3 x = x' in one
+        code raise; one _defect_factors call then serves both sides. Each
+        row's weights are C phi(xp_i) on its own code codes[i] only
+        (_on_codes), summed in channel_sum's order; equal codes add G at once.
         """
-        same = (codes == codes_p).nonzero()[0]
-        if weights is None:
+        same, r = (codes == codes_p).nonzero()[0], len(codes)
+        if sources is None:
             _check_sites(self.model, xp, "source point coincides with a spin site")
             _check_sites(self.model, x, "evaluation point coincides with a spin site")
             if self.model.dimension == 3 and (x[same] == xp[same]).all(axis=-1).any():
                 raise ValueError("d=3 Green function is singular at zero displacement")
-            weights = self.sources(xp, codes_p)
-        out = np.einsum("rk,rk->r", weights[np.arange(len(codes)), codes], self.values(x, codes))
+            phi = self.values(np.concatenate([x, xp]), np.concatenate([codes, codes_p]))
+            phi, sources = phi[:r], self.sources(phi[r:], codes_p)
+        else:
+            phi = self.values(x, codes)
+        out = np.einsum("rk,rk->r", self._on_codes(sources, codes), phi)
         if same.size:  # s_l is green's sqrt_upper(z - a.s)
             s = self.roots[self.model.distinct_shifts()[1][codes[same]]]
             out[same] += _green_at(self.model.dimension, s, x[same] - xp[same])
@@ -256,13 +280,13 @@ class _Dressing:
         """Closure evaluating K(x, sigma; xp, sigmap): the source side once, each point one row of rows."""
         model, code_p, xp = self.model, np.array([spin_code(sigmap, self.model.n_spins)]), np.asarray(xp, float)[None]
         _check_sites(model, xp, "source point coincides with a spin site")
-        weights = self.sources(xp, code_p)
+        sources = self.sources(self.values(xp, code_p), code_p)
 
         def evaluate(x, sigma) -> complex:
             x = np.asarray(x, dtype=float)[None]
             if model.dimension == 1:  # d=3: _defect_factors rejects x at a site, green x = x'
                 _check_sites(model, x, "evaluation point coincides with a spin site")
-            return complex(self.rows(x, np.array([spin_code(sigma, model.n_spins)]), xp, code_p, weights)[0])
+            return complex(self.rows(x, np.array([spin_code(sigma, model.n_spins)]), xp, code_p, sources)[0])
 
         return evaluate
 

@@ -266,7 +266,7 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     mu - 4 (mu - floor) until N(floor) equals its E -> -inf limit; as N
     is nondecreasing in E, no bound state lies below the result.
     """
-    if not pair.entries.B.any():
+    if pair.max_abs[1] == 0.0:
         return essential_spectrum_bottom(model) - 10.0  # no bound states
     return _search_floor(model, pair, _reduce(model, pair.frame(model)))[0]
 
@@ -274,8 +274,8 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
 def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[float, np.ndarray]:
     """default_search_floor on the pair's reduction, with the per-block counts there."""
     mu = essential_spectrum_bottom(model)
-    a, b = pair.entries.A, pair.entries.B  # every nonzero of A and of B is an entry
-    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * float(np.max(np.abs(a))) / float(np.max(np.abs(b)))) ** 2)
+    a, b = pair.max_abs
+    floor = mu - 10.0 * (1.0 + (4.0 * np.pi * a / b) ** 2)
     limit = _limit(model, red)
     for _ in range(30):
         counts = _count(red, floor)
@@ -356,7 +356,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     if e_min is not None and not np.isfinite(e_min):
         raise ValueError(f"e_min must be finite, got {e_min}")
     require_valid(model, pair, unchecked)
-    if not pair.entries.B.any():
+    if pair.max_abs[1] == 0.0:
         return []  # A q = 0 forces q = 0
     frame = pair.frame(model)
     red = _reduce(model, frame)

@@ -552,6 +552,70 @@ def test_stacked_site_bases_are_the_per_site_ones():
     assert rotated > 100
 
 
+def _entry_copy(pair):
+    """pair as dense input held by its entries alone: the path of a pair that is not local."""
+    copy = BoundaryPair(pair.dimension, pair.n_spins, pair.A, pair.B)
+    copy.__dict__["_site_matrices"] = None
+    return copy
+
+
+def _random_site_tables():
+    """(model, local pair) from random site tables, at alpha 0 and 0.3 in d = 1 and 3, N = 1..4.
+
+    Each site's 2 x 2s are x I + y H_j for one random Hermitian H_j (the
+    site rotates at alpha 0) or random entries with some diagonal a zeroed
+    (it does not); some layer rows of B and some off-diagonal layers of A
+    are 0, so channels are inert, in the pair and in its frame.
+    """
+    rng = np.random.default_rng(31)
+    for d in (1, 3):
+        layers = 2 if d == 1 else 1
+        for n in (1, 2, 3, 4):
+            for alpha in (0.0, 0.3):
+                model = ModelSpec(d, _zero_field_model(d, n).positions, np.full(n, alpha))
+                for _ in range(4):
+                    h = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+                    h = h + h.conj().swapaxes(-1, -2)
+                    x, y = rng.normal(size=(2, 2, layers, layers, n, 1, 1))
+                    mats = x * np.eye(2) + y * h
+                    scrambled = rng.random(n) < 0.4
+                    mats[:, :, :, scrambled] = rng.normal(size=(2, layers, layers, scrambled.sum(), 2, 2))
+                    zero_diag = (rng.random((layers, layers, n, 2)) < 0.3) & scrambled[:, None]
+                    mats[0] *= ~(zero_diag[..., None] & np.eye(2, dtype=bool))
+                    mats[1] *= rng.random((layers, 1, n, 1, 1)) < 0.5  # B rows of a layer at a site: 0
+                    mats[0] *= (np.eye(layers, dtype=bool)[:, :, None] | (rng.random(n) < 0.5))[..., None, None]
+                    yield model, _local_pair(model, *mats)
+
+
+def _same_charged(got, want):
+    """Equal charged groups and inert extremes, byte for byte."""
+    _same_groups(got[0], want[0])
+    assert all(x.tobytes() == y.tobytes() for g, w in zip(got[0], want[0]) for x, y in zip(g, w))
+    assert got[1] == want[1]
+
+
+def test_charged_blocks_from_the_site_table_are_those_from_the_entries():
+    """A local pair's blocks(), frame.charged and frame.inert off its site table equal those of the entry path."""
+    cases = [(model, pair) for model, pair, _ in _preset_cases()]
+    cases += [(model, BoundaryPair(model.dimension, model.n_spins, A, B)) for model, _, (A, B) in _preset_cases()]
+    cases += list(_random_site_tables())
+    with_inert = rotated = 0
+    for model, pair in cases:
+        assert is_local(pair)
+        for m in (model, _zero_field_model(model.dimension, model.n_spins)):
+            frame = pair.frame(m)
+            table_pair = frame.pair  # the pair itself, or the frame's pair written by _local_pair
+            entry_pair = _entry_copy(table_pair)
+            _same_groups(table_pair.blocks(), entry_pair.blocks())
+            assert all(x.tobytes() == y.tobytes()
+                       for g, w in zip(table_pair.blocks(), entry_pair.blocks()) for x, y in zip(g, w))
+            _same_charged(boundary._charged_blocks(table_pair), boundary._charged_blocks(entry_pair))
+            _same_charged((frame.charged, frame.inert), boundary._charged_blocks(entry_pair))
+            with_inert += frame.inert != ()
+            rotated += frame.sites != ()
+    assert with_inert > 300 and rotated > 100
+
+
 @pytest.mark.parametrize("d, preset, param, zero_field", [
     (1, preset_delta, -1.0, False),  # 2^6 dressing blocks of 12 channels, 6 charged
     (3, preset_offdiag, 0.8, True),  # one block of 384 channels, 2^6 of 6 in the rotated frame

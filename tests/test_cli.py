@@ -298,19 +298,55 @@ def test_kernel_dresses_once_per_command(tmp_path, monkeypatch):
 
 
 def test_kernel_table_is_one_pass(tmp_path, monkeypatch):
-    """One rows call and one charges call (one rotation in and out, one matmul per group) for the whole table."""
-    from spinpoint import krein
+    """One rows call and one _defect_factors call (both sides of every row) for the whole table, and no full rotation."""
+    from spinpoint import cli, krein
 
     path = write_model(tmp_path, name="offdiag", dimension=3, positions="0,0,0;1.1,0.3,0", betahat="0.8")
+    model, pair, _ = cli.load_model(str(path))
+    assert pair.frame(model).sites == (1, 2)  # zero field: both sites rotate
     calls = []
-    for name in ("rows", "charges"):
-        inner = getattr(krein._Dressing, name)
-        monkeypatch.setattr(krein._Dressing, name,
-                            lambda self, *a, _inner=inner, _name=name: calls.append(_name) or _inner(self, *a))
+    for owner, name in ((krein._Dressing, "rows"), (krein, "_defect_factors"), (krein.SpinFrame, "rotate")):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _inner=inner, _name=name, **k: calls.append(_name) or _inner(*a, **k))
     out = tmp_path / "kernel.csv"
     assert run("kernel", str(path), "--z", "-1.0,0.5", "--n-points", "25", "--out", str(out)) == 0
-    assert calls == ["rows", "charges"]
+    assert calls == ["rows", "_defect_factors"]
     assert len(read_table(out)[2]) == 25
+
+
+@pytest.mark.parametrize("d, positions, flags", [
+    (1, "0,1.3", {"name": "offdiag", "betahat": "0.8"}),  # zero field: both sites rotate
+    (1, "0,1.3", {"name": "delta", "beta": "-1.0", "alpha": "0.3,0.2"}),
+    (3, "0,0,0;1.1,0.3,0", {"name": "offdiag", "betahat": "0.8"}),
+])
+def test_preset_commands_build_no_entry_list(tmp_path, monkeypatch, d, positions, flags):
+    """kernel, boundstates and evolve on a preset read its site table only; its entries, read later, are the dense scan's."""
+    from spinpoint.boundary import BoundaryPair
+
+    path = write_model(tmp_path, dimension=d, positions=positions, **flags)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "schema": "spinpoint-state v1",
+        "components": [{"channel": 0, "center": [-2.0] * d, "momentum": [1.0] * d}],
+        "grid": {"lo": -12.0, "hi": 12.0, "n": 200} if d == 1 else {"lo": -6.0, "hi": 6.0, "n": 6},
+    }))
+    built = []
+    inner = BoundaryPair._from_entries
+    monkeypatch.setattr(BoundaryPair, "_from_entries", staticmethod(lambda *a: built.append(1) or inner(*a)))
+    commands = {
+        "kernel": ["--z", "-1.0,0.5", "--n-points", "5", "--out", str(tmp_path / "k.csv")],
+        "boundstates": ["--out", str(tmp_path / "levels.csv")],
+        # a coarse run: its norm drift is not under test here
+        "evolve": ["--state", str(state), "--t", "0.1", "--n-nodes", "64", "--tol", "1", "--out", str(tmp_path / "run")],
+    }
+    for name, argv in commands.items():
+        assert run(name, str(path), *argv) == 0, name
+    assert not built
+    model, pair, _ = cli.load_model(str(path))
+    dense = BoundaryPair(d, model.n_spins, pair.A, pair.B)
+    assert built == [1]  # pair.A read the entries once
+    assert all(np.array_equal(x, y) for x, y in zip(pair.entries, dense.entries)) and pair == dense
+    assert built == [1]
 
 
 def _cut_points(table, n, d):

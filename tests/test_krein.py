@@ -1295,6 +1295,46 @@ def test_kernel_rows_are_the_closure_and_resolvent_kernel_bit_for_bit():
                                     unchecked=unchecked) == got[i]
 
 
+def _haar_2x2(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_per_code_weights_are_the_full_rotation(n):
+    """Kernel weights rotated on each row's own spin code equal the full rotate path, for every (code, code') row.
+
+    Random unitary U_j on a random set of sites (and on all of them) and
+    a random one-block correction: within 1e-14 of each row's largest
+    weight; with U = I, bit for bit.
+    """
+    from spinpoint.boundary import SpinFrame
+    from spinpoint.krein import _Dressing
+    from spinpoint.spins import channel_blocks
+
+    rng = np.random.default_rng(67 + n)
+    for d in (1, 3):
+        model = (model_d1 if d == 1 else model_d3)(n, alpha=np.zeros(n))
+        pair = random_valid_pair(model, rng)
+        assert [g.index.shape for g in pair.blocks()] == [(1, model.defect_dim)]
+        m, c = model.defect_dim, model.n_configs
+        solved = [rng.normal(size=(1, m, m)) + 1j * rng.normal(size=(1, m, m))]
+        codes, codes_p, at = np.repeat(np.arange(c), c), np.tile(np.arange(c), c), np.arange(c * c)
+        phi = rng.normal(size=(c * c, m // c)) + 1j * rng.normal(size=(c * c, m // c))
+        blocks = channel_blocks(model)
+        some = tuple(j for j in range(1, n + 1) if rng.random() < 0.5) or (n,)
+        for sites in ((), some, tuple(range(1, n + 1))):
+            dress = _Dressing(model, 0.5j, SpinFrame(sites, tuple(_haar_2x2(rng) for _ in sites), pair), solved, 1.0)
+            got = dress._on_codes(dress.sources(phi, codes_p), codes)
+            overlaps = np.zeros((at.size, m), dtype=complex)
+            overlaps[at[:, None], blocks[codes_p]] = phi
+            want = dress.charges(overlaps)[at[:, None], blocks[codes]]
+            if sites:
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=1, keepdims=True))
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_rows_match_the_dense_solve():
     from spinpoint.krein import _dress
 
