@@ -236,20 +236,20 @@ class _Dressing:
         U* s_i is phi[i] times conj(row codes_p[i]) of U's code matrix
         (SpinFrame.code_rows), or phi[i] on code codes_p[i] alone when U = I.
         """
-        rows, at = self.frame.code_rows(codes_p), np.arange(len(codes_p))
-        if rows is None:
+        u, at = self.frame.code_rows(codes_p), np.arange(len(codes_p))
+        if u is None:
             inner = np.zeros(phi.shape + (self.model.n_configs,), dtype=complex)
             inner[at, :, codes_p] = phi
         else:
-            inner = phi[:, :, None] * rows.conj()[:, None, :]
+            inner = phi[:, :, None] * u.conj()[:, None, :]
         return self._solve(inner.reshape(at.size, -1)).reshape(inner.shape)
 
     def _on_codes(self, sources, codes) -> np.ndarray:
         """(U sources[i]) on the channels of code codes[i] for every row: (R, k), one spin code each."""
-        rows = self.frame.code_rows(codes)
-        if rows is None:
+        u = self.frame.code_rows(codes)
+        if u is None:
             return sources[np.arange(len(codes)), :, codes]
-        return np.matmul(sources, rows[:, :, None])[..., 0]
+        return np.matmul(sources, u[:, :, None])[..., 0]
 
     def rows(self, x, codes, xp, codes_p, sources=None) -> np.ndarray:
         """K(x_i, codes[i]; xp_i, codes_p[i]) of every row i in one pass; x and xp are (R,) in d=1, (R, 3) in d=3.
