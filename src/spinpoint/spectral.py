@@ -28,6 +28,17 @@ e -+ tol (1 + |e|)/2 around the roots e confirms them, and bisection on
 N takes over where no step converges. U commutes with Gamma(E), so the
 rotated pair has the same levels, and its charges q' map back as
 q = U q'.
+
+Below mu the defect functions are real, so every search energy gets a
+float64 Gamma from the plans (krein._gamma_plan), and H_k is real
+symmetric wherever Lambda is real: a group whose A_k and B_k have
+imaginary parts of exactly 0 is reduced in float64, and one whose
+B_k^-1 A_k has entries that are each real or imaginary (offdiag in a
+field) is gauged real by a phase D in {1, i} per spin code
+(_quarter_gauge), which commutes with Gamma_k; its null vectors map
+back as y = D y'. Groups that cannot be made real (Haar pairs, or a
+singular B_k with complex data) stay complex. Every step of the search
+takes either dtype.
 """
 
 from __future__ import annotations
@@ -75,10 +86,11 @@ class _Reduced(NamedTuple):
     group: BlockGroup  # the charged sub-pair (A_JJ, B_JJ), stacked
     plan: Callable  # Gamma plan on the group's blocks
     v: np.ndarray | None  # (g, k, r); None: H_k = Gamma_k + Lambda, with no product
-    lam: np.ndarray  # (g, r, r)
+    lam: np.ndarray  # (g, r, r); float64 where the group's data is real or gauged real
     charge: bool  # every row of H_k lies in the d=1 charge layer
     mu: np.ndarray  # (g,) the lowest Zeeman shift of each block's rows: its own threshold
     scale: np.ndarray | None  # (g,) c_k where every B_k is c_k times a unitary: all its singular values c_k to rounding
+    phase: np.ndarray | None  # (g, k) the gauge D where Lambda is D* (B_k^-1 A_k) D (_quarter_gauge): q = D y
 
     def hermitian(self, gamma: np.ndarray, sel) -> np.ndarray:
         """H_k of the blocks sel from the stack of their plan's Gamma; leading axes carry through."""
@@ -86,6 +98,40 @@ class _Reduced(NamedTuple):
             return gamma + self.lam[sel]
         v = self.v[sel]
         return v.conj().swapaxes(-1, -2) @ gamma @ v + self.lam[sel]
+
+
+def _quarter_gauge(lam: np.ndarray, codes: np.ndarray) -> tuple:
+    """(D, D* lam D) with D (g, k) in {1, i}, one phase per spin code of codes (g, k), and D* lam D exactly real.
+
+    (None, lam) where there is no such D. Gamma only couples channels of
+    one spin code, so such a D commutes with Gamma_k, and D* H_k D =
+    Gamma_k + D* lam D has the spectrum of H_k with its null vectors y'
+    mapped back as y = D y'. Entry (a, b) of
+    D* lam D is i^(n_b - n_a) lam_ab for D_a = i^n_a: real where lam_ab
+    is real and n_a, n_b have one parity, or lam_ab is imaginary and they
+    have not. Each block's code parities are spread over the graph of its
+    nonzero entries; multiplying by i is exact, so the product is then
+    checked for an imaginary part of exactly 0.
+    """
+    odd = lam.imag != 0.0
+    if (odd & (lam.real != 0.0)).any():
+        return None, lam
+    phase = np.empty(codes.shape, dtype=complex)
+    for b, (row, entries, flips) in enumerate(zip(codes, lam != 0.0, odd)):
+        member = np.eye(row.max() + 1)[row]  # (k, codes): the code of each channel
+        linked, flip = (member.T @ x @ member > 0.0 for x in (entries, flips))
+        parity = np.full(member.shape[1], -1)
+        for root in range(parity.size):
+            if parity[root] < 0:
+                parity[root], todo = 0, [root]
+                while todo:
+                    x = todo.pop()
+                    new = np.flatnonzero(linked[x] & (parity < 0))
+                    parity[new] = parity[x] ^ flip[x, new]
+                    todo += new.tolist()
+        phase[b] = np.where(parity[row] == 1, 1j, 1.0)
+    gauged = phase.conj()[:, :, None] * lam * phase[:, None, :]
+    return (None, lam) if gauged.imag.any() else (phase, gauged.real)
 
 
 def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
@@ -101,25 +147,41 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
     V Lambda V* = B_k^-1 A_k: no product, and v is None. Lambda is made
     Hermitian: no change for an admissible pair. scale, c_k = ||B_k||, is
     read off the same singular values (all c_k within k eps, relative).
+    Where every B_k is exactly c_k I, c_k is read off the diagonal
+    instead: Lambda = A_k / c_k and scale |c_k|, with no SVD.
+    A group whose A_k and B_k have imaginary parts of exactly 0 is reduced
+    in float64; one whose B_k^-1 A_k is complex is gauged real where a
+    phase D of _quarter_gauge exists (Lambda = D* B_k^-1 A_k D), and stays
+    complex where none does (Haar pairs) or where some B_k is singular.
     """
     p, _, code = channel_tables(model)
     out = []
     for g in frame.charged:
-        w, s, vh = np.linalg.svd(g.B)
-        uniform = np.all((s[:, 0] > 0.0) & (s[:, 0] - s[:, -1] <= s.shape[-1] * np.finfo(float).eps * s[:, 0]))
-        keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(g.A), axis=(1, 2))[:, None])
-        r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
-        w, s, vh, keep = w[..., :r], s[:, :r], vh[:, :r], keep[:, :r]
-        inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        lam = vh @ g.A.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
-        lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
-        v, lam = vh.conj().swapaxes(-1, -2) * keep[:, None, :], lam + np.eye(r) * ~keep[:, None, :]
-        if r == g.index.shape[1] and keep.all():
-            lam, v = v @ lam @ v.conj().swapaxes(-1, -2), None
+        a, b, k = g.A, g.B, g.index.shape[1]
+        if not (a.imag.any() or b.imag.any()):
+            a, b = a.real, b.real
+        c = b[:, 0, 0]
+        if np.all(c != 0.0) and np.array_equal(b, c[:, None, None] * np.eye(k)):
+            v, lam, scale = None, a / c[:, None, None], np.abs(c)
             lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2))
+        else:
+            w, s, vh = np.linalg.svd(b)
+            uniform = np.all((s[:, 0] > 0.0) & (s[:, 0] - s[:, -1] <= s.shape[-1] * np.finfo(float).eps * s[:, 0]))
+            keep = s > RANK_RTOL * np.maximum(s[:, :1], np.max(np.abs(a), axis=(1, 2))[:, None])
+            r = int(np.max(np.sum(keep, axis=1)))  # s descends: H_k is r x r
+            w, s, vh, keep = w[..., :r], s[:, :r], vh[:, :r], keep[:, :r]
+            inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+            lam = vh @ a.conj().swapaxes(-1, -2) @ (w * inv_s[:, None, :])
+            lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2)) * (keep[:, :, None] & keep[:, None, :])
+            v, lam = vh.conj().swapaxes(-1, -2) * keep[:, None, :], lam + np.eye(r) * ~keep[:, None, :]
+            if r == k and keep.all():
+                lam, v = v @ lam @ v.conj().swapaxes(-1, -2), None
+                lam = 0.5 * (lam + lam.conj().swapaxes(-1, -2))
+            scale = s[:, 0] if uniform else None
+        phase, lam = _quarter_gauge(lam, code[g.index]) if v is None and np.iscomplexobj(lam) else (None, lam)
         charge = model.dimension == 1 and v is None and not p[g.index].any()
         out.append(_Reduced(g, krein._gamma_plan(model, g.index), v, lam, charge,
-                            np.min(model.shifts()[code[g.index]], axis=1), s[:, 0] if uniform else None))
+                            np.min(model.shifts()[code[g.index]], axis=1), scale, phase))
     return out
 
 
@@ -150,23 +212,25 @@ def _count(red: list, energy, blocks=None) -> np.ndarray:
     return out
 
 
-def _eigenpairs(h: np.ndarray, lo, up) -> list:
-    """(eigenvalues, eigenvectors) lo[i]..up[i] - 1, ascending, of each matrix h[i] of a Hermitian stack.
+def _eigenpairs(h: np.ndarray, lo, up, near: bool = False) -> tuple:
+    """Eigenpairs lo[i]..up[i] - 1 of each matrix h[i] of a Hermitian stack; under near, eigenvalues lo[i] - 1..up[i].
 
-    Large matrices take those eigenpairs only (scipy's subset eigh),
-    small ones one stacked eigh (faster there).
+    Returns the list of (eigenvalues, eigenvectors), ascending, and the
+    list of the wider ranges' eigenvalues (those that exist), or None.
+    Large matrices take those ranges only, one scipy subset eigh each:
+    the eigenvectors stay those of lo..up - 1 alone, as a subset eigh
+    over the wider range could rotate them towards a neighbour that is
+    nearly 0 as well. Small ones take one stacked eigh for both (faster
+    there).
     """
+    wide = list(zip(np.maximum(np.asarray(lo) - 1, 0), np.minimum(np.asarray(up) + 1, h.shape[-1])))
     if h.shape[-1] > 16:
-        return [scipy.linalg.eigh(m, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
+        pairs = [scipy.linalg.eigh(m, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
+        return pairs, [scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[i, j - 1])
+                       for m, (i, j) in zip(h, wide)] if near else None
     lam, y = np.linalg.eigh(h)
-    return [(lm[i:j], ym[:, i:j]) for lm, ym, i, j in zip(lam, y, lo, up)]
-
-
-def _eigenvalues(h: np.ndarray, lo, up) -> list:
-    """Eigenvalues lo[i]..up[i] - 1, ascending, of each matrix h[i] of a Hermitian stack (_eigenpairs' values)."""
-    if h.shape[-1] > 16:
-        return [scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
-    return [lm[i:j] for lm, i, j in zip(np.linalg.eigvalsh(h), lo, up)]
+    pairs = [(lm[i:j], ym[:, i:j]) for lm, ym, i, j in zip(lam, y, lo, up)]
+    return pairs, [lm[i:j] for lm, (i, j) in zip(lam, wide)] if near else None
 
 
 def _crossing(red: list, energy: np.ndarray, blocks: np.ndarray, index: np.ndarray):
@@ -179,7 +243,7 @@ def _crossing(red: list, energy: np.ndarray, blocks: np.ndarray, index: np.ndarr
     lam, slope = np.empty(blocks.size), np.empty(blocks.size)
     for rd, at, sel in _groups(red, blocks):
         gamma, gram = rd.plan(energy[at], sel, gram=True, paired=True)
-        pairs = _eigenpairs(rd.hermitian(gamma, sel), index[at], index[at] + 1)
+        pairs = _eigenpairs(rd.hermitian(gamma, sel), index[at], index[at] + 1)[0]
         y = np.array([vec[:, 0] for _, vec in pairs])
         vy = y if rd.v is None else (rd.v[sel] @ y[..., None])[..., 0]
         lam[at] = [val[0] for val, _ in pairs]
@@ -298,9 +362,8 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
     a group of B_k = c_k U, U unitary (_Reduced.scale), of a checked pair:
     there D_J = B_k H_k, its singular values c_k |eigenvalues of H_k|; the
     smallest lies among the crossing ones and their two neighbours, i =
-    n_below - 1 .. n_above (_eigenvalues). The eigenvectors stay those of
-    the crossing eigenvalues alone, as a subset eigh over the wider range
-    could rotate them towards a neighbour that is nearly 0 as well.
+    n_below - 1 .. n_above (_eigenpairs). A gauged group's eigenvectors
+    map back through its phase D (_quarter_gauge).
     """
     energy = np.array([e for e, _, _ in found])
     lo, up = np.array([n for _, n, _ in found]), np.array([n for _, _, n in found])
@@ -309,16 +372,17 @@ def _levels(model: ModelSpec, frame: SpinFrame, red: list, found: list, checked:
     for rd, at, sel in _groups(red, blocks):
         gamma = rd.plan(energy[level[at]], sel, paired=True)[0]
         first, last = lo[level[at], blocks[at]], up[level[at], blocks[at]]
-        h = rd.hermitian(gamma, sel)
-        if checked and rd.scale is not None:
-            near = _eigenvalues(h, np.maximum(first - 1, 0), np.minimum(last + 1, h.shape[-1]))
+        scaled = checked and rd.scale is not None
+        pairs, near = _eigenpairs(rd.hermitian(gamma, sel), first, last, near=scaled)
+        if scaled:
             np.minimum.at(sigma, level[at], rd.scale[sel] * [np.min(np.abs(val)) for val in near])
         else:
             dressed = gamma_dressed(BlockGroup(rd.group.index[sel], rd.group.A[sel], rd.group.B[sel]), gamma)
             np.minimum.at(sigma, level[at], np.linalg.svd(dressed, compute_uv=False)[:, -1])
-        for i, b, (_, y) in zip(at, sel, _eigenpairs(h, first, last)):
+        for i, b, (_, y) in zip(at, sel, pairs):
+            y = y if rd.v is None else rd.v[b] @ y
             vectors[i] = np.zeros((y.shape[1], model.defect_dim), dtype=complex)
-            vectors[i][:, rd.group.index[b]] = (y if rd.v is None else rd.v[b] @ y).T
+            vectors[i][:, rd.group.index[b]] = (y if rd.phase is None else rd.phase[b][:, None] * y).T
     basis = frame.rotate(np.concatenate(vectors))
     lead = basis[np.arange(len(basis)), np.argmax(np.abs(basis), axis=1)]
     basis = basis * (np.abs(lead) / lead)[:, None]  # largest entry of each row real positive

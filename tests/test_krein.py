@@ -197,6 +197,51 @@ def test_gamma_plan_reads_the_public_matrices(model):
                 assert np.array_equal(gram, _gamma_plan(model, rows)(z, gram=True)[1])
 
 
+@pytest.mark.parametrize("model", [model_d1(2, alpha=[0.0, 0.0]), model_d1(3), model_d3(2, alpha=[0.0, 0.0]),
+                                   model_d3(3)], ids=["d1", "d1-zeeman", "d3", "d3-zeeman"])
+def test_real_plan_below_the_lowest_level(model):
+    # real E below every Zeeman level: float64 Gamma and Gram, scalar and 1-D E, sel and paired, those of the
+    # complex evaluation at the same E to a few ulps of each block's largest entry
+    from spinpoint.krein import _gamma_plan
+
+    rng = np.random.default_rng(23)
+    m = model.defect_dim
+    index = np.stack([rng.permutation(m)[:5] for _ in range(4)])  # blocks mixing spin codes
+    plan, mu = _gamma_plan(model, index), np.min(model.shifts())
+    bound = 4.0 * np.finfo(float).eps
+    calls = [((mu - 0.9,), {}), ((mu - 0.9, [3, 0]), {}), ((np.array([mu - 40.0, mu - 1e-6, mu - 2.0]),), {}),
+             ((np.array([mu - 40.0, mu - 2.0]), [3, 0]), {}),
+             ((np.array([mu - 3.0, mu - 0.5]), np.array([1, 2])), {"paired": True})]
+    for args, kwargs in calls:
+        for gram in (False, True):
+            real = plan(*args, gram=gram, **kwargs)
+            full = plan(np.asarray(args[0], dtype=complex), *args[1:], gram=gram, **kwargs)
+            assert real.dtype == np.float64 and full.dtype == np.complex128 and real.shape == full.shape
+            assert np.all(np.abs(real - full) <= bound * np.max(np.abs(full), axis=(-1, -2), keepdims=True))
+    # the Gram is -dGamma/dE of the real plan itself: its sign decides every Newton step
+    e, h = mu - np.array([0.3, 2.0, 15.0]), 1e-5
+    gram = plan(e, gram=True)[1]
+    slope = (plan(e + h)[0] - plan(e - h)[0]) / (2.0 * h)
+    assert np.allclose(-slope, gram, rtol=1e-6, atol=1e-9 * np.max(np.abs(gram)))
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_plan_keeps_the_complex_path_off_the_real_axis_below_threshold(dimension):
+    # complex z, and real z at or above the lowest level, give complex128 as before, and real z on the
+    # cut of the lowest level raises as a complex one does
+    from spinpoint.krein import _gamma_plan
+
+    model = (model_d1 if dimension == 1 else model_d3)(2)
+    plan, mu = _gamma_plan(model, np.arange(model.defect_dim)[None]), np.min(model.shifts())
+    assert plan(complex(mu - 0.9))[0].dtype == np.complex128
+    assert plan(np.array([mu - 1.0 + 0.5j, mu - 2.0]))[0].dtype == np.complex128
+    for z in (mu, mu + 0.3, np.array([mu - 1.0, mu + 0.5])):
+        with pytest.raises(ValueError, match="lies on"):
+            plan(z)
+        with pytest.raises(ValueError, match="lies on"):
+            plan(np.asarray(z, dtype=complex))
+
+
 def overlap_closed_form(model, w, z, mu, nu):
     """(w integral side, z side) defect-overlap via resolvent-difference forms."""
     from spinpoint.spins import channel_tables

@@ -553,3 +553,114 @@ def test_multiples_of_a_unitary_take_no_values_only_svd(monkeypatch, make, scale
             off = spectral._levels(model, pair.frame(model), red, found, True)[0]
             dressed = (pair.B @ gamma_free(model, complex(found[0][0])) + pair.A)[np.ix_(J, J)]
             assert off.smallest_singular_value == pytest.approx(svd(dressed, compute_uv=False)[-1], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic below threshold: real data in float64, spin-flip pairs gauged real
+
+
+def _flip_pair_in_a_field(dimension):
+    """CI's one-block offdiag N=3 pair in a field, alpha = (0.3, 0, 0.2): its charged blocks carry imaginary parts."""
+    positions = [1.3 * k for k in range(3)] if dimension == 1 else [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(3)]
+    model = ModelSpec(dimension, positions, [0.3, 0.0, 0.2])
+    return model, preset_offdiag(model, 0.8)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_spin_flip_pairs_in_a_field_are_searched_in_real_arithmetic(dimension, monkeypatch):
+    """The gauged search against the complex one (the reduction without its gauge).
+
+    Same rows and multiplicities, energies within tol (1 + |E|), charge
+    bases within principal angles of 1e-8 (2.5e-13 seen), and sigma_min
+    within 8 eps ||D_J||_2 at the level (4.3 seen).
+    """
+    model, pair = _flip_pair_in_a_field(dimension)
+    assert any(g.A.imag.any() or g.B.imag.any() for g in pair.frame(model).charged)
+    red = spectral._reduce(model, pair.frame(model))
+    e = essential_spectrum_bottom(model) - 0.7
+    assert all(rd.phase is not None and rd.lam.dtype == np.float64 for rd in red)
+    assert all(rd.hermitian(rd.plan(e)[0], slice(None)).dtype == np.float64 for rd in red)
+    got = find_bound_states(model, pair)
+    monkeypatch.setattr(spectral, "_quarter_gauge", lambda lam, codes: (None, lam))
+    assert all(rd.phase is None and rd.lam.dtype == np.complex128 for rd in spectral._reduce(model, pair.frame(model)))
+    want = find_bound_states(model, pair)
+    assert want and [st.multiplicity for st in got] == [st.multiplicity for st in want]
+    J = np.ix_(*[ref.charged_channels(pair.A, pair.B)[0]] * 2)
+    for st, wt in zip(got, want):
+        assert abs(st.energy - wt.energy) <= 1e-13 * (1.0 + abs(wt.energy))
+        assert np.max(scipy.linalg.subspace_angles(st.charge_basis.T, wt.charge_basis.T)) <= 1e-8
+        norm = np.linalg.norm((pair.B @ gamma_free(model, complex(wt.energy)) + pair.A)[J], 2)
+        assert abs(st.smallest_singular_value - wt.smallest_singular_value) <= 8.0 * np.finfo(float).eps * norm
+
+
+def test_real_pairs_are_reduced_in_float64_and_haar_pairs_stay_complex():
+    """Every group with real A_k and B_k is float64 and ungauged; Haar pairs cannot be gauged and stay complex."""
+    real_seen = 0
+    for model, pair in _structure_pairs():
+        for g, rd in zip(pair.frame(model).charged, spectral._reduce(model, pair.frame(model))):
+            if not (g.A.imag.any() or g.B.imag.any()):
+                real_seen += 1
+                assert rd.lam.dtype == np.float64 and rd.phase is None
+                assert rd.v is None or rd.v.dtype == np.float64
+    assert real_seen
+    for d in (1, 3):
+        for model, pair in _random_pairs(d, sizes=(1, 2)):
+            red = spectral._reduce(model, pair.frame(model))
+            assert all(rd.phase is None and rd.lam.dtype == np.complex128 for rd in red)
+
+
+def test_quarter_gauge_is_one_phase_per_spin_code():
+    """D in {1, i}, constant on each spin code, with D* lam D real; None where entries or codes forbid it."""
+    i = 1j
+    path = np.array([[[1.0, i, 2.0], [-i, 0.5, -3 * i], [2.0, 3 * i, 0.0]]])
+    phase, real = spectral._quarter_gauge(path, np.array([[0, 1, 2]]))
+    assert real.dtype == np.float64 and set(np.ravel(phase)) <= {1.0, 1j}
+    assert np.array_equal(real, (phase.conj()[:, :, None] * path * phase[:, None, :]).real)
+    assert phase[0, 0] == phase[0, 2] != phase[0, 1]
+    odd_cycle = np.array([[[0.0, i, i], [-i, 0.0, i], [-i, -i, 0.0]]])  # three odd links: no parity fits
+    same_code = np.array([[[0.0, i], [-i, 0.0]]])  # an imaginary link inside one spin code
+    mixed = np.array([[[0.0, 1.0 + i], [1.0 - i, 0.0]]])
+    for lam, codes in ((odd_cycle, [[0, 1, 2]]), (same_code, [[5, 5]]), (mixed, [[0, 1]])):
+        phase, same = spectral._quarter_gauge(lam, np.array(codes))
+        assert phase is None and same is lam
+
+
+def test_multiples_of_the_identity_take_no_svd(monkeypatch):
+    """B_k = c_k I exactly (d=3 presets; d=1 delta, c_k = -beta): Lambda = A_k / c_k made Hermitian, scale |c_k|."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    chain, field = _field_chain(3), ModelSpec(3, [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(3)], [0.3] * 3)
+    cases = [(chain, preset_delta(chain, -1.7), 1.7), (chain, preset_delta(chain, 0.9), -0.9),
+             (field, preset_delta(field, -1.7), 1.0), (field, preset_offdiag(field, 0.8), 1.0)]
+    for model, pair, c in cases:
+        frame = pair.frame(model)
+        calls.clear()
+        red = spectral._reduce(model, frame)
+        assert not calls
+        for g, rd in zip(frame.charged, red):
+            assert rd.v is None and np.array_equal(rd.scale, np.full(len(g.index), abs(c)))
+            lam = rd.lam if rd.phase is None else rd.phase[:, :, None] * rd.lam * rd.phase.conj()[:, None, :]
+            assert np.allclose(lam, g.A / c, rtol=0.0, atol=1e-15)
+
+
+def test_small_blocks_take_one_eigh_per_level_round(monkeypatch):
+    """_levels on blocks of at most 16 channels: one stacked eigh gives the crossing vectors and sigma_min's values."""
+    model, pair = _flip_pair_in_a_field(1)  # one group of two 12-channel blocks, each 1.6 times a unitary flip
+    calls, rounds = [], []
+    levels, eigh, eigvalsh, subset = spectral._levels, np.linalg.eigh, np.linalg.eigvalsh, scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.clear()
+        out = levels(*args, **kwargs)
+        rounds.append(list(calls))
+        return out
+
+    monkeypatch.setattr(spectral, "_levels", counted)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append("eigh") or eigh(*a, **kw))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append("eigvalsh") or eigvalsh(*a, **kw))
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append("subset") or subset(*a, **kw))
+    red = spectral._reduce(model, pair.frame(model))
+    assert [(rd.scale is not None, rd.lam.shape) for rd in red] == [(True, (2, 12, 12))]
+    assert find_bound_states(model, pair)
+    assert rounds and all(made == ["eigh"] for made in rounds)
