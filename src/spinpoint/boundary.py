@@ -117,31 +117,24 @@ class SpinFrame(NamedTuple):
         return rows
 
 
-def _joint_bases(mats: np.ndarray) -> dict:
-    """{j: U_j}, U_j unitary with U_j* M U_j diagonal for every 2 x 2 M of site j in the table mats.
+def _joint_bases(mats: np.ndarray):
+    """(good, U, rotated): U[i] unitary, U[i]* M U[i] diagonal for every 2 x 2 M of site i of mats where good[i].
 
-    mats is a local pair's (2, P, P, N, 2, 2) table (_site_matrices). A
-    site whose 2 x 2s are all diagonal already has no U_j, without
-    arithmetic. U_j is the eigenbasis of one fixed generic Hermitian
-    combination of the Hermitian and skew-Hermitian parts of site j's
-    M (the random-element method of Murota, Kanno, Kojima and Kojima,
-    Japan J. Indust. Appl. Math. 27, 2010), one stacked eigh for all
-    sites. It diagonalizes them all when they commute and are normal,
-    which is checked on the result; a site where it does not has no U_j.
+    mats is a (2, P, P, n, 2, 2) slice of a local pair's table on n sites.
+    U[i] is the eigenbasis of one fixed generic Hermitian combination of
+    the Hermitian and skew-Hermitian parts of site i's M (the random-element
+    method of Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math.
+    27, 2010), one stacked eigh for all sites. It diagonalizes them all when
+    they commute and are normal, as checked on rotated, (n, 2 P P, 2, 2).
     """
-    per_site = mats.transpose(3, 0, 1, 2, 4, 5).reshape(mats.shape[3], -1, 2, 2)  # (N, 2 P P, 2, 2)
-    sites = np.flatnonzero(per_site[:, :, 0, 1].any(axis=1) | per_site[:, :, 1, 0].any(axis=1))
-    if not sites.size:
-        return {}
-    m = per_site[sites]
+    m = mats.transpose(3, 0, 1, 2, 4, 5).reshape(mats.shape[3], -1, 2, 2)  # (n, 2 P P, 2, 2)
     adj = m.conj().swapaxes(-1, -2)
     parts = np.concatenate([m + adj, 1j * (m - adj)], axis=1)
-    combination = np.sqrt(np.arange(2, 2 + parts.shape[1])) @ parts.reshape(len(sites), -1, 4)
+    combination = np.sqrt(np.arange(2, 2 + parts.shape[1])) @ parts.reshape(len(m), -1, 4)
     u = np.linalg.eigh(combination.reshape(-1, 2, 2))[1]
-    rot = u.conj().swapaxes(-1, -2)[:, None] @ m @ u[:, None]
-    off = np.maximum(np.abs(rot[..., 0, 1]), np.abs(rot[..., 1, 0]))
-    ok = np.max(off, axis=1) <= FRAME_RTOL * np.max(np.abs(m), axis=(1, 2, 3))
-    return {int(j) + 1: uj for j, uj, good in zip(sites, u, ok) if good}
+    rot = np.einsum("jab,jkac,jcd->jkbd", u.conj(), m, u)
+    off = np.abs(rot.reshape(len(m), -1, 4)[..., 1:3]).max(axis=(1, 2))  # entries (0, 1) and (1, 0)
+    return off <= FRAME_RTOL * np.abs(m).max(axis=(1, 2, 3)), u, rot
 
 
 class PairEntries(NamedTuple):
@@ -166,13 +159,16 @@ class BoundaryPair:
     entries are built from it on first read, and the m x m A and B, read-only
     views, from the entries, for output and tests. Validation, max_abs,
     blocks, frames and charged blocks read a local pair's site table (also
-    for dense input found local) and any other pair's entries. blocks() are
-    the BlockGroups, ascending in block size, on which B Gamma(z) + A is
-    block diagonal for every z; a local pair reads them off its site table in
-    closed form, any other pair partitions its entries (_partition), as
-    components() does, the finest blocks of A and B, for validating a pair
-    that is not local. The solvers run on frame(model).charged. Pairs are
-    equal when dimension, spin count and entries are.
+    for dense input found local) and any other pair's entries. A local
+    pair's A and B are block diagonal over its N site matrices (A_j, B_j),
+    2 P x 2 P, up to a permutation, and validation takes those; any other
+    pair's over components(), the finest blocks of A and B, which
+    partition its entries (_partition). blocks() are the BlockGroups,
+    ascending in block size, on which B Gamma(z) + A is block diagonal for
+    every z; a local pair's are in closed form (_site_blocks), any other
+    pair partitions its entries with the spin-code blocks of Gamma. The
+    solvers run on frame(model).charged. Pairs are equal when dimension,
+    spin count and entries are.
     """
 
     def __init__(self, dimension: int, n_spins: int, A, B):
@@ -240,7 +236,8 @@ class BoundaryPair:
     def max_abs(self) -> tuple:
         """(max |A_ij|, max |B_ij|): read off the site table of a local pair, else off the entries."""
         mats = self._site_matrices
-        return tuple(float(np.max(np.abs(x), initial=0.0)) for x in (self.entries[2:] if mats is None else mats))
+        values = np.stack(self.entries[2:]) if mats is None else mats.reshape(2, -1)
+        return tuple(np.abs(values).max(axis=1, initial=0.0).tolist())
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
@@ -260,56 +257,56 @@ class BoundaryPair:
     def components(self) -> "tuple[BlockGroup, ...]":
         """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges.
 
-        validate reads them for a pair that is not local; a local pair's are
-        the copies of its site components (_site_components).
+        validate factors them for a pair that is not local. A local pair's
+        lie within its site matrices, and validate factors those instead:
+        a site matrix is block diagonal over its components up to a
+        permutation, so its singular values are theirs.
         """
         if self._components is None:
             groups = _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1)])
-            self._components = tuple(BlockGroup(index, *self._block_entries(index)) for index in groups)
+            self._components = tuple(self._block_group(index) for index in groups)
         return self._components
 
     def blocks(self) -> "tuple[BlockGroup, ...]":
-        """The components joined through the equal-spin-code blocks of Gamma(z)."""
+        """The components joined through the equal-spin-code blocks of Gamma(z); a local pair's are in closed form."""
         if self._blocks is None:
-            self._blocks = tuple(BlockGroup(index, *self._block_entries(index)) for index in self._block_index)
+            mats = self._site_matrices
+            if mats is None:
+                chains = [np.stack(self.entries[:2], axis=1), channel_blocks(self)]
+                self._blocks = tuple(self._block_group(index) for index in _partition(self.defect_dim, chains))
+            else:
+                self._blocks = _site_blocks(self)
         return self._blocks
 
-    @functools.cached_property
-    def _block_index(self) -> "tuple[np.ndarray, ...]":
-        """The index stacks of blocks(), without their values: _coset_blocks for a local pair, else _partition."""
-        mats = self._site_matrices
-        if mats is not None:
-            return _coset_blocks(mats)
-        return _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1), channel_blocks(self)])
-
     def frame(self, model: ModelSpec) -> SpinFrame:
-        """The spin frame of the solvers in this model, cached per nonempty set of rotated sites.
+        """The spin frame of the solvers in this model, cached per nonempty set of candidate sites.
 
         Site j rotates when alpha_j = 0, the pair is local, and the 2 x 2
         spin matrices of A and B at site j (one per layer pair (p, p'))
         are not all diagonal but commute and are normal; U_j is their
-        joint eigenbasis. Gamma(z) depends on sigma_j only through
-        alpha_j sigma_j, so U commutes with it, and (U* A U, U* B U) is an
-        admissible pair with up to 2**N times more blocks. It is again
-        local: _local_pair writes it from the rotated 2 x 2s (diagonal,
-        exact zeros off it), and the frame's blocks are its own blocks().
-        No rotated site: U = I and the pair's own blocks. The charged blocks
-        and inert channels are read off the site table of the frame's pair
-        (of the pair's entries, for a pair that is not local) when a solver
-        first asks. Validation stays on the pair itself:
-        a unitary similarity keeps admissibility.
+        joint eigenbasis, computed for these candidates only (_joint_bases).
+        Gamma(z) depends on sigma_j only through alpha_j sigma_j, so U
+        commutes with it, and (U* A U, U* B U) is an admissible pair with
+        up to 2**N times more blocks. It is again local: _local_pair writes
+        it from the rotated 2 x 2s (diagonal, exact zeros off it), and the
+        frame's blocks are its own blocks(). No rotated site: U = I and the
+        pair's own blocks. The charged blocks and inert channels are read
+        off the site table of the frame's pair (of the pair's entries, for
+        a pair that is not local) when a solver first asks. Validation
+        stays on the pair itself: a unitary similarity keeps admissibility.
         """
-        mats, bases = self._site_bases
-        sites = tuple(j for j in bases if model.alpha[j - 1] == 0.0)
-        if not sites:  # not cached: a frame holding its own pair would keep the pair in a reference cycle
-            return SpinFrame(sites, (), self)
-        if sites not in self._frames:
-            u, at = np.array([bases[j] for j in sites]), np.array(sites) - 1
-            rot = mats.copy()
-            diag = np.einsum("jab,...jac,jcb->...jb", u.conj(), mats[:, :, :, at], u)
-            rot[:, :, :, at] = diag[..., None] * np.eye(2)  # off-diagonal exactly 0
-            self._frames[sites] = SpinFrame(sites, tuple(bases[j] for j in sites), _local_pair(self, *rot))
-        return self._frames[sites]
+        mats = self._site_matrices
+        key = tuple(j for j in self._flips if model.alpha[j] == 0.0)
+        if key and key not in self._frames:  # None when no candidate rotates
+            good, u, rot = _joint_bases(mats[:, :, :, key])
+            at = np.array(key)[good]
+            diag = rot[good].diagonal(axis1=2, axis2=3).reshape((at.size,) + mats.shape[:3] + (2,))  # [j, w, p, p', s]
+            table = mats.copy()
+            table[:, :, :, at] = diag.transpose(1, 2, 3, 0, 4)[..., None] * np.eye(2)  # off-diagonal exactly 0
+            frame = SpinFrame(tuple((at + 1).tolist()), tuple(u[good]), _local_pair(self, *table))
+            self._frames[key] = frame if at.size else None
+        # not cached without rotated sites: a frame holding its own pair would keep the pair in a reference cycle
+        return self._frames.get(key) or SpinFrame((), (), self)
 
     @functools.cached_property
     def _site_matrices(self):
@@ -332,41 +329,59 @@ class BoundaryPair:
         return mats if _local_pair(self, *mats) == self else None
 
     @functools.cached_property
+    def _flips(self) -> tuple:
+        """The sites j - 1 where a local pair's 2 x 2s, of A or B, have an off-diagonal entry; () if not local."""
+        mats = self._site_matrices
+        if mats is None:
+            return ()
+        return tuple(np.flatnonzero((mats.reshape(-1, self.n_spins, 4)[..., 1:3] != 0.0).any(axis=(0, 2))).tolist())
+
+    @functools.cached_property
     def _charged(self):
         """(charged blocks, extremes of the inert |a_i|) of this pair (_charged_blocks), for its spin frames."""
         return _charged_blocks(self)
 
-    @functools.cached_property
-    def _site_bases(self):
-        """(mats, bases): the 2 x 2s of a local pair (_site_matrices); bases[j] = U_j if j rotates.
-
-        The bases of all sites come from one stacked eigh (_joint_bases).
-        """
-        mats = self._site_matrices
-        return mats, {} if mats is None else _joint_bases(mats)
-
-    def _block_entries(self, index: np.ndarray):
-        """(A, B) on the (g, k, k) blocks of index: each entry with row and column in one block, scattered there.
-
-        A local pair scatters every slot of its site table (spins.site_slots)
-        instead, with the value of its 2 x 2 entry; a slot of two zeros
-        writes the +0 already there.
-        """
+    def _block_group(self, index: np.ndarray) -> BlockGroup:
+        """The BlockGroup of A and B on the (g, k) blocks of index: each entry with row and column in one block."""
         g, k = index.shape
+        rows, cols, a, b = self.entries
         at = np.full(self.defect_dim, -1)
         at[index.ravel()] = np.arange(index.size)  # block * k + position in the block
-        mats = self._site_matrices
-        if mats is None:
-            rows, cols, a, b = self.entries
-            values, spread = np.stack([a, b]), 1
-        else:
-            rows, cols = (x.ravel() for x in site_slots(self))
-            values, spread = mats.reshape(2, -1), 2 ** (self.n_spins - 1)  # slot // spread is its 2 x 2 entry
         r, c = at[rows], at[cols]
         on = np.flatnonzero((np.minimum(r, c) >= 0) & (r // k == c // k))
         out = np.zeros((2, g * k * k), dtype=complex)
-        out[:, r[on] * k + c[on] % k] = values[:, on // spread]
-        return out.reshape(2, g, k, k)
+        out[:, r[on] * k + c[on] % k] = a[on], b[on]
+        return BlockGroup(index, *out.reshape(2, g, k, k))
+
+
+def _site_blocks(pair: BoundaryPair) -> "tuple[BlockGroup]":
+    """blocks() of a local pair, in closed form from its site table: one stack of equal blocks.
+
+    Gamma(z) joins the channels of each spin code, and an entry of a local
+    pair joins two codes only where a site's 2 x 2 has an off-diagonal
+    entry (_flips), the codes then differing in that site's bit alone. With
+    F those sites, every block is thus the channels of one coset code +
+    span{bits of F}, in flat order, (p, j) major, then code; the rows ascend
+    by their smallest code. Within a block, A and B join (p, j, c) and
+    (p', j, c') where c and c' differ at most in bit j, with the table's
+    entry [p, p', j - 1, bit j of c, bit j of c']: one gather of those
+    entries, copied onto the block diagonal in j; every other entry is +0.
+    """
+    mats, n = pair._site_matrices, pair.n_spins
+    layers, site_bit, codes = mats.shape[1], 1 << np.arange(n), np.arange(2**n)
+    bits = sum(1 << j for j in pair._flips)
+    span, reps = codes[(codes & ~bits) == 0], codes[(codes & bits) == 0]
+    coset = reps[:, None, None] | span  # [block, 1, u]: the code of position u
+    index = (np.arange(layers * n)[:, None] * 2**n + coset).reshape(reps.size, -1)  # (p, j) major, then code
+    spin = (coset >> np.arange(n)[:, None]) & 1  # [block, j - 1, u]: bit j of its code
+    joined = ((span[:, None] ^ span) & ~site_bit[:, None, None]) == 0  # [j - 1, u, u']
+    table = mats.transpose(3, 4, 5, 0, 1, 2)  # [j - 1, s, s', w, p, p']
+    values = table[np.arange(n)[:, None, None], spin[..., None], spin[..., None, :]]  # [block, j - 1, u, u', w, p, p']
+    blocks = np.zeros((2, reps.size, layers, n, span.size, layers, n, span.size), dtype=complex)
+    part = np.einsum("wbpjuqjv->wbjpuqv", blocks)  # a writable view: site j's part of each block
+    np.copyto(part, values.transpose(4, 0, 1, 5, 2, 6, 3), where=joined[:, None, :, None, :])
+    index.setflags(write=False)
+    return (BlockGroup(index, *blocks.reshape(2, reps.size, index.shape[1], -1)),)
 
 
 def _charged_blocks(pair: BoundaryPair):
@@ -382,28 +397,32 @@ def _charged_blocks(pair: BoundaryPair):
     pair's off its entries (_inert_entries). The blocks keep their charged
     positions, in order, regrouped by their count r ascending; a block
     with none drops out. Their values are those of blocks() on the
-    charged positions only (BoundaryPair._block_entries). inert is the
-    smallest and largest |a_i|, all that the condition number reads of
-    the 1 x 1 blocks; with no inert channel it is () and charged is
-    blocks() itself.
+    charged positions, gathered from its stacks. inert is the smallest and
+    largest |a_i|, all that the condition number reads of the 1 x 1
+    blocks; with no inert channel it is () and charged is blocks() itself.
     """
     mats = pair._site_matrices
     inert, scale = _inert_entries(pair) if mats is None else _inert_sites(pair, mats)
-    if not inert.any():
+    if not scale.size:
         return pair.blocks(), ()
     by_count = {}
-    for index in pair._block_index:
-        keep = ~inert[index]
+    for group in pair.blocks():
+        k = group.index.shape[1]
+        keep = ~inert[group.index]
         count = keep.sum(axis=1)
         for r in np.bincount(count)[1:].nonzero()[0] + 1:
-            sel = count == r
-            by_count.setdefault(int(r), []).append(index[sel][keep[sel]].reshape(-1, r))
-    groups = []
+            sel = np.flatnonzero(count == r)
+            at = np.nonzero(keep[sel])[1].reshape(-1, r)  # positions in the block
+            rows = sel[:, None] * k + at  # and in the flat (g k) rows of the group
+            on = rows[:, :, None] * k + at[:, None, :]  # the flat (g k k) entries between them
+            by_count.setdefault(r, []).append([x.ravel()[y] for x, y in zip(group, (rows, on, on))])
+    charged = []
     for r in sorted(by_count):
-        index = np.concatenate(by_count[r])
-        index.setflags(write=False)
-        groups.append(BlockGroup(index, *pair._block_entries(index)))
-    return tuple(groups), (float(scale.min()), float(scale.max()))
+        index, a, b = (np.concatenate(x) for x in zip(*by_count[r]))
+        for arr in (index, a, b):
+            arr.setflags(write=False)
+        charged.append(BlockGroup(index, a, b))
+    return tuple(charged), (float(scale.min()), float(scale.max()))
 
 
 def _inert_entries(pair: BoundaryPair):
@@ -424,61 +443,16 @@ def _inert_sites(pair: BoundaryPair, mats: np.ndarray):
     Row (p, j, s) of a site's 2 x 2s is the row of every channel with that
     layer, site and bit of the code at j, whatever the spectator spins, and
     so is its column: the test holds for all 2**(N-1) channels or none. Each
-    inert |a| thus counts once here, which leaves its extremes.
+    inert |a| thus counts once here, which leaves its extremes. Without an
+    inert channel, the per-channel test is not expanded: it is None.
     """
-    a, b = mats != 0.0  # [p, p', j - 1, s, s']
-    diag = np.einsum("ppjss->pjs", mats[0])
-    sites = (diag != 0.0) & (a.sum(axis=(1, 4)) == 1) & ~b.any(axis=(1, 4)) & ~b.any(axis=(0, 3))
+    nonzero = mats != 0.0  # [w, p, p', j - 1, s, s']
+    # the one nonzero of row (p, s) of (A_j | B_j) is A's diagonal, and column (p, s) of B_j is 0
+    sites = (nonzero.sum(axis=(0, 2, 5)) == 1) & np.einsum("ppjss->pjs", nonzero[0]) & ~nonzero[1].any(axis=(0, 3))
+    if not sites.any():
+        return None, np.empty(0)
     p, j, code = channel_tables(pair)
-    return sites[p, j - 1, (code >> (j - 1)) & 1], np.abs(diag[sites])
-
-
-def _coset_blocks(mats: np.ndarray) -> "tuple[np.ndarray, ...]":
-    """_partition(m, [entries, channel_blocks]) of the local pair with the site table mats, in closed form.
-
-    Gamma(z) joins the channels of each spin code, and an entry of a
-    local pair joins two codes only where a site's 2 x 2 has an
-    off-diagonal entry, the codes then differing in that site's bit
-    alone. With F the sites that have one (in A or B, at any layer pair),
-    every block is thus the channels of one coset code + span{bits of F}:
-    one stack of equal blocks, each ascending in flat order, the rows
-    ascending by their smallest code.
-    """
-    _, layers, _, n = mats.shape[:4]
-    flips = ((mats[..., 0, 1] != 0.0) | (mats[..., 1, 0] != 0.0)).any(axis=(0, 1, 2))
-    bits = int(flips @ (1 << np.arange(n)))
-    codes = np.arange(2**n)
-    span, reps = codes[(codes & ~bits) == 0], codes[(codes & bits) == 0]
-    index = (np.arange(layers * n)[:, None] * 2**n + span).ravel() + reps[:, None]  # (p, j) major, then code
-    index.setflags(write=False)
-    return (index,)
-
-
-def _site_components(mats: np.ndarray) -> list:
-    """(A, B) stacks of the components of the N site graphs of the site table mats, one per component size.
-
-    Site j's graph joins (p, s) and (p', s') where its 2 x 2s of A or B
-    have an entry at (p, p', s, s'). Copied over the 2**(N-1) spectator
-    configurations, its components are those of the pair
-    (BoundaryPair.components), each in flat order there as here, ordered
-    by (p, s). A component has at most 2 P <= 4 nodes, so two squarings
-    of the reachability matrix close it.
-    """
-    _, layers, _, n = mats.shape[:4]
-    site = mats.transpose(0, 3, 1, 4, 2, 5).reshape(2, n, 2 * layers, 2 * layers)  # [w, j - 1, (p, s), (p', s')]
-    link = (site != 0.0).any(axis=0)
-    reach = link | link.swapaxes(1, 2) | np.eye(2 * layers, dtype=bool)
-    for _ in range(2):
-        reach = reach @ reach
-    size = reach.sum(axis=2)
-    root = reach.argmax(axis=2) == np.arange(2 * layers)  # the smallest node of its component
-    out = []
-    for k in np.unique(size):
-        j, node = np.nonzero(root & (size == k))
-        nodes = np.nonzero(reach[j, node])[1].reshape(-1, k)
-        sub = (j[:, None, None], nodes[:, :, None], nodes[:, None, :])
-        out.append((site[0][sub], site[1][sub]))
-    return out
+    return sites[p, j - 1, (code >> (j - 1)) & 1], np.abs(np.einsum("ppjss->pjs", mats[0])[sites])
 
 
 def _partition(m: int, chains) -> "tuple[np.ndarray, ...]":
@@ -534,33 +508,35 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     rank of (A | B) is counted from singular values above a relative
     threshold of 1e-10.
 
-    Neither needs Gamma(z): both are computed on the pair's components,
-    where A and B are block diagonal, so A B* - B A* vanishes off them
-    and the singular values of (A | B), ranked against the largest, are
-    the union of those of the (A_k | B_k). A local pair's components are
-    the 2**(N-1) copies of its site components (_site_components), read
-    off its site table: one copy of each is factored, and its singular
-    values count 2**(N-1) times. Any other pair's are cached by
-    BoundaryPair.components. A B* - B A* is formed, and held against the
-    tolerance, with A and B scaled exactly to max-abs below 1 by powers
-    of two, so it is finite at any scale; the report gives both at the
-    pair's own scale.
+    Neither needs Gamma(z): both are computed on diagonal blocks of A and
+    B, off which A B* - B A* vanishes, and the singular values of (A | B)
+    are the union of those of the (A_k | B_k). A local pair's blocks are
+    its site matrices (A_j, B_j) on (layer, spin bit at j), 2 P x 2 P, in
+    2**(N-1) copies: one stacked product and one stacked SVD take them all,
+    and each singular value counts 2**(N-1) times. Any other pair's are its
+    components. A B* - B A* is formed, and held against the tolerance, with
+    A and B scaled exactly to max-abs below 1 by powers of two, so it is
+    finite at any scale; the report gives both at the pair's own scale.
     """
     norms = pair.max_abs
     mantissas, (ka, kb) = np.frexp(norms)
     mats = pair._site_matrices
     if mats is None:
-        stacks, copies = [(group.A, group.B) for group in pair.components()], 1
-    else:
-        stacks, copies = _site_components(mats), 2 ** (pair.n_spins - 1)
+        stacks, copies = [np.concatenate([group.A, group.B], axis=-1) for group in pair.components()], 1
+    else:  # [j - 1, (p, s), (w, p', s')]
+        side = 2 * mats.shape[1]
+        stacks = [mats.transpose(3, 1, 4, 0, 2, 5).reshape(pair.n_spins, side, 2 * side)]
+        copies = 2 ** (pair.n_spins - 1)
     scaled = 0.0  # max|A B* - B A*| / 2**(ka + kb)
     sv = []
-    for A, B in stacks:
-        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((A, ka), (B, kb)))
+    for ab in stacks:
+        k = ab.shape[-2]
+        scaled_ab = np.ldexp(ab.view(float), np.repeat([-ka, -kb], 2 * k)).view(complex)  # float by float
+        a, b = scaled_ab[..., :k], scaled_ab[..., k:]
         ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
         scaled = max(scaled, float(np.max(np.abs(a @ bh - b @ ah))))
-        sv.append(np.linalg.svd(np.concatenate([A, B], axis=-1), compute_uv=False).ravel())
-    sv = np.sort(np.repeat(np.concatenate(sv), copies))[::-1]
+        sv.append(np.linalg.svd(ab, compute_uv=False).ravel())
+    sv = np.sort(np.concatenate(sv))[::-1].repeat(copies)
     with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
         if tol is None:
             tol = HERMITICITY_RTOL * (norms[0] * norms[1])

@@ -120,9 +120,9 @@ class ModelSpec:
             raise ValueError("need at least one spin site")
         if alpha.shape != (n,):
             raise ValueError(f"alpha must have shape ({n},), got {alpha.shape}")
-        diffs = pos[:, None] - pos[None, :] if self.dimension == 1 else pos[:, None, :] - pos[None, :, :]
-        dist = np.abs(diffs) if self.dimension == 1 else np.linalg.norm(diffs, axis=-1)
-        if np.any(dist[~np.eye(n, dtype=bool)] == 0.0):
+        diffs = pos[:, None] - pos[None, :]
+        gaps = diffs if self.dimension == 1 else (diffs * diffs).sum(axis=-1)  # 0 exactly where |y_j - y_k| is
+        if np.count_nonzero(gaps == 0.0) > n:  # a zero off the diagonal
             raise ValueError("spin sites must be pairwise distinct")
         cap = _spin_cap()
         if n > cap:

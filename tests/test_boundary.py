@@ -1,5 +1,7 @@
 """Admissibility checks and the built-in interface presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -441,20 +443,21 @@ def test_local_pairs_are_their_site_matrices():
 
 @pytest.mark.parametrize("d, preset, param, widest", [
     (3, preset_offdiag, 0.8, (2, 4)),  # one dressing block of 384 channels
-    (1, preset_delta, -1.0, (1, 2)),  # 2^6 dressing blocks of 12 channels
+    (1, preset_delta, -1.0, (4, 8)),  # 2^6 dressing blocks of 12 channels
 ])
 def test_validation_factorizes_only_components(monkeypatch, d, preset, param, widest):
+    """One stacked SVD of the N site matrices (A_j | B_j), 2 P x 4 P, each a union of components: none at m scale."""
     pair = preset(model_for(d, 6), param)
     shapes = []
     svd = np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a)[-2:])
+        shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     assert pair.validation().is_valid
-    assert shapes and all(r <= widest[0] and c <= widest[1] for r, c in shapes)
+    assert shapes == [(6, *widest)]
 
 
 def _same_groups(groups, want):
@@ -524,31 +527,64 @@ def test_recorded_site_tables_are_the_searched_ones():
     assert recorded > 200
 
 
+def _scaled_and_deficient_pairs():
+    """Hand-built local pairs: d=1, components of scales 1e6 and 1e-6 in each site matrix; d=3, a zero row at a site."""
+    rng = np.random.default_rng(41)
+    n = 3
+    h = rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))
+    h = h + h.conj().swapaxes(-1, -2)  # exactly Hermitian
+    b = np.zeros((2, 2, n, 2, 2), dtype=complex)
+    b[0, 0], b[1, 1] = 1e6 * h[0], 1e-6 * h[1]  # the charge and the dipole layer: one component each
+    yield _local_pair(_zero_field_model(1, n), np.eye(2)[:, :, None, None, None] * np.eye(2), b)
+    a = rng.normal(size=(1, 1, n, 2))[..., None] * np.eye(2)
+    b = np.ones((1, 1, n, 2))[..., None] * np.eye(2)
+    a[0, 0, 1, 1, 1] = b[0, 0, 1, 1, 1] = 0.0  # site 2, spin bit 1: rank 1 short in each of 2**(N-1) copies
+    yield _local_pair(_zero_field_model(3, n), a, b)
+
+
 def test_site_table_reports_equal_the_component_loop():
-    for pair in _site_table_pairs():
-        rep, want = pair.validation(), ref.component_report(pair)
-        assert np.array_equal(rep.singular_values, want.singular_values)
-        assert ((rep.is_valid, rep.hermiticity_defect, rep.rank, rep.is_local, rep.tol)
-                == (want.is_valid, want.hermiticity_defect, want.rank, want.is_local, want.tol))
+    """validate on a local pair's stacked site matrices gives the report of its components and of its dense matrices.
+
+    A site matrix is block diagonal over its components up to a
+    permutation: rank, defect and verdict are those of the components
+    (and of the dense (A | B)), and the singular values agree to
+    rounding, within 1e-13 of the largest.
+    """
+    hand_built = list(_scaled_and_deficient_pairs())
+    assert [pair.validation().rank for pair in hand_built] == [48, 24 - 4]
+    for pair in [*_site_table_pairs(), *hand_built]:
+        rep = pair.validation()
         assert rep.is_local
+        components, entries, dense = ref.component_report(pair), _entry_copy(pair).validation(), _dense_report(pair)
+        assert not entries.is_local
+        for want in (components, entries, dense):
+            assert np.all(np.abs(rep.singular_values - want.singular_values) <= 1e-13 * want.singular_values[0])
+            assert (rep.rank, rep.is_valid, rep.tol) == (want.rank, want.is_valid, want.tol)
+            assert str(rep) == str(dataclasses.replace(want, is_local=True))
+        assert rep.hermiticity_defect == components.hermiticity_defect == entries.hermiticity_defect
+        assert rep.hermiticity_defect == pytest.approx(dense.hermiticity_defect, rel=1e-13, abs=1e-15 * dense.tol)
 
 
 def test_coset_blocks_are_the_partition():
     for pair in _site_table_pairs():
         chains = [np.stack(pair.entries[:2], axis=1), channel_blocks(pair)]
         want = _partition(pair.defect_dim, chains)
-        assert len(pair._block_index) == len(want)
-        assert all(np.array_equal(index, w) for index, w in zip(pair._block_index, want))
+        index = [group.index for group in pair.blocks()]  # the cosets of the pair's site layout
+        assert len(index) == len(want)
+        assert all(np.array_equal(i, w) for i, w in zip(index, want))
 
 
 def test_stacked_site_bases_are_the_per_site_ones():
+    """frame(model) rotates exactly the sites at alpha 0 that the per-site reference diagonalizes, with its bases."""
     rotated = 0
     for pair in _site_table_pairs():
-        mats, bases = pair._site_bases
-        want = ref.site_bases(mats)
-        assert bases.keys() == want.keys()
-        assert all(np.array_equal(bases[j], want[j]) for j in want)
-        rotated += len(want)
+        want = ref.site_bases(pair._site_matrices)
+        zero = _zero_field_model(pair.dimension, pair.n_spins)
+        for model in (zero, ModelSpec(pair.dimension, zero.positions, 0.3 * (np.arange(pair.n_spins) % 2))):
+            frame = pair.frame(model)
+            assert frame.sites == tuple(j for j in want if model.alpha[j - 1] == 0.0)
+            assert all(np.array_equal(u, want[j]) for j, u in zip(frame.sites, frame.bases))
+            rotated += len(frame.sites)
     assert rotated > 100
 
 
@@ -715,10 +751,21 @@ def test_identity_frame_for_diagonal_dense_and_invalid_pairs():
                 assert frame.rotate(v) is v
 
 
-def test_frame_is_not_built_by_validation():
+def test_frame_is_not_built_by_validation(monkeypatch):
+    """Validation builds no frame, and a frame computes joint bases only for the sites at alpha 0 of its model."""
     model = _zero_field_model(3, 2)
     pair = preset_offdiag(model, 0.8)
+    sizes = []
+    joint_bases = boundary._joint_bases
+
+    def recording_joint_bases(mats):
+        sizes.append(mats.shape[3])
+        return joint_bases(mats)
+
+    monkeypatch.setattr(boundary, "_joint_bases", recording_joint_bases)
     assert pair.validation().is_valid
-    assert "_site_bases" not in vars(pair) and not pair._frames
-    pair.frame(model)
-    assert pair._frames
+    assert not pair._frames and not sizes
+    assert pair.frame(model_for(3, 2)).sites == () and not sizes  # every site in a field
+    assert pair.frame(ModelSpec(3, model.positions, [0.0, 0.3])).sites == (1,) and sizes == [1]
+    assert pair.frame(model).sites == (1, 2) and sizes == [1, 2]
+    assert pair.frame(model) is pair.frame(model) and sizes == [1, 2]

@@ -77,6 +77,13 @@ def test_model_rejects_duplicate_sites():
         ModelSpec(1, [0.3, 0.3], [0.0, 0.0])
     with pytest.raises(ValueError):
         ModelSpec(3, [np.zeros(3), np.zeros(3)], [0.1, 0.2])
+    with pytest.raises(ValueError):  # the first and the last of three
+        ModelSpec(3, [[0.0, 0.0, 1.0], [1.1, 0.3, 0.0], [0.0, 0.0, 1.0]], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError):  # their distance underflows to 0
+        ModelSpec(3, [[0.0, 0.0, 0.0], [1e-200, 0.0, 0.0]], [0.1, 0.2])
+    assert ModelSpec(1, [0.0, 1e-300], [0.0, 0.0]).n_spins == 2
+    # distinct sites that share two coordinates, or whose coordinate differences sum to 0
+    assert ModelSpec(3, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.0, 0.0, 0.0]).n_spins == 3
 
 
 def test_model_rejects_shape_mismatch():
