@@ -248,12 +248,12 @@ def _cut_correction(model: ModelSpec, pair: BoundaryPair, packet: GaussianPacket
     i ETA but the packet's overlaps s(conj z). Two loops, each holding at
     most _CHUNK_ELEMENTS complex entries at a time and at least one lam.
     The first dresses the nodes z in stacks, counted as four matrices per
-    node and charged block (Gamma, the dressed matrix, its SVD copy and
-    the solution, each r x r): Gamma is one stack per group of the charged
-    blocks of the pair's spin frame (krein._dress, planned once per call),
-    and a stack takes one dressing call, with one SVD, condition number
-    and solve per node. It fills the charges C(z) s(z) and C(z)* s(conj z)
-    of every node, 0 on the inert channels.
+    node and charged block (Gamma, the dressed matrix, the solution and
+    its rescaled copy or the inverse, each r x r): Gamma is one stack per
+    group of the charged blocks of the pair's spin frame (krein._dress,
+    planned once per call), and a stack takes one dressing call, with one
+    solve and condition bound per node. It fills the charges C(z) s(z)
+    and C(z)* s(conj z) of every node, 0 on the inert channels.
 
     The second sums the nodes on radial tables: per distinct shift a_l,
     with s = sqrt_upper(z - a_l), F(r) = sum_k q_k e^{i s_k r} is one

@@ -188,32 +188,57 @@ def gamma_dressed(pair, gamma: np.ndarray) -> np.ndarray:
 
 
 def invert_dressed(dressed, rhs, z=None, inert=()):
-    """Solve dressed X = rhs block by block; raises NearPoleError past 1e12.
+    """Solve dressed X = rhs block by block; raises NearPoleError past a 2-norm condition number of 1e12.
 
     dressed and rhs are sequences of (g, k, k) stacks, the diagonal
-    blocks of a block-diagonal matrix, or of (n_z, g, k, k) stacks, one
+    blocks of a block-diagonal matrix D, or of (n_z, g, k, k) stacks, one
     such matrix per node (rhs may stay (g, k, k)). inert lists the moduli
     of further 1 x 1 diagonal blocks, the same at every node, that take
-    no solve (only their extremes count). Each stack takes one batched
-    values-only SVD and one batched solve. A block-diagonal matrix's
-    singular values are the union of its blocks' ones, so each node's
-    2-norm condition number comes from its own blocks and inert alone.
-    Returns the solution stacks and the condition number, one per node.
-    The error names the first node past the limit, by its entry of z when
-    given.
+    no solve. Each stack takes one batched solve, and each node is gated
+    on b = max_b ||D_b||_F max_b ||D_b^-1||_F from it (_extremes), with
+    kappa_2(D) <= b <= k kappa_2(D), k the largest block. X solves
+    (D + E) X = rhs with ||E||_2 <= delta ||D||_2, delta = k^2 eps to first
+    order, so sigma_min(D) >= sigma_min(D + E) - ||E||_2 gives kappa_2(D)
+    <= b / (1 - delta b), at most the limit L wherever b <= L / (1 + delta
+    L). A node past that, a bound that is not finite or an exactly singular
+    block sends every stack to a values-only SVD, whose exact values gate
+    and name the first node past L, by its entry of z when given. Returns
+    the solutions and, per node, the bound or the SVD's exact kappa_2.
     """
-    # with no stack to factor, an empty one of z's node shape carries that shape to the condition number
-    sv = [np.linalg.svd(d, compute_uv=False) for d in dressed] or [np.empty(np.shape(z) + (0, 1))]
-    smallest = np.concatenate([s[..., -1] for s in sv], axis=-1).min(axis=-1, initial=min(inert, default=np.inf))
-    largest = np.concatenate([s[..., 0] for s in sv], axis=-1).max(axis=-1, initial=max(inert, default=0.0))
-    cond = np.divide(largest, smallest, out=np.full_like(largest, np.inf), where=smallest > 0.0)
-    bad = np.flatnonzero(cond > CONDITION_LIMIT)
-    if bad.size:
-        node = bad[0]
-        at = None if z is None else complex(np.ravel(z)[node])
-        raise NearPoleError(at, float(np.ravel(smallest)[node]), float(np.ravel(cond)[node]))
-    solved = [np.linalg.solve(d, b) for d, b in zip(dressed, rhs)]
+    try:
+        solved = [np.linalg.solve(d, b) for d, b in zip(dressed, rhs)]
+        cond = _condition([_extremes(d, b, x) for d, b, x in zip(dressed, rhs, solved)], z, inert)[1]
+    except np.linalg.LinAlgError:  # an exactly singular block: the SVD names its node
+        solved, cond = None, np.inf
+    delta = max((d.shape[-1] for d in dressed), default=1) ** 2 * np.finfo(float).eps
+    if not np.all(cond <= CONDITION_LIMIT / (1.0 + delta * CONDITION_LIMIT)):  # NaN fails too
+        smallest, cond = _condition([np.linalg.svd(d, compute_uv=False) for d in dressed], z, inert)
+        bad = np.flatnonzero(cond > CONDITION_LIMIT)
+        if bad.size:
+            node = bad[0]
+            at = None if z is None else complex(np.ravel(z)[node])
+            raise NearPoleError(at, float(np.ravel(smallest)[node]), float(np.ravel(cond)[node]))
+    if solved is None:  # singular to the LU yet within the limit to the SVD
+        raise np.linalg.LinAlgError("Singular matrix")
     return solved, (float(cond) if cond.ndim == 0 else cond)
+
+
+def _extremes(d, b, x):
+    """(||d||_F, 1 / ||d^-1||_F) per matrix of a stack, bounds on its extreme singular values, from x = d^-1 b."""
+    # b with one nonzero per row and column (every preset's B_JJ): ||d^-1||_F is that of x, each column over its entry
+    monomial = all((np.count_nonzero(b, axis=axis) == 1).all() for axis in (-1, -2))
+    inv = x / np.abs(b).sum(axis=-2)[..., None, :] if monomial else np.linalg.inv(d)
+    d, inv = (np.ascontiguousarray(v, dtype=complex).view(float) for v in (d, inv))
+    return np.sqrt(np.stack([np.einsum("...ij,...ij->...", d, d), 1.0 / np.einsum("...ij,...ij->...", inv, inv)], -1))
+
+
+def _condition(values, z, inert):
+    """(smallest, largest / smallest) per node from inert and stacks of block values ordered largest to smallest."""
+    # with no stack to factor, an empty one of z's node shape carries that shape
+    values = values or [np.empty(np.shape(z) + (0, 1))]
+    smallest = np.concatenate([v[..., -1] for v in values], axis=-1).min(axis=-1, initial=min(inert, default=np.inf))
+    largest = np.concatenate([v[..., 0] for v in values], axis=-1).max(axis=-1, initial=max(inert, default=0.0))
+    return smallest, np.divide(largest, smallest, out=np.full_like(largest, np.inf), where=smallest > 0.0)
 
 
 @dataclass
@@ -236,7 +261,7 @@ class _Dressing:
     z: complex | np.ndarray
     frame: SpinFrame
     solved: list  # per charged block group: the blocks of U* (Gamma^AB)^{-1} B U on J
-    condition: float | np.ndarray
+    condition: float | np.ndarray  # invert_dressed's bound on the 2-norm condition number, per node
     roots: np.ndarray | None = None  # sqrt_upper(z - a_l) per (node and) distinct shift l, from _dress
 
     def charges(self, overlaps, adjoint: bool = False) -> np.ndarray:
@@ -334,15 +359,10 @@ def _dress(model: ModelSpec, pair: BoundaryPair, z, unchecked: bool = False) -> 
     (A', B') (boundary._charged_blocks) has zero charge at every z, so
     only D_J = B'_JJ Gamma_JJ + A'_JJ on the charged channels J is formed,
     one Gamma stack per group of frame.charged, and solved against B'_JJ.
-    The condition number is the exact 2-norm value of D_J's blocks with
-    each inert |a_i| as a 1 x 1 block: the dressed matrix without its
-    part coupling J to the inert channels, which is never above the
-    value of B Gamma + A, as the dressed matrix is block triangular in
-    (J, inert) order, and equal to it when no channel is inert. z is one
-    energy or a 1-D array of nodes. A node array is dressed as
-    (n_z, g, r, r) stacks, one values-only SVD and one solve per group
-    for all nodes; the condition number is per node, and a NearPoleError
-    names the first node past the limit in array order.
+    The condition number is invert_dressed's bound for D_J's blocks and
+    each inert |a_i| (the dressed matrix without its coupling of J to the
+    inert channels, whose kappa_2 is at most that of B Gamma + A). z is
+    one energy or a 1-D array of nodes, dressed as (n_z, g, r, r) stacks.
     """
     require_valid(model, pair, unchecked)
     z = np.asarray(z, dtype=complex)
