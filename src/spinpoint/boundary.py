@@ -15,11 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spins import ModelSpec, channel_blocks, channel_tables, index_dimension, site_slots
+from .spins import ModelSpec, channel_blocks, index_dimension, site_slots
 
 __all__ = [
     "BoundaryPair",
-    "PairEntries",
     "BlockGroup",
     "SpinFrame",
     "ValidationReport",
@@ -137,38 +136,29 @@ def _joint_bases(mats: np.ndarray):
     return off <= FRAME_RTOL * np.abs(m).max(axis=(1, 2, 3)), u, rot
 
 
-class PairEntries(NamedTuple):
-    """The entries of a pair in row-major order: the m x m A holds A[i] at (rows[i], cols[i]), and likewise B.
-
-    Every (row, col) where A or B is nonzero is listed once, so one of its
-    two values may be 0; every other entry of A and B is 0.
-    """
-
-    rows: np.ndarray  # (nnz,) int
-    cols: np.ndarray  # (nnz,) int
-    A: np.ndarray  # (nnz,) complex
-    B: np.ndarray  # (nnz,) complex
-
-
 class BoundaryPair:
-    """Interface matrices for a given dimension and spin count, held by their nonzero entries or their site table.
+    """Interface matrices for a given dimension and spin count, held as their site table or as the two m x m matrices.
 
-    BoundaryPair(d, N, A, B) reads the entries (PairEntries) of dense m x m
-    input in one scan. The presets write theirs with _local_pair, which
-    keeps only the site table they are written from (_site_matrices): their
-    entries are built from it on first read, and the m x m A and B, read-only
-    views, from the entries, for output and tests. Validation, max_abs,
-    blocks, frames and charged blocks read a local pair's site table (also
-    for dense input found local) and any other pair's entries. A local
-    pair's A and B are block diagonal over its N site matrices (A_j, B_j),
-    2 P x 2 P, up to a permutation, and validation takes those; any other
-    pair's over components(), the finest blocks of A and B, which
-    partition its entries (_partition). blocks() are the BlockGroups,
-    ascending in block size, on which B Gamma(z) + A is block diagonal for
-    every z; a local pair's are in closed form (_site_blocks), any other
-    pair partitions its entries with the spin-code blocks of Gamma. The
-    solvers run on frame(model).charged. Pairs are equal when dimension,
-    spin count and entries are.
+    A local pair, written by _local_pair (the presets and the spin
+    frame), holds only the (2, P, P, N, 2, 2) table it is written from
+    (_site_matrices). BoundaryPair(d, N, A, B) holds a read-only (2, m, m)
+    copy of A and B (_dense); it is local when _local_pair writes it back
+    from the table read off its slots, and then takes the same paths.
+    Each form is computed from the other on first read: A and B, read-only
+    m x m views, for output and tests; the table, for the locality test.
+    Both hold +0 where A and B are both 0.
+
+    The path is picked in one place, by locality (_site_matrices is None
+    for a pair that is not local). A local pair's A and B are block
+    diagonal over its N site matrices (A_j, B_j), 2 P x 2 P, up to a
+    permutation, and validation takes those; its blocks() are in closed
+    form (_site_blocks), and its frames rotate its sites. Any other
+    pair's blocks() partition the nonzero pattern of A and B with the
+    spin-code blocks of Gamma (_partition), and validation takes them.
+    blocks() are the BlockGroups, ascending in block size, on which
+    B Gamma(z) + A is block diagonal for every z; the solvers run on
+    frame(model).charged. Pairs are equal when dimension, spin count, A
+    and B are.
     """
 
     def __init__(self, dimension: int, n_spins: int, A, B):
@@ -177,73 +167,50 @@ class BoundaryPair:
         B = np.asarray(B, dtype=complex)
         if A.shape != (m, m) or B.shape != (m, m):
             raise ValueError(f"A and B must be {m} x {m}, got {A.shape} and {B.shape}")
-        rows, cols = np.nonzero((A != 0.0) | (B != 0.0))
-        a, b = A[rows, cols], B[rows, cols]
-        self._hold(dimension, n_spins, a, b)
-        for arr in (rows, cols, a, b):
-            arr.setflags(write=False)
-        self.entries = PairEntries(rows, cols, a, b)
+        self._hold(dimension, n_spins, "_dense", np.stack([A, B]))
 
-    @staticmethod
-    def _from_entries(rows, cols, A, B) -> PairEntries:
-        """The read-only entries of the pair with values A, B at distinct positions (rows, cols) and 0 elsewhere.
-
-        The four arrays are broadcast to one shape. Positions where both
-        values are 0 are dropped, as a dense scan would, and the rest are
-        sorted in row-major order.
-        """
-        rows, cols, A, B = np.broadcast_arrays(rows, cols, A, B)
-        keep = (A != 0.0) | (B != 0.0)
-        rows, cols, A, B = (x[keep] for x in (rows, cols, A, B))
-        order = np.lexsort((cols, rows))
-        entries = PairEntries(*(x[order] for x in (rows, cols, A, B)))
-        for arr in entries:
-            arr.setflags(write=False)
-        return entries
-
-    def _hold(self, dimension: int, n_spins: int, *values):
-        if not all(np.isfinite(x).all() for x in values):
+    def _hold(self, dimension: int, n_spins: int, name: str, values: np.ndarray):
+        """Hold values, A and B stacked on axis 0, as the cached property name: read-only, +0 where both are 0."""
+        if not np.isfinite(values).all():
             raise ValueError("A and B must be finite")
+        np.copyto(values, 0.0, where=(values == 0.0).all(axis=0))
+        values.setflags(write=False)
+        self.__dict__[name] = values  # the cached_property's slot: never computed
         self.dimension, self.n_spins = dimension, n_spins
         self.defect_dim = index_dimension(dimension, n_spins)
         self._report = None
-        self._components = None
         self._blocks = None
         self._frames = {}
-
-    @functools.cached_property
-    def entries(self) -> PairEntries:
-        """The entries of a pair written by _local_pair, built from its site table on first read; set on dense input."""
-        return self._from_entries(*site_slots(self), *self._site_matrices[..., None])
 
     def __eq__(self, other):
         if not isinstance(other, BoundaryPair):
             return NotImplemented
         return ((self.dimension, self.n_spins) == (other.dimension, other.n_spins)
-                and all(np.array_equal(x, y) for x, y in zip(self.entries, other.entries)))
+                and np.array_equal(self._dense, other._dense))
 
     @property
     def A(self) -> np.ndarray:
-        """A as a read-only m x m array, built from the entries on first read."""
+        """A as a read-only m x m array; scattered from a local pair's site table on first read."""
         return self._dense[0]
 
     @property
     def B(self) -> np.ndarray:
-        """B as a read-only m x m array, built from the entries on first read."""
+        """B as a read-only m x m array; scattered from a local pair's site table on first read."""
         return self._dense[1]
 
     @functools.cached_property
     def max_abs(self) -> tuple:
-        """(max |A_ij|, max |B_ij|): read off the site table of a local pair, else off the entries."""
+        """(max |A_ij|, max |B_ij|): read off the site table of a local pair, else off A and B."""
         mats = self._site_matrices
-        values = np.stack(self.entries[2:]) if mats is None else mats.reshape(2, -1)
-        return tuple(np.abs(values).max(axis=1, initial=0.0).tolist())
+        values = self._dense if mats is None else mats
+        return tuple(np.abs(values.reshape(2, -1)).max(axis=1, initial=0.0).tolist())
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
-        rows, cols, a, b = self.entries
+        """A and B of a local pair, (2, m, m): its site table scattered through spins.site_slots; held for dense input."""
+        rows, cols = site_slots(self)
         dense = np.zeros((2, self.defect_dim, self.defect_dim), dtype=complex)
-        dense[:, rows, cols] = a, b
+        dense[:, rows, cols] = self._site_matrices[..., None]
         dense.setflags(write=False)
         return dense
 
@@ -254,26 +221,19 @@ class BoundaryPair:
             self._report = validate(self)
         return self._report
 
-    def components(self) -> "tuple[BlockGroup, ...]":
-        """Connected components of the nonzero pattern of A and B: the entries' (row, col) are its edges.
-
-        validate factors them for a pair that is not local. A local pair's
-        lie within its site matrices, and validate factors those instead:
-        a site matrix is block diagonal over its components up to a
-        permutation, so its singular values are theirs.
-        """
-        if self._components is None:
-            groups = _partition(self.defect_dim, [np.stack(self.entries[:2], axis=1)])
-            self._components = tuple(self._block_group(index) for index in groups)
-        return self._components
-
     def blocks(self) -> "tuple[BlockGroup, ...]":
-        """The components joined through the equal-spin-code blocks of Gamma(z); a local pair's are in closed form."""
+        """The components of the nonzero pattern of A and B joined through the equal-spin-code blocks of Gamma(z).
+
+        A local pair's are in closed form (_site_blocks). Any other pair's
+        are partitioned from its pattern, and their values are one gather
+        of A and B.
+        """
         if self._blocks is None:
-            mats = self._site_matrices
-            if mats is None:
-                chains = [np.stack(self.entries[:2], axis=1), channel_blocks(self)]
-                self._blocks = tuple(self._block_group(index) for index in _partition(self.defect_dim, chains))
+            if self._site_matrices is None:
+                dense = self._dense
+                chains = [np.argwhere((dense != 0.0).any(axis=0)), channel_blocks(self)]
+                self._blocks = tuple(BlockGroup(index, *dense[:, index[:, :, None], index[:, None, :]])
+                                     for index in _partition(self.defect_dim, chains))
             else:
                 self._blocks = _site_blocks(self)
         return self._blocks
@@ -291,8 +251,8 @@ class BoundaryPair:
         it from the rotated 2 x 2s (diagonal, exact zeros off it), and the
         frame's blocks are its own blocks(). No rotated site: U = I and the
         pair's own blocks. The charged blocks and inert channels are read
-        off the site table of the frame's pair (of the pair's entries, for
-        a pair that is not local) when a solver first asks. Validation
+        off the blocks of the frame's pair (of the pair itself, for a pair
+        that is not local) when a solver first asks. Validation
         stays on the pair itself: a unitary similarity keeps admissibility.
         """
         mats = self._site_matrices
@@ -313,19 +273,12 @@ class BoundaryPair:
         """mats[w, p, p', j - 1], the 2 x 2 of A (w = 0) or B (w = 1) at site j; None for a pair that is not local.
 
         A pair written by _local_pair holds the table it was written from,
-        and this search never runs. Otherwise mats reads the entries at the
-        slots of spectator configuration 0 (spins.site_slots) in one search;
-        the pair is local (is_local) exactly when _local_pair writes it back
-        from mats. No m x m matrix is formed.
+        and this never runs. Otherwise mats is one gather of A and B at the
+        slots of spectator configuration 0 (spins.site_slots); the pair is
+        local (is_local) exactly when _local_pair writes it back from mats.
         """
-        m = self.defect_dim
-        rows, cols, a, b = self.entries
-        flat = np.append(rows * m + cols, m * m)  # ascending, then a sentinel past every slot
-        slot_rows, slot_cols = site_slots(self)
-        keys = slot_rows[..., 0] * m + slot_cols[..., 0]
-        at = np.searchsorted(flat, keys)
-        at[flat[at] != keys] = -1  # a slot without an entry reads the 0 appended below
-        mats = np.stack([np.append(a, 0.0), np.append(b, 0.0)])[:, at]
+        rows, cols = site_slots(self)
+        mats = self._dense[:, rows[..., 0], cols[..., 0]]
         return mats if _local_pair(self, *mats) == self else None
 
     @functools.cached_property
@@ -340,18 +293,6 @@ class BoundaryPair:
     def _charged(self):
         """(charged blocks, extremes of the inert |a_i|) of this pair (_charged_blocks), for its spin frames."""
         return _charged_blocks(self)
-
-    def _block_group(self, index: np.ndarray) -> BlockGroup:
-        """The BlockGroup of A and B on the (g, k) blocks of index: each entry with row and column in one block."""
-        g, k = index.shape
-        rows, cols, a, b = self.entries
-        at = np.full(self.defect_dim, -1)
-        at[index.ravel()] = np.arange(index.size)  # block * k + position in the block
-        r, c = at[rows], at[cols]
-        on = np.flatnonzero((np.minimum(r, c) >= 0) & (r // k == c // k))
-        out = np.zeros((2, g * k * k), dtype=complex)
-        out[:, r[on] * k + c[on] % k] = a[on], b[on]
-        return BlockGroup(index, *out.reshape(2, g, k, k))
 
 
 def _site_blocks(pair: BoundaryPair) -> "tuple[BlockGroup]":
@@ -392,23 +333,28 @@ def _charged_blocks(pair: BoundaryPair):
     at every z, and with the channels ordered (J, I), J the charged ones,
     B Gamma + A = [[D_J, X], [0, diag a]] with D_J = B_JJ Gamma_JJ + A_JJ.
     Its correction (B Gamma + A)^{-1} B is D_J^{-1} B_JJ on J and 0 on the
-    rest, for any pair. The inert channels of a local pair are read per
-    (layer, site, spin bit) off its site table (_inert_sites), any other
-    pair's off its entries (_inert_entries). The blocks keep their charged
-    positions, in order, regrouped by their count r ascending; a block
-    with none drops out. Their values are those of blocks() on the
-    charged positions, gathered from its stacks. inert is the smallest and
-    largest |a_i|, all that the condition number reads of the 1 x 1
-    blocks; with no inert channel it is () and charged is blocks() itself.
+    rest, for any pair. Both kinds of pair test each channel on the
+    stacks of blocks(), which hold all of its row and column of A and B.
+    The blocks keep their charged positions, in order, regrouped by their
+    count r ascending; a block with none drops out. Their values are those
+    of blocks() on the charged positions, gathered from its stacks. inert
+    is the smallest and largest |a_i|, all that the condition number reads
+    of the 1 x 1 blocks; with no inert channel it is () and charged is
+    blocks() itself.
     """
-    mats = pair._site_matrices
-    inert, scale = _inert_entries(pair) if mats is None else _inert_sites(pair, mats)
+    groups, inert = pair.blocks(), []
+    for group in groups:
+        on_a, on_b = group.A != 0.0, group.B != 0.0
+        # the one nonzero of row i of (A | B) is A's diagonal, and column i of B is 0
+        inert.append(on_a.diagonal(axis1=1, axis2=2) & (on_a.sum(axis=2) == 1)
+                     & ~on_b.any(axis=2) & ~on_b.any(axis=1))
+    scale = np.concatenate([np.abs(g.A.diagonal(axis1=1, axis2=2)[x]) for g, x in zip(groups, inert)])
     if not scale.size:
-        return pair.blocks(), ()
+        return groups, ()
     by_count = {}
-    for group in pair.blocks():
+    for group, lone in zip(groups, inert):
         k = group.index.shape[1]
-        keep = ~inert[group.index]
+        keep = ~lone
         count = keep.sum(axis=1)
         for r in np.bincount(count)[1:].nonzero()[0] + 1:
             sel = np.flatnonzero(count == r)
@@ -423,36 +369,6 @@ def _charged_blocks(pair: BoundaryPair):
             arr.setflags(write=False)
         charged.append(BlockGroup(index, a, b))
     return tuple(charged), (float(scale.min()), float(scale.max()))
-
-
-def _inert_entries(pair: BoundaryPair):
-    """(inert per channel, |a_i| of the inert channels), from the entries."""
-    rows, cols, a, b = pair.entries
-    on_b = b != 0.0
-    # a diagonal entry without b, alone in its row, in a column where B has no entry: then a != 0
-    lone = (rows == cols) & ~on_b & (np.bincount(rows, minlength=pair.defect_dim)[rows] == 1)
-    inert, lone_rows = np.zeros(pair.defect_dim, dtype=bool), rows[lone]
-    inert[lone_rows] = True
-    inert[cols[on_b]] = False
-    return inert, np.abs(a[lone][inert[lone_rows]])
-
-
-def _inert_sites(pair: BoundaryPair, mats: np.ndarray):
-    """_inert_entries of the local pair with the site table mats, read per (layer p, site j, spin bit s).
-
-    Row (p, j, s) of a site's 2 x 2s is the row of every channel with that
-    layer, site and bit of the code at j, whatever the spectator spins, and
-    so is its column: the test holds for all 2**(N-1) channels or none. Each
-    inert |a| thus counts once here, which leaves its extremes. Without an
-    inert channel, the per-channel test is not expanded: it is None.
-    """
-    nonzero = mats != 0.0  # [w, p, p', j - 1, s, s']
-    # the one nonzero of row (p, s) of (A_j | B_j) is A's diagonal, and column (p, s) of B_j is 0
-    sites = (nonzero.sum(axis=(0, 2, 5)) == 1) & np.einsum("ppjss->pjs", nonzero[0]) & ~nonzero[1].any(axis=(0, 3))
-    if not sites.any():
-        return None, np.empty(0)
-    p, j, code = channel_tables(pair)
-    return sites[p, j - 1, (code >> (j - 1)) & 1], np.abs(np.einsum("ppjss->pjs", mats[0])[sites])
 
 
 def _partition(m: int, chains) -> "tuple[np.ndarray, ...]":
@@ -514,7 +430,7 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     its site matrices (A_j, B_j) on (layer, spin bit at j), 2 P x 2 P, in
     2**(N-1) copies: one stacked product and one stacked SVD take them all,
     and each singular value counts 2**(N-1) times. Any other pair's are its
-    components. A B* - B A* is formed, and held against the tolerance, with
+    blocks(). A B* - B A* is formed, and held against the tolerance, with
     A and B scaled exactly to max-abs below 1 by powers of two, so it is
     finite at any scale; the report gives both at the pair's own scale.
     """
@@ -522,7 +438,7 @@ def validate(pair: BoundaryPair, tol: float | None = None) -> ValidationReport:
     mantissas, (ka, kb) = np.frexp(norms)
     mats = pair._site_matrices
     if mats is None:
-        stacks, copies = [np.concatenate([group.A, group.B], axis=-1) for group in pair.components()], 1
+        stacks, copies = [np.concatenate([group.A, group.B], axis=-1) for group in pair.blocks()], 1
     else:  # [j - 1, (p, s), (w, p', s')]
         side = 2 * mats.shape[1]
         stacks = [mats.transpose(3, 1, 4, 0, 2, 5).reshape(pair.n_spins, side, 2 * side)]
@@ -598,17 +514,13 @@ def _local_pair(space, a, b) -> BoundaryPair:
     a[p, p', j - 1, s, s'] is the value of A at every slot (p, p', j, s, s')
     of spins.site_slots, whatever the spectator spins; likewise b for B.
     space is a ModelSpec or a BoundaryPair. The pair holds only the
-    (2, P, P, N, 2, 2) table of a and b, its _site_matrices, with +0 where
-    both are 0, as the slot search reads an absent entry; its entries are
-    built from the table on first read.
+    (2, P, P, N, 2, 2) table of a and b, its _site_matrices; its A and B
+    are scattered from it on first read.
     """
     mats = np.empty((2,) + site_slots(space)[0].shape[:-1], dtype=complex)
     mats[0], mats[1] = a, b
-    np.copyto(mats, 0.0, where=(mats == 0.0).all(axis=0))
     pair = BoundaryPair.__new__(BoundaryPair)
-    pair._hold(space.dimension, space.n_spins, mats)
-    mats.setflags(write=False)
-    pair.__dict__["_site_matrices"] = mats  # the cached_property's slot: the search never runs
+    pair._hold(space.dimension, space.n_spins, "_site_matrices", mats)
     return pair
 
 

@@ -411,16 +411,32 @@ def one_center_product_integral_3d(z1, z2, n=4000):
 # ---------------------------------------------------------------------------
 
 def component_report(pair, tol=None):
-    """boundary.validate as one loop over BoundaryPair.components, every copy of every component factored."""
-    norms = [float(np.max(np.abs(x), initial=0.0)) for x in pair.entries[2:]]  # every nonzero is an entry
+    """boundary.validate as one loop over the connected components of the nonzero pattern of A and B.
+
+    The components come from scipy's csgraph, not from the package, and
+    every copy of every component is factored; components of one size are
+    factored as one stack.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    A, B = pair.A, pair.B
+    norms = [float(np.max(np.abs(x), initial=0.0)) for x in (A, B)]
+    labels = connected_components(csr_matrix((A != 0.0) | (B != 0.0)), directed=False)[1]
+    sizes = np.bincount(labels)
+    groups = []
+    for k in np.unique(sizes):
+        index = np.stack([np.flatnonzero(labels == c) for c in np.flatnonzero(sizes == k)])
+        sub = (index[:, :, None], index[:, None, :])
+        groups.append((A[sub], B[sub]))
     mantissas, (ka, kb) = np.frexp(norms)
     scaled = 0.0  # max|A B* - B A*| / 2**(ka + kb)
     sv = []
-    for group in pair.components():
-        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((group.A, ka), (group.B, kb)))
+    for ga, gb in groups:
+        a, b = (np.ldexp(x.view(float), -k).view(complex) for x, k in ((ga, ka), (gb, kb)))
         ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
         scaled = max(scaled, float(np.max(np.abs(a @ bh - b @ ah))))
-        sv.append(np.linalg.svd(np.concatenate([group.A, group.B], axis=-1), compute_uv=False).ravel())
+        sv.append(np.linalg.svd(np.concatenate([ga, gb], axis=-1), compute_uv=False).ravel())
     sv = np.sort(np.concatenate(sv))[::-1]
     with np.errstate(over="ignore"):  # at the pair's own scale, a tolerance or defect may round to inf
         if tol is None:

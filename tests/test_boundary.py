@@ -359,8 +359,8 @@ def test_grouping_without_links():
     assert _grouped_blocks(1, [np.zeros((0, 2), dtype=int)]) == [[0]]
     assert _grouped_blocks(1, [np.zeros((1, 1), dtype=int)]) == [[0]]
     pair = preset_delta(model_for(3, 2), -1.0)  # diagonal A and B
-    (group,) = pair.components()
-    assert np.array_equal(group.index, np.arange(pair.defect_dim)[:, None])
+    (index,) = _partition(pair.defect_dim, [np.argwhere((pair.A != 0.0) | (pair.B != 0.0))])
+    assert np.array_equal(index, np.arange(pair.defect_dim)[:, None])
 
 
 def test_block_validate_matches_dense_report():
@@ -489,12 +489,11 @@ def _preset_cases():
 
 
 def test_presets_match_dense_reference():
-    """The presets' entries give the dense pairs of the m x m constructions, and every partition and report."""
+    """The presets' site tables give the dense pairs of the m x m constructions, and every partition and report."""
     for model, pair, (A, B) in _preset_cases():
         assert np.array_equal(pair.A, A) and np.array_equal(pair.B, B)
         dense = BoundaryPair(model.dimension, model.n_spins, A, B)
         assert pair == dense
-        _same_groups(pair.components(), dense.components())
         _same_groups(pair.blocks(), dense.blocks())
         frame, want = pair.frame(model), dense.frame(model)
         assert frame.sites == want.sites
@@ -555,19 +554,19 @@ def test_site_table_reports_equal_the_component_loop():
     for pair in [*_site_table_pairs(), *hand_built]:
         rep = pair.validation()
         assert rep.is_local
-        components, entries, dense = ref.component_report(pair), _entry_copy(pair).validation(), _dense_report(pair)
-        assert not entries.is_local
-        for want in (components, entries, dense):
+        components, general, dense = ref.component_report(pair), _dense_copy(pair).validation(), _dense_report(pair)
+        assert not general.is_local
+        for want in (components, general, dense):
             assert np.all(np.abs(rep.singular_values - want.singular_values) <= 1e-13 * want.singular_values[0])
             assert (rep.rank, rep.is_valid, rep.tol) == (want.rank, want.is_valid, want.tol)
             assert str(rep) == str(dataclasses.replace(want, is_local=True))
-        assert rep.hermiticity_defect == components.hermiticity_defect == entries.hermiticity_defect
+        assert rep.hermiticity_defect == components.hermiticity_defect == general.hermiticity_defect
         assert rep.hermiticity_defect == pytest.approx(dense.hermiticity_defect, rel=1e-13, abs=1e-15 * dense.tol)
 
 
 def test_coset_blocks_are_the_partition():
     for pair in _site_table_pairs():
-        chains = [np.stack(pair.entries[:2], axis=1), channel_blocks(pair)]
+        chains = [np.argwhere((pair.A != 0.0) | (pair.B != 0.0)), channel_blocks(pair)]
         want = _partition(pair.defect_dim, chains)
         index = [group.index for group in pair.blocks()]  # the cosets of the pair's site layout
         assert len(index) == len(want)
@@ -588,8 +587,8 @@ def test_stacked_site_bases_are_the_per_site_ones():
     assert rotated > 100
 
 
-def _entry_copy(pair):
-    """pair as dense input held by its entries alone: the path of a pair that is not local."""
+def _dense_copy(pair):
+    """pair as dense input held by its A and B alone: the path of a pair that is not local."""
     copy = BoundaryPair(pair.dimension, pair.n_spins, pair.A, pair.B)
     copy.__dict__["_site_matrices"] = None
     return copy
@@ -630,8 +629,26 @@ def _same_charged(got, want):
     assert got[1] == want[1]
 
 
+def _check_charged_by_channel(pair, charged, inert):
+    """charged and inert against a loop over the channels of pair: the inert test, blocks() on the rest, |a_i| extremes."""
+    A, B, m = pair.A, pair.B, pair.defect_dim
+    lone = [A[i, i] != 0.0 and np.count_nonzero(A[i]) == 1 and not B[i].any() and not B[:, i].any() for i in range(m)]
+    scales = [abs(A[i, i]) for i in range(m) if lone[i]]
+    assert inert == ((min(scales), max(scales)) if scales else ())
+    want = {tuple(i for i in row if not lone[i]) for g in pair.blocks() for row in g.index.tolist()} - {()}
+    got = []
+    for group in charged:
+        for index, a, b in zip(*group):
+            sub = np.ix_(index, index)
+            assert np.array_equal(a, A[sub]) and np.array_equal(b, B[sub])
+            got.append(tuple(index.tolist()))
+    assert len(got) == len(want) and set(got) == want
+    assert [g.index.shape[1] for g in charged] == sorted({len(w) for w in want})
+    return lone
+
+
 def test_charged_blocks_from_the_site_table_are_those_from_the_entries():
-    """A local pair's blocks(), frame.charged and frame.inert off its site table equal those of the entry path."""
+    """A local pair's blocks(), frame.charged and frame.inert off its site table equal those of the general path."""
     cases = [(model, pair) for model, pair, _ in _preset_cases()]
     cases += [(model, BoundaryPair(model.dimension, model.n_spins, A, B)) for model, _, (A, B) in _preset_cases()]
     cases += list(_random_site_tables())
@@ -641,15 +658,65 @@ def test_charged_blocks_from_the_site_table_are_those_from_the_entries():
         for m in (model, _zero_field_model(model.dimension, model.n_spins)):
             frame = pair.frame(m)
             table_pair = frame.pair  # the pair itself, or the frame's pair written by _local_pair
-            entry_pair = _entry_copy(table_pair)
-            _same_groups(table_pair.blocks(), entry_pair.blocks())
+            dense_pair = _dense_copy(table_pair)
+            _same_groups(table_pair.blocks(), dense_pair.blocks())
             assert all(x.tobytes() == y.tobytes()
-                       for g, w in zip(table_pair.blocks(), entry_pair.blocks()) for x, y in zip(g, w))
-            _same_charged(boundary._charged_blocks(table_pair), boundary._charged_blocks(entry_pair))
-            _same_charged((frame.charged, frame.inert), boundary._charged_blocks(entry_pair))
+                       for g, w in zip(table_pair.blocks(), dense_pair.blocks()) for x, y in zip(g, w))
+            _same_charged(boundary._charged_blocks(table_pair), boundary._charged_blocks(dense_pair))
+            _same_charged((frame.charged, frame.inert), boundary._charged_blocks(dense_pair))
+            _check_charged_by_channel(table_pair, frame.charged, frame.inert)
             with_inert += frame.inert != ()
             rotated += frame.sites != ()
     assert with_inert > 300 and rotated > 100
+
+
+def _cross_site_pair(skew=0.0):
+    """d=3, N=2, not local: A diagonal and B = I, with Hermitian links between the two sites' channels of codes 0 and 3.
+
+    The nonzero pattern of A and B has 6 components: the linked pairs and
+    the channels of codes 1 and 2 alone. Gamma joins the two channels of
+    each code, so blocks() are 4 of 2 channels, two of them joining two
+    components. skew adds a non-Hermitian part to one link.
+    """
+    model = model_for(3, 2)
+    _, j, code = channel_tables(model)
+    A = np.diag(np.random.default_rng(13).normal(size=model.defect_dim)).astype(complex)
+    for c, link in ((0, 0.3 + 0.2j), (3, -0.45)):
+        r, s = (int(np.flatnonzero((j == site) & (code == c))[0]) for site in (1, 2))
+        A[r, s], A[s, r] = link, np.conj(link) + skew
+    return BoundaryPair(3, 2, A, np.eye(model.defect_dim))
+
+
+def test_blocks_of_a_pair_that_is_not_local_join_its_components():
+    for skew in (0.0, 1e-3):
+        pair = _cross_site_pair(skew)
+        assert not is_local(pair)
+        pattern = np.argwhere((pair.A != 0.0) | (pair.B != 0.0))
+        assert [index.shape for index in _partition(pair.defect_dim, [pattern])] == [(4, 1), (2, 2)]
+        assert [g.index.shape for g in pair.blocks()] == [(4, 2)]
+        rep, want = pair.validation(), ref.component_report(pair)
+        assert np.all(np.abs(rep.singular_values - want.singular_values) <= 1e-13 * want.singular_values[0])
+        assert (rep.rank, rep.is_valid, rep.is_local, rep.tol) == (want.rank, want.is_valid, want.is_local, want.tol)
+        assert rep.hermiticity_defect == pytest.approx(want.hermiticity_defect, rel=1e-13, abs=1e-15 * want.tol)
+        assert str(rep) == str(want)
+        assert rep.is_valid == (skew == 0.0)
+
+
+def test_charged_blocks_of_a_pair_that_is_not_local_match_a_channel_loop():
+    """A d=1 delta pair with one cross-site link in B's charge layer, rows scaled: its dipole channels are inert."""
+    model = model_for(1, 2)
+    base = preset_delta(model, [-1.0, -0.7])
+    p, j, code = channel_tables(base)
+    r, s = (int(np.flatnonzero((p == 0) & (j == site) & (code == 2))[0]) for site in (1, 2))
+    B = np.array(base.B)
+    B[r, s], B[s, r] = 0.4 - 0.3j, 0.4 + 0.3j
+    scale = np.random.default_rng(3).uniform(0.5, 2.0, size=(base.defect_dim, 1))  # keeps A q = B f and admissibility
+    pair = BoundaryPair(1, 2, scale * base.A, scale * B)
+    assert not is_local(pair) and pair.validation().is_valid
+    frame = pair.frame(model)
+    assert frame.pair is pair and frame.inert[0] < frame.inert[1]
+    inert = _check_charged_by_channel(pair, frame.charged, frame.inert)
+    assert np.array_equal(np.flatnonzero(inert), np.flatnonzero(p == 1))
 
 
 @pytest.mark.parametrize("d, preset, param, zero_field", [

@@ -320,7 +320,9 @@ def test_kernel_table_is_one_pass(tmp_path, monkeypatch):
     (3, "0,0,0;1.1,0.3,0", {"name": "offdiag", "betahat": "0.8"}),
 ])
 def test_preset_commands_build_no_entry_list(tmp_path, monkeypatch, d, positions, flags):
-    """kernel, boundstates and evolve on a preset read its site table only; its entries, read later, are the dense scan's."""
+    """kernel, boundstates and evolve on a preset read its site table only; its A and B, read later, are the dense input's."""
+    import functools
+
     from spinpoint.boundary import BoundaryPair
 
     path = write_model(tmp_path, dimension=d, positions=positions, **flags)
@@ -331,8 +333,10 @@ def test_preset_commands_build_no_entry_list(tmp_path, monkeypatch, d, positions
         "grid": {"lo": -12.0, "hi": 12.0, "n": 200} if d == 1 else {"lo": -6.0, "hi": 6.0, "n": 6},
     }))
     built = []
-    inner = BoundaryPair._from_entries
-    monkeypatch.setattr(BoundaryPair, "_from_entries", staticmethod(lambda *a: built.append(1) or inner(*a)))
+    inner = BoundaryPair.__dict__["_dense"].func
+    counted = functools.cached_property(lambda pair: built.append(1) or inner(pair))
+    counted.__set_name__(BoundaryPair, "_dense")
+    monkeypatch.setattr(BoundaryPair, "_dense", counted)
     commands = {
         "kernel": ["--z", "-1.0,0.5", "--n-points", "5", "--out", str(tmp_path / "k.csv")],
         "boundstates": ["--out", str(tmp_path / "levels.csv")],
@@ -344,8 +348,8 @@ def test_preset_commands_build_no_entry_list(tmp_path, monkeypatch, d, positions
     assert not built
     model, pair, _ = cli.load_model(str(path))
     dense = BoundaryPair(d, model.n_spins, pair.A, pair.B)
-    assert built == [1]  # pair.A read the entries once
-    assert all(np.array_equal(x, y) for x, y in zip(pair.entries, dense.entries)) and pair == dense
+    assert built == [1]  # pair.A scattered the site table once; dense input holds its own
+    assert pair.A.tobytes() == dense.A.tobytes() and pair.B.tobytes() == dense.B.tobytes() and pair == dense
     assert built == [1]
 
 
