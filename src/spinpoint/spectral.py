@@ -20,14 +20,18 @@ The search finds the levels by Newton steps: each sorted eigenvalue
 lambda_i(E) of H_k is strictly decreasing, so it has at most one root,
 and its slope is -y* V* G(E) V y with y its eigenvector and G =
 -Gamma' the Gram matrix of the defect functions (krein.gamma_gram). In
-a bracket, every block whose count jumps steps on its next eigenvalue
-to cross zero, all at once and each at its own energy: one paired
+a bracket, every block whose count jumps steps on eigenvalues that
+cross zero there, all at once and each at its own energy: one paired
 evaluation of the group's Gamma plan, one stacked eigh and one stacked
-slope per step. One count of those blocks at every edge of the windows
-e -+ tol (1 + |e|)/2 around the roots e confirms them, and bisection on
-N takes over where no step converges. U commutes with Gamma(E), so the
-rotated pair has the same levels, and its charges q' map back as
-q = U q'.
+slope per step. A block of at most _SMALL_BLOCK channels steps on all
+of them, each one more small matrix in the same stacked eigh; a larger
+one on its next only, as each of its eigenvalues takes a subset eigh of
+its own. An eigenvalue that the step cap stops resumes at its next
+iterate in the next round. One count of those blocks at every edge of
+the windows e -+ tol (1 + |e|)/2 around the roots e confirms them, and
+bisection on N takes over where no step converges. U commutes with
+Gamma(E), so the rotated pair has the same levels, and its charges q'
+map back as q = U q'.
 
 Below mu the defect functions are real, so every search energy gets a
 float64 Gamma from the plans (krein._gamma_plan), and H_k is real
@@ -63,7 +67,8 @@ __all__ = [
 ]
 
 GAP = 1e-9  # stand-off from the continuum threshold
-_NEWTON_STEPS = 8  # batched Newton steps per bracket; a block not converged by then is searched again in a gap
+_NEWTON_STEPS = 8  # batched Newton steps per round; an entry not converged by then resumes from its next iterate
+_SMALL_BLOCK = 16  # H_k of at most this many channels: one stacked eigh, and a round steps on all its crossings
 
 
 def essential_spectrum_bottom(model: ModelSpec) -> float:
@@ -217,14 +222,14 @@ def _eigenpairs(h: np.ndarray, lo, up, near: bool = False) -> tuple:
 
     Returns the list of (eigenvalues, eigenvectors), ascending, and the
     list of the wider ranges' eigenvalues (those that exist), or None.
-    Large matrices take those ranges only, one scipy subset eigh each:
-    the eigenvectors stay those of lo..up - 1 alone, as a subset eigh
-    over the wider range could rotate them towards a neighbour that is
-    nearly 0 as well. Small ones take one stacked eigh for both (faster
-    there).
+    Matrices above _SMALL_BLOCK channels take those ranges only, one
+    scipy subset eigh each: the eigenvectors stay those of lo..up - 1
+    alone, as a subset eigh over the wider range could rotate them
+    towards a neighbour that is nearly 0 as well. Small ones take one
+    stacked eigh for both (faster there).
     """
     wide = list(zip(np.maximum(np.asarray(lo) - 1, 0), np.minimum(np.asarray(up) + 1, h.shape[-1])))
-    if h.shape[-1] > 16:
+    if h.shape[-1] > _SMALL_BLOCK:
         pairs = [scipy.linalg.eigh(m, subset_by_index=[i, j - 1]) for m, i, j in zip(h, lo, up)]
         return pairs, [scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[i, j - 1])
                        for m, (i, j) in zip(h, wide)] if near else None
@@ -252,20 +257,23 @@ def _crossing(red: list, energy: np.ndarray, blocks: np.ndarray, index: np.ndarr
 
 
 def _newton(red: list, a: float, b: float, start, blocks, index, tol: float):
-    """Roots in (a, b) of eigenvalue index[i] of H_k on blocks[i], every block stepped at once; nan where none.
+    """(root, ahead): roots in (a, b) of eigenvalue index[i] of H_k on blocks[i], every entry stepped at once.
 
-    Each block steps in t = kappa^s, kappa = sqrt(mu_k - E) with mu_k
-    its own threshold: s = 1 where Gamma grows like kappa, and s = -1
-    where the rows of H_k lie in the d=1 charge layer, where Gamma decays
-    like 1/kappa, so the branch is nearly linear in t. The sign of each
-    eigenvalue narrows the block's own bracket, and a step that leaves
-    it, or a slope that is not negative, is replaced by bisection in
-    kappa. A block converges when its step is at most delta = tol * (1 +
-    |E|), or the next one that quadratic convergence predicts from the
-    last two steps is at most delta/4 (half the half-width of the window
-    that certifies the root), or when its bracket is delta narrow.
+    A block may repeat. root is nan where an entry did not converge in
+    _NEWTON_STEPS steps, and ahead then holds its next iterate (nan
+    elsewhere). Each entry steps in t = kappa^s, kappa = sqrt(mu_k - E)
+    with mu_k its block's own threshold: s = 1 where Gamma grows like
+    kappa, and s = -1 where the rows of H_k lie in the d=1 charge layer,
+    where Gamma decays like 1/kappa, so the branch is nearly linear in
+    t. The sign of each eigenvalue narrows the entry's own bracket, and a
+    step that leaves it, or a slope that is not negative, is replaced by
+    bisection in kappa. An entry converges when its step is at most
+    delta = tol * (1 + |E|), or the next one that quadratic convergence
+    predicts from the last two steps is at most delta/4 (half the
+    half-width of the window that certifies the root), or when its
+    bracket is delta narrow.
     """
-    root, at = np.full(blocks.size, np.nan), np.arange(blocks.size)
+    root, ahead, at = np.full(blocks.size, np.nan), np.full(blocks.size, np.nan), np.arange(blocks.size)
     x, lo, hi, prev = np.array(start, dtype=float), np.full(at.size, a), np.full(at.size, b), np.zeros(at.size)
     mu = np.concatenate([rd.mu for rd in red])[blocks]
     s = np.concatenate([np.full(len(rd.lam), -1.0 if rd.charge else 1.0) for rd in red])[blocks]
@@ -290,7 +298,9 @@ def _newton(red: list, a: float, b: float, start, blocks, index, tol: float):
             x, prev = new, np.where(inside, step, 0.0)
             if not live.all():
                 at, x, lo, hi, prev, mu, s, blocks, index = (v[live] for v in (at, x, lo, hi, prev, mu, s, blocks, index))
-    return root
+        else:  # the step cap stopped these
+            ahead[at] = x
+    return root, ahead
 
 
 def _limit(model: ModelSpec, red: list) -> int:
@@ -330,22 +340,29 @@ def default_search_floor(model: ModelSpec, pair: BoundaryPair) -> float:
     mu - 4 (mu - floor) until N(floor) equals its E -> -inf limit; as N
     is nondecreasing in E, no bound state lies below the result.
     """
+    mu = essential_spectrum_bottom(model)
     if pair.max_abs[1] == 0.0:
-        return essential_spectrum_bottom(model) - 10.0  # no bound states
-    return _search_floor(model, pair, _reduce(model, pair.frame(model)))[0]
+        return mu - 10.0  # no bound states
+    return _search_floor(model, pair, _reduce(model, pair.frame(model)), _search_top(mu))[0]
 
 
-def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list) -> tuple[float, np.ndarray]:
-    """default_search_floor on the pair's reduction, with the per-block counts there."""
+def _search_top(mu: float) -> float:
+    """The top of the search: GAP below the threshold mu, relative to 1 + |mu|."""
+    return mu - GAP * (1.0 + abs(mu))
+
+
+def _search_floor(model: ModelSpec, pair: BoundaryPair, red: list, top: float) -> tuple:
+    """(floor, N at the floor, N at top) per block: default_search_floor on the pair's reduction."""
     mu = essential_spectrum_bottom(model)
     a, b = pair.max_abs
     floor = mu - 10.0 * (1.0 + (4.0 * np.pi * a / b) ** 2)
     limit = _limit(model, red)
+    counts, n_top = _count(red, np.array([floor, top]))
     for _ in range(30):
-        counts = _count(red, floor)
         if counts.sum() <= limit:
-            return floor, counts
+            return floor, counts, n_top
         floor = mu - 4.0 * (mu - floor)
+        counts = _count(red, floor)
     raise ValueError(f"no certified search floor above {floor:.3e}: the bound-state count "
                      f"did not fall to its limit {limit}")
 
@@ -396,14 +413,18 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
 
     Splits [e_min, mu - gap] at counts of N until every jump is
     bracketed to tol * (1 + |E|); the energy is the bracket midpoint. In
-    a bracket, every block whose count jumps there takes Newton steps on
-    its next eigenvalue to cross zero, all blocks at once (_newton), from
-    its last root found (or the midpoint). Each root e gets the window
-    e -+ delta/2, delta = tol * (1 + |e|); windows that overlap are one
-    level, and one count of every such block at every window edge
-    certifies them: a window whose count jumps is a level whose
-    multiplicity is the jump, and the gaps between windows are searched
-    again. Where no block's steps converge, the bracket is bisected.
+    a bracket, every block whose count jumps there takes Newton steps,
+    all blocks at once (_newton): a block of at most _SMALL_BLOCK
+    channels on every eigenvalue that crosses zero in the bracket, a
+    larger one on its next. Each block starts where its last round left
+    it: at the next iterate of its first eigenvalue that the step cap
+    stopped, else at its lowest root (the midpoint before any round).
+    Each root e gets the window e -+ delta/2, delta = tol * (1 + |e|);
+    windows that overlap are one level, and one count of every such
+    block at every window edge certifies them: a window whose count
+    jumps is a level whose multiplicity is the jump, and the gaps
+    between windows are searched again. Where no block's steps converge,
+    the bracket is bisected.
     Counts inside a bracket are clamped into those at its ends and made
     nondecreasing, so the brackets stay nested and the multiplicities
     add up to N(mu - gap) - N(e_min). e_min defaults to
@@ -424,16 +445,17 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         return []  # A q = 0 forces q = 0
     frame = pair.frame(model)
     red = _reduce(model, frame)
-    mu = essential_spectrum_bottom(model)
+    hi = _search_top(essential_spectrum_bottom(model))
     if e_min is None:
-        lo, n_lo = _search_floor(model, pair, red)
-    else:
-        lo, n_lo = float(e_min), None
-    hi = mu - GAP * (1.0 + abs(mu))
-    if lo >= hi:
+        lo, n_lo, n_hi = _search_floor(model, pair, red, hi)
+    elif e_min >= hi:
         return []
-    states, last = [], np.full(sum(len(rd.lam) for rd in red), np.nan)
-    stack = [(lo, _count(red, lo) if n_lo is None else n_lo, hi, _count(red, hi))]
+    else:
+        lo = float(e_min)
+        n_lo, n_hi = _count(red, np.array([lo, hi]))
+    channels = np.concatenate([np.full(len(rd.lam), rd.lam.shape[-1]) for rd in red])  # the size of each H_k
+    states, last = [], np.full(channels.size, np.nan)
+    stack = [(lo, n_lo, hi, n_hi)]
     while stack:
         a, na, b, nb = stack.pop()
         blocks = np.flatnonzero(nb > na)  # blocks with a root in [a, b]
@@ -444,18 +466,25 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
             states += _levels(model, frame, red, [(mid, na, nb)], not unchecked)
             continue
 
-        # levels cluster: each block starts from its last root found, or the midpoint before its first
-        start = np.clip(np.where(np.isnan(last[blocks]), mid, last[blocks]), a, b)
-        roots = _newton(red, a, b, start, blocks, na[blocks], tol)
-        if np.isnan(roots).all():
+        # a small block steps on every eigenvalue that crosses zero in [a, b], a larger one on its next;
+        # levels cluster, so each block starts where it last stopped or found a root (the midpoint before)
+        runs = np.where(channels[blocks] <= _SMALL_BLOCK, nb[blocks] - na[blocks], 1)
+        block = np.repeat(blocks, runs)
+        index = na[block] + np.arange(block.size) - np.repeat(np.cumsum(runs) - runs, runs)
+        start = np.clip(np.where(np.isnan(last[block]), mid, last[block]), a, b)
+        roots, ahead = _newton(red, a, b, start, block, index, tol)
+        stopped = np.isnan(roots)
+        order = np.lexsort((~stopped, block))  # per block, its first stopped entry, else its first root
+        first = order[np.unique(block[order], return_index=True)[1]]
+        last[block[first]] = np.where(stopped, ahead, roots)[first]
+        if stopped.all():
             nm = na.copy()
             nm[blocks] = _count(red, mid, blocks)
             nm = np.clip(nm, na, nb)
             stack += [(mid, nm, b, nb), (a, na, mid, nm)]
             continue
-        last[blocks] = np.where(np.isnan(roots), last[blocks], roots)
         windows = []
-        for e in np.sort(roots[~np.isnan(roots)]):
+        for e in np.sort(roots[~stopped]):
             half = 0.5 * tol * (1.0 + abs(e))
             left, right = max(a, e - half), min(b, e + half)
             if windows and left <= windows[-1][1]:

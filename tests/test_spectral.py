@@ -324,9 +324,12 @@ def test_multiplicities_add_up_to_the_count(dimension):
         pairs.append(list(_random_pairs(1, seed=7, sizes=(1, 2, 3)))[-1])
     for model, pair in pairs:
         red = spectral._reduce(model, pair.frame(model))
-        _, n_floor = spectral._search_floor(model, pair, red)
         mu = essential_spectrum_bottom(model)
-        n_top = spectral._count(red, mu - spectral.GAP * (1.0 + abs(mu)))
+        top = mu - spectral.GAP * (1.0 + abs(mu))
+        floor, n_floor, n_top = spectral._search_floor(model, pair, red, top)
+        # the stacked count of floor and top is each one's own count
+        assert np.array_equal(n_floor, spectral._count(red, floor))
+        assert np.array_equal(n_top, spectral._count(red, top))
         states = find_bound_states(model, pair)
         assert sum(st.multiplicity for st in states) == n_top.sum() - n_floor.sum()
         energies = [st.energy for st in states]
@@ -346,6 +349,85 @@ def test_degenerate_level_is_one_row():
     near = [st for st in states if abs(st.energy + 100.765136542) < 1e-6]
     assert [st.multiplicity for st in near] == [2]
     assert near[0].charge_basis.shape == (2, model.defect_dim)
+
+
+def _recorded(monkeypatch, *names):
+    """The (args, result) of every call of the named spectral functions, per name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _f=getattr(spectral, name), _calls=calls[name]):
+            _calls.append((args, _f(*args)))
+            return _calls[-1][1]
+        monkeypatch.setattr(spectral, name, wrapped)
+    return calls
+
+
+def test_two_levels_of_a_small_block_take_one_round(monkeypatch):
+    """Both crossings of each 2-channel block step in one _newton call, and one _levels call dresses both levels.
+
+    d=1 delta, beta = -2 at sites 0 and 2: each of the 4 spin codes binds
+    the even and the odd level, so each block's count jumps by 2 in the
+    first bracket. Stepping one eigenvalue per block took two rounds.
+    """
+    model = ModelSpec(1, [0.0, 2.0], [0.0, 0.0])
+    calls = _recorded(monkeypatch, "_newton", "_levels")
+    states = find_bound_states(model, preset_delta(model, -2.0))
+    assert [st.multiplicity for st in states] == [4, 4]
+    for st, e in zip(states, ref.two_site_bound_energies_1d(-2.0, 2.0)):
+        assert st.energy == pytest.approx(e, rel=1e-12)
+    assert len(calls["_newton"]) == len(calls["_levels"]) == 1
+    blocks = calls["_newton"][0][0][4]
+    assert np.array_equal(np.bincount(blocks), [2, 2, 2, 2])
+
+
+def test_a_round_stopped_by_the_step_cap_resumes_from_its_next_iterate(monkeypatch):
+    """The evolve-1d pair in a field: the upper level, close to its block's threshold, outruns the step cap.
+
+    d=1 offdiag, betahat = 0.8 at sites 0 and 1.5, alpha = 0.297953 and
+    0.576138: both levels lie in one small block. The first round
+    converges on the lower one and stops the upper one at the cap; the
+    next round starts from that entry's next iterate, not from the lower
+    root, and the search takes at most 12 _crossing calls (13 when a
+    round stepped one eigenvalue and resumed at the last root).
+    """
+    model = ModelSpec(1, [0.0, 1.5], [0.297953, 0.576138])
+    calls = _recorded(monkeypatch, "_newton", "_crossing")
+    states = find_bound_states(model, preset_offdiag(model, 0.8))
+    assert [st.multiplicity for st in states] == [1, 1]
+    for st, e in zip(states, [-1.4286028459122428, -0.8881986274290202]):
+        assert st.energy == pytest.approx(e, rel=1e-13)
+    (first, (root, ahead)), (second, _) = calls["_newton"]
+    stopped = np.isnan(root)
+    assert stopped.tolist() == [False, True] and np.isfinite(ahead[stopped]).all()
+    assert second[3] == pytest.approx(ahead[stopped], rel=1e-15)  # its start
+    assert len(calls["_crossing"]) <= 12
+
+
+def test_large_blocks_step_one_eigenvalue_per_round(monkeypatch):
+    """A block above _SMALL_BLOCK channels carries one entry per _crossing call, and its levels stay the roots.
+
+    d=3 offdiag N = 4 in a field: one 64-channel block, 24 levels (32
+    states). The reference roots come from bisection on each sorted
+    eigenvalue of the dense H_k(E), all branches at once.
+    """
+    model = ModelSpec(3, [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(4)], [0.3] * 4)
+    pair = preset_offdiag(model, 0.8)
+    red = spectral._reduce(model, pair.frame(model))
+    assert [rd.lam.shape for rd in red] == [(1, 64, 64)] and 64 > spectral._SMALL_BLOCK
+    calls = _recorded(monkeypatch, "_crossing")
+    states = find_bound_states(model, pair)
+    assert calls["_crossing"] and all(np.unique(args[2]).size == args[2].size for args, _ in calls["_crossing"])
+    assert len(states) == 24
+    mu = essential_spectrum_bottom(model)
+    rd, top = red[0], mu - spectral.GAP * (1.0 + abs(mu))
+    branch = np.arange(sum(st.multiplicity for st in states))
+    lo, hi = np.full(branch.size, default_search_floor(model, pair)), np.full(branch.size, top)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = np.linalg.eigvalsh(rd.hermitian(rd.plan(mid)[0], slice(None)))[:, 0, :][branch, branch] < 0.0
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    energies = np.repeat([st.energy for st in states], [st.multiplicity for st in states])
+    assert np.all(np.abs(energies - 0.5 * (lo + hi)) <= 1e-13 * (1.0 + np.abs(energies)))
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
