@@ -67,15 +67,15 @@ def _gamma_plan(model: ModelSpec, index):
     zero level fills entries of unequal spin codes. It evaluates the
     blocks sel, or all, at z (a scalar, or a 1-D array of nodes that leads
     the result) and stacks Gamma and, under gram, -dGamma/dz from the same
-    s and waves: the bilinear Gram matrix int Phi^z_mu Phi^z_nu. Under
+    kappa and waves: the bilinear Gram matrix int Phi^z_mu Phi^z_nu. Under
     paired, z and sel are 1-D arrays of one length and block sel[i] is
     evaluated at z[i] only: the result is (1 + gram, len(z), k, k).
 
-    A real-dtype z with every entry below the lowest level is evaluated
-    in float64, and the result is float64: there s = i kappa, kappa =
-    sqrt(a_l - z) > 0, and every entry is real, e^{-kappa r}/(4 pi r) in
-    d=3 and e^{-kappa |x|}/(2 kappa) in d=1 with its layers. Any other z
-    takes the complex path.
+    The layers are written once, in kappa = -i sqrt_upper(z - a_l):
+    e^{-kappa r}/(4 pi r) in d=3 and e^{-kappa |x|}/(2 kappa) in d=1 with
+    its layers. The branches differ only in kappa's dtype: a real-dtype z
+    below the lowest level takes kappa = sqrt(a_l - z) > 0, and the result
+    is float64; any other z takes it in complex128, once z is off the cut.
     """
     levels, level = model.distinct_shifts()
     p, j, code = channel_tables(model)
@@ -87,50 +87,33 @@ def _gamma_plan(model: ModelSpec, index):
     dist = np.linalg.norm(diff, axis=-1) if model.dimension == 3 else np.abs(diff)
     off, sign = dist > 0.0, -np.sign(diff)  # the sites are distinct: only the diagonal is zero
     scale = 4.0 * np.pi * np.where(off, dist, 1.0)
-    # complex operands: numpy would cast real ones on every evaluation
-    scale_c, sign_c, levels_c, dist_c = (v.astype(complex) for v in (scale, sign, levels, dist))
-
-    def real_parts(w, gram):
-        """The layers at w = z - a_l < 0 in float64: those of complex_parts at s = i kappa."""
-        kappa = np.sqrt(-w)[..., None, None]
-        e = np.exp(-kappa * dist)
-        if model.dimension == 3:
-            return [np.where(off, -e / scale, kappa / (4.0 * np.pi))] + ([e / (8.0 * np.pi * kappa)] if gram else [])
-        g, gp = e / (2.0 * kappa), sign * e / 2.0
-        parts = [-g, -gp, gp, -w[..., None, None] * g]
-        if gram:  # the (0, 0) layer of the Gram is +e (kappa r + 1)/(4 kappa^3)
-            dgp = sign * dist * e / (4.0 * kappa)
-            parts += [e * (kappa * dist + 1.0) / (4.0 * kappa**3), dgp, -dgp, e * (1.0 - kappa * dist) / (4.0 * kappa)]
-        return parts
-
-    def complex_parts(w, gram):
-        """The layers of Gamma and, under gram, of -dGamma/dz at w = z - a_l, with s = sqrt_upper(w)."""
-        s = sqrt_upper(w)
-        if np.count_nonzero(s.imag) < s.size:  # Im s = 0 only on [0, inf), where the lowest level's w is too
-            for w0 in w[..., 0].ravel():
-                _check_energy(w0, False)
-        s = s[..., None, None]
-        e = np.exp(1j * s * dist_c)
-        if model.dimension == 3:  # Gram: the diagonal is the r = 0 case of i e^{isr}/(8 pi s)
-            parts = [np.where(off, -e / scale_c, -1j * s / (4.0 * np.pi))]
-            if gram:
-                parts.append(1j * e / (8.0 * np.pi * s))
-        else:  # the (p, p') layers in row-major order, then under gram minus their d/dz
-            g, gp = 1j * e / (2.0 * s), sign_c * e / 2.0
-            parts = [-g, -gp, gp, -w[..., None, None] * g]
-            if gram:
-                dgp = sign_c * 1j * dist_c * e / (4.0 * s)
-                parts += [-e * (dist_c * s + 1j) / (4.0 * s**3), dgp, -dgp, e * (1j - dist_c * s) / (4.0 * s)]
-        return parts
+    real = (scale, sign, dist, levels)  # with complex copies: numpy would cast these on every complex evaluation
+    operands = {np.dtype(float): real, np.dtype(complex): tuple(v.astype(complex) for v in real)}
 
     def evaluate(z, sel=None, gram=False, paired=False):
         z = np.asarray(z)
-        if np.isrealobj(z) and np.all(z < levels[0]):
-            z = z.astype(float)
-            parts = real_parts(z[..., None] - levels, gram)
+        below = np.isrealobj(z) and np.all(z < levels[0])
+        z = z.astype(float if below else complex)
+        scale, sign, dist, shifts = operands[z.dtype]
+        w = z[..., None] - shifts
+        if below:
+            kappa = np.sqrt(-w)
         else:
-            z = z.astype(complex)
-            parts = complex_parts(z[..., None] - levels_c, gram)
+            s = sqrt_upper(w)
+            if np.count_nonzero(s.imag) < s.size:  # Im s = 0 only on [0, inf), where the lowest level's w is too
+                for w0 in w[..., 0].ravel():
+                    _check_energy(w0, False)
+            kappa = -(1j * s)
+        kappa = kappa[..., None, None]
+        e = np.exp(-kappa * dist)
+        if model.dimension == 3:  # Gram: the diagonal is the r = 0 case of e^{-kappa r}/(8 pi kappa)
+            parts = [np.where(off, -e / scale, kappa / (4.0 * np.pi))] + ([e / (8.0 * np.pi * kappa)] if gram else [])
+        else:  # the (p, p') layers in row-major order, then under gram minus their d/dz
+            g, gp = e / (2.0 * kappa), sign * e / 2.0
+            parts = [-g, -gp, gp, -w[..., None, None] * g]
+            if gram:
+                dgp = sign * dist * e / (4.0 * kappa)
+                parts += [e * (kappa * dist + 1.0) / (4.0 * kappa**3), dgp, -dgp, e * (1.0 - kappa * dist) / (4.0 * kappa)]
         table = np.zeros((1 + gram,) + z.shape + (levels.size + 1, layers**2, n, n), dtype=z.dtype)
         for k, lay in enumerate(parts):
             table[k // layers**2, ..., :-1, k % layers**2, :, :] = lay

@@ -28,21 +28,20 @@ of them, each one more small matrix in the same stacked eigh; a larger
 one on its next only, as each of its eigenvalues takes a subset eigh of
 its own. An eigenvalue that the step cap stops resumes at its next
 iterate in the next round. One count of those blocks at every edge of
-the windows e -+ tol (1 + |e|)/2 around the roots e confirms them, and
-bisection on N takes over where no step converges. U commutes with
-Gamma(E), so the rotated pair has the same levels, and its charges q'
-map back as q = U q'.
+the windows around the roots, each at most tol (1 + |e|) wide,
+confirms them, and bisection on N takes over where no step converges.
+U commutes with Gamma(E), so the rotated pair has the same levels, and
+its charges q' map back as q = U q'.
 
 Below mu the defect functions are real, so every search energy gets a
 float64 Gamma from the plans (krein._gamma_plan), and H_k is real
 symmetric wherever Lambda is real: a group whose A_k and B_k have
 imaginary parts of exactly 0 is reduced in float64, and one whose
 B_k^-1 A_k has entries that are each real or imaginary (offdiag in a
-field) is gauged real by a phase D in {1, i} per spin code
-(_quarter_gauge), which commutes with Gamma_k; its null vectors map
-back as y = D y'. Groups that cannot be made real (Haar pairs, or a
-singular B_k with complex data) stay complex. Every step of the search
-takes either dtype.
+field) is gauged real by a phase D in {1, i} per spin code, read off
+the code bits (_quarter_gauge), which commutes with Gamma_k; its null
+vectors map back as y = D y'. Other groups (Haar pairs, or a singular
+B_k with complex data) stay complex. Every step takes either dtype.
 """
 
 from __future__ import annotations
@@ -108,33 +107,24 @@ class _Reduced(NamedTuple):
 def _quarter_gauge(lam: np.ndarray, codes: np.ndarray) -> tuple:
     """(D, D* lam D) with D (g, k) in {1, i}, one phase per spin code of codes (g, k), and D* lam D exactly real.
 
-    (None, lam) where there is no such D. Gamma only couples channels of
-    one spin code, so such a D commutes with Gamma_k, and D* H_k D =
+    (None, lam) where this D does not make it real. Gamma only couples
+    channels of one spin code, so D commutes with Gamma_k, and D* H_k D =
     Gamma_k + D* lam D has the spectrum of H_k with its null vectors y'
-    mapped back as y = D y'. Entry (a, b) of
-    D* lam D is i^(n_b - n_a) lam_ab for D_a = i^n_a: real where lam_ab
-    is real and n_a, n_b have one parity, or lam_ab is imaginary and they
-    have not. Each block's code parities are spread over the graph of its
-    nonzero entries; multiplying by i is exact, so the product is then
-    checked for an imaginary part of exactly 0.
+    mapped back as y = D y'. Entry (a, b) of D* lam D is i^(n_b - n_a)
+    lam_ab for D_a = i^n_a, and n_c is read off the code bits: the parity
+    of c xor c_0 (the block's first code) on the bits that the block's
+    imaginary single-bit links flip. Multiplying by i is exact, so the
+    product is then checked for an imaginary part of exactly 0.
     """
     odd = lam.imag != 0.0
     if (odd & (lam.real != 0.0)).any():
         return None, lam
-    phase = np.empty(codes.shape, dtype=complex)
-    for b, (row, entries, flips) in enumerate(zip(codes, lam != 0.0, odd)):
-        member = np.eye(row.max() + 1)[row]  # (k, codes): the code of each channel
-        linked, flip = (member.T @ x @ member > 0.0 for x in (entries, flips))
-        parity = np.full(member.shape[1], -1)
-        for root in range(parity.size):
-            if parity[root] < 0:
-                parity[root], todo = 0, [root]
-                while todo:
-                    x = todo.pop()
-                    new = np.flatnonzero(linked[x] & (parity < 0))
-                    parity[new] = parity[x] ^ flip[x, new]
-                    todo += new.tolist()
-        phase[b] = np.where(parity[row] == 1, 1j, 1.0)
+    flips = codes[:, :, None] ^ codes[:, None, :]
+    bits = np.bitwise_or.reduce(np.where(odd & ((flips & (flips - 1)) == 0), flips, 0), axis=(1, 2))
+    parity = (codes ^ codes[:, :1]) & bits[:, None]
+    for shift in (1, 2, 4, 8, 16, 32):  # fold the bits into bit 0 (np.bitwise_count needs numpy 2)
+        parity ^= parity >> shift
+    phase = np.where(parity & 1, 1j, 1.0)
     gauged = phase.conj()[:, :, None] * lam * phase[:, None, :]
     return (None, lam) if gauged.imag.any() else (phase, gauged.real)
 
@@ -155,9 +145,9 @@ def _reduce(model: ModelSpec, frame: SpinFrame) -> list:
     Where every B_k is exactly c_k I, c_k is read off the diagonal
     instead: Lambda = A_k / c_k and scale |c_k|, with no SVD.
     A group whose A_k and B_k have imaginary parts of exactly 0 is reduced
-    in float64; one whose B_k^-1 A_k is complex is gauged real where a
-    phase D of _quarter_gauge exists (Lambda = D* B_k^-1 A_k D), and stays
-    complex where none does (Haar pairs) or where some B_k is singular.
+    in float64; one whose B_k^-1 A_k is complex is gauged real where the
+    phase D of _quarter_gauge does so (Lambda = D* B_k^-1 A_k D), and stays
+    complex elsewhere (Haar pairs) or where some B_k is singular.
     """
     p, _, code = channel_tables(model)
     out = []
@@ -419,10 +409,11 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
     larger one on its next. Each block starts where its last round left
     it: at the next iterate of its first eigenvalue that the step cap
     stopped, else at its lowest root (the midpoint before any round).
-    Each root e gets the window e -+ delta/2, delta = tol * (1 + |e|);
-    windows that overlap are one level, and one count of every such
-    block at every window edge certifies them: a window whose count
-    jumps is a level whose multiplicity is the jump, and the gaps
+    Roots whose span fits in one window share the window c -+ delta/2,
+    delta = tol * (1 + |c|), centred on them; windows never widen, and two
+    that overlap are split at one edge between their roots. One count of
+    every such block at every window edge certifies them: a window whose
+    count jumps is a level whose multiplicity is the jump, and the gaps
     between windows are searched again. Where no block's steps converge,
     the bracket is bisected.
     Counts inside a bracket are clamped into those at its ends and made
@@ -462,7 +453,7 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
         mid = 0.5 * (a + b)
         if not blocks.size:
             continue
-        if b - a <= tol * (1.0 + abs(a)) or not a < mid < b:
+        if b - a <= tol * (1.0 + abs(mid)) or not a < mid < b:
             states += _levels(model, frame, red, [(mid, na, nb)], not unchecked)
             continue
 
@@ -483,27 +474,33 @@ def find_bound_states(model: ModelSpec, pair: BoundaryPair, e_min: float | None 
             nm = np.clip(nm, na, nb)
             stack += [(mid, nm, b, nb), (a, na, mid, nm)]
             continue
-        windows = []
+        spans = []  # the lowest and highest root of each window
         for e in np.sort(roots[~stopped]):
-            half = 0.5 * tol * (1.0 + abs(e))
-            left, right = max(a, e - half), min(b, e + half)
-            if windows and left <= windows[-1][1]:
-                windows[-1][1] = max(windows[-1][1], right)
+            if spans and e - spans[-1][0] <= tol * (1.0 + abs(0.5 * (spans[-1][0] + e))):
+                spans[-1][1] = e
             else:
-                windows.append([left, right])
-        edges = np.ravel(windows)
+                spans.append([e, e])
+        marks, top = [(a, False)], a  # each edge, and whether a window (else a gap) starts there
+        for low, high in spans:
+            centre = 0.5 * (low + high)
+            half = 0.5 * tol * (1.0 + abs(centre))
+            left, right = max(a, centre - half), min(b, centre + half)
+            if left <= marks[-1][0]:  # it meets a or the last window: one edge between their roots, none widens
+                left = min(max(0.5 * (top + low), left), marks.pop()[0])
+            marks += [(left, True), (right, False)]
+            top = high
+        edges = np.array([x for x, _ in marks] + [b])
         inner = (edges > a) & (edges < b)
         counts = np.tile(na, (edges.size, 1))
         counts[np.ix_(inner, blocks)] = _count(red, edges[inner], blocks)
         counts[edges >= b] = nb
         counts = np.maximum.accumulate(np.clip(counts, na, nb), axis=0)
-        ends = [(a, na), *zip(edges, counts), (b, nb)]  # gap, window, gap, ..., window, gap
         found, gaps = [], []
-        for k, ((x0, n0), (x1, n1)) in enumerate(zip(ends, ends[1:])):
-            if k % 2 == 0:
-                gaps.append((x0, n0, x1, n1))
-            elif np.any(n1 > n0):
-                found.append((0.5 * (x0 + x1), n0, n1))
+        for k, (_, inside) in enumerate(marks):
+            if not inside:
+                gaps.append((edges[k], counts[k], edges[k + 1], counts[k + 1]))
+            elif np.any(counts[k + 1] > counts[k]):
+                found.append((0.5 * (edges[k] + edges[k + 1]), counts[k], counts[k + 1]))
         states += _levels(model, frame, red, found, not unchecked) if found else []
         stack += gaps[::-1]
     return sorted(states, key=lambda st: st.energy)

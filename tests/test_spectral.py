@@ -24,7 +24,7 @@ from spinpoint.spectral import (
     essential_spectrum_bottom,
     find_bound_states,
 )
-from spinpoint.spins import ModelSpec
+from spinpoint.spins import ModelSpec, channel_tables
 from test_boundary import _preset_cases
 
 
@@ -349,6 +349,39 @@ def test_degenerate_level_is_one_row():
     near = [st for st in states if abs(st.energy + 100.765136542) < 1e-6]
     assert [st.multiplicity for st in near] == [2]
     assert near[0].charge_basis.shape == (2, model.defect_dim)
+
+
+_D3_N3 = [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(3)]
+
+
+@pytest.mark.parametrize("dimension, positions, alpha, preset, coupling", [
+    (1, [0.0, 1.3], [0.0, 0.0], preset_offdiag, 0.8),
+    (1, [0.0, 2.0], [0.0, 0.0], preset_delta, -2.0),
+    (1, [-1.3, 0.0], [-0.3, 0.3], preset_offdiag, 0.8),
+    (1, [0.0, 1.3, 2.6], [0.3, 0.0, 0.2], preset_offdiag, 0.8),
+    (3, _D3_N3, [0.3, 0.0, 0.2], preset_offdiag, 0.8),
+    (1, [0.0, 1.3, 2.6], [0.0, 0.0, 0.0], preset_offdiag, 0.8),
+], ids=["offdiag-d1-n2-zero", "delta-d1-n2", "offdiag-negative", "offdiag-d1-n3", "offdiag-d3-n3",
+        "offdiag-d1-n3-zero"])
+def test_level_rows_keep_their_brackets(dimension, positions, alpha, preset, coupling):
+    """Every row lies within tol (1 + |E|)/2 of each level it counts, at tol 0.5 and at the default tol.
+
+    The levels are those of a search at tol 1e-15, expanded by their
+    multiplicities, and the rows count them in order. On the d=1 offdiag
+    N=2 pair at zero field (levels -1.0283, -0.5463 twice, -0.0037), the
+    windows of all three roots were merged into one row at tol 0.5:
+    -0.7585 with multiplicity 4, 0.755 from -0.0037 against a half-width
+    of 0.44. The other pairs are CI's.
+    """
+    model = ModelSpec(dimension, positions, alpha)
+    pair = preset(model, coupling)
+    levels = _expanded(find_bound_states(model, pair, tol=1e-15))
+    for tol in (0.5, 1e-13):
+        rows = find_bound_states(model, pair, tol=tol)
+        assert sum(st.multiplicity for st in rows) == len(levels)
+        counted = np.split(levels, np.cumsum([st.multiplicity for st in rows])[:-1])
+        for st, own in zip(rows, counted):
+            assert np.all(np.abs(own - st.energy) <= 0.5 * tol * (1.0 + abs(st.energy))), (tol, st.energy, own)
 
 
 def _recorded(monkeypatch, *names):
@@ -705,6 +738,24 @@ def test_quarter_gauge_is_one_phase_per_spin_code():
     for lam, codes in ((odd_cycle, [[0, 1, 2]]), (same_code, [[5, 5]]), (mixed, [[0, 1]])):
         phase, same = spectral._quarter_gauge(lam, np.array(codes))
         assert phase is None and same is lam
+    # the charged block of d=3 offdiag N=4 in a field (B = I): the phase is i^n_c, n_c the parity of
+    # c xor c_0 on the bits that its imaginary single-bit links flip
+    model = ModelSpec(3, [[1.1 * k, 0.3 * (k % 2), 0.0] for k in range(4)], [0.3] * 4)
+    (group,) = preset_offdiag(model, 0.8).frame(model).charged
+    assert np.array_equal(group.B, np.broadcast_to(np.eye(group.B.shape[-1]), group.B.shape))
+    codes = channel_tables(model)[2][group.index]
+    lam = group.A
+    flipped = 0
+    for a, b in zip(*np.nonzero(lam[0].imag)):
+        if bin(codes[0, a] ^ codes[0, b]).count("1") == 1:
+            flipped |= int(codes[0, a] ^ codes[0, b])
+    assert flipped
+    phase, real = spectral._quarter_gauge(lam, codes)
+    want = [1j ** (bin((c ^ codes[0, 0]) & flipped).count("1") % 2) for c in codes[0]]
+    assert np.array_equal(phase[0], want) and 1j in want
+    assert real.dtype == np.float64
+    assert np.array_equal(real, (phase.conj()[:, :, None] * lam * phase[:, None, :]).real)
+    assert not (phase.conj()[:, :, None] * lam * phase[:, None, :]).imag.any()
 
 
 def test_multiples_of_the_identity_take_no_svd(monkeypatch):
