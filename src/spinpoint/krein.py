@@ -292,37 +292,51 @@ class _Dressing:
 
         Without given sources (those of xp, codes_p), every row is checked
         first: a source at a site, a point at one, then d=3 x = x' in one
-        code raise; one _defect_factors call then serves both sides. Each
-        row's weights are C phi(xp_i) on its own code codes[i] only
-        (_on_codes), summed in channel_sum's order; equal codes add G at once.
+        code raise; one _defect_factors call then serves both sides.
         """
-        same, r = (codes == codes_p).nonzero()[0], len(codes)
+        r = len(codes)
         if sources is None:
             _check_sites(self.model, xp, "source point coincides with a spin site")
             _check_sites(self.model, x, "evaluation point coincides with a spin site")
+            same = codes == codes_p
             if self.model.dimension == 3 and (x[same] == xp[same]).all(axis=-1).any():
                 raise ValueError("d=3 Green function is singular at zero displacement")
             phi = self.values(np.concatenate([x, xp]), np.concatenate([codes, codes_p]))
             phi, sources = phi[:r], self.sources(phi[r:], codes_p)
         else:
             phi = self.values(x, codes)
-        out = np.einsum("rk,rk->r", self._on_codes(sources, codes), phi)
-        if same.size:  # s_l is green's sqrt_upper(z - a.s)
-            s = self.roots[self.model.distinct_shifts()[1][codes[same]]]
-            out[same] += _green_at(self.model.dimension, s, x[same] - xp[same])
+        return self._kernel(self._weights(sources, codes, codes_p), phi, x - xp)
+
+    def _weights(self, sources, codes, codes_p):
+        """The per-code part of each row: its weights C phi(xp_i) on code codes[i] only (_on_codes), the rows
+        of equal codes and the root s_l of their G term (green's sqrt_upper(z - a.s))."""
+        same = (codes == codes_p).nonzero()[0]
+        return self._on_codes(sources, codes), same, self.roots[self.model.distinct_shifts()[1][codes[same]]]
+
+    def _kernel(self, weights, phi, disp) -> np.ndarray:
+        """The one K formula: each row's weights against phi(x_i), summed in channel_sum's order; equal codes
+        add G(x_i - xp_i), disp the displacements."""
+        on_codes, same, s = weights
+        out = np.einsum("rk,rk->r", on_codes, phi)
+        if same.size:
+            out[same] += _green_at(self.model.dimension, s, disp[same])
         return out
 
     def column(self, xp, sigmap):
-        """Closure evaluating K(x, sigma; xp, sigmap): the source side once, each point one row of rows."""
+        """Closure evaluating K(x, sigma; xp, sigmap): the source side once, each code's weights on its first
+        point, then each point one values call and one _kernel."""
         model, code_p, xp = self.model, np.array([spin_code(sigmap, self.model.n_spins)]), np.asarray(xp, float)[None]
         _check_sites(model, xp, "source point coincides with a spin site")
         sources = self.sources(self.values(xp, code_p), code_p)
+        weights = {}
 
         def evaluate(x, sigma) -> complex:
-            x = np.asarray(x, dtype=float)[None]
+            x, code = np.asarray(x, dtype=float)[None], np.array([spin_code(sigma, model.n_spins)])
             if model.dimension == 1:  # d=3: _defect_factors rejects x at a site, green x = x'
                 _check_sites(model, x, "evaluation point coincides with a spin site")
-            return complex(self.rows(x, np.array([spin_code(sigma, model.n_spins)]), xp, code_p, sources)[0])
+            if code[0] not in weights:
+                weights[code[0]] = self._weights(sources, code, code_p)
+            return complex(self._kernel(weights[code[0]], self.values(x, code), x - xp)[0])
 
         return evaluate
 
@@ -461,7 +475,10 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points, s=Non
         so the integral is W [H(a, is + xi, c0) - H(a, is - xi, c0)]/(2 xi).
         That difference quotient is even in xi; for |v xi^2| < 1e-6 its
         Taylor series M1 + xi^2 M3/6 in the moments M_n of
-        exp(-a y^2 + is y + c0) over y > 0 replaces it.
+        exp(-a y^2 + is y + c0) over y > 0 replaces it, formed only when
+        some point needs it.
+    Both half-line integrals of a component are one _half_line call on
+    their stacked arguments: one Faddeeva pass.
     s, when given, is sqrt_upper(w), for callers that reuse one w.
     """
     if s is None:
@@ -478,8 +495,8 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points, s=Non
             k = g.momentum[0]
             dc = g.center[0] - x
             c = -a * dc * dc - 1j * k * dc
-            hp = g.weight * _half_line(a, dc / (2.0 * v) + 1j * (s + k), c)
-            hm = g.weight * _half_line(a, -dc / (2.0 * v) + 1j * (s - k), c)
+            b = np.stack([dc / (2.0 * v) + 1j * (s + k), -dc / (2.0 * v) + 1j * (s - k)])
+            hp, hm = g.weight * _half_line(a, b, c)
             out[..., 0, :] += 1j / (2.0 * s) * (hp + hm)
             out[..., 1, :] -= (hp - hm) / 2.0
             continue
@@ -489,13 +506,15 @@ def _gaussian_green(packet: GaussianPacket, code: int, w: complex, points, s=Non
         c0 = -a * np.sum(dx * dx, axis=-1) + 1j * (dx @ g.momentum)
         small = np.abs(v * xi2) < 1e-6
         xi = np.sqrt(np.where(small, 1.0, xi2))
-        quotient = (_half_line(a, 1j * s + xi, c0) - _half_line(a, 1j * s - xi, c0)) / (2.0 * xi)
-        # integration by parts: M_{n+1} = 2v (n M_{n-1} + is M_n), with e^c0 for n M_{n-1} at n = 0
-        m0 = _half_line(a, 1j * s, c0)
-        m1 = 2.0 * v * (np.exp(c0) + 1j * s * m0)
-        m2 = 2.0 * v * (m0 + 1j * s * m1)
-        m3 = 2.0 * v * (2.0 * m1 + 1j * s * m2)
-        out[..., 0, :] += g.weight * np.where(small, m1 + xi2 * m3 / 6.0, quotient)
+        hp, hm = _half_line(a, np.stack([1j * s + xi, 1j * s - xi]), c0)
+        quotient = (hp - hm) / (2.0 * xi)
+        if small.any():  # integration by parts: M_{n+1} = 2v (n M_{n-1} + is M_n), with e^c0 for n M_{n-1} at n = 0
+            m0 = _half_line(a, 1j * s, c0)
+            m1 = 2.0 * v * (np.exp(c0) + 1j * s * m0)
+            m2 = 2.0 * v * (m0 + 1j * s * m1)
+            m3 = 2.0 * v * (2.0 * m1 + 1j * s * m2)
+            quotient = np.where(small, m1 + xi2 * m3 / 6.0, quotient)
+        out[..., 0, :] += g.weight * quotient
     return out
 
 
@@ -668,6 +687,50 @@ def _ladder_fit(t: np.ndarray, samples: np.ndarray, powers) -> np.ndarray:
     return coef
 
 
+def _probe_radius(model: ModelSpec, j: int, avoid) -> float:
+    """h0 of site j: a fifth of the smallest site separation (0.2 for one site), at most half the distance to
+    each avoid point; an avoid point at the site raises."""
+    site = model.site(j)
+    h0 = 0.2
+    if model.n_spins > 1:
+        pos = model.positions.reshape(model.n_spins, -1)
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        h0 *= float(np.min(dist[~np.eye(model.n_spins, dtype=bool)]))
+    for pt in avoid if avoid is not None else ():
+        d = float(np.linalg.norm(np.asarray(pt, dtype=float) - site))
+        if d == 0.0:
+            raise ValueError("avoid point coincides with the probed site")
+        h0 = min(h0, 0.5 * d)
+    return h0
+
+
+def _boundary_ladders(model: ModelSpec, evaluate, sites, codes, avoid):
+    """(q, f) of evaluate at every site of sites in every code of codes, as extract_boundary_data describes them.
+
+    Returns (S, C, layers) arrays; d=3 has one layer. h0 is set once per
+    site, each probe is one evaluate call, and every ladder is fitted in
+    one _ladder_fit call on the shared basis t^k.
+    """
+    h0 = np.array([_probe_radius(model, j, avoid) for j in sites])
+    t = 2.0 ** -np.arange(LADDER_LEVELS)
+    if model.dimension == 1:  # one column per side; t^0 and t^1 give the one-sided value and h0 * slope
+        probe, powers = lambda y, hr, code: [evaluate(y + hr, code), evaluate(y - hr, code)], range(LADDER_LEVELS)
+    else:
+        # +-e_x, +-e_y, +-e_z form a spherical 3-design: their average cancels
+        # the l = 1, 2, 3 angular terms of the regular part
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        probe, powers = lambda y, hr, code: [np.mean([evaluate(pt, code) for pt in y + hr * axes])], range(-1, 6)
+    samples = np.array([[[probe(y, h * r, code) for r in t] for code in codes]
+                        for y, h in zip(model.positions[np.asarray(sites) - 1], h0)])  # (S, C, radius, column)
+    coef = _ladder_fit(t, np.moveaxis(samples, 2, 0).reshape(t.size, -1), powers)[:2]
+    coef = coef.reshape(2, *samples.shape[:2], -1)  # the two lowest powers per (S, C, column)
+    if model.dimension == 3:
+        return 4.0 * np.pi * h0[:, None, None] * coef[0], coef[1]
+    (vp, vm), (sp, sm) = np.moveaxis(coef, -1, 1)
+    dp, dm = sp / h0[:, None], -sm / h0[:, None]
+    return np.stack([dm - dp, vm - vp], -1), np.stack([(vp + vm) / 2.0, -(dp + dm) / 2.0], -1)
+
+
 def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None):
     """Boundary data (q, f) of a wavefunction at site j in one spin channel.
 
@@ -690,51 +753,16 @@ def extract_boundary_data(model: ModelSpec, evaluate, j: int, sigma, avoid=None)
     profile on t^-1 .. t^5, 48 probes; the singular channel itself
     contributes all powers of r, so the odd columns are not optional.
     """
-    code = spin_code(sigma, model.n_spins)
-    site = model.site(j)
-    h0 = 0.2
-    if model.n_spins > 1:
-        pos = model.positions.reshape(model.n_spins, -1)
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        h0 *= float(np.min(dist[~np.eye(model.n_spins, dtype=bool)]))
-    if avoid is not None:
-        for pt in avoid:
-            d = float(np.linalg.norm(np.asarray(pt, dtype=float) - site))
-            if d == 0.0:
-                raise ValueError("avoid point coincides with the probed site")
-            h0 = min(h0, 0.5 * d)
-    t = 2.0 ** -np.arange(LADDER_LEVELS)
-    if model.dimension == 1:
-        y = float(site)
-        # one column per side; t^0 and t^1 give the one-sided value and h0 * slope
-        vals = np.array([[evaluate(y + h0 * r, code), evaluate(y - h0 * r, code)] for r in t])
-        (vp, vm), (sp, sm) = _ladder_fit(t, vals, range(LADDER_LEVELS))[:2]
-        dp, dm = sp / h0, -sm / h0
-        q = np.array([dm - dp, vm - vp])
-        f = np.array([(vp + vm) / 2.0, -(dp + dm) / 2.0])
-        return q, f
-    # +-e_x, +-e_y, +-e_z form a spherical 3-design: their average cancels
-    # the l = 1, 2, 3 angular terms of the regular part
-    axes = np.vstack([np.eye(3), -np.eye(3)])
-    shells = site + h0 * t[:, None, None] * axes  # (radius, direction, xyz)
-    averages = np.array([np.mean([evaluate(pt, code) for pt in shell]) for shell in shells])
-    coef = _ladder_fit(t, averages, range(-1, 6))
-    return complex(4.0 * np.pi * h0 * coef[0]), complex(coef[1])
+    q, f = _boundary_ladders(model, evaluate, [j], [spin_code(sigma, model.n_spins)], avoid)
+    return (q[0, 0], f[0, 0]) if model.dimension == 1 else (complex(q[0, 0, 0]), complex(f[0, 0, 0]))
 
 
 def boundary_data_from_evaluator(model: ModelSpec, evaluate, avoid=None) -> tuple[np.ndarray, np.ndarray]:
-    """Full boundary-data vectors (q, f) in the flat channel order."""
-    m = model.defect_dim
-    q = np.zeros(m, dtype=complex)
-    f = np.zeros(m, dtype=complex)
+    """Full boundary-data vectors (q, f) in the flat channel order: extract_boundary_data at every site and
+    code, with every ladder in one fit."""
     p, j, code = channel_tables(model)
-    for site in range(1, model.n_spins + 1):
-        for c in range(model.n_configs):
-            qd, fd = extract_boundary_data(model, evaluate, site, c, avoid=avoid)
-            sel = (j == site) & (code == c)  # one channel per layer p
-            q[sel] = np.atleast_1d(qd)[p[sel]]
-            f[sel] = np.atleast_1d(fd)[p[sel]]
-    return q, f
+    ladders = _boundary_ladders(model, evaluate, range(1, model.n_spins + 1), range(model.n_configs), avoid)
+    return tuple(v[j - 1, code, p].astype(complex, copy=False) for v in ladders)  # complex for a real evaluate too
 
 
 def verify_boundary_conditions(pair: BoundaryPair, q: np.ndarray, f: np.ndarray) -> float:

@@ -648,6 +648,72 @@ def test_verify_boundary_conditions_random_pairs():
             assert verify_boundary_conditions(pair, q, f) <= 1e-5
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_boundary_data_from_evaluator_matches_one_extraction_per_site_and_code(d):
+    # one fit for every ladder against extract_boundary_data at each (site, code), scattered as the flat order
+    # reads it: a kernel column (with its avoid point) and a Gaussian state, in a field
+    model = model_d1(2) if d == 1 else model_d3(2)
+    pair = preset_offdiag(model, 0.8)
+    z = -1.0 + 0.7j
+    xp = 0.55 if d == 1 else np.array([0.5, -0.4, 0.3])
+    center, momentum = (0.4, 1.2) if d == 1 else (np.array([0.3, 0.5, -0.2]), np.array([0.9, -0.4, 0.2]))
+    packet = GaussianPacket.single(d, model.n_configs, 1, center=center, momentum=momentum, variance=0.5)
+    p, j, code = channel_tables(model)
+    for evaluate, avoid in ((kernel_evaluator(model, pair, z, xp, 1), [xp]),
+                            (resolvent_state_evaluator(model, pair, z, packet), None)):
+        q, f = boundary_data_from_evaluator(model, evaluate, avoid=avoid)
+        want_q, want_f = np.zeros(model.defect_dim, dtype=complex), np.zeros(model.defect_dim, dtype=complex)
+        for site in range(1, model.n_spins + 1):
+            for c in range(model.n_configs):
+                qd, fd = extract_boundary_data(model, evaluate, site, c, avoid=avoid)
+                sel = (j == site) & (code == c)
+                want_q[sel], want_f[sel] = np.atleast_1d(qd)[p[sel]], np.atleast_1d(fd)[p[sel]]
+        for got, want in ((q, want_q), (f, want_f)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_boundary_conditions_of_kernel_columns_on_rotated_frames(d):
+    # offdiag at zero field rotates both sites, so every column weights its codes through SpinFrame.code_rows
+    model = (ModelSpec(1, [0.0, 1.1], [0.0, 0.0]) if d == 1
+             else ModelSpec(3, [np.zeros(3), np.array([1.0, 0.3, -0.2])], [0.0, 0.0]))
+    pair = preset_offdiag(model, 0.8)
+    assert pair.frame(model).sites == (1, 2)
+    z = -0.9 + 0.8j
+    xp = -0.65 if d == 1 else np.array([0.4, -0.5, 0.6])
+    for code in range(model.n_configs):
+        q, f = boundary_data_from_evaluator(model, kernel_evaluator(model, pair, z, xp, code), avoid=[xp])
+        assert verify_boundary_conditions(pair, q, f) <= 1e-5, code
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_extract_boundary_data_keeps_its_ladder_off_the_avoid_points(d):
+    # h0 = 0.2 * 1.5 = 0.3 here; an avoid point at 0.7 leaves it, one at 0.25, nearer than h0, caps the
+    # outermost probe at half its distance
+    model = (ModelSpec(1, [0.0, 1.5], [0.0, 0.0]) if d == 1
+             else ModelSpec(3, [np.zeros(3), np.array([0.0, 0.0, 1.5])], [0.0, 0.0]))
+    site = model.site(1)
+    direction = 1.0 if d == 1 else np.array([0.6, 0.0, -0.8])
+
+    def outermost(avoid):
+        probes = []
+
+        def evaluate(x, code):
+            probes.append(x)
+            return 1.0 + 0.0j
+
+        extract_boundary_data(model, evaluate, 1, 0, avoid=avoid)
+        return max(float(np.linalg.norm(np.asarray(x) - site)) for x in probes)
+
+    assert outermost(None) == pytest.approx(0.3, rel=1e-14)
+    assert outermost([site + 0.7 * direction]) == pytest.approx(0.3, rel=1e-14)
+    assert outermost([site + 0.7 * direction, site - 0.25 * direction]) == pytest.approx(0.125, rel=1e-14)
+    for call in (lambda: extract_boundary_data(model, lambda x, code: 0.0j, 1, 0, avoid=[site]),
+                 lambda: boundary_data_from_evaluator(model, lambda x, code: 0.0j, avoid=[model.site(2)])):
+        with pytest.raises(ValueError, match="avoid point coincides"):
+            call()
+
+
 def test_boundary_residual_from_entries_matches_dense_formula():
     rng = np.random.default_rng(47)
     for d in (1, 3):
@@ -934,6 +1000,22 @@ def test_gaussian_green_closed_form_matches_oracles(packet, w, points):
     assert values.shape == oracle.shape
     scale = np.max(np.abs(oracle), axis=1)
     assert np.all(np.max(np.abs(values - oracle), axis=1) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("name, calls", [("1d-two-components", 2), ("1d-complex-variance", 1),
+                                         ("3d-two-components", 2), ("3d-high-momentum", 1), ("3d-small-xi", 2)])
+def test_gaussian_green_takes_one_faddeeva_pass_per_component(monkeypatch, name, calls):
+    # both half-line integrals of a component are one wofz call; the d=3 series (one more) only where
+    # some point has |v xi^2| < 1e-6, as in 3d-small-xi's single component
+    import scipy.special
+
+    from spinpoint.krein import _gaussian_green
+
+    packet, w, points = next(c.values for c in _gaussian_green_cases() if c.id == name)
+    wofz, seen = scipy.special.wofz, []
+    monkeypatch.setattr(scipy.special, "wofz", lambda arg: seen.append(arg) or wofz(arg))
+    _gaussian_green(packet, 0, w, np.asarray(points, dtype=float))
+    assert len(seen) == calls
 
 
 def test_defect_matrix_site_rejection_d3():
